@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +60,6 @@ DEFAULTS = {
     "beta": 1.0,
     "ratio": 0.15,
     "seed": 0,
-    "jobs": 1,
     "checkpoint": None,
     "out": None,
     "target": None,
@@ -229,13 +227,7 @@ def cmd_summarize(cfg: dict) -> int:
         )
         return summary
 
-    jobs = max(1, int(cfg["jobs"]))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(summarize_one, targets))
-    else:
-        summaries = [summarize_one(rec) for rec in targets]
-
+    summaries = [summarize_one(rec) for rec in targets]
     for summary in summaries:
         doc = {**_provenance(cfg), **summary.to_dict()}
         path = out / f"{summary.video_id}.summary.json"
@@ -256,7 +248,7 @@ def cmd_segment(cfg: dict) -> int:
 
     def segment_one(rec):
         boundaries = kts_changepoints(
-            rec.features.matrix.astype(np.float64),
+            rec.features.matrix,
             max_segments=(
                 None if cfg["kts_max_segments"] is None else int(cfg["kts_max_segments"])
             ),
@@ -265,13 +257,7 @@ def cmd_segment(cfg: dict) -> int:
         )
         return {"video_id": rec.id, "boundaries": [int(b) for b in boundaries]}
 
-    jobs = max(1, int(cfg["jobs"]))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(segment_one, records))
-    else:
-        results = [segment_one(rec) for rec in records]
-
+    results = [segment_one(rec) for rec in records]
     if cfg["out"]:
         out = _out_dir(cfg)
         for res in results:
@@ -361,7 +347,7 @@ def cmd_eval(cfg: dict) -> int:
         float(np.mean([per_video[vid].fscore for vid in fold])) for fold in folds
     ]
 
-    zeta = None
+    zeta, zeta_skipped = None, 0
     if cfg["zeta"]:
         by_id = {r.id: r for r in records}
         zeta_videos = []
@@ -369,6 +355,8 @@ def cmd_eval(cfg: dict) -> int:
             feats = by_id[vid].features.matrix.astype(np.float64)
             shot_feats = np.array([feats[a:b].mean(axis=0) for a, b in doc["shots"]])
             zeta_videos.append((shot_feats, list(doc["selected"])))
+        # videos that selected no shot are left out of zeta, and counted
+        zeta_skipped = sum(not selected for _, selected in zeta_videos)
         zeta = diversity_zeta(zeta_videos, normalization=cfg["zeta_norm"])
 
     report = MetricsReport(
@@ -377,6 +365,7 @@ def cmd_eval(cfg: dict) -> int:
         fold_fscores=fold_fscores,
         mean_fscore=float(np.mean(fold_fscores)),
         zeta=zeta,
+        zeta_skipped_videos=zeta_skipped,
     )
     doc = {**_provenance(cfg), **report.to_dict()}
     text = json.dumps(doc, indent=2) + "\n"
@@ -450,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--manifest", help="dataset manifest JSON")
         p.add_argument("--seed", type=int, help="PRNG seed (default 0)")
-        p.add_argument("--jobs", type=int, help="parallel workers for per-video stages")
         p.add_argument("--out", help="output directory")
 
     def add_split(p):

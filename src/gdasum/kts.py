@@ -2,10 +2,11 @@
 
 Partitions a feature sequence into contiguous homogeneous segments by
 minimizing total within-segment scatter plus a BIC-style penalty on the
-number of segments.  The default cost is the within-segment scatter
-around the segment mean (equivalently the linear-kernel cost), answered
-from prefix sums; an RBF-kernel cost over the Gram matrix is available
-as an alternative.
+number of segments.  Scatter is measured in the feature space of a
+kernel: the linear kernel (scatter around the segment mean, the
+default) or an RBF kernel.  Both are answered from prefix sums of one
+Gram matrix, and the DP reads every segment cost from one (N+1)^2
+matrix built up front.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Largest frame count the segmentation accepts.  Its peak memory, measured
+# with tracemalloc, is 25 * N^2 bytes while the cost matrix is built (the
+# prefix-sum table, the matrix and one temporary, each (N+1)^2 float64)
+# and 16 * N^2 bytes during the DP: 0.9 GB at the cap.
+MAX_FRAMES = 6000
 
 
 @dataclass(frozen=True)
@@ -33,68 +40,87 @@ class Shot:
 
 
 class SegmentCostTable:
-    """Within-segment cost of any [a, b), answered in O(1) from prefix sums.
+    """Within-segment cost of any [s, t), in O(1) from Gram prefix sums.
 
-    kernel="linear": cost(a, b) = sum_{t in [a,b)} ||x_t - mean(x_{a:b})||^2.
-    kernel="rbf":    same form on the implicit RBF feature map, computed
-    from cumulative sums of the Gram matrix exp(-gamma ||x_s - x_t||^2)
-    (O(N^2) memory, so only for modest N).
+    With K the Gram matrix of the kernel (K = X X^T for "linear",
+    K_ij = exp(-gamma ||x_i - x_j||^2) for "rbf", gamma = 1/D by
+    default), every segment cost is
+
+        cost(s, t) = (diag[t] - diag[s]) - block(s, t) / (t - s)
+
+    where diag is the prefix sum of K's diagonal and block(s, t) the
+    sum of K over [s, t) x [s, t), read from one 2-D prefix-sum table.
+    For the linear kernel this is the scatter
+    sum_{i in [s,t)} ||x_i - mean(x_{s:t})||^2.  The table takes
+    O(N^2) memory, so N is capped at MAX_FRAMES.
     """
 
     def __init__(self, x: np.ndarray, kernel: str = "linear", gamma: float | None = None):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError("expected a nonempty (N, D) feature matrix")
+        if x.shape[0] > MAX_FRAMES:
+            raise ValueError(
+                f"segmentation of N={x.shape[0]} frames exceeds the cap of "
+                f"MAX_FRAMES={MAX_FRAMES}"
+            )
         if not np.all(np.isfinite(x)):
             raise ValueError("features contain non-finite values")
+        if kernel not in ("linear", "rbf"):
+            raise ValueError(f"unknown kernel {kernel!r}")
         self.n = x.shape[0]
-        self.kernel = kernel
-        if kernel == "linear":
-            # prefix sums of x and of ||x||^2
-            s1 = np.zeros((self.n + 1, x.shape[1]))
-            np.cumsum(x, axis=0, out=s1[1:])
-            self._s1 = s1
-            self._sq = (s1 * s1).sum(axis=1)
-            self._s2 = np.concatenate([[0.0], np.cumsum((x * x).sum(axis=1))])
-        elif kernel == "rbf":
+        gram = x @ x.T
+        if kernel == "rbf":
             if gamma is None:
                 gamma = 1.0 / x.shape[1]
-            sq = (x * x).sum(axis=1)
-            d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-            np.maximum(d2, 0.0, out=d2)
-            gram = np.exp(-gamma * d2)
-            block = np.zeros((self.n + 1, self.n + 1))
-            block[1:, 1:] = gram.cumsum(axis=0).cumsum(axis=1)
-            self._diag = np.concatenate([[0.0], np.cumsum(np.diag(gram))])
-            self._block = block
-        else:
-            raise ValueError(f"unknown kernel {kernel!r}")
+            sq = np.diag(gram).copy()
+            # exp(-gamma * max(||x_i||^2 + ||x_j||^2 - 2 x_i.x_j, 0)), in place
+            gram *= -2.0
+            gram += sq[:, None]
+            gram += sq[None, :]
+            np.maximum(gram, 0.0, out=gram)
+            gram *= -gamma
+            np.exp(gram, out=gram)
+        self._diag = np.concatenate([[0.0], np.cumsum(np.diag(gram))])
+        block = np.zeros((self.n + 1, self.n + 1))
+        np.cumsum(gram, axis=0, out=block[1:, 1:])
+        del gram
+        np.cumsum(block[1:, 1:], axis=1, out=block[1:, 1:])
+        self._block = block
 
     def cost(self, a: int, b: int) -> float:
+        """cost(a, b) for one segment, straight from the prefix sums."""
         if not 0 <= a <= b <= self.n:
             raise ValueError(f"segment [{a}, {b}) out of range")
         if b - a <= 1:
             return 0.0
-        return float(self.costs(np.array([a]), b)[0])
+        blk = self._block
+        inner = blk[b, b] - blk[a, b] - blk[b, a] + blk[a, a]
+        return float((self._diag[b] - self._diag[a]) - inner / (b - a))
 
-    def costs(self, starts: np.ndarray, end: int) -> np.ndarray:
-        """Vectorized cost(s, end) for an array of segment starts."""
-        lengths = end - starts
-        if self.kernel == "linear":
-            sq_sum = self._s2[end] - self._s2[starts]
-            mean_term = (
-                self._sq[end]
-                + self._sq[starts]
-                - 2.0 * (self._s1[starts] @ self._s1[end])
-            )
-            return sq_sum - mean_term / lengths
-        blk = (
-            self._block[end, end]
-            - self._block[starts, end]
-            - self._block[end, starts]
-            + self._block[starts, starts]
-        )
-        return (self._diag[end] - self._diag[starts]) - blk / lengths
+    def cost_matrix(self) -> np.ndarray:
+        """Every segment cost: C[s, t] = cost(s, t), +inf where s >= t.
+
+        The (N+1)^2 result is Fortran-ordered, so C.T, whose row t holds
+        the costs of all segments ending at t, is C-contiguous.
+        """
+        # the same operations, in the same order, as cost(s, t)
+        blk = self._block
+        corner = np.diagonal(blk)
+        by_end = np.empty_like(blk)  # by_end[t, s] = cost(s, t)
+        np.subtract(corner[:, None], blk.T, out=by_end)
+        by_end -= blk
+        by_end += corner[None, :]
+        idx = np.arange(self.n + 1, dtype=np.float64)
+        tmp = np.subtract.outer(idx, idx)  # segment lengths t - s
+        empty = tmp <= 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            by_end /= tmp
+        np.subtract.outer(self._diag, self._diag, out=tmp)
+        np.subtract(tmp, by_end, out=by_end)
+        by_end[empty] = np.inf
+        np.fill_diagonal(by_end[1:], 0.0)  # one-frame segments
+        return by_end.T
 
 
 def segment_penalty(n_frames: int, n_segments: int, coeff: float) -> float:
@@ -115,6 +141,8 @@ def kts_changepoints(
     ``max_segments`` (default: N/10 rounded up) and returns the interior
     boundaries of the m minimizing total cost + penalty; ties prefer
     fewer segments.  An empty list means the video is a single shot.
+    Each level of the DP is one pass over the cost matrix: O(N^2)
+    memory and O(max_segments * N^2) work in all.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -123,19 +151,22 @@ def kts_changepoints(
     if max_segments < 1:
         raise ValueError("max_segments must be at least 1")
     kmax = min(max_segments, n)
-    table = SegmentCostTable(x, kernel=kernel, gamma=gamma)
+    # cost_by_end[t, s] = cost(s, t); the table itself is freed here
+    cost_by_end = SegmentCostTable(x, kernel=kernel, gamma=gamma).cost_matrix().T
 
     # best[k][t]: minimal cost splitting frames [0, t) into exactly k segments
     best = np.full((kmax + 1, n + 1), np.inf)
-    back = np.zeros((kmax + 1, n + 1), dtype=int)
+    back = np.zeros((kmax + 1, n + 1), dtype=np.intp)
     best[0, 0] = 0.0
+    buf = np.empty(n * (n + 1))
     for k in range(1, kmax + 1):
-        for t in range(k, n + 1):
-            starts = np.arange(k - 1, t)
-            cand = best[k - 1, starts] + table.costs(starts, t)
-            j = int(np.argmin(cand))
-            best[k, t] = cand[j]
-            back[k, t] = starts[j]
+        # ends t >= k, starts s >= k - 1: cand[t - k, s - k + 1]
+        rows, cols = n + 1 - k, n + 2 - k
+        cand = buf[: rows * cols].reshape(rows, cols)
+        np.add(cost_by_end[k:, k - 1 :], best[k - 1, k - 1 :], out=cand)
+        first = cand.argmin(axis=1)  # the first minimum: the smallest start
+        back[k, k:] = first + (k - 1)
+        best[k, k:] = cand[np.arange(rows), first]
 
     objective = [
         best[m, n] + segment_penalty(n, m, penalty_coeff)

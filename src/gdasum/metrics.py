@@ -92,7 +92,9 @@ def diversity_zeta(
     with the indices of the selected shots.  With the default
     normalization every video contributes the mean over its own T
     shots; "global" divides the grand sum by the total shot count
-    instead, as a sensitivity variant.
+    instead, as a sensitivity variant.  A video with no selected shot
+    has no nearest key shot and is left out; at least one video must
+    have a selected shot.
     """
     if not videos:
         raise ValueError("need at least one video")
@@ -107,7 +109,7 @@ def diversity_zeta(
             raise ValueError("shot features must form a nonempty (T, D) matrix")
         sel = sorted(set(int(i) for i in selected))
         if not sel:
-            raise ValueError("every video needs at least one selected shot")
+            continue
         if sel[0] < 0 or sel[-1] >= feats.shape[0]:
             raise ValueError("selected shot index out of range")
         diff = feats[:, None, :] - feats[None, sel, :]
@@ -116,6 +118,8 @@ def diversity_zeta(
         per_video_means.append(float(nearest.mean()))
         total += float(nearest.sum())
         total_shots += feats.shape[0]
+    if not per_video_means:
+        raise ValueError("no video has a selected shot")
     if normalization == "per_video":
         return float(np.mean(per_video_means))
     return total / total_shots
@@ -138,6 +142,7 @@ class MetricsReport:
     fold_fscores: list[float] = field(default_factory=list)
     mean_fscore: float = 0.0
     zeta: float | None = None
+    zeta_skipped_videos: int = 0
 
     def to_dict(self) -> dict:
         out = {
@@ -156,6 +161,7 @@ class MetricsReport:
         }
         if self.zeta is not None:
             out["zeta"] = self.zeta
+            out["zeta_skipped_videos"] = self.zeta_skipped_videos
         return out
 
     def to_json(self) -> str:

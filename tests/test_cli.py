@@ -7,7 +7,9 @@ import pytest
 
 from gdasum.cli import CONFIG_ENV_VAR, main
 from gdasum.data import write_features, write_manifest
+from gdasum.model import HyperParams, init_params
 from gdasum.synthetic import PlantedSpec, write_planted_corpus
+from gdasum.train import save_checkpoint
 
 
 @pytest.fixture(autouse=True)
@@ -149,28 +151,6 @@ def test_summarize_respects_ratio_one(corpus, tmp_path):
         assert all(v == 1 for v in doc["frame_mask"])
 
 
-def test_parallel_jobs_match_serial(corpus, tmp_path):
-    out = tmp_path / "train"
-    run([
-        "train", "--manifest", corpus, "--setting", "canonical", "--fold", 0,
-        "--epochs", 1, "--hidden", 8, "--embed", 4, "--lr", "1e-3", "--out", out,
-    ])
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    base = [
-        "summarize", "--manifest", corpus, "--checkpoint", out / "fold0.ckpt",
-    ]
-    assert run(base + ["--out", serial]) == 0
-    assert run(base + ["--out", parallel, "--jobs", 4]) == 0
-    serial_docs = {p.name: json.loads(p.read_text()) for p in serial.glob("*.summary.json")}
-    assert len(serial_docs) == 6  # no --setting: all videos
-    for path in parallel.glob("*.summary.json"):
-        got = json.loads(path.read_text())
-        want = serial_docs[path.name]
-        assert got["frame_mask"] == want["frame_mask"]
-        assert got["frame_scores"] == want["frame_scores"]
-
-
 def test_train_semi_without_labels_fails(tmp_path, capsys):
     entries = []
     rng = np.random.default_rng(0)
@@ -295,6 +275,48 @@ def test_eval_requires_summaries(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run(["eval", "--manifest", manifest, "--summaries", empty]) == 1
+
+
+def test_eval_zeta_leaves_out_video_without_selected_shot(tmp_path, capsys):
+    # "flat" has constant features, so KTS returns one 40-frame shot that
+    # does not fit the 20-frame budget and nothing is selected
+    rng = np.random.default_rng(3)
+    videos = {"flat": np.ones((40, 4)), "varied": 3.0 * rng.standard_normal((40, 4))}
+    entries = []
+    for vid, matrix in videos.items():
+        write_features(tmp_path / f"{vid}.f32", matrix.astype(np.float32))
+        entries.append({
+            "id": vid, "n_frames": 40, "dim": 4, "features_file": f"{vid}.f32",
+            "annotations": {"user_summaries": [[[0, 10]]]},
+        })
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, entries)
+    hyper = HyperParams(hidden=8, embed=4)
+    save_checkpoint(init_params(4, hyper, 0), tmp_path / "init.ckpt", hyper)
+    sums = tmp_path / "sums"
+    assert run([
+        "summarize", "--manifest", manifest, "--checkpoint", tmp_path / "init.ckpt",
+        "--ratio", 0.5, "--out", sums,
+    ]) == 0
+    selected = {
+        vid: json.loads((sums / f"{vid}.summary.json").read_text())["selected"]
+        for vid in videos
+    }
+    assert selected["flat"] == [] and selected["varied"] != []
+
+    metrics = tmp_path / "metrics"
+    assert run([
+        "eval", "--manifest", manifest, "--summaries", sums, "--zeta", "--out", metrics,
+    ]) == 0
+    doc = json.loads((metrics / "metrics.json").read_text())
+    assert doc["zeta_skipped_videos"] == 1
+    assert np.isfinite(doc["zeta"]) and doc["zeta"] > 0.0
+    assert len(doc["per_video"]) == 2
+
+    (sums / "varied.summary.json").unlink()
+    capsys.readouterr()
+    assert run(["eval", "--manifest", manifest, "--summaries", sums, "--zeta"]) == 1
+    assert "no video has a selected shot" in capsys.readouterr().err
 
 
 def test_config_file_feeds_defaults(tmp_path, monkeypatch, capsys):

@@ -1,15 +1,19 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gdasum.kts import (
+    MAX_FRAMES,
     SegmentCostTable,
     Shot,
     kts_changepoints,
     segment_penalty,
     shots_from_changepoints,
 )
+from gdasum.synthetic import PlantedSpec, make_planted_dataset
 
 
 def scatter_oracle(x, a, b):
@@ -81,14 +85,19 @@ def test_rbf_cost_matches_gram_oracle():
 
 
 def test_vectorized_costs_match_scalar():
+    # the cost matrix equals cost(s, t) cell by cell, +inf where s >= t
     x = np.random.default_rng(3).standard_normal((15, 4))
     for kernel in ("linear", "rbf"):
         table = SegmentCostTable(x, kernel=kernel)
-        for end in range(2, 16):
-            starts = np.arange(0, end)
-            batch = table.costs(starts, end)
-            for s, got in zip(starts, batch):
-                assert abs(got - table.cost(int(s), end)) < 1e-12
+        matrix = table.cost_matrix()
+        assert matrix.shape == (16, 16)
+        assert matrix.T.flags.c_contiguous
+        for s in range(16):
+            for t in range(16):
+                if s < t:
+                    assert matrix[s, t] == table.cost(s, t)
+                else:
+                    assert matrix[s, t] == np.inf
 
 
 def test_cost_table_rejects_bad_input():
@@ -120,16 +129,18 @@ def test_max_segments_one_forces_empty():
 
 
 def test_dp_matches_exhaustive_enumeration():
-    # 50 random instances, N <= 30, up to 4 segments, zero penalty so the
-    # chosen segment count is purely cost-driven
-    for seed in range(50):
+    # 50 random instances per kernel, N <= 30, up to 4 segments, zero
+    # penalty so the chosen segment count is purely cost-driven
+    for kernel, seed in itertools.product(("linear", "rbf"), range(50)):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 31))
         x = rng.standard_normal((n, 3)) * rng.uniform(0.5, 3.0)
         kmax = int(rng.integers(2, 5))
-        table = SegmentCostTable(x)
+        table = SegmentCostTable(x, kernel=kernel)
 
-        boundaries = kts_changepoints(x, max_segments=kmax, penalty_coeff=0.0)
+        boundaries = kts_changepoints(
+            x, max_segments=kmax, penalty_coeff=0.0, kernel=kernel
+        )
         edges = [0] + boundaries + [n]
         got = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
@@ -205,3 +216,54 @@ def test_shots_reject_bad_boundaries():
 def test_changepoints_deterministic():
     x = np.random.default_rng(7).standard_normal((40, 4))
     assert kts_changepoints(x) == kts_changepoints(x)
+
+
+def reference_changepoints(x, kernel):
+    """The segmentation DP one cell at a time, with costs from cost(s, t).
+
+    It visits starts in increasing order and keeps the first minimum, so
+    its ties resolve like the vectorized DP's.
+    """
+    n = x.shape[0]
+    kmax = math.ceil(n / 10)
+    table = SegmentCostTable(x, kernel=kernel)
+    best = [[math.inf] * (n + 1) for _ in range(kmax + 1)]
+    back = [[0] * (n + 1) for _ in range(kmax + 1)]
+    best[0][0] = 0.0
+    for k in range(1, kmax + 1):
+        for t in range(k, n + 1):
+            for s in range(k - 1, t):
+                cand = best[k - 1][s] + table.cost(s, t)
+                if cand < best[k][t]:
+                    best[k][t], back[k][t] = cand, s
+    objective = [best[m][n] + segment_penalty(n, m, 1.0) for m in range(1, kmax + 1)]
+    m_opt = 1 + int(np.argmin(objective))
+    boundaries, t = [], n
+    for k in range(m_opt, 0, -1):
+        t = back[k][t]
+        if t > 0:
+            boundaries.append(t)
+    return sorted(boundaries)
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_changepoints_pinned_to_reference_dp_on_planted_videos(kernel, seed):
+    spec = PlantedSpec(n_videos=1, n_frames=90, dim=16, center_scale=1.0, seed=seed)
+    x = make_planted_dataset(spec)[0].features.matrix
+    assert kts_changepoints(x, kernel=kernel) == reference_changepoints(
+        x.astype(np.float64), kernel
+    )
+
+
+def test_frame_cap_raises_before_allocating():
+    x = np.zeros((MAX_FRAMES + 1, 1))
+    tracemalloc.start()
+    try:
+        for build in (SegmentCostTable, kts_changepoints):
+            with pytest.raises(ValueError, match=f"N={MAX_FRAMES + 1}.*{MAX_FRAMES}"):
+                build(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # nothing N^2 (8 * N^2 bytes = 288 MB)

@@ -211,3 +211,15 @@ def test_fold_report_means_video_scores():
     assert report.fold_fscores == [75.0]
     assert report.mean_fscore == 75.0
     assert [v.video_id for v in report.per_video] == ["a", "b"]
+
+
+def test_zeta_leaves_out_videos_without_selection():
+    feats = np.array([[0.0], [1.0], [3.0]])
+    kept = diversity_zeta([(feats, [0, 2])])
+    for norm in ("per_video", "global"):
+        assert diversity_zeta(
+            [(feats, [0, 2]), (feats * 5.0, [])], normalization=norm
+        ) == diversity_zeta([(feats, [0, 2])], normalization=norm)
+    assert kept == diversity_zeta([(feats, []), (feats, [0, 2])])
+    with pytest.raises(ValueError, match="no video has a selected shot"):
+        diversity_zeta([(feats, []), (feats, [])])
