@@ -42,6 +42,7 @@ from .losses import (
     gradient_report,
     keyframe_loss,
     length_loss,
+    loss_and_grad,
     repelling_loss,
     total_loss,
     variation_loss,
@@ -135,6 +136,7 @@ __all__ = [
     "length_loss",
     "load_checkpoint",
     "load_manifest",
+    "loss_and_grad",
     "make_planted_dataset",
     "make_splits",
     "normalize_attention",

@@ -350,8 +350,12 @@ def cmd_eval(cfg: dict) -> int:
     zeta, zeta_skipped = None, 0
     if cfg["zeta"]:
         by_id = {r.id: r for r in records}
+        scored = {vid for fold in folds for vid in fold}
         zeta_videos = []
+        # zeta covers the videos the F-scores cover: the requested folds' tests
         for vid, doc in docs.items():
+            if vid not in scored:
+                continue
             feats = by_id[vid].features.matrix.astype(np.float64)
             shot_feats = np.array([feats[a:b].mean(axis=0) for a, b in doc["shots"]])
             zeta_videos.append((shot_feats, list(doc["selected"])))

@@ -9,9 +9,12 @@ repelling loss (mean pairwise cosine of the embeddings).  Both modes
 add an L2 penalty over the weight matrices so every differentiable
 term is covered by the finite-difference check.
 
-``backward`` is a hand-written reverse pass through the whole network;
-``finite_diff_grad`` is the independent central-difference oracle it is
-verified against.
+``loss_and_grad`` computes the loss terms and a hand-written reverse pass
+through the whole network in one call, so the DPP kernel (or the cosine
+matrix) is built once per step; ``backward`` is its gradient half.
+``total_loss`` is the loss-only path behind ``loss_given_params``, and
+``finite_diff_grad`` is the independent central-difference oracle the
+gradient is verified against.
 """
 
 from __future__ import annotations
@@ -60,27 +63,34 @@ class LossBreakdown:
     weight_penalty: float
     total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "variation": self.variation,
-            "keyframe": self.keyframe,
-            "length": self.length,
-            "repelling": self.repelling,
-            "weight_penalty": self.weight_penalty,
-            "total": self.total,
-        }
-
 
 def pairwise_sq_dists(phi: np.ndarray) -> np.ndarray:
-    """Exact symmetric matrix of squared euclidean distances between rows."""
+    """Squared euclidean distances between rows, exact and bit-symmetric.
+
+    Each entry is the einsum sum of squares of the row difference, so
+    identical rows give exactly zero and the rounding error scales with
+    the distance, not with the row norms.  The faster Gram form
+    ||a||^2 + ||b||^2 - 2ab rounds relative to the norms, so shifting
+    every row (the embedding bias, whose exact supervised gradient is
+    zero) moves it by noise the finite-difference check picks up.  One
+    pass over the upper triangle reuses a single (N, E) buffer; the
+    diagonal is zero and the mirror copy makes out[i, j] and out[j, i]
+    the same float.
+    """
     n = phi.shape[0]
-    out = np.empty((n, n))
-    # row-chunked so the (chunk, n, e) temporary stays small
-    chunk = max(1, int(2**22 // max(1, n * phi.shape[1])))
-    for s in range(0, n, chunk):
-        diff = phi[s : s + chunk, None, :] - phi[None, :, :]
-        out[s : s + chunk] = np.einsum("ijk,ijk->ij", diff, diff)
+    out = np.zeros((n, n))
+    buf = np.empty(phi.shape)
+    for i in range(n - 1):
+        diff = buf[: n - i - 1]
+        np.subtract(phi[i + 1 :], phi[i], out=diff)
+        np.einsum("jk,jk->j", diff, diff, out=out[i, i + 1 :])
+    out += out.T
     return out
+
+
+def _similarity_and_kernel(y, phi, beta):
+    sim = np.exp(-beta * pairwise_sq_dists(phi))
+    return sim, y[:, None] * y[None, :] * sim
 
 
 def dpp_kernel(y: np.ndarray, phi: np.ndarray, beta: float) -> np.ndarray:
@@ -91,8 +101,7 @@ def dpp_kernel(y: np.ndarray, phi: np.ndarray, beta: float) -> np.ndarray:
     """
     y = np.asarray(y, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
-    sim = np.exp(-beta * pairwise_sq_dists(phi))
-    return y[:, None] * y[None, :] * sim
+    return _similarity_and_kernel(y, phi, beta)[1]
 
 
 def dpp_log_prob(kernel: np.ndarray, subset) -> float:
@@ -150,14 +159,22 @@ def repelling_loss(phi: np.ndarray) -> float:
     Zero for a single frame (no pairs); embeddings must be nonzero.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    n = phi.shape[0]
-    if n < 2:
+    if phi.shape[0] < 2:
         return 0.0
+    return _mean_off_diagonal(_cosines(phi)[2])
+
+
+def _cosines(phi):
+    """Row norms, unit rows and the cosine matrix of nonzero embeddings."""
     norms = np.linalg.norm(phi, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("repelling loss undefined for zero-norm embeddings")
     u = phi / norms[:, None]
-    cos = u @ u.T
+    return norms, u, u @ u.T
+
+
+def _mean_off_diagonal(cos):
+    n = cos.shape[0]
     return float((cos.sum() - np.trace(cos)) / (n * (n - 1)))
 
 
@@ -174,6 +191,39 @@ def keyframe_indices(labels: np.ndarray) -> np.ndarray:
     return np.flatnonzero(labels > 0)
 
 
+def _check_mode(mode, labels):
+    if mode not in MODES:
+        raise ValueError(f"unknown loss mode {mode!r}")
+    if mode == "supervised" and labels is None:
+        raise ValueError("supervised loss requires keyframe labels")
+
+
+def _loss_terms(trace, params, hyper, mode, labels, sigma, w):
+    """The mode's LossBreakdown and the pairwise arrays its gradient reuses.
+
+    The arrays are (similarity, DPP kernel) in supervised mode and
+    (norms, unit rows, cosines) in unsupervised mode, or None when the
+    pairwise term is off or has no pairs.
+    """
+    pen = weight_penalty(params, hyper.weight_decay)
+    y, phi = trace.y, trace.phi
+
+    if mode == "supervised":
+        key = w.keyframe * keyframe_loss(y, labels)
+        var, shared = 0.0, None
+        if w.variation != 0.0:
+            shared = _similarity_and_kernel(y, phi, hyper.beta)
+            var = w.variation * variation_loss(shared[1], keyframe_indices(labels))
+        return LossBreakdown(var, key, 0.0, 0.0, pen, key + var + pen), shared
+
+    length = w.length * length_loss(y, sigma)
+    rep, shared = 0.0, None
+    if w.repelling != 0.0 and phi.shape[0] >= 2:
+        shared = _cosines(phi)
+        rep = w.repelling * _mean_off_diagonal(shared[2])
+    return LossBreakdown(0.0, 0.0, length, rep, pen, length + rep + pen), shared
+
+
 def total_loss(
     trace: ForwardTrace,
     params: ModelParams,
@@ -188,31 +238,16 @@ def total_loss(
     supervised:   keyframe BCE + variation (needs ``labels``)
     unsupervised: length regularizer + repelling (labels are ignored)
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown loss mode {mode!r}")
+    _check_mode(mode, labels)
     w = weights or LossWeights()
-    pen = weight_penalty(params, hyper.weight_decay)
-
-    if mode == "supervised":
-        if labels is None:
-            raise ValueError("supervised loss requires keyframe labels")
-        key = w.keyframe * keyframe_loss(trace.y, labels)
-        var = 0.0
-        if w.variation != 0.0:
-            kernel = dpp_kernel(trace.y, trace.phi, hyper.beta)
-            var = w.variation * variation_loss(kernel, keyframe_indices(labels))
-        return LossBreakdown(var, key, 0.0, 0.0, pen, key + var + pen)
-
-    length = w.length * length_loss(trace.y, sigma)
-    rep = w.repelling * repelling_loss(trace.phi) if w.repelling != 0.0 else 0.0
-    return LossBreakdown(0.0, 0.0, length, rep, pen, length + rep + pen)
+    return _loss_terms(trace, params, hyper, mode, labels, sigma, w)[0]
 
 
 # ---------------------------------------------------------------------------
 # analytic gradients
 
 
-def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w):
+def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w, shared):
     """d(loss)/dy and d(loss)/dphi for the mode's two loss terms."""
     y, phi = trace.y, trace.phi
     n = y.shape[0]
@@ -224,8 +259,8 @@ def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w):
         live = (y > SCORE_CLIP) & (y < 1.0 - SCORE_CLIP)
         dy += w.keyframe * live * (-labels / yc + (1.0 - labels) / (1.0 - yc))
 
-        if w.variation != 0.0:
-            kernel = dpp_kernel(y, phi, hyper.beta)
+        if shared is not None:
+            sim, kernel = shared
             subset = keyframe_indices(labels)
             # d(-log P)/dL = (L + I)^{-1} - scatter((L_sub)^{-1})
             try:
@@ -241,7 +276,6 @@ def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w):
                     ) from err
                 g[np.ix_(subset, subset)] -= sub_inv
             g *= w.variation
-            sim = np.exp(-hyper.beta * pairwise_sq_dists(phi))
             # L_ij = y_i y_j sim_ij, so dy_k = 2 sum_j g_kj y_j sim_kj
             dy += 2.0 * (g * sim) @ y
             # dphi_k = -4 beta sum_j g_kj L_kj (phi_k - phi_j)
@@ -254,12 +288,8 @@ def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w):
     diff = y.mean() - sigma
     if diff != 0.0:
         dy += w.length * np.sign(diff) / n
-    if w.repelling != 0.0 and n >= 2:
-        norms = np.linalg.norm(phi, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("repelling loss undefined for zero-norm embeddings")
-        u = phi / norms[:, None]
-        cos = u @ u.T
+    if shared is not None:
+        norms, u, cos = shared
         c = w.repelling / (n * (n - 1))
         # d/dphi_k of sum_{i != j} cos_ij = 2 sum_{j != k} (u_j - cos_kj u_k) / ||phi_k||
         u_sum = u.sum(axis=0)
@@ -270,7 +300,7 @@ def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w):
     return dy, dphi
 
 
-def backward(
+def loss_and_grad(
     trace: ForwardTrace,
     x: np.ndarray,
     params: ModelParams,
@@ -279,25 +309,29 @@ def backward(
     labels: np.ndarray | None = None,
     sigma: float = 0.3,
     weights: LossWeights | None = None,
-) -> ModelParams:
-    """Exact gradient of ``total_loss`` w.r.t. every parameter.
+) -> tuple[LossBreakdown, ModelParams]:
+    """``total_loss`` and its exact gradient w.r.t. every parameter.
 
     The trace must come from ``forward`` on the same ``x`` and
     ``params``; recorded dropout masks are honored, so the result is
-    the exact gradient of the loss as realized with those masks.
+    the exact gradient of the loss as realized with those masks.  The
+    pairwise arrays (DPP kernel or cosine matrix) are built once and
+    serve both halves.  A non-finite total raises ``NumericalError``
+    before any gradient work.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown loss mode {mode!r}")
-    if mode == "supervised" and labels is None:
-        raise ValueError("supervised loss requires keyframe labels")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != trace.context.shape:
+    _check_mode(mode, labels)
+    if np.shape(x) != trace.context.shape:
         raise ValueError("trace does not match the given feature matrix")
     w = weights or LossWeights()
     labels = None if labels is None else np.asarray(labels, dtype=np.float64)
-    g = params.zeros_like()
 
-    dy, dphi = _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w)
+    breakdown, shared = _loss_terms(trace, params, hyper, mode, labels, sigma, w)
+    if not np.isfinite(breakdown.total):
+        raise NumericalError("non-finite loss")
+    # converted only now, so the float64 copy is not alive during the loss
+    x = np.asarray(x, dtype=np.float64)
+    dy, dphi = _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w, shared)
+    g = params.zeros_like()
 
     # score head: sigmoid -> final linear -> dropout -> layer norm -> relu
     dlogits = dy * trace.y * (1.0 - trace.y)
@@ -360,7 +394,21 @@ def backward(
             getattr(g, name)[...] += 2.0 * hyper.weight_decay * getattr(params, name)
 
     g.check_finite()
-    return g
+    return breakdown, g
+
+
+def backward(
+    trace: ForwardTrace,
+    x: np.ndarray,
+    params: ModelParams,
+    hyper: HyperParams,
+    mode: str,
+    labels: np.ndarray | None = None,
+    sigma: float = 0.3,
+    weights: LossWeights | None = None,
+) -> ModelParams:
+    """Exact gradient of ``total_loss``: the gradient half of ``loss_and_grad``."""
+    return loss_and_grad(trace, x, params, hyper, mode, labels, sigma, weights)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Each epoch visits every training video once in a freshly shuffled order
 (seeded, so runs are bit-reproducible) and applies one
-forward/backward/update step per video.  Semi-supervised training
-interleaves labeled videos (scored + variation loss) and unlabeled
-videos (length + repelling loss) in the same stream.  Gradients are
-clipped by global norm before each update to guard the log-det term.
+forward/loss-and-gradient/update step per video.  Semi-supervised
+training interleaves labeled videos (scored + variation loss) and
+unlabeled videos (length + repelling loss) in the same stream.
+Gradients are clipped by global norm before each update to guard the
+log-det term; each epoch record reports that norm before clipping.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 import enum
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import SourceDataset, SplitSpec, VideoRecord
-from .losses import LossBreakdown, LossWeights, NumericalError, backward, total_loss
+from .losses import LossBreakdown, LossWeights, NumericalError, loss_and_grad
 from .model import HyperParams, ModelParams, forward, init_params
 
 CHECKPOINT_FORMAT = "gdasum-checkpoint"
@@ -86,13 +87,18 @@ class EpochStats:
     epoch: int
     mean_loss: LossBreakdown
     wall_seconds: float
+    grad_norm_median: float  # global gradient norms before clipping
+    grad_norm_max: float
+    clipped_fraction: float  # share of the epoch's steps that were clipped
     validation_score: float | None = None
 
     def to_dict(self) -> dict:
         out = {
             "epoch": self.epoch,
-            "loss": self.mean_loss.to_dict(),
+            "loss": asdict(self.mean_loss),
             "wall_seconds": self.wall_seconds,
+            "grad_norm": {"median": self.grad_norm_median, "max": self.grad_norm_max},
+            "clipped_fraction": self.clipped_fraction,
         }
         if self.validation_score is not None:
             out["validation_score"] = self.validation_score
@@ -234,52 +240,40 @@ def train(
     best_params = params
     best_score = -np.inf
     stale = 0
+    clip = config.grad_clip or np.inf
 
     for epoch in range(config.epochs):
         started = time.perf_counter()
         order = rng.permutation(len(train_records))
-        sums = np.zeros(6)
+        sums = np.zeros(len(fields(LossBreakdown)))
+        norms = []
         for idx in order:
             rec = train_records[idx]
             mode = _video_mode(config.mode, rec)
             x = rec.features.matrix
-            trace = forward(x, params, hyper, mode="train", rng=rng)
-            breakdown = total_loss(
-                trace,
-                params,
-                hyper,
-                mode,
-                labels=rec.annotations.keyframe_labels,
-                sigma=config.sigma,
-                weights=config.loss_weights,
-            )
-            if not np.isfinite(breakdown.total):
-                raise NumericalError(
-                    f"non-finite loss on video {rec.id!r} at epoch {epoch}"
+            try:
+                trace = forward(x, params, hyper, mode="train", rng=rng)
+                breakdown, grads = loss_and_grad(
+                    trace,
+                    x,
+                    params,
+                    hyper,
+                    mode,
+                    labels=rec.annotations.keyframe_labels,
+                    sigma=config.sigma,
+                    weights=config.loss_weights,
                 )
-            grads = backward(
-                trace,
-                x,
-                params,
-                hyper,
-                mode,
-                labels=rec.annotations.keyframe_labels,
-                sigma=config.sigma,
-                weights=config.loss_weights,
-            )
-            if config.grad_clip is not None:
-                grads, _ = clip_gradients(grads, config.grad_clip)
-            params, state = adam_step(
-                params, grads, state, lr, config.beta1, config.beta2, config.adam_eps
-            )
-            sums += [
-                breakdown.variation,
-                breakdown.keyframe,
-                breakdown.length,
-                breakdown.repelling,
-                breakdown.weight_penalty,
-                breakdown.total,
-            ]
+                # free the activations before clipping and Adam allocate
+                # fresh parameter-sized arrays, and before the next forward
+                del trace
+                grads, norm = clip_gradients(grads, clip)
+                params, state = adam_step(
+                    params, grads, state, lr, config.beta1, config.beta2, config.adam_eps
+                )
+            except NumericalError as err:
+                raise NumericalError(f"{err} on video {rec.id!r} at epoch {epoch}") from err
+            norms.append(norm)
+            sums += astuple(breakdown)
         means = sums / len(train_records)
         mean_loss = LossBreakdown(*means)
         score = validate(params, epoch) if validate is not None else None
@@ -288,6 +282,9 @@ def train(
                 epoch=epoch,
                 mean_loss=mean_loss,
                 wall_seconds=time.perf_counter() - started,
+                grad_norm_median=float(np.median(norms)),
+                grad_norm_max=max(norms),
+                clipped_fraction=float(np.mean(np.array(norms) > clip)),
                 validation_score=score,
             )
         )
@@ -336,14 +333,7 @@ def save_checkpoint(
             raise CheckpointError(f"extra header fields clash with reserved keys: {sorted(clash)}")
         header.update(extra_header)
     if hyper is not None:
-        header["hyper"] = {
-            "hidden": hyper.hidden,
-            "embed": hyper.embed,
-            "dropout_rate": hyper.dropout_rate,
-            "weight_decay": hyper.weight_decay,
-            "beta": hyper.beta,
-            "alpha_clip": hyper.alpha_clip,
-        }
+        header["hyper"] = asdict(hyper)
     blob = json.dumps(header).encode() + b"\n"
     np_dtype = np.dtype(dtype)
     payload = b"".join(
@@ -410,12 +400,13 @@ def load_checkpoint(path, expect_feature_dim: int | None = None):
     hyper = None
     if "hyper" in header:
         h = header["hyper"]
-        hyper = HyperParams(
-            hidden=int(h["hidden"]),
-            embed=int(h["embed"]),
-            dropout_rate=float(h["dropout_rate"]),
-            weight_decay=float(h["weight_decay"]),
-            beta=float(h["beta"]),
-            alpha_clip=float(h["alpha_clip"]),
-        )
+        names = {f.name for f in fields(HyperParams)}
+        if not isinstance(h, dict) or set(h) != names:
+            raise CheckpointError(
+                f"header hyperparameters must have exactly the keys {sorted(names)}"
+            )
+        try:
+            hyper = HyperParams(**h)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"invalid hyperparameters: {exc}") from exc
     return params, hyper

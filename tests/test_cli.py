@@ -319,6 +319,37 @@ def test_eval_zeta_leaves_out_video_without_selected_shot(tmp_path, capsys):
     assert "no video has a selected shot" in capsys.readouterr().err
 
 
+def test_eval_zeta_covers_only_the_fold_test_videos(corpus, tmp_path, capsys):
+    hyper = HyperParams(hidden=8, embed=4)
+    save_checkpoint(init_params(8, hyper, 0), tmp_path / "init.ckpt", hyper)
+    sums = tmp_path / "sums"
+    assert run([
+        "summarize", "--manifest", corpus, "--checkpoint", tmp_path / "init.ckpt",
+        "--out", sums,
+    ]) == 0
+    assert len(list(sums.glob("*.summary.json"))) == 6
+
+    def zeta_of(summaries, *flags):
+        out = tmp_path / f"metrics{len(list(tmp_path.iterdir()))}"
+        args = ["eval", "--manifest", corpus, "--summaries", summaries, "--zeta"]
+        assert run([*args, *flags, "--out", out]) == 0
+        return json.loads((out / "metrics.json").read_text())
+
+    everything = zeta_of(sums)
+    fold0 = zeta_of(sums, "--setting", "canonical", "--fold", 0)
+    tested = [row["video_id"] for row in fold0["per_video"]]
+    assert len(everything["per_video"]) == 6 and len(tested) == 2
+    assert fold0["zeta"] != everything["zeta"]
+
+    # the same two summaries alone give the fold's zeta
+    only = tmp_path / "only"
+    only.mkdir()
+    for vid in tested:
+        name = f"{vid}.summary.json"
+        (only / name).write_text((sums / name).read_text())
+    assert zeta_of(only)["zeta"] == fold0["zeta"]
+
+
 def test_config_file_feeds_defaults(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"instances": 3}))

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -13,6 +14,7 @@ from gdasum.losses import (
     gradient_report,
     keyframe_loss,
     length_loss,
+    loss_and_grad,
     loss_given_params,
     pairwise_sq_dists,
     repelling_loss,
@@ -36,12 +38,16 @@ def _instance(seed, n=6, d=5, hyper=SMALL):
 
 def test_pairwise_sq_dists_matches_loops():
     rng = np.random.default_rng(0)
-    phi = rng.standard_normal((7, 3))
-    got = pairwise_sq_dists(phi)
-    for i in range(7):
-        for j in range(7):
-            want = float(((phi[i] - phi[j]) ** 2).sum())
-            assert abs(got[i, j] - want) < 1e-12
+    for n, e in [(7, 3), (40, 256)]:
+        phi = rng.standard_normal((n, e))
+        got = pairwise_sq_dists(phi)
+        # exact: the per-pair difference, reduced in einsum's order
+        for i in range(n):
+            for j in range(n):
+                diff = phi[i] - phi[j]
+                assert got[i, j] == np.einsum("k,k->", diff, diff)
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 0.0)
 
 
 def test_dpp_kernel_identical_embeddings_rank_one():
@@ -295,3 +301,70 @@ def test_loss_given_params_matches_total():
     want = total_loss(trace, params, SMALL, "supervised", labels=labels).total
     got = loss_given_params(x, params, SMALL, "supervised", labels=labels)
     assert got == want
+
+
+def _bits_equal(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def test_loss_and_grad_equals_total_loss_and_backward():
+    dropout = HyperParams(hidden=8, embed=4, dropout_rate=0.4)
+    for hyper, fw_mode in ((SMALL, "eval"), (dropout, "train")):
+        x, params, labels = _instance(8, n=9, hyper=hyper)
+        trace = forward(x, params, hyper, mode=fw_mode, rng=np.random.default_rng(1))
+        for mode, lab in (("supervised", labels), ("unsupervised", None)):
+            breakdown, grads = loss_and_grad(
+                trace, x, params, hyper, mode, labels=lab, sigma=0.2
+            )
+            assert breakdown == total_loss(
+                trace, params, hyper, mode, labels=lab, sigma=0.2
+            )
+            want = backward(trace, x, params, hyper, mode, labels=lab, sigma=0.2)
+            for (name, a), (_, b) in zip(grads.items(), want.items()):
+                assert _bits_equal(a, b), name
+        # the shared kernel is the one dpp_kernel builds
+        kernel = dpp_kernel(trace.y, trace.phi, hyper.beta)
+        sup = total_loss(trace, params, hyper, "supervised", labels=labels)
+        assert sup.variation == variation_loss(kernel, np.flatnonzero(labels))
+
+
+def test_loss_and_grad_stops_on_non_finite_loss(monkeypatch):
+    x, params, _ = _instance(9)
+    trace = forward(x, params, SMALL, mode="eval")
+    losses_module = importlib.import_module("gdasum.losses")
+    monkeypatch.setattr(losses_module, "length_loss", lambda *a, **k: np.inf)
+
+    def no_gradient_work(*args, **kwargs):
+        raise AssertionError("gradient computed for a non-finite loss")
+
+    monkeypatch.setattr(losses_module, "_loss_grads_y_phi", no_gradient_work)
+    with pytest.raises(NumericalError, match="non-finite loss"):
+        loss_and_grad(trace, x, params, SMALL, "unsupervised")
+
+
+def test_backward_and_loss_given_params_as_the_benchmark_calls_them():
+    # keyword and positional use as in the benchmark's directional check
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.4)
+    sigma = 0.3
+    x, params, labels = _instance(10, n=8, hyper=hyper)
+    rng = np.random.default_rng(10)
+    trace = forward(x, params, hyper, mode="train", rng=rng)
+    masks = (trace.ff_mask, trace.head_mask)
+    for mode, lab in (("supervised", labels), ("unsupervised", None)):
+        grads = backward(trace, x, params, hyper, mode, labels=lab, sigma=sigma)
+        direction = params.zeros_like()
+        for _, arr in direction.items():
+            arr[...] = rng.standard_normal(arr.shape)
+        analytic = sum(
+            float((g * v).sum()) for g, v in zip(grads.arrays(), direction.arrays())
+        )
+        step = 1e-6
+        up, down = params.copy(), params.copy()
+        for (_, u), (_, d), (_, v) in zip(up.items(), down.items(), direction.items()):
+            u += step * v
+            d -= step * v
+        numeric = (
+            loss_given_params(x, up, hyper, mode, lab, sigma, masks=masks)
+            - loss_given_params(x, down, hyper, mode, lab, sigma, masks=masks)
+        ) / (2 * step)
+        assert abs(analytic - numeric) <= 1e-5 * max(1.0, abs(analytic))

@@ -12,8 +12,8 @@ from gdasum.data import (
     SplitSpec,
     VideoRecord,
 )
-from gdasum.losses import LossBreakdown, NumericalError
-from gdasum.model import HyperParams, init_params
+from gdasum.losses import LossBreakdown, NumericalError, backward
+from gdasum.model import HyperParams, forward, init_params
 from gdasum.synthetic import PlantedSpec, make_planted_dataset
 from gdasum.train import (
     DEFAULT_LEARNING_RATES,
@@ -255,11 +255,73 @@ def test_train_aborts_on_non_finite_loss(monkeypatch):
         weight_penalty=0.0,
         total=np.nan,
     )
-    train_module = importlib.import_module("gdasum.train")
-    monkeypatch.setattr(train_module, "total_loss", lambda *a, **k: bad)
+    losses_module = importlib.import_module("gdasum.losses")
+    monkeypatch.setattr(losses_module, "_loss_terms", lambda *a, **k: (bad, None))
     config = TrainConfig(mode="unsupervised", epochs=1)
     with pytest.raises(NumericalError, match="non-finite loss on video 'v0'"):
         train(records, split_of(["v0"]), config, SMALL_HYPER)
+
+
+def test_train_names_video_on_singular_subset_kernel():
+    # two labeled frames with identical features give a singular L_S
+    rec = record("dup", n=8)
+    matrix = rec.features.matrix.copy()
+    keys = np.flatnonzero(rec.annotations.keyframe_labels)
+    matrix[keys[1]] = matrix[keys[0]]
+    rec = VideoRecord(
+        id="dup",
+        features=FrameFeatures(matrix),
+        annotations=rec.annotations,
+        source_dataset=rec.source_dataset,
+    )
+    config = TrainConfig(epochs=1, learning_rate=1e-3)
+    hyper = HyperParams(hidden=16, embed=8, dropout_rate=0.0)
+    with pytest.raises(
+        NumericalError,
+        match="subset kernel is numerically singular on video 'dup' at epoch 0",
+    ):
+        train([rec], split_of(["dup"]), config, hyper)
+
+
+def test_train_step_computes_distances_once(monkeypatch):
+    records, split = small_corpus()
+    losses_module = importlib.import_module("gdasum.losses")
+    original = losses_module.pairwise_sq_dists
+    calls = []
+
+    def counting(phi):
+        calls.append(phi.shape)
+        return original(phi)
+
+    monkeypatch.setattr(losses_module, "pairwise_sq_dists", counting)
+    config = TrainConfig(epochs=1, learning_rate=1e-3)
+    train(records, split, config, SMALL_HYPER)
+    assert len(calls) == len(split.train_ids)
+
+
+def test_train_reports_gradient_norm_before_clipping():
+    rec = record("v0")
+    hyper = HyperParams(hidden=16, embed=8, dropout_rate=0.0)
+    x = rec.features.matrix
+    labels = rec.annotations.keyframe_labels
+    params = init_params(x.shape[1], hyper, 0)
+    trace = forward(x, params, hyper, mode="train", rng=np.random.default_rng(0))
+    grads = backward(trace, x, params, hyper, "supervised", labels=labels)
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.arrays())))
+
+    for clip, fraction in [(norm / 2, 1.0), (2 * norm, 0.0), (None, 0.0)]:
+        config = TrainConfig(epochs=1, learning_rate=1e-3, grad_clip=clip)
+        _, report = train([rec], split_of(["v0"]), config, hyper)
+        line = json.loads(report.to_json_lines())
+        assert line["grad_norm"] == {"median": norm, "max": norm}
+        assert line["clipped_fraction"] == fraction
+
+    records, split = small_corpus()
+    config = TrainConfig(epochs=2, learning_rate=1e-3, grad_clip=1e-12)
+    _, report = train(records, split, config, SMALL_HYPER)
+    for epoch in report.epochs:
+        assert 0.0 < epoch.grad_norm_median <= epoch.grad_norm_max
+        assert epoch.clipped_fraction == 1.0
 
 
 def test_train_early_stopping_returns_best_params():
@@ -402,3 +464,28 @@ def test_checkpoint_error_taxonomy(tmp_path):
 
     with pytest.raises(CheckpointError, match="feature dim"):
         load_checkpoint(path, expect_feature_dim=11)
+
+def test_checkpoint_hyper_header_is_checked(tmp_path):
+    params = init_params(4, SMALL_HYPER, 0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path, hyper=SMALL_HYPER)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert list(header["hyper"]) == [
+        "hidden", "embed", "dropout_rate", "weight_decay", "beta", "alpha_clip"
+    ]
+
+    for name, mutate in [
+        ("unknown", lambda h: h["hyper"].update(momentum=0.9)),
+        ("missing", lambda h: h["hyper"].pop("beta")),
+    ]:
+        bad = tmp_path / f"{name}.ckpt"
+        bad.write_bytes(path.read_bytes())
+        corrupt(bad, mutate)
+        with pytest.raises(CheckpointError, match="hyperparameters"):
+            load_checkpoint(bad)
+
+    invalid = tmp_path / "invalid.ckpt"
+    invalid.write_bytes(path.read_bytes())
+    corrupt(invalid, lambda h: h["hyper"].update(beta=-1.0))
+    with pytest.raises(CheckpointError, match="beta must be positive"):
+        load_checkpoint(invalid)
