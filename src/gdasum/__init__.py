@@ -60,7 +60,6 @@ from .model import (
     ForwardTrace,
     HyperParams,
     ModelParams,
-    attention_matrix,
     diversity_weights,
     forward,
     init_params,
@@ -117,7 +116,6 @@ __all__ = [
     "VideoRecord",
     "VideoScore",
     "adam_step",
-    "attention_matrix",
     "backward",
     "diversity_weights",
     "diversity_zeta",

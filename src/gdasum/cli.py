@@ -24,6 +24,7 @@ from .data import (
     SourceDataset,
     intervals_to_mask,
     load_manifest,
+    majority_source,
     make_splits,
 )
 from .kts import kts_changepoints, shots_from_changepoints
@@ -280,10 +281,7 @@ def _user_masks(rec) -> list[np.ndarray]:
 
 
 def _eval_protocol(cfg: dict, records) -> EvalProtocol:
-    counts = {}
-    for rec in records:
-        counts[rec.source_dataset] = counts.get(rec.source_dataset, 0) + 1
-    majority = max(counts, key=lambda s: (counts[s], s.value))
+    majority = majority_source(records)
     inferred = PROTOCOL_BY_SOURCE.get(majority.value, EvalProtocol.MEAN_OVER_USERS)
     if cfg["protocol"] is None:
         return inferred

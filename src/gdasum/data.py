@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -248,6 +249,12 @@ def _infer_target(records: list[VideoRecord]) -> SourceDataset:
     raise DatasetError(
         "multiple source datasets present; pass target= to name the one under test"
     )
+
+
+def majority_source(records: list[VideoRecord]) -> SourceDataset:
+    """The most common source dataset; ties go to the larger enum value."""
+    counts = Counter(r.source_dataset for r in records)
+    return max(counts, key=lambda s: (counts[s], s.value))
 
 
 def make_splits(

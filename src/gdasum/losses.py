@@ -167,8 +167,11 @@ def repelling_loss(phi: np.ndarray) -> float:
 def _cosines(phi):
     """Row norms, unit rows and the cosine matrix of nonzero embeddings."""
     norms = np.linalg.norm(phi, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("repelling loss undefined for zero-norm embeddings")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(
+            f"repelling loss undefined for zero-norm embeddings (frame {zero[0]})"
+        )
     u = phi / norms[:, None]
     return norms, u, u @ u.T
 
@@ -219,7 +222,11 @@ def _loss_terms(trace, params, hyper, mode, labels, sigma, w):
     length = w.length * length_loss(y, sigma)
     rep, shared = 0.0, None
     if w.repelling != 0.0 and phi.shape[0] >= 2:
-        shared = _cosines(phi)
+        try:
+            shared = _cosines(phi)
+        except ValueError as exc:
+            # dropout can zero a frame's embedding: a training fault, not bad input
+            raise NumericalError(str(exc)) from exc
         rep = w.repelling * _mean_off_diagonal(shared[2])
     return LossBreakdown(0.0, 0.0, length, rep, pen, length + rep + pen), shared
 
@@ -393,7 +400,10 @@ def loss_and_grad(
         for name in WEIGHT_FIELDS:
             getattr(g, name)[...] += 2.0 * hyper.weight_decay * getattr(params, name)
 
-    g.check_finite()
+    try:
+        g.check_finite()
+    except ValueError as exc:
+        raise NumericalError(f"gradient: {exc}") from exc
     return breakdown, g
 
 

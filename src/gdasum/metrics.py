@@ -172,20 +172,3 @@ class MetricsReport:
         for v in self.per_video:
             lines.append(f"{v.video_id},{v.precision:.4f},{v.recall:.4f},{v.fscore:.4f}")
         return "\n".join(lines) + "\n"
-
-
-def fold_report(
-    scored: list[tuple[str, float, float, float]],
-    protocol: EvalProtocol,
-    zeta: float | None = None,
-) -> MetricsReport:
-    """Bundle per-video (id, P, R, F) rows into a single-fold report."""
-    per_video = [VideoScore(vid, p, r, f) for vid, p, r, f in scored]
-    fold_f = float(np.mean([v.fscore for v in per_video])) if per_video else 0.0
-    return MetricsReport(
-        protocol=protocol,
-        per_video=per_video,
-        fold_fscores=[fold_f],
-        mean_fscore=fold_f,
-        zeta=zeta,
-    )

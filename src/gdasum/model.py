@@ -13,7 +13,6 @@ the whole evaluation-mode pass is equivariant under frame permutation.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -90,9 +89,6 @@ class ModelParams:
     def dims(self) -> tuple[int, int, int]:
         """(feature dim D, hidden width H, embedding width E)."""
         return self.w_q.shape[1], self.reg_w1.shape[0], self.emb_w.shape[0]
-
-    def names(self) -> list[str]:
-        return [f.name for f in fields(self)]
 
     def arrays(self) -> list[np.ndarray]:
         return [getattr(self, f.name) for f in fields(self)]
@@ -183,21 +179,6 @@ class ForwardTrace:
     @property
     def n_frames(self) -> int:
         return self.y.shape[0]
-
-
-def attention_matrix(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Pairwise attention A[i, j] = (W_q x_i) . (W_k x_j) / sqrt(q), q = D."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("expected a nonempty (N, D) feature matrix")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features contain non-finite values")
-    q = x @ params.w_q.T
-    k = x @ params.w_k.T
-    a = (q @ k.T) / np.sqrt(x.shape[1])
-    if not np.all(np.isfinite(a)):
-        raise FloatingPointError("attention matrix overflowed; check input scale")
-    return a
 
 
 def normalize_attention(a: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SourceDataset, SplitSpec, VideoRecord
+from .data import SourceDataset, SplitSpec, VideoRecord, majority_source
 from .losses import LossBreakdown, LossWeights, NumericalError, loss_and_grad
 from .model import HyperParams, ModelParams, forward, init_params
 
@@ -117,21 +117,13 @@ class TrainReport:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def default_learning_rate(source: SourceDataset) -> float:
-    return DEFAULT_LEARNING_RATES[source]
-
-
 def resolve_learning_rate(config: TrainConfig, test_records: list[VideoRecord]) -> float:
     """Configured rate, or the default for the test set's majority source."""
     if config.learning_rate is not None:
         return config.learning_rate
     if not test_records:
         return DEFAULT_LEARNING_RATES[SourceDataset.OTHER]
-    counts = {}
-    for rec in test_records:
-        counts[rec.source_dataset] = counts.get(rec.source_dataset, 0) + 1
-    majority = max(counts, key=lambda s: (counts[s], s.value))
-    return DEFAULT_LEARNING_RATES[majority]
+    return DEFAULT_LEARNING_RATES[majority_source(test_records)]
 
 
 def adam_step(
@@ -143,40 +135,42 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
+    """One bias-corrected Adam update of ``params`` and ``state`` in place.
+
+    Returns the same two objects it was given.
+    """
     try:
         grads.check_finite()
     except ValueError as exc:
         raise NumericalError(f"adam_step: {exc}") from exc
-    t = state.t + 1
-    new_params = params.zeros_like()
-    new_m = params.zeros_like()
-    new_v = params.zeros_like()
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    state.t += 1
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
     for name, theta in params.items():
         g = getattr(grads, name)
-        m = beta1 * getattr(state.m, name) + (1.0 - beta1) * g
-        v = beta2 * getattr(state.v, name) + (1.0 - beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        setattr(new_params, name, theta - lr * m_hat / (np.sqrt(v_hat) + eps))
-        setattr(new_m, name, m)
-        setattr(new_v, name, v)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+        m = getattr(state.m, name)
+        v = getattr(state.v, name)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return params, state
 
 
 def clip_gradients(grads: ModelParams, max_norm: float) -> tuple[ModelParams, float]:
-    """Scale all gradients down so their joint L2 norm is at most max_norm."""
+    """Scale ``grads`` in place so their joint L2 norm is at most max_norm.
+
+    Returns ``grads`` itself and its norm before clipping.
+    """
     total_sq = sum(float((g * g).sum()) for g in grads.arrays())
     norm = float(np.sqrt(total_sq))
     if norm <= max_norm or norm == 0.0:
         return grads, norm
     scale = max_norm / norm
-    clipped = grads.copy()
-    for name, g in clipped.items():
-        setattr(clipped, name, g * scale)
-    return clipped, norm
+    for g in grads.arrays():
+        g *= scale
+    return grads, norm
 
 
 def _video_mode(config_mode: TrainMode, record: VideoRecord) -> str:
@@ -201,7 +195,8 @@ def train(
     """Run the full training loop on one split and return final parameters.
 
     ``validate``, when given, is called as validate(params, epoch) after
-    each epoch and should return a scalar score (higher is better); with
+    each epoch and should return a scalar score (higher is better); the
+    next epoch updates those params in place, so copy them to keep them.  With
     early_stop_patience set, training stops once the score fails to
     improve for that many consecutive epochs and the best-scoring
     parameters are returned.
@@ -263,13 +258,10 @@ def train(
                     sigma=config.sigma,
                     weights=config.loss_weights,
                 )
-                # free the activations before clipping and Adam allocate
-                # fresh parameter-sized arrays, and before the next forward
+                # free the activations before the next forward allocates its own
                 del trace
-                grads, norm = clip_gradients(grads, clip)
-                params, state = adam_step(
-                    params, grads, state, lr, config.beta1, config.beta2, config.adam_eps
-                )
+                norm = clip_gradients(grads, clip)[1]
+                adam_step(params, grads, state, lr, config.beta1, config.beta2, config.adam_eps)
             except NumericalError as err:
                 raise NumericalError(f"{err} on video {rec.id!r} at epoch {epoch}") from err
             norms.append(norm)

@@ -11,7 +11,6 @@ from gdasum.metrics import (
     MetricsReport,
     VideoScore,
     diversity_zeta,
-    fold_report,
     fscore,
     protocol_aggregate,
     video_fscore,
@@ -203,14 +202,6 @@ def test_metrics_report_serialization():
 def test_metrics_report_omits_unset_zeta():
     report = MetricsReport(protocol=EvalProtocol.MEAN_OVER_USERS)
     assert "zeta" not in report.to_dict()
-
-
-def test_fold_report_means_video_scores():
-    rows = [("a", 100.0, 100.0, 100.0), ("b", 0.0, 0.0, 50.0)]
-    report = fold_report(rows, EvalProtocol.MEAN_OVER_USERS)
-    assert report.fold_fscores == [75.0]
-    assert report.mean_fscore == 75.0
-    assert [v.video_id for v in report.per_video] == ["a", "b"]
 
 
 def test_zeta_leaves_out_videos_without_selection():

@@ -3,7 +3,6 @@ import pytest
 
 from gdasum.model import (
     HyperParams,
-    attention_matrix,
     diversity_weights,
     forward,
     init_params,
@@ -48,14 +47,14 @@ def test_attention_orthonormal_identity():
     params = init_params(d, SMALL, seed=0)
     params.w_q = np.eye(d)
     params.w_k = np.eye(d)
-    a = attention_matrix(np.eye(d), params)
+    a = forward(np.eye(d), params, SMALL).attention
     assert np.allclose(a, np.eye(d) / np.sqrt(d), atol=1e-12)
 
 
 def test_attention_zero_projection():
     params = init_params(3, SMALL, seed=0)
     params.w_q = np.zeros((3, 3))
-    a = attention_matrix(np.random.default_rng(0).standard_normal((5, 3)), params)
+    a = forward(np.random.default_rng(0).standard_normal((5, 3)), params, SMALL).attention
     assert np.all(a == 0.0)
 
 
@@ -63,7 +62,7 @@ def test_attention_matches_triple_loop():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 2))
     params = init_params(2, SMALL, seed=7)
-    a = attention_matrix(x, params)
+    a = forward(x, params, SMALL).attention
     q = 2
     for i in range(3):
         for j in range(3):

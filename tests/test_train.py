@@ -1,5 +1,6 @@
 import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,9 +95,10 @@ def test_adam_moves_against_gradient_sign():
     grads.ff_w[:] = 1.0
     grads.reg_b2[:] = -1.0
     state = AdamState.zeros(params)
+    before = params.copy()
     new_params, _ = adam_step(params, grads, state, lr=0.01)
-    assert (new_params.ff_w < params.ff_w).all()
-    assert (new_params.reg_b2 > params.reg_b2).all()
+    assert (new_params.ff_w < before.ff_w).all()
+    assert (new_params.reg_b2 > before.reg_b2).all()
 
 
 def test_adam_rejects_non_finite_gradients():
@@ -126,13 +128,42 @@ def test_clip_gradients_scales_to_max_norm():
     grads = params.zeros_like()
     grads.w_q[:] = 3.0  # (2, 2): 4 entries, sq sum 36
     grads.w_k[:] = 4.0  # 4 entries, sq sum 64
+    original = grads.copy()
     clipped, norm = clip_gradients(grads, max_norm=5.0)
     assert abs(norm - 10.0) < 1e-12
     assert np.allclose(clipped.w_q, 1.5)
     assert np.allclose(clipped.w_k, 2.0)
-    untouched, norm2 = clip_gradients(grads, max_norm=20.0)
+    untouched, norm2 = clip_gradients(original.copy(), max_norm=20.0)
     assert norm2 == norm
-    assert np.array_equal(untouched.w_q, grads.w_q)
+    assert np.array_equal(untouched.w_q, original.w_q)
+
+
+def test_adam_step_allocates_less_than_one_parameter_set():
+    params = init_params(16, SMALL_HYPER, 0)
+    grads = params.copy()
+    state = AdamState.zeros(params)
+    param_bytes = sum(a.nbytes for a in params.arrays())
+    tracemalloc.start()
+    try:
+        new_params, new_state = adam_step(params, grads, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert new_params is params and new_state is state
+    assert peak < param_bytes
+
+
+def test_adam_step_takes_inline_clipped_gradients():
+    # the call form of the stage timings in bench/stages.py
+    params = init_params(4, SMALL_HYPER, 0)
+    before = params.copy()
+    grads = params.zeros_like()
+    grads.w_q[:] = 10.0
+    state = AdamState.zeros(params)
+    adam_step(params, clip_gradients(grads, 5.0)[0], state, 5e-4)
+    assert state.t == 1
+    assert (params.w_q < before.w_q).all()
+    assert np.array_equal(params.w_k, before.w_k)
 
 
 def test_resolve_learning_rate_defaults():
@@ -260,6 +291,27 @@ def test_train_aborts_on_non_finite_loss(monkeypatch):
     config = TrainConfig(mode="unsupervised", epochs=1)
     with pytest.raises(NumericalError, match="non-finite loss on video 'v0'"):
         train(records, split_of(["v0"]), config, SMALL_HYPER)
+
+
+def test_train_names_video_on_non_finite_gradient(monkeypatch):
+    def nan_dy(trace, *args):
+        dy = np.zeros_like(trace.y)
+        dy[0] = np.nan
+        return dy, np.zeros_like(trace.phi)
+
+    losses_module = importlib.import_module("gdasum.losses")
+    monkeypatch.setattr(losses_module, "_loss_grads_y_phi", nan_dy)
+    with pytest.raises(NumericalError, match="non-finite .* on video 'v0'"):
+        train([record("v0")], split_of(["v0"]), TrainConfig(epochs=1), SMALL_HYPER)
+
+
+def test_train_names_video_on_zero_norm_embedding():
+    # dropout zeroes every feed-forward output of a frame while emb_b is 0
+    config = TrainConfig(mode="unsupervised", epochs=1)
+    with pytest.raises(
+        NumericalError, match=r"zero-norm embeddings \(frame \d+\) on video 'v0'"
+    ):
+        train([record("v0", labeled=False)], split_of(["v0"]), config, SMALL_HYPER)
 
 
 def test_train_names_video_on_singular_subset_kernel():
