@@ -344,8 +344,9 @@ def loss_and_grad(
     dlogits = dy * trace.y * (1.0 - trace.y)
     g.reg_w2 += (dlogits[:, None] * trace.head_drop).sum(axis=0, keepdims=True)
     g.reg_b2 += np.array([dlogits.sum()])
-    d_head_drop = dlogits[:, None] * params.reg_w2[0][None, :]
-    d_ln2_out = d_head_drop * trace.head_mask
+    d_ln2_out = dlogits[:, None] * params.reg_w2[0][None, :]
+    if trace.head_mask is not None:
+        d_ln2_out *= trace.head_mask
     d_relu, dg2, db2 = layernorm_backward(
         d_ln2_out, trace.ln2_xhat, trace.ln2_inv_std, params.ln2_scale
     )
@@ -367,7 +368,8 @@ def loss_and_grad(
     )
     g.ln1_scale += dg1
     g.ln1_offset += db1
-    dz1 = dz1 * trace.ff_mask
+    if trace.ff_mask is not None:
+        dz1 *= trace.ff_mask
     g.ff_w += dz1.T @ trace.context
     g.ff_b += dz1.sum(axis=0)
     d_context = dz1 @ params.ff_w

@@ -151,7 +151,8 @@ class ForwardTrace:
     weights), ``d`` (diversity weights on the simplex), ``context``
     (N x D), ``phi`` (N x E embeddings) and ``y`` (scores in (0, 1)).
     The remaining tensors are cached intermediates consumed by the
-    backward pass; dropout masks are identity (ones) in eval mode.
+    backward pass; the dropout masks are None in eval mode, where
+    dropout is the identity.
     """
 
     attention: np.ndarray
@@ -164,14 +165,14 @@ class ForwardTrace:
     q_proj: np.ndarray
     k_proj: np.ndarray
     v_proj: np.ndarray
-    ff_mask: np.ndarray
+    ff_mask: np.ndarray | None
     ln1_xhat: np.ndarray
     ln1_inv_std: np.ndarray
     ff_out: np.ndarray
     head_pre: np.ndarray
     ln2_xhat: np.ndarray
     ln2_inv_std: np.ndarray
-    head_mask: np.ndarray
+    head_mask: np.ndarray | None
     head_drop: np.ndarray
     logits: np.ndarray
     mode: str = "eval"
@@ -288,6 +289,7 @@ def forward(
     context = d[:, None] * v
 
     n = x.shape[0]
+    ff_mask = head_mask = None
     if mode == "train":
         if masks is not None:
             ff_mask, head_mask = masks
@@ -296,12 +298,10 @@ def forward(
                 raise ValueError("train mode needs an rng (or explicit masks)")
             ff_mask = _dropout_mask((n, d_feat), hyper.dropout_rate, rng)
             head_mask = _dropout_mask((n, h), hyper.dropout_rate, rng)
-    else:
-        ff_mask = np.ones((n, d_feat))
-        head_mask = np.ones((n, h))
 
     z1 = context @ params.ff_w.T + params.ff_b
-    z1 = z1 * ff_mask
+    if ff_mask is not None:
+        z1 *= ff_mask
     ff_out, ln1_xhat, ln1_inv_std = _layernorm(
         z1, params.ln1_scale, params.ln1_offset
     )
@@ -311,7 +311,7 @@ def forward(
     ln2_out, ln2_xhat, ln2_inv_std = _layernorm(
         relu, params.ln2_scale, params.ln2_offset
     )
-    head_drop = ln2_out * head_mask
+    head_drop = ln2_out if head_mask is None else ln2_out * head_mask
     logits = head_drop @ params.reg_w2.T + params.reg_b2
     logits = logits[:, 0]
     y = sigmoid(logits)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import os
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
@@ -25,6 +27,8 @@ from .model import HyperParams, ModelParams, forward, init_params
 
 CHECKPOINT_FORMAT = "gdasum-checkpoint"
 CHECKPOINT_VERSION = 1
+# payload dtypes: float64 round-trips bit-exactly, float32 halves the file
+CHECKPOINT_DTYPES = ("<f8", "<f4")
 DEFAULT_LEARNING_RATES = {
     SourceDataset.SUMME_LIKE: 5e-5,
     SourceDataset.TVSUM_LIKE: 1e-4,
@@ -307,9 +311,10 @@ def save_checkpoint(
     table in payload order, and the hyperparameters when given; callers
     may attach extra provenance fields.  float64 payloads (the default)
     round-trip the in-memory values bit-exactly; "<f4" is accepted for
-    compactness at reduced precision.
+    compactness at reduced precision.  Each field is streamed to the
+    open file, so no copy of the whole payload is ever built.
     """
-    if dtype not in ("<f8", "<f4"):
+    if dtype not in CHECKPOINT_DTYPES:
         raise CheckpointError(f"unsupported payload dtype {dtype!r}")
     params.check_finite()
     header = {
@@ -326,62 +331,66 @@ def save_checkpoint(
         header.update(extra_header)
     if hyper is not None:
         header["hyper"] = asdict(hyper)
-    blob = json.dumps(header).encode() + b"\n"
-    np_dtype = np.dtype(dtype)
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype=np_dtype).tobytes() for arr in params.arrays()
-    )
-    Path(path).write_bytes(blob + payload)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for arr in params.arrays():
+            np.ascontiguousarray(arr, dtype=dtype).tofile(fh)
 
 
 def load_checkpoint(path, expect_feature_dim: int | None = None):
-    """Read a checkpoint; returns (ModelParams, HyperParams or None)."""
+    """Read a checkpoint; returns (ModelParams, HyperParams or None).
+
+    The payload size is checked against the header before any field is
+    read, and each field is read straight into its final array.
+    """
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
-    raw = path.read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise CheckpointError("missing header line")
-    try:
-        header = json.loads(raw[:newline].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable header: {exc}") from exc
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"format version {header.get('version')} != {CHECKPOINT_VERSION}"
-        )
-    dtype = header.get("dtype")
-    if dtype not in ("<f8", "<f4"):
-        raise CheckpointError(f"unsupported payload dtype {dtype!r}")
-    shapes = header.get("shapes")
-    expected_names = set(ModelParams.__dataclass_fields__)
-    if not isinstance(shapes, dict) or set(shapes) != expected_names:
-        raise CheckpointError("header shape table does not match the parameter set")
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise CheckpointError("missing header line")
+        try:
+            header = json.loads(line.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"unreadable header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"format version {header.get('version')} != {CHECKPOINT_VERSION}"
+            )
+        dtype = header.get("dtype")
+        if dtype not in CHECKPOINT_DTYPES:
+            raise CheckpointError(f"unsupported payload dtype {dtype!r}")
+        shapes = header.get("shapes")
+        expected_names = set(ModelParams.__dataclass_fields__)
+        if (
+            not isinstance(shapes, dict)
+            or set(shapes) != expected_names
+            or not all(
+                isinstance(shape, list)
+                and all(isinstance(s, int) and s >= 0 for s in shape)
+                for shape in shapes.values()
+            )
+        ):
+            raise CheckpointError("header shape table does not match the parameter set")
 
-    np_dtype = np.dtype(dtype)
-    payload = raw[newline + 1 :]
-    expected_bytes = sum(
-        int(np.prod(shape)) * np_dtype.itemsize for shape in shapes.values()
-    )
-    if len(payload) != expected_bytes:
-        raise CheckpointError(
-            f"payload is {len(payload)} bytes, header promises {expected_bytes}"
-        )
+        np_dtype = np.dtype(dtype)
+        payload_bytes = os.fstat(fh.fileno()).st_size - len(line)
+        expected_bytes = sum(math.prod(shape) for shape in shapes.values()) * np_dtype.itemsize
+        if payload_bytes != expected_bytes:
+            raise CheckpointError(
+                f"payload is {payload_bytes} bytes, header promises {expected_bytes}"
+            )
 
-    arrays = {}
-    offset = 0
-    for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        chunk = payload[offset : offset + count * np_dtype.itemsize]
-        offset += count * np_dtype.itemsize
-        arrays[name] = (
-            np.frombuffer(chunk, dtype=np_dtype)
-            .astype(np.float64)
-            .reshape([int(s) for s in shape])
-        )
+        arrays = {}
+        for name, shape in shapes.items():
+            count = math.prod(shape)
+            arr = np.fromfile(fh, dtype=np_dtype, count=count)
+            if arr.size != count:
+                raise CheckpointError(f"payload ends inside field {name!r}")
+            arrays[name] = arr.astype(np.float64, copy=False).reshape(shape)
     params = ModelParams(**arrays)
     params.check_finite()
     if expect_feature_dim is not None and params.dims[0] != expect_feature_dim:

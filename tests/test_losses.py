@@ -233,6 +233,23 @@ def test_gradients_match_finite_differences_eval():
             assert gradient_report(analytic, numeric)["max"] <= 1e-4
 
 
+def test_eval_trace_without_masks_matches_ones_masks_bit_for_bit():
+    # eval mode skips the masks; multiplying by ones instead is exact
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.4)
+    x, params, labels = _instance(4, n=7, hyper=hyper)
+    n, (d, h, _) = x.shape[0], params.dims
+    bare = forward(x, params, hyper, mode="eval")
+    ones = forward(x, params, hyper, mode="train", masks=(np.ones((n, d)), np.ones((n, h))))
+    assert bare.ff_mask is None and bare.head_mask is None
+    for name in ("y", "phi", "ff_out"):
+        assert np.array_equal(getattr(bare, name), getattr(ones, name))
+    for mode, lab in (("supervised", labels), ("unsupervised", None)):
+        got = backward(bare, x, params, hyper, mode, labels=lab)
+        want = backward(ones, x, params, hyper, mode, labels=lab)
+        for name, g in got.items():
+            assert np.array_equal(g, getattr(want, name)), name
+
+
 def test_gradients_match_finite_differences_with_dropout_masks():
     hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.4)
     x, params, labels = _instance(3, hyper=hyper)

@@ -1,6 +1,9 @@
+import dataclasses
 import importlib
 import json
+import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -69,9 +72,10 @@ def test_adam_zero_gradient_is_identity():
     params = init_params(3, SMALL_HYPER, 0)
     grads = params.zeros_like()
     state = AdamState.zeros(params)
+    before = params.copy()
     new_params, new_state = adam_step(params, grads, state, lr=0.1)
     assert new_state.t == 1
-    for a, b in zip(params.arrays(), new_params.arrays()):
+    for a, b in zip(before.arrays(), new_params.arrays()):
         assert np.array_equal(a, b)
 
 
@@ -83,10 +87,11 @@ def test_adam_first_step_moves_by_lr():
     grads = params.zeros_like()
     grads.w_q[0, 0] = 1.0
     state = AdamState.zeros(params)
+    before = params.copy()
     new_params, _ = adam_step(params, grads, state, lr=0.1)
     assert abs(new_params.w_q[0, 0] + 0.1) < 1e-8
     assert new_params.w_q[0, 1] == 0.0
-    assert np.array_equal(new_params.w_k, params.w_k)
+    assert np.array_equal(new_params.w_k, before.w_k)
 
 
 def test_adam_moves_against_gradient_sign():
@@ -407,15 +412,38 @@ def test_train_report_json_lines():
     assert json.loads(lines[-1]) == {"checkpoint_path": "fold0.ckpt"}
 
 
+def reference_checkpoint(params, dtype, hyper=None):
+    # the file format assembled independently of save_checkpoint
+    header = {
+        "format": "gdasum-checkpoint",
+        "version": 1,
+        "dtype": dtype,
+        "shapes": {name: list(arr.shape) for name, arr in params.items()},
+    }
+    if hyper is not None:
+        header["hyper"] = dataclasses.asdict(hyper)
+    payload = b"".join(arr.astype(dtype).tobytes() for arr in params.arrays())
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+def assert_fresh_float64(loaded):
+    for arr in loaded.arrays():
+        assert arr.dtype == np.float64
+        assert arr.flags.c_contiguous and arr.flags.writeable
+
+
 def test_checkpoint_round_trip_float64(tmp_path):
     params = init_params(6, SMALL_HYPER, 3)
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path, hyper=SMALL_HYPER)
+    assert path.read_bytes() == reference_checkpoint(params, "<f8", SMALL_HYPER)
     loaded, hyper = load_checkpoint(path)
     assert hyper == SMALL_HYPER
+    assert_fresh_float64(loaded)
     for (name_a, a), (name_b, b) in zip(params.items(), loaded.items()):
         assert name_a == name_b
-        assert np.array_equal(a, b)
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_checkpoint_without_hyper(tmp_path):
@@ -431,7 +459,9 @@ def test_checkpoint_float32_is_close_but_lossy(tmp_path):
     params = init_params(6, SMALL_HYPER, 3)
     path = tmp_path / "model.f4.ckpt"
     save_checkpoint(params, path, dtype="<f4")
+    assert path.read_bytes() == reference_checkpoint(params, "<f4")
     loaded, _ = load_checkpoint(path)
+    assert_fresh_float64(loaded)
     exact = True
     for a, b in zip(params.arrays(), loaded.arrays()):
         assert np.allclose(a, b, atol=1e-5)
@@ -486,6 +516,11 @@ def test_checkpoint_error_taxonomy(tmp_path):
     with pytest.raises(CheckpointError, match="payload"):
         load_checkpoint(truncated)
 
+    trailing = tmp_path / "trailing.ckpt"
+    trailing.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="payload"):
+        load_checkpoint(trailing)
+
     headerless = tmp_path / "headerless.ckpt"
     headerless.write_bytes(b"no newline at all")
     with pytest.raises(CheckpointError, match="header"):
@@ -514,8 +549,50 @@ def test_checkpoint_error_taxonomy(tmp_path):
     with pytest.raises(CheckpointError, match="shape table"):
         load_checkpoint(missing_shape)
 
+    negative_shape = tmp_path / "negative.ckpt"
+    negative_shape.write_bytes(path.read_bytes())
+    corrupt(negative_shape, lambda h: h["shapes"].update(ff_b=[-1]))
+    with pytest.raises(CheckpointError, match="shape table"):
+        load_checkpoint(negative_shape)
+
+    not_an_object = tmp_path / "list.ckpt"
+    not_an_object.write_bytes(b"[1, 2]\n" + b"\x00" * 16)
+    with pytest.raises(CheckpointError, match="not a"):
+        load_checkpoint(not_an_object)
+
     with pytest.raises(CheckpointError, match="feature dim"):
         load_checkpoint(path, expect_feature_dim=11)
+
+
+def test_checkpoint_short_read_is_an_error(tmp_path, monkeypatch):
+    # a file that shrinks after its size was taken: the last field reads short
+    params = init_params(4, SMALL_HYPER, 0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    full_size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=full_size))
+    with pytest.raises(CheckpointError, match="payload ends inside field 'emb_b'"):
+        load_checkpoint(path)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_io_streams_fields(tmp_path):
+    # a few-MB model: saving builds no payload copy, loading holds one
+    params = init_params(256, HyperParams(), 0)
+    param_bytes = sum(a.nbytes for a in params.arrays())
+    path = tmp_path / "model.ckpt"
+    assert traced_peak(lambda: save_checkpoint(params, path, HyperParams())) < 0.5 * param_bytes
+    assert traced_peak(lambda: load_checkpoint(path)) < 1.5 * param_bytes
+
 
 def test_checkpoint_hyper_header_is_checked(tmp_path):
     params = init_params(4, SMALL_HYPER, 0)
