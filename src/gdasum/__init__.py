@@ -53,7 +53,6 @@ from .metrics import (
     VideoScore,
     diversity_zeta,
     fscore,
-    protocol_aggregate,
     video_fscore,
 )
 from .model import (
@@ -138,7 +137,6 @@ __all__ = [
     "make_planted_dataset",
     "make_splits",
     "normalize_attention",
-    "protocol_aggregate",
     "read_features",
     "repelling_loss",
     "save_checkpoint",

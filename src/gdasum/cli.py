@@ -27,7 +27,7 @@ from .data import (
     majority_source,
     make_splits,
 )
-from .kts import kts_changepoints, shots_from_changepoints
+from .kts import kts_changepoints
 from .losses import NumericalError, backward, finite_diff_grad, gradient_report
 from .metrics import (
     PROTOCOL_BY_SOURCE,
@@ -113,11 +113,15 @@ def _file_config() -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then GDASUM_CONFIG file values, then explicit flags."""
-    merged = dict(DEFAULTS)
-    merged.update(_file_config())
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
+    """Defaults, then GDASUM_CONFIG file values, then explicit flags.
+
+    Only the keys the command's own parser defines are kept, so the
+    recorded run_config holds exactly the settings the command reads.
+    """
+    merged = {key: value for key, value in DEFAULTS.items() if hasattr(args, key)}
+    merged.update((key, value) for key, value in _file_config().items() if key in merged)
+    for key in merged:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     merged["command"] = args.command
@@ -145,8 +149,15 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _splits_for(cfg: dict, records):
-    return make_splits(records, cfg["setting"], int(cfg["seed"]), target=cfg["target"])
+def _requested_splits(cfg: dict, records) -> list:
+    """The splits of the configured setting: the --fold one alone, else all."""
+    splits = make_splits(records, cfg["setting"], int(cfg["seed"]), target=cfg["target"])
+    if cfg["fold"] is None:
+        return splits
+    fold = int(cfg["fold"])
+    if not 0 <= fold < len(splits):
+        raise DatasetError(f"fold {fold} out of range (have {len(splits)})")
+    return [splits[fold]]
 
 
 def cmd_train(cfg: dict) -> int:
@@ -156,13 +167,11 @@ def cmd_train(cfg: dict) -> int:
     hyper = _hyper_from(cfg)
     if cfg["setting"] is None:
         cfg = {**cfg, "setting": "canonical"}
-    splits = _splits_for(cfg, records)
-    fold_indices = range(len(splits)) if cfg["fold"] is None else [int(cfg["fold"])]
+    splits = _requested_splits(cfg, records)
     out = _out_dir(cfg)
 
-    for k in fold_indices:
-        if not 0 <= k < len(splits):
-            raise DatasetError(f"fold {k} out of range (have {len(splits)})")
+    for split in splits:
+        k = split.fold_index
         config = TrainConfig(
             mode=cfg["mode"],
             epochs=int(cfg["epochs"]),
@@ -171,7 +180,7 @@ def cmd_train(cfg: dict) -> int:
             seed=int(cfg["seed"]),
             grad_clip=None if cfg["grad_clip"] in (None, 0) else float(cfg["grad_clip"]),
         )
-        params, report = train(records, splits[k], config, hyper)
+        params, report = train(records, split, config, hyper)
         ckpt_path = out / f"fold{k}.ckpt"
         save_checkpoint(params, ckpt_path, hyper, extra_header=_provenance(cfg))
         report.checkpoint_path = str(ckpt_path)
@@ -187,12 +196,9 @@ def cmd_train(cfg: dict) -> int:
 def _records_to_summarize(cfg: dict, records):
     if cfg["setting"] is None:
         return records
-    splits = _splits_for(cfg, records)
-    fold = 0 if cfg["fold"] is None else int(cfg["fold"])
-    if not 0 <= fold < len(splits):
-        raise DatasetError(f"fold {fold} out of range (have {len(splits)})")
+    split = _requested_splits(cfg, records)[0]  # fold 0 unless --fold names one
     by_id = {r.id: r for r in records}
-    return [by_id[vid] for vid in splits[fold].test_ids]
+    return [by_id[vid] for vid in split.test_ids]
 
 
 def cmd_summarize(cfg: dict) -> int:
@@ -201,8 +207,7 @@ def cmd_summarize(cfg: dict) -> int:
     if not cfg["checkpoint"]:
         raise DatasetError("summarize requires --checkpoint")
     records = load_manifest(cfg["manifest"])
-    params, ckpt_hyper = load_checkpoint(cfg["checkpoint"])
-    hyper = ckpt_hyper if ckpt_hyper is not None else _hyper_from(cfg)
+    params, hyper = load_checkpoint(cfg["checkpoint"])
     targets = _records_to_summarize(cfg, records)
     out = _out_dir(cfg)
 
@@ -331,11 +336,9 @@ def cmd_eval(cfg: dict) -> int:
     if cfg["setting"] is None:
         folds = [sorted(per_video)]
     else:
-        splits = _splits_for(cfg, records)
-        if cfg["fold"] is not None:
-            splits = [splits[int(cfg["fold"])]]
         folds = [
-            [vid for vid in split.test_ids if vid in per_video] for split in splits
+            [vid for vid in split.test_ids if vid in per_video]
+            for split in _requested_splits(cfg, records)
         ]
         folds = [fold for fold in folds if fold]
         if not folds:
@@ -477,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum = sub.add_parser("summarize", help="generate summaries from a checkpoint")
     add_common(p_sum)
     add_split(p_sum)
-    add_hyper(p_sum)
     add_kts(p_sum)
     p_sum.add_argument("--checkpoint", help="trained checkpoint path")
     p_sum.add_argument("--ratio", type=float, help="summary length budget (default 0.15)")

@@ -3,8 +3,7 @@
 A corpus is a JSON manifest listing videos; each video names a raw
 feature file (headerless little-endian float32, row-major N x D) and
 carries optional annotations: keyframe labels, per-user summaries as
-frame intervals, per-user importance scores, and precomputed shot
-boundaries.  Paths inside a manifest are relative to its location.
+frame intervals, and precomputed shot boundaries.  Paths inside a manifest are relative to its location.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ class Annotations:
 
     keyframe_labels: np.ndarray | None = None
     user_summaries: tuple[tuple[tuple[int, int], ...], ...] | None = None
-    importance_scores: tuple[np.ndarray, ...] | None = None
     change_points: tuple[int, ...] | None = None
 
     def validate(self, n_frames: int) -> None:
@@ -93,12 +91,6 @@ class Annotations:
                     if start < prev_end:
                         raise DatasetError("user summary intervals overlap or are unsorted")
                     prev_end = end
-        if self.importance_scores is not None:
-            for scores in self.importance_scores:
-                if scores.shape != (n_frames,):
-                    raise DatasetError("importance_scores length differs from n_frames")
-                if not np.all(np.isfinite(scores)):
-                    raise DatasetError("importance_scores contain non-finite values")
         if self.change_points is not None:
             cp = list(self.change_points)
             if cp != sorted(set(cp)) or (cp and not (0 < cp[0] and cp[-1] < n_frames)):
@@ -160,7 +152,7 @@ def intervals_to_mask(intervals, n_frames: int) -> np.ndarray:
 
 
 def _parse_annotations(obj: dict, video_id: str) -> Annotations:
-    known = {"keyframe_labels", "user_summaries", "importance_scores", "change_points"}
+    known = {"keyframe_labels", "user_summaries", "change_points"}
     unknown = set(obj) - known
     if unknown:
         raise DatasetError(f"video {video_id!r}: unknown annotation keys {sorted(unknown)}")
@@ -172,16 +164,12 @@ def _parse_annotations(obj: dict, video_id: str) -> Annotations:
         summaries = tuple(
             tuple((int(a), int(b)) for a, b in user) for user in summaries
         )
-    scores = obj.get("importance_scores")
-    if scores is not None:
-        scores = tuple(np.asarray(s, dtype=np.float64) for s in scores)
     cps = obj.get("change_points")
     if cps is not None:
         cps = tuple(int(c) for c in cps)
     return Annotations(
         keyframe_labels=labels,
         user_summaries=summaries,
-        importance_scores=scores,
         change_points=cps,
     )
 

@@ -43,8 +43,8 @@ class SegmentCostTable:
     """Within-segment cost of any [s, t), in O(1) from Gram prefix sums.
 
     With K the Gram matrix of the kernel (K = X X^T for "linear",
-    K_ij = exp(-gamma ||x_i - x_j||^2) for "rbf", gamma = 1/D by
-    default), every segment cost is
+    K_ij = exp(-gamma ||x_i - x_j||^2) for "rbf", with gamma = 1/D),
+    every segment cost is
 
         cost(s, t) = (diag[t] - diag[s]) - block(s, t) / (t - s)
 
@@ -55,7 +55,7 @@ class SegmentCostTable:
     O(N^2) memory, so N is capped at MAX_FRAMES.
     """
 
-    def __init__(self, x: np.ndarray, kernel: str = "linear", gamma: float | None = None):
+    def __init__(self, x: np.ndarray, kernel: str = "linear"):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError("expected a nonempty (N, D) feature matrix")
@@ -71,8 +71,7 @@ class SegmentCostTable:
         self.n = x.shape[0]
         gram = x @ x.T
         if kernel == "rbf":
-            if gamma is None:
-                gamma = 1.0 / x.shape[1]
+            gamma = 1.0 / x.shape[1]
             sq = np.diag(gram).copy()
             # exp(-gamma * max(||x_i||^2 + ||x_j||^2 - 2 x_i.x_j, 0)), in place
             gram *= -2.0
@@ -133,7 +132,6 @@ def kts_changepoints(
     max_segments: int | None = None,
     penalty_coeff: float = 1.0,
     kernel: str = "linear",
-    gamma: float | None = None,
 ) -> list[int]:
     """Penalized optimal change points of a feature sequence.
 
@@ -152,7 +150,7 @@ def kts_changepoints(
         raise ValueError("max_segments must be at least 1")
     kmax = min(max_segments, n)
     # cost_by_end[t, s] = cost(s, t); the table itself is freed here
-    cost_by_end = SegmentCostTable(x, kernel=kernel, gamma=gamma).cost_matrix().T
+    cost_by_end = SegmentCostTable(x, kernel=kernel).cost_matrix().T
 
     # best[k][t]: minimal cost splitting frames [0, t) into exactly k segments
     best = np.full((kmax + 1, n + 1), np.inf)

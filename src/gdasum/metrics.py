@@ -10,7 +10,6 @@ video's content more tightly.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,15 +49,6 @@ def fscore(machine_mask: np.ndarray, user_mask: np.ndarray) -> tuple[float, floa
         return 0.0, 0.0, 0.0
     f = 2.0 * precision * recall / (precision + recall)
     return 100.0 * precision, 100.0 * recall, 100.0 * f
-
-
-def protocol_aggregate(per_user_f: list[float], protocol: EvalProtocol) -> float:
-    """Collapse per-user F-scores to one number per the dataset protocol."""
-    if len(per_user_f) == 0:
-        raise ValueError("need at least one per-user score")
-    if protocol is EvalProtocol.MAX_OVER_USERS:
-        return float(max(per_user_f))
-    return float(np.mean(per_user_f))
 
 
 def video_fscore(
@@ -163,9 +153,6 @@ class MetricsReport:
             out["zeta"] = self.zeta
             out["zeta_skipped_videos"] = self.zeta_skipped_videos
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
         lines = ["video_id,precision,recall,fscore"]

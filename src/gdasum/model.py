@@ -85,6 +85,27 @@ class ModelParams:
     emb_w: np.ndarray
     emb_b: np.ndarray
 
+    @staticmethod
+    def shapes(d: int, h: int, e: int) -> dict[str, tuple[int, ...]]:
+        """Every field's shape, in field order, for given D, H and E."""
+        return {
+            "w_q": (d, d),
+            "w_k": (d, d),
+            "w_v": (d, d),
+            "ff_w": (d, d),
+            "ff_b": (d,),
+            "ln1_scale": (d,),
+            "ln1_offset": (d,),
+            "reg_w1": (h, d),
+            "reg_b1": (h,),
+            "ln2_scale": (h,),
+            "ln2_offset": (h,),
+            "reg_w2": (1, h),
+            "reg_b2": (1,),
+            "emb_w": (e, d),
+            "emb_b": (e,),
+        }
+
     @property
     def dims(self) -> tuple[int, int, int]:
         """(feature dim D, hidden width H, embedding width E)."""
@@ -117,30 +138,19 @@ def init_params(feature_dim: int, hyper: HyperParams, seed: int) -> ModelParams:
     """
     if feature_dim < 1:
         raise ValueError("feature_dim must be positive")
-    d, h, e = feature_dim, hyper.hidden, hyper.embed
     rng = np.random.default_rng(seed)
-
-    def xavier(fan_out, fan_in):
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-a, a, size=(fan_out, fan_in))
-
-    return ModelParams(
-        w_q=xavier(d, d),
-        w_k=xavier(d, d),
-        w_v=xavier(d, d),
-        ff_w=xavier(d, d),
-        ff_b=np.zeros(d),
-        ln1_scale=np.ones(d),
-        ln1_offset=np.zeros(d),
-        reg_w1=xavier(h, d),
-        reg_b1=np.zeros(h),
-        ln2_scale=np.ones(h),
-        ln2_offset=np.zeros(h),
-        reg_w2=xavier(1, h),
-        reg_b2=np.zeros(1),
-        emb_w=xavier(e, d),
-        emb_b=np.zeros(e),
-    )
+    arrays = {}
+    # weights are drawn in field order, which fixes the stream for a seed
+    for name, shape in ModelParams.shapes(feature_dim, hyper.hidden, hyper.embed).items():
+        if name in WEIGHT_FIELDS:
+            fan_out, fan_in = shape
+            a = np.sqrt(6.0 / (fan_in + fan_out))
+            arrays[name] = rng.uniform(-a, a, size=shape)
+        elif name in ("ln1_scale", "ln2_scale"):
+            arrays[name] = np.ones(shape)
+        else:
+            arrays[name] = np.zeros(shape)
+    return ModelParams(**arrays)
 
 
 @dataclass
@@ -174,8 +184,6 @@ class ForwardTrace:
     ln2_inv_std: np.ndarray
     head_mask: np.ndarray | None
     head_drop: np.ndarray
-    logits: np.ndarray
-    mode: str = "eval"
 
     @property
     def n_frames(self) -> int:
@@ -313,8 +321,7 @@ def forward(
     )
     head_drop = ln2_out if head_mask is None else ln2_out * head_mask
     logits = head_drop @ params.reg_w2.T + params.reg_b2
-    logits = logits[:, 0]
-    y = sigmoid(logits)
+    y = sigmoid(logits[:, 0])
 
     phi = ff_out @ params.emb_w.T + params.emb_b
 
@@ -337,6 +344,4 @@ def forward(
         ln2_inv_std=ln2_inv_std,
         head_mask=head_mask,
         head_drop=head_drop,
-        logits=logits,
-        mode=mode,
     )

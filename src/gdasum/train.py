@@ -34,6 +34,9 @@ DEFAULT_LEARNING_RATES = {
     SourceDataset.TVSUM_LIKE: 1e-4,
     SourceDataset.OTHER: 5e-4,
 }
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class CheckpointError(ValueError):
@@ -52,12 +55,8 @@ class TrainConfig:
     epochs: int = 200
     learning_rate: float | None = None
     sigma: float = 0.3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     grad_clip: float | None = 5.0
-    early_stop_patience: int | None = None
     loss_weights: LossWeights | None = None
 
     def __post_init__(self):
@@ -94,19 +93,15 @@ class EpochStats:
     grad_norm_median: float  # global gradient norms before clipping
     grad_norm_max: float
     clipped_fraction: float  # share of the epoch's steps that were clipped
-    validation_score: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "epoch": self.epoch,
             "loss": asdict(self.mean_loss),
             "wall_seconds": self.wall_seconds,
             "grad_norm": {"median": self.grad_norm_median, "max": self.grad_norm_max},
             "clipped_fraction": self.clipped_fraction,
         }
-        if self.validation_score is not None:
-            out["validation_score"] = self.validation_score
-        return out
 
 
 @dataclass
@@ -131,34 +126,29 @@ def resolve_learning_rate(config: TrainConfig, test_records: list[VideoRecord]) 
 
 
 def adam_step(
-    params: ModelParams,
-    grads: ModelParams,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: ModelParams, grads: ModelParams, state: AdamState, lr: float
 ) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update of ``params`` and ``state`` in place.
 
-    Returns the same two objects it was given.
+    Uses β1 = ADAM_BETA1, β2 = ADAM_BETA2 and ε = ADAM_EPS, and returns
+    the same two objects it was given.
     """
     try:
         grads.check_finite()
     except ValueError as exc:
         raise NumericalError(f"adam_step: {exc}") from exc
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for name, theta in params.items():
         g = getattr(grads, name)
         m = getattr(state.m, name)
         v = getattr(state.v, name)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 
@@ -194,17 +184,8 @@ def train(
     split: SplitSpec,
     config: TrainConfig,
     hyper: HyperParams,
-    validate=None,
 ) -> tuple[ModelParams, TrainReport]:
-    """Run the full training loop on one split and return final parameters.
-
-    ``validate``, when given, is called as validate(params, epoch) after
-    each epoch and should return a scalar score (higher is better); the
-    next epoch updates those params in place, so copy them to keep them.  With
-    early_stop_patience set, training stops once the score fails to
-    improve for that many consecutive epochs and the best-scoring
-    parameters are returned.
-    """
+    """Run the full training loop on one split and return final parameters."""
     by_id = {r.id: r for r in records}
     missing = [vid for vid in split.train_ids if vid not in by_id]
     if missing:
@@ -236,9 +217,6 @@ def train(
     params = init_params(feature_dim, hyper, config.seed)
     state = AdamState.zeros(params)
     report = TrainReport()
-    best_params = params
-    best_score = -np.inf
-    stale = 0
     clip = config.grad_clip or np.inf
 
     for epoch in range(config.epochs):
@@ -265,14 +243,13 @@ def train(
                 # free the activations before the next forward allocates its own
                 del trace
                 norm = clip_gradients(grads, clip)[1]
-                adam_step(params, grads, state, lr, config.beta1, config.beta2, config.adam_eps)
+                adam_step(params, grads, state, lr)
             except NumericalError as err:
                 raise NumericalError(f"{err} on video {rec.id!r} at epoch {epoch}") from err
             norms.append(norm)
             sums += astuple(breakdown)
         means = sums / len(train_records)
         mean_loss = LossBreakdown(*means)
-        score = validate(params, epoch) if validate is not None else None
         report.epochs.append(
             EpochStats(
                 epoch=epoch,
@@ -281,38 +258,26 @@ def train(
                 grad_norm_median=float(np.median(norms)),
                 grad_norm_max=max(norms),
                 clipped_fraction=float(np.mean(np.array(norms) > clip)),
-                validation_score=score,
             )
         )
-        if score is not None and config.early_stop_patience is not None:
-            if score > best_score:
-                best_score = score
-                best_params = params.copy()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.early_stop_patience:
-                    return best_params, report
-    if config.early_stop_patience is not None and best_score > -np.inf:
-        return best_params, report
     return params, report
 
 
 def save_checkpoint(
     params: ModelParams,
     path,
-    hyper: HyperParams | None = None,
+    hyper: HyperParams,
     dtype: str = "<f8",
     extra_header: dict | None = None,
 ) -> None:
     """Write params as a one-line JSON header plus raw binary payloads.
 
     The header records the format version, payload dtype, a name-to-shape
-    table in payload order, and the hyperparameters when given; callers
-    may attach extra provenance fields.  float64 payloads (the default)
-    round-trip the in-memory values bit-exactly; "<f4" is accepted for
-    compactness at reduced precision.  Each field is streamed to the
-    open file, so no copy of the whole payload is ever built.
+    table in payload order and the hyperparameters; callers may attach
+    extra provenance fields.  float64 payloads (the default) round-trip
+    the in-memory values bit-exactly; "<f4" is accepted for compactness
+    at reduced precision.  Each field is streamed to the open file, so
+    no copy of the whole payload is ever built.
     """
     if dtype not in CHECKPOINT_DTYPES:
         raise CheckpointError(f"unsupported payload dtype {dtype!r}")
@@ -329,19 +294,62 @@ def save_checkpoint(
         if clash:
             raise CheckpointError(f"extra header fields clash with reserved keys: {sorted(clash)}")
         header.update(extra_header)
-    if hyper is not None:
-        header["hyper"] = asdict(hyper)
+    header["hyper"] = asdict(hyper)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         for arr in params.arrays():
             np.ascontiguousarray(arr, dtype=dtype).tofile(fh)
 
 
-def load_checkpoint(path, expect_feature_dim: int | None = None):
-    """Read a checkpoint; returns (ModelParams, HyperParams or None).
+def _header_shapes(header: dict) -> dict:
+    """The header's shape table, checked against the D, H and E it implies."""
+    shapes = header.get("shapes")
+    if (
+        not isinstance(shapes, dict)
+        or set(shapes) != set(ModelParams.__dataclass_fields__)
+        or not all(
+            isinstance(shape, list)
+            and all(isinstance(s, int) and s >= 0 for s in shape)
+            for shape in shapes.values()
+        )
+    ):
+        raise CheckpointError("header shape table does not match the parameter set")
+    try:
+        dims = shapes["w_q"][1], shapes["reg_w1"][0], shapes["emb_w"][0]
+    except IndexError:
+        raise CheckpointError("header shape table has a field of the wrong rank") from None
+    implied = ModelParams.shapes(*dims)
+    wrong = [name for name, shape in shapes.items() if tuple(shape) != implied[name]]
+    if wrong:
+        raise CheckpointError(
+            "header shape table disagrees with D={}, H={}, E={} (from w_q, reg_w1, "
+            "emb_w) in {}".format(*dims, wrong)
+        )
+    return shapes
 
-    The payload size is checked against the header before any field is
-    read, and each field is read straight into its final array.
+
+def _header_hyper(header: dict) -> HyperParams:
+    h = header.get("hyper")
+    if h is None:
+        raise CheckpointError("header has no hyperparameters ('hyper')")
+    names = {f.name for f in fields(HyperParams)}
+    if not isinstance(h, dict) or set(h) != names:
+        raise CheckpointError(
+            f"header hyperparameters must have exactly the keys {sorted(names)}"
+        )
+    try:
+        return HyperParams(**h)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid hyperparameters: {exc}") from exc
+
+
+def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
+    """Read a checkpoint; returns (ModelParams, HyperParams).
+
+    Every header field is checked before the payload is touched: the
+    shape table must be the one D, H and E imply, the hyperparameters
+    must be present and valid, and the payload size must match.  Each
+    field is then read straight into its final array.
     """
     path = Path(path)
     if not path.is_file():
@@ -363,18 +371,8 @@ def load_checkpoint(path, expect_feature_dim: int | None = None):
         dtype = header.get("dtype")
         if dtype not in CHECKPOINT_DTYPES:
             raise CheckpointError(f"unsupported payload dtype {dtype!r}")
-        shapes = header.get("shapes")
-        expected_names = set(ModelParams.__dataclass_fields__)
-        if (
-            not isinstance(shapes, dict)
-            or set(shapes) != expected_names
-            or not all(
-                isinstance(shape, list)
-                and all(isinstance(s, int) and s >= 0 for s in shape)
-                for shape in shapes.values()
-            )
-        ):
-            raise CheckpointError("header shape table does not match the parameter set")
+        shapes = _header_shapes(header)
+        hyper = _header_hyper(header)
 
         np_dtype = np.dtype(dtype)
         payload_bytes = os.fstat(fh.fileno()).st_size - len(line)
@@ -393,21 +391,4 @@ def load_checkpoint(path, expect_feature_dim: int | None = None):
             arrays[name] = arr.astype(np.float64, copy=False).reshape(shape)
     params = ModelParams(**arrays)
     params.check_finite()
-    if expect_feature_dim is not None and params.dims[0] != expect_feature_dim:
-        raise CheckpointError(
-            f"checkpoint feature dim {params.dims[0]} != expected {expect_feature_dim}"
-        )
-
-    hyper = None
-    if "hyper" in header:
-        h = header["hyper"]
-        names = {f.name for f in fields(HyperParams)}
-        if not isinstance(h, dict) or set(h) != names:
-            raise CheckpointError(
-                f"header hyperparameters must have exactly the keys {sorted(names)}"
-            )
-        try:
-            hyper = HyperParams(**h)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"invalid hyperparameters: {exc}") from exc
     return params, hyper

@@ -86,6 +86,12 @@ def test_pipeline_train_summarize_eval(corpus, tmp_path, capsys):
     assert len(summary_files) == 2  # fold 0 of 6 videos tests 2
     doc = json.loads(summary_files[0].read_text())
     assert doc["format_version"] == "1"
+    # run_config records the settings summarize reads, and nothing else
+    assert sorted(doc["run_config"]) == [
+        "checkpoint", "command", "emit_plot_data", "fold", "kts_kernel",
+        "kts_max_segments", "kts_penalty", "manifest", "out", "ratio", "seed",
+        "setting", "target",
+    ]
     assert len(doc["frame_scores"]) == 60
     assert len(doc["frame_mask"]) == 60
     assert sum(doc["frame_mask"]) <= int(0.15 * 60)
@@ -177,6 +183,46 @@ def test_train_fold_out_of_range(corpus, tmp_path, capsys):
     ])
     assert code == 1
     assert "fold" in capsys.readouterr().err
+
+
+def test_summarize_has_no_model_flags(corpus, tmp_path, capsys):
+    # hyperparameters come from the checkpoint alone
+    base = ["summarize", "--manifest", corpus, "--checkpoint", tmp_path / "any.ckpt"]
+    for flag, value in [
+        ("--alpha-clip", 0.4), ("--hidden", 3), ("--embed", 3), ("--dropout", 0.1),
+        ("--weight-decay", 0.0), ("--beta", 9),
+    ]:
+        assert run([*base, flag, value, "--out", tmp_path / "sums"]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "sums").exists()
+
+
+def test_summarize_feature_dim_mismatch(corpus, tmp_path, capsys):
+    hyper = HyperParams(hidden=8, embed=4)
+    save_checkpoint(init_params(5, hyper, 0), tmp_path / "d5.ckpt", hyper)
+    code = run([
+        "summarize", "--manifest", corpus, "--checkpoint", tmp_path / "d5.ckpt",
+        "--out", tmp_path / "sums",
+    ])
+    assert code == 1
+    assert "feature dim 8 != checkpoint dim 5" in capsys.readouterr().err
+
+
+def test_eval_fold_out_of_range(corpus, tmp_path, capsys):
+    hyper = HyperParams(hidden=8, embed=4)
+    save_checkpoint(init_params(8, hyper, 0), tmp_path / "init.ckpt", hyper)
+    sums = tmp_path / "sums"
+    assert run([
+        "summarize", "--manifest", corpus, "--checkpoint", tmp_path / "init.ckpt",
+        "--out", sums,
+    ]) == 0
+    capsys.readouterr()
+    for fold in (9, -1):
+        assert run([
+            "eval", "--manifest", corpus, "--summaries", sums,
+            "--setting", "canonical", "--fold", fold,
+        ]) == 1
+        assert f"fold {fold} out of range" in capsys.readouterr().err
 
 
 def test_segment_stdout_and_files(corpus, tmp_path, capsys):
@@ -352,12 +398,15 @@ def test_eval_zeta_covers_only_the_fold_test_videos(corpus, tmp_path, capsys):
 
 def test_config_file_feeds_defaults(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"instances": 3}))
+    cfg.write_text(json.dumps({"instances": 3, "epochs": 7}))
     monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
     out = tmp_path / "gc"
     assert run(["gradcheck", "--out", out]) == 0
     doc = json.loads((out / "gradcheck.json").read_text())
     assert len(doc["instances"]) == 6  # 3 seeds x 2 modes
+    # a key of another command is accepted but not recorded
+    assert doc["run_config"]["instances"] == 3
+    assert "epochs" not in doc["run_config"]
 
 
 def test_flags_override_config_file(tmp_path, monkeypatch, capsys):

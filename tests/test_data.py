@@ -102,7 +102,6 @@ def test_load_manifest_round_trip(tmp_path):
         annotations={
             "keyframe_labels": [0, 1, 0, 0, 1, 0],
             "user_summaries": [[[0, 2], [4, 6]], [[1, 3]]],
-            "importance_scores": [[0.1, 0.9, 0.2, 0.1, 0.8, 0.3]],
             "change_points": [2, 4],
         },
     )
@@ -117,7 +116,6 @@ def test_load_manifest_round_trip(tmp_path):
     assert rec.annotations.keyframe_labels.tolist() == [0, 1, 0, 0, 1, 0]
     assert rec.annotations.user_summaries == (((0, 2), (4, 6)), ((1, 3),))
     assert rec.annotations.change_points == (2, 4)
-    assert np.allclose(rec.annotations.importance_scores[0][1], 0.9)
 
 
 def test_load_manifest_duplicate_ids(tmp_path):
@@ -170,12 +168,16 @@ def test_load_manifest_rejects_unknown_source(tmp_path):
 
 
 def test_load_manifest_rejects_unknown_annotation_key(tmp_path):
-    entries = []
-    add_video(tmp_path, entries, "a", annotations={"key_frames": [0, 1]})
-    manifest = tmp_path / "manifest.json"
-    write_manifest(manifest, entries)
-    with pytest.raises(DatasetError, match="unknown annotation keys"):
-        load_manifest(manifest)
+    for annotations in (
+        {"key_frames": [0, 1]},
+        {"importance_scores": [[0.1, 0.9, 0.2, 0.1, 0.8, 0.3, 0.5, 0.4]]},
+    ):
+        entries = []
+        add_video(tmp_path, entries, "a", annotations=annotations)
+        manifest = tmp_path / "manifest.json"
+        write_manifest(manifest, entries)
+        with pytest.raises(DatasetError, match="unknown annotation keys"):
+            load_manifest(manifest)
 
 
 def test_load_manifest_warns_on_single_frame(tmp_path):

@@ -77,11 +77,10 @@ def test_linear_cost_matches_scatter_oracle():
 
 def test_rbf_cost_matches_gram_oracle():
     x = np.random.default_rng(2).standard_normal((12, 3))
-    gamma = 0.5
-    table = SegmentCostTable(x, kernel="rbf", gamma=gamma)
+    table = SegmentCostTable(x, kernel="rbf")  # gamma = 1/D
     for a in range(12):
         for b in range(a + 2, 13):
-            assert abs(table.cost(a, b) - rbf_cost_oracle(x, a, b, gamma)) < 1e-9
+            assert abs(table.cost(a, b) - rbf_cost_oracle(x, a, b, 1.0 / 3)) < 1e-9
 
 
 def test_vectorized_costs_match_scalar():

@@ -12,7 +12,6 @@ from gdasum.metrics import (
     VideoScore,
     diversity_zeta,
     fscore,
-    protocol_aggregate,
     video_fscore,
 )
 
@@ -80,14 +79,6 @@ def test_fscore_rejects_shape_mismatch():
         fscore(np.zeros(4, bool), np.zeros(5, bool))
     with pytest.raises(ValueError):
         fscore(np.zeros((2, 2), bool), np.zeros((2, 2), bool))
-
-
-def test_protocol_aggregate():
-    fs = [50.0, 70.0, 60.0]
-    assert protocol_aggregate(fs, EvalProtocol.MAX_OVER_USERS) == 70.0
-    assert abs(protocol_aggregate(fs, EvalProtocol.MEAN_OVER_USERS) - 60.0) < 1e-12
-    with pytest.raises(ValueError):
-        protocol_aggregate([], EvalProtocol.MAX_OVER_USERS)
 
 
 def test_protocol_by_source_mapping():
@@ -189,7 +180,7 @@ def test_metrics_report_serialization():
         mean_fscore=200.0 / 3.0,
         zeta=0.25,
     )
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(report.to_dict()))
     assert data["protocol"] == "max"
     assert data["per_video"][0]["video_id"] == "a"
     assert abs(data["mean_fscore"] - 200.0 / 3.0) < 1e-9

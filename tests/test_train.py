@@ -381,24 +381,6 @@ def test_train_reports_gradient_norm_before_clipping():
         assert epoch.clipped_fraction == 1.0
 
 
-def test_train_early_stopping_returns_best_params():
-    records, split = small_corpus()
-    seen = []
-
-    def validate(params, epoch):
-        seen.append(params.copy())
-        return 100.0 - epoch  # strictly worsening: best is epoch 0
-
-    config = TrainConfig(
-        epochs=10, learning_rate=1e-3, early_stop_patience=2, seed=0
-    )
-    params, report = train(records, split, config, SMALL_HYPER, validate=validate)
-    assert len(report.epochs) == 3  # epoch 0 best, epochs 1-2 stale
-    assert report.epochs[0].validation_score == 100.0
-    for a, b in zip(params.arrays(), seen[0].arrays()):
-        assert np.array_equal(a, b)
-
-
 def test_train_report_json_lines():
     records, split = small_corpus()
     config = TrainConfig(epochs=2, learning_rate=1e-3)
@@ -449,17 +431,16 @@ def test_checkpoint_round_trip_float64(tmp_path):
 def test_checkpoint_without_hyper(tmp_path):
     params = init_params(4, SMALL_HYPER, 0)
     path = tmp_path / "bare.ckpt"
-    save_checkpoint(params, path)
-    loaded, hyper = load_checkpoint(path)
-    assert hyper is None
-    assert np.array_equal(loaded.w_q, params.w_q)
+    path.write_bytes(reference_checkpoint(params, "<f8"))
+    with pytest.raises(CheckpointError, match="no hyperparameters"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_float32_is_close_but_lossy(tmp_path):
     params = init_params(6, SMALL_HYPER, 3)
     path = tmp_path / "model.f4.ckpt"
-    save_checkpoint(params, path, dtype="<f4")
-    assert path.read_bytes() == reference_checkpoint(params, "<f4")
+    save_checkpoint(params, path, SMALL_HYPER, dtype="<f4")
+    assert path.read_bytes() == reference_checkpoint(params, "<f4", SMALL_HYPER)
     loaded, _ = load_checkpoint(path)
     assert_fresh_float64(loaded)
     exact = True
@@ -472,7 +453,7 @@ def test_checkpoint_float32_is_close_but_lossy(tmp_path):
 def test_checkpoint_rejects_unknown_dtype(tmp_path):
     params = init_params(4, SMALL_HYPER, 0)
     with pytest.raises(CheckpointError, match="dtype"):
-        save_checkpoint(params, tmp_path / "x.ckpt", dtype="<f2")
+        save_checkpoint(params, tmp_path / "x.ckpt", SMALL_HYPER, dtype="<f2")
 
 
 def test_checkpoint_extra_header_round_trip(tmp_path):
@@ -490,9 +471,11 @@ def test_checkpoint_extra_header_round_trip(tmp_path):
 def test_checkpoint_extra_header_clash(tmp_path):
     params = init_params(4, SMALL_HYPER, 0)
     with pytest.raises(CheckpointError, match="clash"):
-        save_checkpoint(params, tmp_path / "x.ckpt", extra_header={"dtype": "<f8"})
+        save_checkpoint(
+            params, tmp_path / "x.ckpt", SMALL_HYPER, extra_header={"dtype": "<f8"}
+        )
     with pytest.raises(CheckpointError, match="clash"):
-        save_checkpoint(params, tmp_path / "x.ckpt", extra_header={"hyper": {}})
+        save_checkpoint(params, tmp_path / "x.ckpt", SMALL_HYPER, extra_header={"hyper": {}})
 
 
 def corrupt(path, mutate):
@@ -560,15 +543,25 @@ def test_checkpoint_error_taxonomy(tmp_path):
     with pytest.raises(CheckpointError, match="not a"):
         load_checkpoint(not_an_object)
 
-    with pytest.raises(CheckpointError, match="feature dim"):
-        load_checkpoint(path, expect_feature_dim=11)
+    # D=6 from w_q, yet ff_b says 7 and ln1_scale 5: the byte total still matches
+    inconsistent = tmp_path / "inconsistent.ckpt"
+    save_checkpoint(init_params(6, SMALL_HYPER, 0), inconsistent, SMALL_HYPER)
+    corrupt(inconsistent, lambda h: h["shapes"].update(ff_b=[7], ln1_scale=[5]))
+    with pytest.raises(CheckpointError, match="shape table"):
+        load_checkpoint(inconsistent)
+
+    low_rank = tmp_path / "low_rank.ckpt"
+    low_rank.write_bytes(path.read_bytes())
+    corrupt(low_rank, lambda h: h["shapes"].update(w_q=[16]))
+    with pytest.raises(CheckpointError, match="shape table"):
+        load_checkpoint(low_rank)
 
 
 def test_checkpoint_short_read_is_an_error(tmp_path, monkeypatch):
     # a file that shrinks after its size was taken: the last field reads short
     params = init_params(4, SMALL_HYPER, 0)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
+    save_checkpoint(params, path, SMALL_HYPER)
     full_size = path.stat().st_size
     path.write_bytes(path.read_bytes()[:-8])
     monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=full_size))
