@@ -1,20 +1,24 @@
 """Command-line pipeline: train, summarize, segment, eval, gradcheck.
 
-Configuration merges three layers: built-in defaults, an optional JSON
-config file named by the GDASUM_CONFIG environment variable, and
-command-line flags (flags win).  Every file this tool writes embeds the
-resolved configuration and a format-version string.  Exit codes: 0 on
-success, 1 on validation errors (bad inputs, files, flags), 2 on
-numerical failures.
+Each setting is one argument of its command's parser, which owns its
+name, type, default and choices.  An optional JSON config file named by
+the GDASUM_CONFIG environment variable supplies flags too: its values
+are parsed as flags placed before the command line's, so they are
+checked the same way and explicit flags win.  Every file this tool
+writes embeds the parsed settings and a format-version string.  Exit
+codes: 0 on success, 1 on validation errors (bad inputs, files, flags),
+2 on numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +26,17 @@ import numpy as np
 from .data import (
     DatasetError,
     SourceDataset,
+    SplitSetting,
     intervals_to_mask,
     load_manifest,
     majority_source,
     make_splits,
 )
-from .kts import kts_changepoints
+from .kts import KERNELS, kts_changepoints
 from .losses import NumericalError, backward, finite_diff_grad, gradient_report
 from .metrics import (
     PROTOCOL_BY_SOURCE,
+    ZETA_NORMALIZATIONS,
     EvalProtocol,
     MetricsReport,
     VideoScore,
@@ -42,6 +48,7 @@ from .summarize import generate_summary
 from .train import (
     CheckpointError,
     TrainConfig,
+    TrainMode,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -49,39 +56,6 @@ from .train import (
 
 FORMAT_VERSION = "1"
 CONFIG_ENV_VAR = "GDASUM_CONFIG"
-
-DEFAULTS = {
-    "manifest": None,
-    "setting": None,
-    "mode": "supervised",
-    "fold": None,
-    "epochs": 200,
-    "lr": None,
-    "sigma": 0.3,
-    "beta": 1.0,
-    "ratio": 0.15,
-    "seed": 0,
-    "checkpoint": None,
-    "out": None,
-    "target": None,
-    "hidden": 1024,
-    "embed": 256,
-    "dropout": 0.6,
-    "weight_decay": 1e-5,
-    "alpha_clip": 1e-7,
-    "grad_clip": 5.0,
-    "kts_penalty": 1.0,
-    "kts_max_segments": None,
-    "kts_kernel": "linear",
-    "summaries": None,
-    "protocol": None,
-    "zeta": False,
-    "zeta_norm": "per_video",
-    "instances": 20,
-    "tolerance": 1e-4,
-    "fd_step": 1e-5,
-    "emit_plot_data": False,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,10 +67,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _file_config() -> dict:
+def _file_flags(parser: argparse.ArgumentParser, command: str) -> list[str]:
+    """The GDASUM_CONFIG file's values, written as flags of ``command``.
+
+    A key is a flag name with "_" for "-".  true sets a store-true flag;
+    false and null leave the default.  A key only other commands define
+    is dropped; a key no command defines is an error.
+    """
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
-        return {}
+        return []
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"{CONFIG_ENV_VAR} names a missing file: {path}")
@@ -106,110 +86,97 @@ def _file_config() -> dict:
         raise DatasetError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DatasetError(f"config file {path} must hold a JSON object")
-    unknown = set(doc) - set(DEFAULTS)
+    defaults = {name: vars(parser.parse_args([name])) for name in COMMANDS}
+    unknown = set(doc).difference(*defaults.values())
     if unknown:
         raise DatasetError(f"config file {path} has unknown keys: {sorted(unknown)}")
-    return doc
+    flags = []
+    for key, value in doc.items():
+        if key not in defaults[command] or value is None:
+            continue
+        if isinstance(value, (list, dict)):
+            raise DatasetError(f"config file {path} key {key!r} must hold one value")
+        flag = "--" + key.replace("_", "-")
+        if defaults[command][key] is False and isinstance(value, bool):  # store-true
+            if value:
+                flags.append(flag)
+        else:
+            flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return flags
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then GDASUM_CONFIG file values, then explicit flags.
-
-    Only the keys the command's own parser defines are kept, so the
-    recorded run_config holds exactly the settings the command reads.
-    """
-    merged = {key: value for key, value in DEFAULTS.items() if hasattr(args, key)}
-    merged.update((key, value) for key, value in _file_config().items() if key in merged)
-    for key in merged:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-    merged["command"] = args.command
-    return merged
+def _provenance(args: argparse.Namespace) -> dict:
+    return {"format_version": FORMAT_VERSION, "run_config": vars(args)}
 
 
-def _hyper_from(cfg: dict) -> HyperParams:
-    return HyperParams(
-        hidden=int(cfg["hidden"]),
-        embed=int(cfg["embed"]),
-        dropout_rate=float(cfg["dropout"]),
-        weight_decay=float(cfg["weight_decay"]),
-        beta=float(cfg["beta"]),
-        alpha_clip=float(cfg["alpha_clip"]),
-    )
-
-
-def _provenance(cfg: dict) -> dict:
-    return {"format_version": FORMAT_VERSION, "run_config": cfg}
-
-
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out"] or "gdasum-out")
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out or "gdasum-out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _requested_splits(cfg: dict, records) -> list:
-    """The splits of the configured setting: the --fold one alone, else all."""
-    splits = make_splits(records, cfg["setting"], int(cfg["seed"]), target=cfg["target"])
-    if cfg["fold"] is None:
+def _requested_splits(args: argparse.Namespace, records) -> list | None:
+    """The splits of --setting: the --fold one alone, else all; None without it."""
+    if args.setting is None:
+        if args.fold is not None:
+            raise DatasetError("--fold needs --setting")
+        return None
+    splits = make_splits(records, args.setting, args.seed, target=args.target)
+    if args.fold is None:
         return splits
-    fold = int(cfg["fold"])
-    if not 0 <= fold < len(splits):
-        raise DatasetError(f"fold {fold} out of range (have {len(splits)})")
-    return [splits[fold]]
+    if not 0 <= args.fold < len(splits):
+        raise DatasetError(f"fold {args.fold} out of range (have {len(splits)})")
+    return [splits[args.fold]]
 
 
-def cmd_train(cfg: dict) -> int:
-    if not cfg["manifest"]:
+def cmd_train(args: argparse.Namespace) -> int:
+    if not args.manifest:
         raise DatasetError("train requires --manifest")
-    records = load_manifest(cfg["manifest"])
-    hyper = _hyper_from(cfg)
-    if cfg["setting"] is None:
-        cfg = {**cfg, "setting": "canonical"}
-    splits = _requested_splits(cfg, records)
-    out = _out_dir(cfg)
+    records = load_manifest(args.manifest)
+    hyper = HyperParams(**{f.name: getattr(args, f.name) for f in fields(HyperParams)})
+    splits = _requested_splits(args, records)
+    out = _out_dir(args)
 
     for split in splits:
         k = split.fold_index
         config = TrainConfig(
-            mode=cfg["mode"],
-            epochs=int(cfg["epochs"]),
-            learning_rate=None if cfg["lr"] is None else float(cfg["lr"]),
-            sigma=float(cfg["sigma"]),
-            seed=int(cfg["seed"]),
-            grad_clip=None if cfg["grad_clip"] in (None, 0) else float(cfg["grad_clip"]),
+            mode=args.mode,
+            epochs=args.epochs,
+            learning_rate=args.lr,
+            sigma=args.sigma,
+            seed=args.seed,
+            grad_clip=args.grad_clip or None,
         )
         params, report = train(records, split, config, hyper)
         ckpt_path = out / f"fold{k}.ckpt"
-        save_checkpoint(params, ckpt_path, hyper, extra_header=_provenance(cfg))
+        save_checkpoint(params, ckpt_path, hyper, extra_header=_provenance(args))
         report.checkpoint_path = str(ckpt_path)
         report_path = out / f"fold{k}.report.jsonl"
         report_path.write_text(
-            json.dumps(_provenance(cfg)) + "\n" + report.to_json_lines()
+            json.dumps(_provenance(args)) + "\n" + report.to_json_lines()
         )
         final = report.epochs[-1].mean_loss.total if report.epochs else float("nan")
         print(f"fold {k}: checkpoint {ckpt_path} report {report_path} final-loss {final:.6f}")
     return 0
 
 
-def _records_to_summarize(cfg: dict, records):
-    if cfg["setting"] is None:
+def _records_to_summarize(args: argparse.Namespace, records):
+    splits = _requested_splits(args, records)
+    if splits is None:
         return records
-    split = _requested_splits(cfg, records)[0]  # fold 0 unless --fold names one
     by_id = {r.id: r for r in records}
-    return [by_id[vid] for vid in split.test_ids]
+    return [by_id[vid] for vid in splits[0].test_ids]  # fold 0 unless --fold names one
 
 
-def cmd_summarize(cfg: dict) -> int:
-    if not cfg["manifest"]:
+def cmd_summarize(args: argparse.Namespace) -> int:
+    if not args.manifest:
         raise DatasetError("summarize requires --manifest")
-    if not cfg["checkpoint"]:
+    if not args.checkpoint:
         raise DatasetError("summarize requires --checkpoint")
-    records = load_manifest(cfg["manifest"])
-    params, hyper = load_checkpoint(cfg["checkpoint"])
-    targets = _records_to_summarize(cfg, records)
-    out = _out_dir(cfg)
+    records = load_manifest(args.manifest)
+    params, hyper = load_checkpoint(args.checkpoint)
+    targets = _records_to_summarize(args, records)
+    out = _out_dir(args)
 
     def summarize_one(rec):
         if rec.features.dim != params.dims[0]:
@@ -222,23 +189,21 @@ def cmd_summarize(cfg: dict) -> int:
             rec.features.matrix,
             params,
             hyper,
-            ratio=float(cfg["ratio"]),
+            ratio=args.ratio,
             video_id=rec.id,
             change_points=None if cps is None else list(cps),
-            max_segments=(
-                None if cfg["kts_max_segments"] is None else int(cfg["kts_max_segments"])
-            ),
-            penalty_coeff=float(cfg["kts_penalty"]),
-            kernel=cfg["kts_kernel"],
+            max_segments=args.kts_max_segments,
+            penalty_coeff=args.kts_penalty,
+            kernel=args.kts_kernel,
         )
         return summary
 
     summaries = [summarize_one(rec) for rec in targets]
     for summary in summaries:
-        doc = {**_provenance(cfg), **summary.to_dict()}
+        doc = {**_provenance(args), **summary.to_dict()}
         path = out / f"{summary.video_id}.summary.json"
         path.write_text(json.dumps(doc) + "\n")
-        if cfg["emit_plot_data"]:
+        if args.emit_plot_data:
             rows = ["frame,score,selected"]
             for i, (score, sel) in enumerate(zip(summary.frame_scores, summary.frame_mask)):
                 rows.append(f"{i},{score:.10g},{int(sel)}")
@@ -247,28 +212,26 @@ def cmd_summarize(cfg: dict) -> int:
     return 0
 
 
-def cmd_segment(cfg: dict) -> int:
-    if not cfg["manifest"]:
+def cmd_segment(args: argparse.Namespace) -> int:
+    if not args.manifest:
         raise DatasetError("segment requires --manifest")
-    records = load_manifest(cfg["manifest"])
+    records = load_manifest(args.manifest)
 
     def segment_one(rec):
         boundaries = kts_changepoints(
             rec.features.matrix,
-            max_segments=(
-                None if cfg["kts_max_segments"] is None else int(cfg["kts_max_segments"])
-            ),
-            penalty_coeff=float(cfg["kts_penalty"]),
-            kernel=cfg["kts_kernel"],
+            max_segments=args.kts_max_segments,
+            penalty_coeff=args.kts_penalty,
+            kernel=args.kts_kernel,
         )
         return {"video_id": rec.id, "boundaries": [int(b) for b in boundaries]}
 
     results = [segment_one(rec) for rec in records]
-    if cfg["out"]:
-        out = _out_dir(cfg)
+    if args.out:
+        out = _out_dir(args)
         for res in results:
             path = out / f"{res['video_id']}.segments.json"
-            path.write_text(json.dumps({**_provenance(cfg), **res}) + "\n")
+            path.write_text(json.dumps({**_provenance(args), **res}) + "\n")
             print(path)
     else:
         for res in results:
@@ -285,12 +248,12 @@ def _user_masks(rec) -> list[np.ndarray]:
     raise DatasetError(f"video {rec.id!r} has no user summaries or keyframe labels")
 
 
-def _eval_protocol(cfg: dict, records) -> EvalProtocol:
+def _eval_protocol(args: argparse.Namespace, records) -> EvalProtocol:
     majority = majority_source(records)
     inferred = PROTOCOL_BY_SOURCE.get(majority.value, EvalProtocol.MEAN_OVER_USERS)
-    if cfg["protocol"] is None:
+    if args.protocol is None:
         return inferred
-    chosen = EvalProtocol(cfg["protocol"])
+    chosen = EvalProtocol(args.protocol)
     if chosen is not inferred and majority is not SourceDataset.OTHER:
         warnings.warn(
             f"protocol {chosen.value!r} overrides the {majority.value} default "
@@ -300,17 +263,17 @@ def _eval_protocol(cfg: dict, records) -> EvalProtocol:
     return chosen
 
 
-def cmd_eval(cfg: dict) -> int:
-    if not cfg["manifest"]:
+def cmd_eval(args: argparse.Namespace) -> int:
+    if not args.manifest:
         raise DatasetError("eval requires --manifest")
-    summaries_dir = cfg["summaries"] or cfg["out"]
+    summaries_dir = args.summaries or args.out
     if not summaries_dir:
         raise DatasetError("eval requires --summaries (or --out) naming the summary directory")
     summaries_dir = Path(summaries_dir)
     if not summaries_dir.is_dir():
         raise DatasetError(f"summary directory not found: {summaries_dir}")
 
-    records = load_manifest(cfg["manifest"])
+    records = load_manifest(args.manifest)
     docs = {}
     for rec in records:
         path = summaries_dir / f"{rec.id}.summary.json"
@@ -320,7 +283,7 @@ def cmd_eval(cfg: dict) -> int:
         raise DatasetError(f"no *.summary.json files in {summaries_dir} match the manifest")
 
     scored_records = [r for r in records if r.id in docs]
-    protocol = _eval_protocol(cfg, scored_records)
+    protocol = _eval_protocol(args, scored_records)
 
     per_video = {}
     for rec in scored_records:
@@ -333,13 +296,11 @@ def cmd_eval(cfg: dict) -> int:
         p, r, f = video_fscore(machine, _user_masks(rec), protocol)
         per_video[rec.id] = VideoScore(rec.id, p, r, f)
 
-    if cfg["setting"] is None:
+    splits = _requested_splits(args, records)
+    if splits is None:
         folds = [sorted(per_video)]
     else:
-        folds = [
-            [vid for vid in split.test_ids if vid in per_video]
-            for split in _requested_splits(cfg, records)
-        ]
+        folds = [[vid for vid in split.test_ids if vid in per_video] for split in splits]
         folds = [fold for fold in folds if fold]
         if not folds:
             raise DatasetError("no summarized videos fall in the requested fold(s)")
@@ -349,7 +310,7 @@ def cmd_eval(cfg: dict) -> int:
     ]
 
     zeta, zeta_skipped = None, 0
-    if cfg["zeta"]:
+    if args.zeta:
         by_id = {r.id: r for r in records}
         scored = {vid for fold in folds for vid in fold}
         zeta_videos = []
@@ -362,7 +323,7 @@ def cmd_eval(cfg: dict) -> int:
             zeta_videos.append((shot_feats, list(doc["selected"])))
         # videos that selected no shot are left out of zeta, and counted
         zeta_skipped = sum(not selected for _, selected in zeta_videos)
-        zeta = diversity_zeta(zeta_videos, normalization=cfg["zeta_norm"])
+        zeta = diversity_zeta(zeta_videos, normalization=args.zeta_norm)
 
     report = MetricsReport(
         protocol=protocol,
@@ -372,10 +333,10 @@ def cmd_eval(cfg: dict) -> int:
         zeta=zeta,
         zeta_skipped_videos=zeta_skipped,
     )
-    doc = {**_provenance(cfg), **report.to_dict()}
+    doc = {**_provenance(args), **report.to_dict()}
     text = json.dumps(doc, indent=2) + "\n"
-    if cfg["out"]:
-        out = _out_dir(cfg)
+    if args.out:
+        out = _out_dir(args)
         (out / "metrics.json").write_text(text)
         (out / "metrics.csv").write_text(report.to_csv())
         print(out / "metrics.json")
@@ -409,32 +370,36 @@ def run_gradcheck_instance(
     return gradient_report(analytic, numeric)["max"]
 
 
-def cmd_gradcheck(cfg: dict) -> int:
-    tolerance = float(cfg["tolerance"])
+def cmd_gradcheck(args: argparse.Namespace) -> int:
     rows = []
     worst = 0.0
-    for i in range(int(cfg["instances"])):
-        seed = int(cfg["seed"]) + i
+    for i in range(args.instances):
+        seed = args.seed + i
         for mode in ("supervised", "unsupervised"):
-            err = run_gradcheck_instance(seed, mode, step=float(cfg["fd_step"]))
+            err = run_gradcheck_instance(seed, mode, step=args.fd_step)
             rows.append({"seed": seed, "mode": mode, "max_rel_err": err})
             worst = max(worst, err)
-    ok = worst <= tolerance
+    ok = worst <= args.tolerance
     doc = {
-        **_provenance(cfg),
-        "tolerance": tolerance,
+        **_provenance(args),
+        "tolerance": args.tolerance,
         "instances": rows,
         "max_rel_err": worst,
         "pass": ok,
     }
     text = json.dumps(doc, indent=2) + "\n"
-    if cfg["out"]:
-        out = _out_dir(cfg)
+    if args.out:
+        out = _out_dir(args)
         (out / "gradcheck.json").write_text(text)
         print(out / "gradcheck.json")
     print(f"gradcheck max relative error {worst:.3e} "
-          f"({'PASS' if ok else 'FAIL'} at tolerance {tolerance:.1e})")
+          f"({'PASS' if ok else 'FAIL'} at tolerance {args.tolerance:.1e})")
     return 0 if ok else 2
+
+
+def _default(func, name: str):
+    """The default of ``func``'s parameter ``name``, so the CLI does not restate it."""
+    return inspect.signature(func).parameters[name].default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,48 +408,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--manifest", help="dataset manifest JSON")
-        p.add_argument("--seed", type=int, help="PRNG seed (default 0)")
+        p.add_argument("--seed", type=int, default=TrainConfig.seed,
+                       help="PRNG seed (default %(default)s)")
         p.add_argument("--out", help="output directory")
 
-    def add_split(p):
-        p.add_argument("--setting", choices=["canonical", "augmented", "transfer"])
+    def add_split(p, setting=None):
+        p.add_argument("--setting", choices=[s.value for s in SplitSetting], default=setting,
+                       help="split setting (default %(default)s)" if setting
+                       else "split setting (default: every video, no folds)")
         p.add_argument("--fold", type=int, help="restrict to one fold index")
         p.add_argument("--target", choices=[s.value for s in SourceDataset],
                        help="source_dataset value naming the dataset under test")
 
-    def add_hyper(p):
-        p.add_argument("--hidden", type=int, help="hidden width (default 1024)")
-        p.add_argument("--embed", type=int, help="embedding width (default 256)")
-        p.add_argument("--dropout", type=float, help="dropout rate (default 0.6)")
-        p.add_argument("--weight-decay", dest="weight_decay", type=float)
-        p.add_argument("--alpha-clip", dest="alpha_clip", type=float)
-        p.add_argument("--beta", type=float, help="similarity kernel bandwidth (default 1)")
-
     def add_kts(p):
-        p.add_argument("--kts-penalty", dest="kts_penalty", type=float,
-                       help="segmentation penalty coefficient (default 1)")
-        p.add_argument("--kts-max-segments", dest="kts_max_segments", type=int)
-        p.add_argument("--kts-kernel", dest="kts_kernel", choices=["linear", "rbf"])
+        p.add_argument("--kts-penalty", type=float,
+                       default=_default(kts_changepoints, "penalty_coeff"),
+                       help="segmentation penalty coefficient (default %(default)s)")
+        p.add_argument("--kts-max-segments", type=int,
+                       help="most segments per video (default N/10 rounded up)")
+        p.add_argument("--kts-kernel", choices=KERNELS,
+                       default=_default(kts_changepoints, "kernel"),
+                       help="segment cost kernel (default %(default)s)")
 
     p_train = sub.add_parser("train", help="train per-fold models")
     add_common(p_train)
-    add_split(p_train)
-    add_hyper(p_train)
-    p_train.add_argument("--mode", choices=["supervised", "unsupervised", "semi"])
-    p_train.add_argument("--epochs", type=int, help="training epochs (default 200)")
+    add_split(p_train, setting=SplitSetting.CANONICAL.value)
+    hyper = p_train.add_argument_group(
+        "model hyperparameters",
+        "The fields of gdasum.HyperParams; the checkpoint records them for summarize.",
+    )
+    for f in fields(HyperParams):
+        hyper.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                           default=f.default, help="default %(default)s")
+    p_train.add_argument("--mode", choices=[m.value for m in TrainMode],
+                         default=TrainConfig.mode.value, help="training objective (default %(default)s)")
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                         help="training epochs (default %(default)s)")
     p_train.add_argument("--lr", type=float, help="learning rate (default per dataset)")
-    p_train.add_argument("--sigma", type=float, help="summary-ratio target (default 0.3)")
-    p_train.add_argument("--grad-clip", dest="grad_clip", type=float,
-                         help="gradient norm clip (default 5, 0 disables)")
+    p_train.add_argument("--sigma", type=float, default=TrainConfig.sigma,
+                         help="summary-ratio target (default %(default)s)")
+    p_train.add_argument("--grad-clip", type=float, default=TrainConfig.grad_clip,
+                         help="gradient norm clip (default %(default)s, 0 disables)")
 
     p_sum = sub.add_parser("summarize", help="generate summaries from a checkpoint")
     add_common(p_sum)
     add_split(p_sum)
     add_kts(p_sum)
     p_sum.add_argument("--checkpoint", help="trained checkpoint path")
-    p_sum.add_argument("--ratio", type=float, help="summary length budget (default 0.15)")
-    p_sum.add_argument("--emit-plot-data", dest="emit_plot_data",
-                       action="store_const", const=True,
+    p_sum.add_argument("--ratio", type=float, default=_default(generate_summary, "ratio"),
+                       help="summary length budget (default %(default)s)")
+    p_sum.add_argument("--emit-plot-data", action="store_true",
                        help="also write per-video frame,score,selected CSVs")
 
     p_seg = sub.add_parser("segment", help="detect shot boundaries")
@@ -495,18 +468,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_eval)
     add_split(p_eval)
     p_eval.add_argument("--summaries", help="directory of *.summary.json files")
-    p_eval.add_argument("--protocol", choices=["max", "mean"],
+    p_eval.add_argument("--protocol", choices=[p.value for p in EvalProtocol],
                         help="per-user aggregation override")
-    p_eval.add_argument("--zeta", action="store_const", const=True,
-                        help="include the diversity metric")
-    p_eval.add_argument("--zeta-norm", dest="zeta_norm", choices=["per_video", "global"])
+    p_eval.add_argument("--zeta", action="store_true", help="include the diversity metric")
+    p_eval.add_argument("--zeta-norm", choices=ZETA_NORMALIZATIONS,
+                        default=_default(diversity_zeta, "normalization"),
+                        help="diversity normalization (default %(default)s)")
 
     p_grad = sub.add_parser("gradcheck", help="verify gradients by finite differences")
     add_common(p_grad)
-    p_grad.add_argument("--instances", type=int, help="random instances (default 20)")
-    p_grad.add_argument("--tolerance", type=float, help="max relative error (default 1e-4)")
-    p_grad.add_argument("--fd-step", dest="fd_step", type=float,
-                        help="finite difference step (default 1e-5)")
+    p_grad.add_argument("--instances", type=int, default=20,
+                        help="random instances (default %(default)s)")
+    p_grad.add_argument("--tolerance", type=float, default=1e-4,
+                        help="max relative error (default %(default)s)")
+    p_grad.add_argument("--fd-step", type=float, default=_default(run_gradcheck_instance, "step"),
+                        help="finite difference step (default %(default)s)")
     return parser
 
 
@@ -520,11 +496,13 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
+        if argv and argv[0] in COMMANDS:
+            argv = [argv[0], *_file_flags(parser, argv[0]), *argv[1:]]
         args = parser.parse_args(argv)
-        cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -22,6 +22,8 @@ import numpy as np
 # and 16 * N^2 bytes during the DP: 0.9 GB at the cap.
 MAX_FRAMES = 6000
 
+KERNELS = ("linear", "rbf")
+
 
 @dataclass(frozen=True)
 class Shot:
@@ -66,7 +68,7 @@ class SegmentCostTable:
             )
         if not np.all(np.isfinite(x)):
             raise ValueError("features contain non-finite values")
-        if kernel not in ("linear", "rbf"):
+        if kernel not in KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}")
         self.n = x.shape[0]
         gram = x @ x.T

@@ -20,6 +20,8 @@ class EvalProtocol(enum.Enum):
     MEAN_OVER_USERS = "mean"
 
 
+ZETA_NORMALIZATIONS = ("per_video", "global")
+
 PROTOCOL_BY_SOURCE = {
     "summe-like": EvalProtocol.MAX_OVER_USERS,
     "tvsum-like": EvalProtocol.MEAN_OVER_USERS,
@@ -88,7 +90,7 @@ def diversity_zeta(
     """
     if not videos:
         raise ValueError("need at least one video")
-    if normalization not in ("per_video", "global"):
+    if normalization not in ZETA_NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     per_video_means = []
     total = 0.0

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -189,7 +190,7 @@ def test_summarize_has_no_model_flags(corpus, tmp_path, capsys):
     # hyperparameters come from the checkpoint alone
     base = ["summarize", "--manifest", corpus, "--checkpoint", tmp_path / "any.ckpt"]
     for flag, value in [
-        ("--alpha-clip", 0.4), ("--hidden", 3), ("--embed", 3), ("--dropout", 0.1),
+        ("--alpha-clip", 0.4), ("--hidden", 3), ("--embed", 3), ("--dropout-rate", 0.1),
         ("--weight-decay", 0.0), ("--beta", 9),
     ]:
         assert run([*base, flag, value, "--out", tmp_path / "sums"]) == 1
@@ -223,6 +224,31 @@ def test_eval_fold_out_of_range(corpus, tmp_path, capsys):
             "--setting", "canonical", "--fold", fold,
         ]) == 1
         assert f"fold {fold} out of range" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def init_summaries(corpus, tmp_path_factory):
+    """An untrained D=8 checkpoint and its summaries of every corpus video."""
+    root = tmp_path_factory.mktemp("init")
+    hyper = HyperParams(hidden=8, embed=4)
+    save_checkpoint(init_params(8, hyper, 0), root / "init.ckpt", hyper)
+    assert run([
+        "summarize", "--manifest", corpus, "--checkpoint", root / "init.ckpt",
+        "--out", root / "sums",
+    ]) == 0
+    return root / "init.ckpt", root / "sums"
+
+
+def test_fold_needs_setting(corpus, init_summaries, tmp_path, capsys):
+    ckpt, sums = init_summaries
+    capsys.readouterr()
+    for args in (
+        ["summarize", "--checkpoint", ckpt, "--out", tmp_path / "sums"],
+        ["eval", "--summaries", sums],
+    ):
+        assert run([*args, "--manifest", corpus, "--fold", 9]) == 1
+        assert "--fold needs --setting" in capsys.readouterr().err
+    assert not (tmp_path / "sums").exists()
 
 
 def test_segment_stdout_and_files(corpus, tmp_path, capsys):
@@ -427,6 +453,64 @@ def test_config_file_errors(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(CONFIG_ENV_VAR, str(bad))
     assert run(["gradcheck", "--instances", 1]) == 1
     assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, command, named", [
+    ({"epochs": 2.9}, "train", "argument --epochs"),
+    ({"zeta": "false"}, "eval", "argument --zeta"),
+    # the corpus has change points, so summarize never runs KTS
+    ({"kts_kernel": "foo"}, "summarize", "argument --kts-kernel"),
+    ({"summaries": ["a", "b"]}, "eval", "key 'summaries'"),
+])
+def test_config_file_values_are_checked_like_flags(
+    doc, command, named, corpus, init_summaries, tmp_path, monkeypatch, capsys
+):
+    ckpt, sums = init_summaries
+    args = {
+        "train": ["--fold", 0, "--hidden", 8, "--embed", 4, "--lr", "1e-3"],
+        "summarize": ["--checkpoint", ckpt],
+        "eval": ["--summaries", sums],
+    }[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, "--manifest", corpus, *args, "--out", out]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_values_are_parsed(corpus, init_summaries, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+    cfg.write_text(json.dumps({"epochs": "3", "hidden": 8, "embed": 4, "lr": "1e-3"}))
+    out = tmp_path / "train"
+    assert run(["train", "--manifest", corpus, "--fold", 0, "--out", out]) == 0
+    lines = (out / "fold0.report.jsonl").read_text().splitlines()
+    run_config = json.loads(lines[0])["run_config"]
+    assert run_config["epochs"] == 3 and type(run_config["epochs"]) is int
+    assert len(lines) == 1 + 3 + 1  # provenance, one record per epoch, checkpoint path
+
+    # true sets a store-true flag and null leaves the default
+    cfg.write_text(json.dumps({"zeta": True, "zeta_norm": None}))
+    metrics = tmp_path / "metrics"
+    _, sums = init_summaries
+    assert run(["eval", "--manifest", corpus, "--summaries", sums, "--out", metrics]) == 0
+    doc = json.loads((metrics / "metrics.json").read_text())
+    assert doc["zeta"] is not None
+    assert doc["run_config"]["zeta"] is True
+    assert doc["run_config"]["zeta_norm"] == "per_video"
+
+
+@pytest.mark.parametrize("command", ["train", "summarize", "segment", "eval", "gradcheck"])
+def test_command_help(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    assert "%(" not in text
+    if command == "train":
+        assert re.search(r"--dropout-rate DROPOUT_RATE\s+default 0\.6\n", text)
 
 
 def test_console_script_entry_point():
