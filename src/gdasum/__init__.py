@@ -36,7 +36,6 @@ from .losses import (
     LossWeights,
     NumericalError,
     backward,
-    dpp_kernel,
     dpp_log_prob,
     finite_diff_grad,
     gradient_report,
@@ -118,7 +117,6 @@ __all__ = [
     "backward",
     "diversity_weights",
     "diversity_zeta",
-    "dpp_kernel",
     "dpp_log_prob",
     "finite_diff_grad",
     "forward",

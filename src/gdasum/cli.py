@@ -58,13 +58,19 @@ FORMAT_VERSION = "1"
 CONFIG_ENV_VAR = "GDASUM_CONFIG"
 
 
+class _UsageError(Exception):
+    """A bad flag, raised by the parser that found it."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on bad usage; remap to validation (1)."""
+    """argparse exits with code 2 on bad usage; raise so main exits 1 instead."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _UsageError(self, message)
 
 
 def _file_flags(parser: argparse.ArgumentParser, command: str) -> list[str]:
@@ -72,7 +78,8 @@ def _file_flags(parser: argparse.ArgumentParser, command: str) -> list[str]:
 
     A key is a flag name with "_" for "-".  true sets a store-true flag;
     false and null leave the default.  A key only other commands define
-    is dropped; a key no command defines is an error.
+    is dropped; a key no command defines is an error, and so is a value
+    the flag would refuse, named by file and key.
     """
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
@@ -98,10 +105,14 @@ def _file_flags(parser: argparse.ArgumentParser, command: str) -> list[str]:
             raise DatasetError(f"config file {path} key {key!r} must hold one value")
         flag = "--" + key.replace("_", "-")
         if defaults[command][key] is False and isinstance(value, bool):  # store-true
-            if value:
-                flags.append(flag)
+            key_flags = [flag] if value else []
         else:
-            flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+            key_flags = [f"{flag}={value if isinstance(value, str) else json.dumps(value)}"]
+        try:
+            parser.parse_args([command, *key_flags])
+        except _UsageError as exc:
+            raise DatasetError(f"config file {path} key {key!r}: {exc}") from None
+        flags += key_flags
     return flags
 
 
@@ -168,6 +179,16 @@ def _records_to_summarize(args: argparse.Namespace, records):
     return [by_id[vid] for vid in splits[0].test_ids]  # fold 0 unless --fold names one
 
 
+def _kts_boundaries(args: argparse.Namespace, x: np.ndarray) -> list[int]:
+    """Shot boundaries of one video by KTS, under the command's --kts-* flags."""
+    return kts_changepoints(
+        x,
+        max_segments=args.kts_max_segments,
+        penalty_coeff=args.kts_penalty,
+        kernel=args.kts_kernel,
+    )
+
+
 def cmd_summarize(args: argparse.Namespace) -> int:
     if not args.manifest:
         raise DatasetError("summarize requires --manifest")
@@ -184,17 +205,12 @@ def cmd_summarize(args: argparse.Namespace) -> int:
                 f"video {rec.id!r} feature dim {rec.features.dim} != "
                 f"checkpoint dim {params.dims[0]}"
             )
+        x = rec.features.matrix
         cps = rec.annotations.change_points
+        if cps is None:
+            cps = _kts_boundaries(args, x)
         summary, _ = generate_summary(
-            rec.features.matrix,
-            params,
-            hyper,
-            ratio=args.ratio,
-            video_id=rec.id,
-            change_points=None if cps is None else list(cps),
-            max_segments=args.kts_max_segments,
-            penalty_coeff=args.kts_penalty,
-            kernel=args.kts_kernel,
+            x, params, hyper, list(cps), ratio=args.ratio, video_id=rec.id
         )
         return summary
 
@@ -218,12 +234,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     records = load_manifest(args.manifest)
 
     def segment_one(rec):
-        boundaries = kts_changepoints(
-            rec.features.matrix,
-            max_segments=args.kts_max_segments,
-            penalty_coeff=args.kts_penalty,
-            kernel=args.kts_kernel,
-        )
+        boundaries = _kts_boundaries(args, rec.features.matrix)
         return {"video_id": rec.id, "boundaries": [int(b) for b in boundaries]}
 
     results = [segment_one(rec) for rec in records]
@@ -406,10 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gdasum", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--manifest", help="dataset manifest JSON")
-        p.add_argument("--seed", type=int, default=TrainConfig.seed,
-                       help="PRNG seed (default %(default)s)")
+    def add_common(p, reads=("manifest", "seed")):
+        # only the settings the command reads, so run_config records no others
+        if "manifest" in reads:
+            p.add_argument("--manifest", help="dataset manifest JSON")
+        if "seed" in reads:
+            p.add_argument("--seed", type=int, default=TrainConfig.seed,
+                           help="PRNG seed (default %(default)s)")
         p.add_argument("--out", help="output directory")
 
     def add_split(p, setting=None):
@@ -461,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write per-video frame,score,selected CSVs")
 
     p_seg = sub.add_parser("segment", help="detect shot boundaries")
-    add_common(p_seg)
+    add_common(p_seg, reads=("manifest",))
     add_kts(p_seg)
 
     p_eval = sub.add_parser("eval", help="score summaries against annotations")
@@ -476,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="diversity normalization (default %(default)s)")
 
     p_grad = sub.add_parser("gradcheck", help="verify gradients by finite differences")
-    add_common(p_grad)
+    add_common(p_grad, reads=("seed",))
     p_grad.add_argument("--instances", type=int, default=20,
                         help="random instances (default %(default)s)")
     p_grad.add_argument("--tolerance", type=float, default=1e-4,
@@ -503,7 +517,11 @@ def main(argv: list[str] | None = None) -> int:
             argv = [argv[0], *_file_flags(parser, argv[0]), *argv[1:]]
         args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        exc.parser.print_usage(sys.stderr)
+        print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ class Shot:
 
 
 class SegmentCostTable:
-    """Within-segment cost of any [s, t), in O(1) from Gram prefix sums.
+    """Within-segment cost of every [s, t), from Gram prefix sums.
 
     With K the Gram matrix of the kernel (K = X X^T for "linear",
     K_ij = exp(-gamma ||x_i - x_j||^2) for "rbf", with gamma = 1/D),
@@ -57,7 +57,7 @@ class SegmentCostTable:
     O(N^2) memory, so N is capped at MAX_FRAMES.
     """
 
-    def __init__(self, x: np.ndarray, kernel: str = "linear"):
+    def __init__(self, x: np.ndarray, kernel: str):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError("expected a nonempty (N, D) feature matrix")
@@ -89,23 +89,12 @@ class SegmentCostTable:
         np.cumsum(block[1:, 1:], axis=1, out=block[1:, 1:])
         self._block = block
 
-    def cost(self, a: int, b: int) -> float:
-        """cost(a, b) for one segment, straight from the prefix sums."""
-        if not 0 <= a <= b <= self.n:
-            raise ValueError(f"segment [{a}, {b}) out of range")
-        if b - a <= 1:
-            return 0.0
-        blk = self._block
-        inner = blk[b, b] - blk[a, b] - blk[b, a] + blk[a, a]
-        return float((self._diag[b] - self._diag[a]) - inner / (b - a))
-
     def cost_matrix(self) -> np.ndarray:
         """Every segment cost: C[s, t] = cost(s, t), +inf where s >= t.
 
         The (N+1)^2 result is Fortran-ordered, so C.T, whose row t holds
         the costs of all segments ending at t, is C-contiguous.
         """
-        # the same operations, in the same order, as cost(s, t)
         blk = self._block
         corner = np.diagonal(blk)
         by_end = np.empty_like(blk)  # by_end[t, s] = cost(s, t)

@@ -43,15 +43,12 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class LossWeights:
-    """Coefficients on the individual loss terms; all default to one.
+    """Coefficient on the supervised variation (DPP) term.
 
-    Zeroing a coefficient drops the term entirely (used for ablations).
+    Zero drops the term entirely: the keyframe-only ablation.
     """
 
-    keyframe: float = 1.0
     variation: float = 1.0
-    length: float = 1.0
-    repelling: float = 1.0
 
 
 @dataclass
@@ -89,19 +86,9 @@ def pairwise_sq_dists(phi: np.ndarray) -> np.ndarray:
 
 
 def _similarity_and_kernel(y, phi, beta):
+    """exp(-beta D^2) and the quality-diversity kernel L = y y^T * exp(-beta D^2)."""
     sim = np.exp(-beta * pairwise_sq_dists(phi))
     return sim, y[:, None] * y[None, :] * sim
-
-
-def dpp_kernel(y: np.ndarray, phi: np.ndarray, beta: float) -> np.ndarray:
-    """Quality-diversity kernel L[i, j] = y_i y_j exp(-beta ||phi_i - phi_j||^2).
-
-    Symmetric PSD with diagonal y_i^2 (the similarity of a frame with
-    itself is one).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    return _similarity_and_kernel(y, phi, beta)[1]
 
 
 def dpp_log_prob(kernel: np.ndarray, subset) -> float:
@@ -212,22 +199,22 @@ def _loss_terms(trace, params, hyper, mode, labels, sigma, w):
     y, phi = trace.y, trace.phi
 
     if mode == "supervised":
-        key = w.keyframe * keyframe_loss(y, labels)
+        key = keyframe_loss(y, labels)
         var, shared = 0.0, None
         if w.variation != 0.0:
             shared = _similarity_and_kernel(y, phi, hyper.beta)
             var = w.variation * variation_loss(shared[1], keyframe_indices(labels))
         return LossBreakdown(var, key, 0.0, 0.0, pen, key + var + pen), shared
 
-    length = w.length * length_loss(y, sigma)
+    length = length_loss(y, sigma)
     rep, shared = 0.0, None
-    if w.repelling != 0.0 and phi.shape[0] >= 2:
+    if phi.shape[0] >= 2:
         try:
             shared = _cosines(phi)
         except ValueError as exc:
             # dropout can zero a frame's embedding: a training fault, not bad input
             raise NumericalError(str(exc)) from exc
-        rep = w.repelling * _mean_off_diagonal(shared[2])
+        rep = _mean_off_diagonal(shared[2])
     return LossBreakdown(0.0, 0.0, length, rep, pen, length + rep + pen), shared
 
 
@@ -264,7 +251,7 @@ def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w, shared):
     if mode == "supervised":
         yc = np.clip(y, SCORE_CLIP, 1.0 - SCORE_CLIP)
         live = (y > SCORE_CLIP) & (y < 1.0 - SCORE_CLIP)
-        dy += w.keyframe * live * (-labels / yc + (1.0 - labels) / (1.0 - yc))
+        dy += live * (-labels / yc + (1.0 - labels) / (1.0 - yc))
 
         if shared is not None:
             sim, kernel = shared
@@ -294,10 +281,10 @@ def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w, shared):
     # unsupervised
     diff = y.mean() - sigma
     if diff != 0.0:
-        dy += w.length * np.sign(diff) / n
+        dy += np.sign(diff) / n
     if shared is not None:
         norms, u, cos = shared
-        c = w.repelling / (n * (n - 1))
+        c = 1.0 / (n * (n - 1))
         # d/dphi_k of sum_{i != j} cos_ij = 2 sum_{j != k} (u_j - cos_kj u_k) / ||phi_k||
         u_sum = u.sum(axis=0)
         cos_row = cos.sum(axis=1)

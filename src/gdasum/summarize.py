@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kts import Shot, kts_changepoints, shots_from_changepoints
+from .kts import Shot, shots_from_changepoints
 from .model import ForwardTrace, HyperParams, ModelParams, forward
 
 
@@ -115,7 +115,7 @@ def summary_from_scores(
     video_id: str,
     frame_scores: np.ndarray,
     shots: list[Shot],
-    ratio: float = 0.15,
+    ratio: float,
 ) -> Summary:
     """Knapsack-selected summary capped at floor(ratio * N) frames."""
     if not 0.0 < ratio <= 1.0:
@@ -141,27 +141,18 @@ def generate_summary(
     x: np.ndarray,
     params: ModelParams,
     hyper: HyperParams,
+    change_points: list[int],
     ratio: float = 0.15,
     video_id: str = "",
-    change_points: list[int] | None = None,
-    max_segments: int | None = None,
-    penalty_coeff: float = 1.0,
-    kernel: str = "linear",
 ) -> tuple[Summary, ForwardTrace]:
-    """Score frames with the trained model, segment, and select key shots.
+    """Score frames with the trained model and select key shots.
 
-    Runs an evaluation-mode forward pass, partitions the video into
-    shots (precomputed change points bypass segmentation when given),
-    and picks shots by knapsack under a floor(ratio * N) frame budget.
+    Runs an evaluation-mode forward pass, cuts the video into shots at
+    the given interior boundaries (annotated change points, or those
+    ``kts_changepoints`` finds), and picks shots by knapsack under a
+    floor(ratio * N) frame budget.
     """
     trace = forward(x, params, hyper, mode="eval")
-    n = x.shape[0]
-    if change_points is not None:
-        boundaries = list(change_points)
-    else:
-        boundaries = kts_changepoints(
-            x, max_segments=max_segments, penalty_coeff=penalty_coeff, kernel=kernel
-        )
-    shots = shots_from_changepoints(boundaries, n)
+    shots = shots_from_changepoints(change_points, x.shape[0])
     summary = summary_from_scores(video_id, trace.y, shots, ratio)
     return summary, trace

@@ -27,8 +27,8 @@ from .model import HyperParams, ModelParams, forward, init_params
 
 CHECKPOINT_FORMAT = "gdasum-checkpoint"
 CHECKPOINT_VERSION = 1
-# payload dtypes: float64 round-trips bit-exactly, float32 halves the file
-CHECKPOINT_DTYPES = ("<f8", "<f4")
+# little-endian float64: the payload round-trips the parameters bit-exactly
+CHECKPOINT_DTYPE = "<f8"
 DEFAULT_LEARNING_RATES = {
     SourceDataset.SUMME_LIKE: 5e-5,
     SourceDataset.TVSUM_LIKE: 1e-4,
@@ -267,25 +267,21 @@ def save_checkpoint(
     params: ModelParams,
     path,
     hyper: HyperParams,
-    dtype: str = "<f8",
     extra_header: dict | None = None,
 ) -> None:
-    """Write params as a one-line JSON header plus raw binary payloads.
+    """Write params as a one-line JSON header plus raw float64 payloads.
 
     The header records the format version, payload dtype, a name-to-shape
     table in payload order and the hyperparameters; callers may attach
-    extra provenance fields.  float64 payloads (the default) round-trip
-    the in-memory values bit-exactly; "<f4" is accepted for compactness
-    at reduced precision.  Each field is streamed to the open file, so
-    no copy of the whole payload is ever built.
+    extra provenance fields.  The payload round-trips the in-memory
+    values bit-exactly.  Each field is streamed to the open file, so no
+    copy of the whole payload is ever built.
     """
-    if dtype not in CHECKPOINT_DTYPES:
-        raise CheckpointError(f"unsupported payload dtype {dtype!r}")
     params.check_finite()
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "dtype": dtype,
+        "dtype": CHECKPOINT_DTYPE,
         "shapes": {name: list(arr.shape) for name, arr in params.items()},
     }
     if extra_header:
@@ -298,32 +294,23 @@ def save_checkpoint(
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         for arr in params.arrays():
-            np.ascontiguousarray(arr, dtype=dtype).tofile(fh)
+            np.ascontiguousarray(arr, dtype=CHECKPOINT_DTYPE).tofile(fh)
 
 
-def _header_shapes(header: dict) -> dict:
-    """The header's shape table, checked against the D, H and E it implies."""
+def _header_shapes(header: dict, hyper: HyperParams) -> dict:
+    """The header's shape table, which must be the one D (from w_q) and hyper imply."""
     shapes = header.get("shapes")
-    if (
-        not isinstance(shapes, dict)
-        or set(shapes) != set(ModelParams.__dataclass_fields__)
-        or not all(
-            isinstance(shape, list)
-            and all(isinstance(s, int) and s >= 0 for s in shape)
-            for shape in shapes.values()
-        )
-    ):
-        raise CheckpointError("header shape table does not match the parameter set")
     try:
-        dims = shapes["w_q"][1], shapes["reg_w1"][0], shapes["emb_w"][0]
-    except IndexError:
-        raise CheckpointError("header shape table has a field of the wrong rank") from None
-    implied = ModelParams.shapes(*dims)
-    wrong = [name for name, shape in shapes.items() if tuple(shape) != implied[name]]
-    if wrong:
+        d = shapes["w_q"][1]
+    except (TypeError, KeyError, IndexError):
+        raise CheckpointError("header shape table has no two-axis w_q entry") from None
+    if type(d) is not int or d < 0:
+        raise CheckpointError(f"header shape table gives w_q an invalid D={d!r}")
+    implied = ModelParams.shapes(d, hyper.hidden, hyper.embed)
+    if shapes != {name: list(shape) for name, shape in implied.items()}:
         raise CheckpointError(
-            "header shape table disagrees with D={}, H={}, E={} (from w_q, reg_w1, "
-            "emb_w) in {}".format(*dims, wrong)
+            f"header shape table is not the one D={d} (from w_q), "
+            f"H={hyper.hidden} and E={hyper.embed} (from hyper) imply"
         )
     return shapes
 
@@ -347,9 +334,10 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
     """Read a checkpoint; returns (ModelParams, HyperParams).
 
     Every header field is checked before the payload is touched: the
-    shape table must be the one D, H and E imply, the hyperparameters
-    must be present and valid, and the payload size must match.  Each
-    field is then read straight into its final array.
+    hyperparameters must be present and valid, the shape table must be
+    the one D and the hyperparameters' H and E imply, and the payload
+    size must match.  Each field is then read straight into its final
+    array.
     """
     path = Path(path)
     if not path.is_file():
@@ -368,15 +356,14 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
             raise CheckpointError(
                 f"format version {header.get('version')} != {CHECKPOINT_VERSION}"
             )
-        dtype = header.get("dtype")
-        if dtype not in CHECKPOINT_DTYPES:
-            raise CheckpointError(f"unsupported payload dtype {dtype!r}")
-        shapes = _header_shapes(header)
+        if header.get("dtype") != CHECKPOINT_DTYPE:
+            raise CheckpointError(f"unsupported payload dtype {header.get('dtype')!r}")
         hyper = _header_hyper(header)
+        shapes = _header_shapes(header, hyper)
 
-        np_dtype = np.dtype(dtype)
         payload_bytes = os.fstat(fh.fileno()).st_size - len(line)
-        expected_bytes = sum(math.prod(shape) for shape in shapes.values()) * np_dtype.itemsize
+        itemsize = np.dtype(CHECKPOINT_DTYPE).itemsize
+        expected_bytes = sum(math.prod(shape) for shape in shapes.values()) * itemsize
         if payload_bytes != expected_bytes:
             raise CheckpointError(
                 f"payload is {payload_bytes} bytes, header promises {expected_bytes}"
@@ -385,10 +372,10 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
         arrays = {}
         for name, shape in shapes.items():
             count = math.prod(shape)
-            arr = np.fromfile(fh, dtype=np_dtype, count=count)
+            arr = np.fromfile(fh, dtype=CHECKPOINT_DTYPE, count=count)
             if arr.size != count:
                 raise CheckpointError(f"payload ends inside field {name!r}")
-            arrays[name] = arr.astype(np.float64, copy=False).reshape(shape)
+            arrays[name] = arr.reshape(shape)
     params = ModelParams(**arrays)
     params.check_finite()
     return params, hyper

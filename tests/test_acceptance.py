@@ -16,7 +16,7 @@ import pytest
 from gdasum.cli import run_gradcheck_instance
 from gdasum.data import SplitSetting, intervals_to_mask, load_manifest, make_splits
 from gdasum.kts import SegmentCostTable, kts_changepoints, shots_from_changepoints
-from gdasum.losses import LossWeights, dpp_kernel, dpp_log_prob
+from gdasum.losses import LossWeights, dpp_log_prob
 from gdasum.metrics import EvalProtocol, diversity_zeta, fscore, video_fscore
 from gdasum.model import HyperParams, forward, init_params
 from gdasum.summarize import knapsack_select, summary_from_scores, generate_summary
@@ -63,7 +63,8 @@ def test_acceptance_dpp_normalization(capsys):
         rng = np.random.default_rng(n)
         y = rng.uniform(0.2, 0.9, size=n)
         phi = rng.standard_normal((n, 3))
-        L = dpp_kernel(y, phi, beta=1.0)
+        # L_ij = y_i y_j exp(-beta ||phi_i - phi_j||^2), beta = 1
+        L = np.outer(y, y) * np.exp(-((phi[:, None] - phi[None, :]) ** 2).sum(axis=2))
         total = 0.0
         for r in range(n + 1):
             for subset in itertools.combinations(range(n), r):
@@ -106,13 +107,13 @@ def test_acceptance_knapsack_exact(capsys):
 # ---------------------------------------------------------------- KTS
 
 
-def enumerate_best_cost(table, n, m):
+def enumerate_best_cost(cost, n, m):
     best = np.inf
     for bounds in itertools.combinations(range(1, n), m - 1):
         edges = (0,) + bounds + (n,)
         val = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            val = val + table.cost(a, b)
+            val = val + cost[a, b]
         best = min(best, val)
     return best
 
@@ -124,13 +125,13 @@ def test_acceptance_kts_exact(capsys):
         n = int(rng.integers(8, 31))
         x = rng.standard_normal((n, 3)) * rng.uniform(0.5, 3.0)
         kmax = int(rng.integers(2, 5))
-        table = SegmentCostTable(x)
+        cost = SegmentCostTable(x, kernel="linear").cost_matrix()
         boundaries = kts_changepoints(x, max_segments=kmax, penalty_coeff=0.0)
         edges = [0] + boundaries + [n]
         got = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            got = got + table.cost(a, b)
-        best = min(enumerate_best_cost(table, n, m) for m in range(1, kmax + 1))
+            got = got + cost[a, b]
+        best = min(enumerate_best_cost(cost, n, m) for m in range(1, kmax + 1))
         ok = ok and abs(got - best) < 1e-9 * max(1.0, abs(best))
 
     rng = np.random.default_rng(0)
@@ -193,9 +194,9 @@ def mean_test_fscore(records, split, params, hyper, ratio=0.15):
             rec.features.matrix,
             params,
             hyper,
+            list(rec.annotations.change_points),
             ratio=ratio,
             video_id=vid,
-            change_points=list(rec.annotations.change_points),
         )
         _, _, f = fscore(summary.frame_mask, rec.annotations.keyframe_labels)
         scores.append(f)
@@ -307,14 +308,15 @@ def test_acceptance_real_benchmark(capsys):
         fs = []
         for vid in split.test_ids:
             rec = by_id[vid]
+            x = rec.features.matrix
             cps = rec.annotations.change_points
             summary, _ = generate_summary(
-                rec.features.matrix,
+                x,
                 params,
                 hyper,
+                kts_changepoints(x) if cps is None else list(cps),
                 ratio=0.15,
                 video_id=vid,
-                change_points=None if cps is None else list(cps),
             )
             masks = [
                 intervals_to_mask(user, rec.features.n_frames)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gdasum.cli import CONFIG_ENV_VAR, main
-from gdasum.data import write_features, write_manifest
+from gdasum.data import load_manifest, write_features, write_manifest
+from gdasum.kts import kts_changepoints
 from gdasum.model import HyperParams, init_params
 from gdasum.synthetic import PlantedSpec, write_planted_corpus
 from gdasum.train import save_checkpoint
@@ -198,6 +199,16 @@ def test_summarize_has_no_model_flags(corpus, tmp_path, capsys):
     assert not (tmp_path / "sums").exists()
 
 
+def test_commands_refuse_flags_they_do_not_read(tmp_path, capsys):
+    for argv, flag in [
+        (["gradcheck", "--instances", 1, "--manifest", "nothing.json"], "--manifest"),
+        (["segment", "--manifest", "nothing.json", "--seed", 3], "--seed"),
+    ]:
+        assert run([*argv, "--out", tmp_path / "out"]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_summarize_feature_dim_mismatch(corpus, tmp_path, capsys):
     hyper = HyperParams(hidden=8, embed=4)
     save_checkpoint(init_params(5, hyper, 0), tmp_path / "d5.ckpt", hyper)
@@ -249,6 +260,35 @@ def test_fold_needs_setting(corpus, init_summaries, tmp_path, capsys):
         assert run([*args, "--manifest", corpus, "--fold", 9]) == 1
         assert "--fold needs --setting" in capsys.readouterr().err
     assert not (tmp_path / "sums").exists()
+
+
+def test_summarize_runs_kts_when_no_changepoints(corpus, init_summaries, tmp_path):
+    doc = json.loads(corpus.read_text())
+    for entry in doc["videos"]:
+        del entry["annotations"]["change_points"]
+        entry["features_file"] = str(corpus.parent / entry["features_file"])
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, doc["videos"])
+    ckpt, _ = init_summaries
+    out = tmp_path / "sums"
+    assert run([
+        "summarize", "--manifest", manifest, "--checkpoint", ckpt, "--out", out,
+        "--kts-max-segments", 4, "--kts-penalty", 0.2, "--kts-kernel", "rbf",
+    ]) == 0
+    flags = {"max_segments": 4, "penalty_coeff": 0.2, "kernel": "rbf"}
+    records = load_manifest(manifest)
+    for rec in records:
+        edges = [0, *kts_changepoints(rec.features.matrix, **flags), rec.features.n_frames]
+        shots = json.loads((out / f"{rec.id}.summary.json").read_text())["shots"]
+        assert shots == [[a, b] for a, b in zip(edges[:-1], edges[1:])]
+    # each flag changes some video's shots, so each one was passed on
+    for name in flags:
+        others = {k: v for k, v in flags.items() if k != name}
+        assert any(
+            kts_changepoints(r.features.matrix, **others)
+            != kts_changepoints(r.features.matrix, **flags)
+            for r in records
+        )
 
 
 def test_segment_stdout_and_files(corpus, tmp_path, capsys):
@@ -477,7 +517,10 @@ def test_config_file_values_are_checked_like_flags(
     capsys.readouterr()
     out = tmp_path / "out"
     assert run([command, "--manifest", corpus, *args, "--out", out]) == 1
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    # the file and its key are named, since no such flag was typed
+    assert f"config file {cfg} key {next(iter(doc))!r}" in err
     assert not out.exists()
 
 

@@ -33,7 +33,21 @@ def rbf_cost_oracle(x, a, b, gamma):
     return float(np.trace(gram) - gram.sum() / m)
 
 
-def enumerate_best(table, n, m):
+def costs(x, kernel="linear"):
+    """The segment cost matrix, checked for its layout and its lower triangle.
+
+    C[s, t] is +inf where s >= t, and C.T, whose row t holds the costs
+    of the segments ending at t, is C-contiguous.
+    """
+    n = x.shape[0]
+    matrix = SegmentCostTable(x, kernel=kernel).cost_matrix()
+    assert matrix.shape == (n + 1, n + 1)
+    assert matrix.T.flags.c_contiguous
+    assert np.all(matrix[np.tril_indices(n + 1)] == np.inf)
+    return matrix
+
+
+def enumerate_best(cost, n, m):
     """Optimal m-segmentation by brute force over interior boundaries.
 
     Costs are accumulated left to right, like the dynamic program, so
@@ -45,7 +59,7 @@ def enumerate_best(table, n, m):
         edges = (0,) + bounds + (n,)
         val = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            val = val + table.cost(a, b)
+            val = val + cost[a, b]
         if val < best_val:
             best_val = val
             best_bounds = bounds
@@ -54,56 +68,40 @@ def enumerate_best(table, n, m):
 
 def test_constant_features_zero_cost():
     x = np.ones((10, 3)) * 2.5
-    table = SegmentCostTable(x)
+    cost = costs(x)
     for a in range(10):
         for b in range(a + 1, 11):
-            assert abs(table.cost(a, b)) < 1e-9
+            assert abs(cost[a, b]) < 1e-9
 
 
 def test_single_frame_segments_zero():
     x = np.random.default_rng(0).standard_normal((8, 4))
-    table = SegmentCostTable(x)
+    cost = costs(x)
     for a in range(8):
-        assert table.cost(a, a + 1) == 0.0
+        assert cost[a, a + 1] == 0.0
 
 
 def test_linear_cost_matches_scatter_oracle():
     x = np.random.default_rng(1).standard_normal((20, 5))
-    table = SegmentCostTable(x)
+    cost = costs(x)
     for a in range(20):
         for b in range(a + 1, 21):
-            assert abs(table.cost(a, b) - scatter_oracle(x, a, b)) < 1e-9
+            assert abs(cost[a, b] - scatter_oracle(x, a, b)) < 1e-9
 
 
 def test_rbf_cost_matches_gram_oracle():
     x = np.random.default_rng(2).standard_normal((12, 3))
-    table = SegmentCostTable(x, kernel="rbf")  # gamma = 1/D
+    cost = costs(x, kernel="rbf")  # gamma = 1/D
     for a in range(12):
         for b in range(a + 2, 13):
-            assert abs(table.cost(a, b) - rbf_cost_oracle(x, a, b, 1.0 / 3)) < 1e-9
-
-
-def test_vectorized_costs_match_scalar():
-    # the cost matrix equals cost(s, t) cell by cell, +inf where s >= t
-    x = np.random.default_rng(3).standard_normal((15, 4))
-    for kernel in ("linear", "rbf"):
-        table = SegmentCostTable(x, kernel=kernel)
-        matrix = table.cost_matrix()
-        assert matrix.shape == (16, 16)
-        assert matrix.T.flags.c_contiguous
-        for s in range(16):
-            for t in range(16):
-                if s < t:
-                    assert matrix[s, t] == table.cost(s, t)
-                else:
-                    assert matrix[s, t] == np.inf
+            assert abs(cost[a, b] - rbf_cost_oracle(x, a, b, 1.0 / 3)) < 1e-9
 
 
 def test_cost_table_rejects_bad_input():
     with pytest.raises(ValueError):
-        SegmentCostTable(np.zeros((0, 3)))
+        SegmentCostTable(np.zeros((0, 3)), kernel="linear")
     with pytest.raises(ValueError):
-        SegmentCostTable(np.array([[np.inf, 0.0]]))
+        SegmentCostTable(np.array([[np.inf, 0.0]]), kernel="linear")
     with pytest.raises(ValueError):
         SegmentCostTable(np.zeros((4, 2)), kernel="cubic")
 
@@ -135,7 +133,7 @@ def test_dp_matches_exhaustive_enumeration():
         n = int(rng.integers(8, 31))
         x = rng.standard_normal((n, 3)) * rng.uniform(0.5, 3.0)
         kmax = int(rng.integers(2, 5))
-        table = SegmentCostTable(x, kernel=kernel)
+        cost = costs(x, kernel)
 
         boundaries = kts_changepoints(
             x, max_segments=kmax, penalty_coeff=0.0, kernel=kernel
@@ -143,9 +141,9 @@ def test_dp_matches_exhaustive_enumeration():
         edges = [0] + boundaries + [n]
         got = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            got = got + table.cost(a, b)
+            got = got + cost[a, b]
 
-        best = min(enumerate_best(table, n, m)[0] for m in range(1, kmax + 1))
+        best = min(enumerate_best(cost, n, m)[0] for m in range(1, kmax + 1))
         assert abs(got - best) < 1e-9 * max(1.0, abs(best))
 
 
@@ -156,16 +154,16 @@ def test_penalized_objective_matches_enumeration():
         x = rng.standard_normal((n, 2)) * 2.0
         kmax = 3
         coeff = 1.0
-        table = SegmentCostTable(x)
+        cost = costs(x)
 
         boundaries = kts_changepoints(x, max_segments=kmax, penalty_coeff=coeff)
         edges = [0] + boundaries + [n]
         got = segment_penalty(n, len(edges) - 1, coeff)
         for a, b in zip(edges[:-1], edges[1:]):
-            got = got + table.cost(a, b)
+            got = got + cost[a, b]
 
         best = min(
-            enumerate_best(table, n, m)[0] + segment_penalty(n, m, coeff)
+            enumerate_best(cost, n, m)[0] + segment_penalty(n, m, coeff)
             for m in range(1, kmax + 1)
         )
         assert got <= best + 1e-9 * max(1.0, abs(best))
@@ -174,10 +172,10 @@ def test_penalized_objective_matches_enumeration():
 def test_total_cost_non_increasing_in_segments():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((25, 3)) * 2.0
-    table = SegmentCostTable(x)
+    cost = costs(x)
     prev = np.inf
     for m in range(1, 6):
-        val, _ = enumerate_best(table, 25, m)
+        val, _ = enumerate_best(cost, 25, m)
         assert val <= prev + 1e-12
         prev = val
 
@@ -218,21 +216,21 @@ def test_changepoints_deterministic():
 
 
 def reference_changepoints(x, kernel):
-    """The segmentation DP one cell at a time, with costs from cost(s, t).
+    """The segmentation DP one cell at a time, over the cost matrix.
 
     It visits starts in increasing order and keeps the first minimum, so
     its ties resolve like the vectorized DP's.
     """
     n = x.shape[0]
     kmax = math.ceil(n / 10)
-    table = SegmentCostTable(x, kernel=kernel)
+    cost = costs(x, kernel)
     best = [[math.inf] * (n + 1) for _ in range(kmax + 1)]
     back = [[0] * (n + 1) for _ in range(kmax + 1)]
     best[0][0] = 0.0
     for k in range(1, kmax + 1):
         for t in range(k, n + 1):
             for s in range(k - 1, t):
-                cand = best[k - 1][s] + table.cost(s, t)
+                cand = best[k - 1][s] + cost[s, t]
                 if cand < best[k][t]:
                     best[k][t], back[k][t] = cand, s
     objective = [best[m][n] + segment_penalty(n, m, 1.0) for m in range(1, kmax + 1)]
@@ -261,7 +259,7 @@ def test_frame_cap_raises_before_allocating():
     try:
         for build in (SegmentCostTable, kts_changepoints):
             with pytest.raises(ValueError, match=f"N={MAX_FRAMES + 1}.*{MAX_FRAMES}"):
-                build(x)
+                build(x, kernel="linear")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -8,7 +8,6 @@ from gdasum.losses import (
     LossWeights,
     NumericalError,
     backward,
-    dpp_kernel,
     dpp_log_prob,
     finite_diff_grad,
     gradient_report,
@@ -22,6 +21,7 @@ from gdasum.losses import (
     variation_loss,
     weight_penalty,
 )
+from gdasum.losses import _similarity_and_kernel as similarity_and_kernel
 from gdasum.model import HyperParams, forward, init_params
 
 SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.0)
@@ -34,6 +34,17 @@ def _instance(seed, n=6, d=5, hyper=SMALL):
     labels = np.zeros(n, dtype=np.int8)
     labels[rng.choice(n, size=2, replace=False)] = 1
     return x, params, labels
+
+
+def kernel_by_definition(y, phi, beta):
+    """L_ij = y_i y_j exp(-beta ||phi_i - phi_j||^2), one pair at a time."""
+    n = len(y)
+    sq = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            diff = phi[i] - phi[j]
+            sq[i, j] = np.einsum("k,k->", diff, diff)
+    return y[:, None] * y[None, :] * np.exp(-beta * sq)
 
 
 def test_pairwise_sq_dists_matches_loops():
@@ -53,21 +64,21 @@ def test_pairwise_sq_dists_matches_loops():
 def test_dpp_kernel_identical_embeddings_rank_one():
     y = np.array([0.3, 0.6, 0.9])
     phi = np.ones((3, 4))
-    kernel = dpp_kernel(y, phi, beta=1.0)
+    kernel = similarity_and_kernel(y, phi, 1.0)[1]
     assert np.allclose(kernel, np.outer(y, y), atol=1e-15)
 
 
 def test_dpp_kernel_large_beta_diagonal():
     y = np.array([0.4, 0.7])
     phi = np.array([[0.0], [1.0]])
-    kernel = dpp_kernel(y, phi, beta=500.0)
+    kernel = similarity_and_kernel(y, phi, 500.0)[1]
     assert np.allclose(kernel, np.diag(y**2), atol=1e-12)
 
 
 def test_dpp_kernel_hand_example():
     y = np.array([0.8, 0.5])
     phi = np.array([[0.0], [1.0]])
-    kernel = dpp_kernel(y, phi, beta=1.0)
+    kernel = similarity_and_kernel(y, phi, 1.0)[1]
     want = np.array([[0.64, 0.4 * np.exp(-1.0)], [0.4 * np.exp(-1.0), 0.25]])
     assert np.abs(kernel - want).max() < 1e-12
 
@@ -91,7 +102,7 @@ def test_dpp_probabilities_sum_to_one():
         rng = np.random.default_rng(seed)
         y = rng.uniform(0.2, 0.9, size=n)
         phi = rng.standard_normal((n, 3))
-        kernel = dpp_kernel(y, phi, beta=1.0)
+        kernel = kernel_by_definition(y, phi, beta=1.0)
         total = 0.0
         for r in range(n + 1):
             for subset in itertools.combinations(range(n), r):
@@ -122,7 +133,7 @@ def test_variation_loss_minimized_at_most_probable_subset():
     n = 6
     y = rng.uniform(0.2, 0.9, size=n)
     phi = rng.standard_normal((n, 2))
-    kernel = dpp_kernel(y, phi, beta=1.0)
+    kernel = kernel_by_definition(y, phi, beta=1.0)
     losses = {}
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):
@@ -137,7 +148,7 @@ def test_variation_loss_nonnegative():
     for seed in range(10):
         r = np.random.default_rng(seed)
         n = 5
-        kernel = dpp_kernel(r.uniform(0.1, 0.9, n), r.standard_normal((n, 2)), 1.0)
+        kernel = kernel_by_definition(r.uniform(0.1, 0.9, n), r.standard_normal((n, 2)), 1.0)
         subset = list(np.flatnonzero(r.integers(0, 2, n)))
         assert variation_loss(kernel, subset) >= 0.0
 
@@ -202,7 +213,7 @@ def test_total_loss_mode_composition():
     assert sup.length == 0.0 and sup.repelling == 0.0
     assert unsup.keyframe == 0.0 and unsup.variation == 0.0
     # components match the standalone ops
-    kernel = dpp_kernel(trace.y, trace.phi, SMALL.beta)
+    kernel = kernel_by_definition(trace.y, trace.phi, SMALL.beta)
     assert abs(sup.variation - variation_loss(kernel, np.flatnonzero(labels))) < 1e-12
     assert abs(sup.keyframe - keyframe_loss(trace.y, labels)) < 1e-12
 
@@ -339,8 +350,8 @@ def test_loss_and_grad_equals_total_loss_and_backward():
             want = backward(trace, x, params, hyper, mode, labels=lab, sigma=0.2)
             for (name, a), (_, b) in zip(grads.items(), want.items()):
                 assert _bits_equal(a, b), name
-        # the shared kernel is the one dpp_kernel builds
-        kernel = dpp_kernel(trace.y, trace.phi, hyper.beta)
+        # the shared kernel is L by its definition, bit for bit
+        kernel = kernel_by_definition(trace.y, trace.phi, hyper.beta)
         sup = total_loss(trace, params, hyper, "supervised", labels=labels)
         assert sup.variation == variation_loss(kernel, np.flatnonzero(labels))
 

@@ -217,18 +217,6 @@ def test_generate_summary_uses_given_changepoints():
     assert int(summary.frame_mask.sum()) <= 10
 
 
-def test_generate_summary_runs_kts_when_no_changepoints():
-    rng = np.random.default_rng(6)
-    x = np.concatenate([
-        rng.standard_normal((10, 4)) * 0.1,
-        rng.standard_normal((10, 4)) * 0.1 + 8.0,
-    ])
-    hyper = HyperParams(hidden=8, embed=4)
-    params = init_params(4, hyper, rng)
-    summary, _ = generate_summary(x, params, hyper, ratio=0.5, max_segments=4)
-    assert [(s.start, s.end) for s in summary.shots] == [(0, 10), (10, 20)]
-
-
 def test_generate_summary_deterministic():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((15, 5))

@@ -436,24 +436,12 @@ def test_checkpoint_without_hyper(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_float32_is_close_but_lossy(tmp_path):
-    params = init_params(6, SMALL_HYPER, 3)
-    path = tmp_path / "model.f4.ckpt"
-    save_checkpoint(params, path, SMALL_HYPER, dtype="<f4")
-    assert path.read_bytes() == reference_checkpoint(params, "<f4", SMALL_HYPER)
-    loaded, _ = load_checkpoint(path)
-    assert_fresh_float64(loaded)
-    exact = True
-    for a, b in zip(params.arrays(), loaded.arrays()):
-        assert np.allclose(a, b, atol=1e-5)
-        exact = exact and np.array_equal(a, b)
-    assert not exact
-
-
 def test_checkpoint_rejects_unknown_dtype(tmp_path):
-    params = init_params(4, SMALL_HYPER, 0)
-    with pytest.raises(CheckpointError, match="dtype"):
-        save_checkpoint(params, tmp_path / "x.ckpt", SMALL_HYPER, dtype="<f2")
+    # payloads are float64 only: a float32 one is refused, not converted
+    path = tmp_path / "model.f4.ckpt"
+    path.write_bytes(reference_checkpoint(init_params(4, SMALL_HYPER, 0), "<f4", SMALL_HYPER))
+    with pytest.raises(CheckpointError, match="unsupported payload dtype '<f4'"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_extra_header_round_trip(tmp_path):
@@ -555,6 +543,13 @@ def test_checkpoint_error_taxonomy(tmp_path):
     corrupt(low_rank, lambda h: h["shapes"].update(w_q=[16]))
     with pytest.raises(CheckpointError, match="shape table"):
         load_checkpoint(low_rank)
+
+    # weights of H=16 and E=8 under a header whose hyper says 1024 and 256
+    wide = tmp_path / "wide.ckpt"
+    wide.write_bytes(path.read_bytes())
+    corrupt(wide, lambda h: h["hyper"].update(hidden=1024, embed=256))
+    with pytest.raises(CheckpointError, match="shape table"):
+        load_checkpoint(wide)
 
 
 def test_checkpoint_short_read_is_an_error(tmp_path, monkeypatch):
