@@ -50,11 +50,10 @@ def main():
           f" mean loss {first:.3f} -> {last:.3f}\n")
 
     def trained_mask(rec):
-        summary, _ = generate_summary(
+        return generate_summary(
             rec.features.matrix, params, hyper, ratio=0.15,
             video_id=rec.id, change_points=list(rec.annotations.change_points),
-        )
-        return summary.frame_mask
+        ).frame_mask
 
     rng = np.random.default_rng(99)
 

@@ -33,7 +33,6 @@ from .kts import (
 )
 from .losses import (
     LossBreakdown,
-    LossWeights,
     NumericalError,
     backward,
     dpp_log_prob,
@@ -96,7 +95,6 @@ __all__ = [
     "FrameFeatures",
     "HyperParams",
     "LossBreakdown",
-    "LossWeights",
     "MetricsReport",
     "ModelParams",
     "NumericalError",

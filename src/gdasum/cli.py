@@ -32,11 +32,10 @@ from .data import (
     majority_source,
     make_splits,
 )
-from .kts import KERNELS, kts_changepoints
+from .kts import KERNELS, Shot, kts_changepoints
 from .losses import NumericalError, backward, finite_diff_grad, gradient_report
 from .metrics import (
     PROTOCOL_BY_SOURCE,
-    ZETA_NORMALIZATIONS,
     EvalProtocol,
     MetricsReport,
     VideoScore,
@@ -44,7 +43,7 @@ from .metrics import (
     video_fscore,
 )
 from .model import HyperParams, forward, init_params
-from .summarize import generate_summary
+from .summarize import check_tiling, generate_summary
 from .train import (
     CheckpointError,
     TrainConfig,
@@ -156,7 +155,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             learning_rate=args.lr,
             sigma=args.sigma,
             seed=args.seed,
-            grad_clip=args.grad_clip or None,
+            grad_clip=args.grad_clip,
         )
         params, report = train(records, split, config, hyper)
         ckpt_path = out / f"fold{k}.ckpt"
@@ -209,21 +208,13 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         cps = rec.annotations.change_points
         if cps is None:
             cps = _kts_boundaries(args, x)
-        summary, _ = generate_summary(
-            x, params, hyper, list(cps), ratio=args.ratio, video_id=rec.id
-        )
-        return summary
+        return generate_summary(x, params, hyper, list(cps), ratio=args.ratio, video_id=rec.id)
 
     summaries = [summarize_one(rec) for rec in targets]
     for summary in summaries:
         doc = {**_provenance(args), **summary.to_dict()}
         path = out / f"{summary.video_id}.summary.json"
         path.write_text(json.dumps(doc) + "\n")
-        if args.emit_plot_data:
-            rows = ["frame,score,selected"]
-            for i, (score, sel) in enumerate(zip(summary.frame_scores, summary.frame_mask)):
-                rows.append(f"{i},{score:.10g},{int(sel)}")
-            (out / f"{summary.video_id}.plot.csv").write_text("\n".join(rows) + "\n")
         print(path)
     return 0
 
@@ -274,6 +265,35 @@ def _eval_protocol(args: argparse.Namespace, records) -> EvalProtocol:
     return chosen
 
 
+def _summary_mask(rec, doc: dict) -> np.ndarray:
+    """The summary's frame_mask: N entries, each 0 or 1."""
+    mask = np.asarray(doc.get("frame_mask"))
+    if mask.shape != (rec.features.n_frames,) or not np.isin(mask, (0, 1)).all():
+        raise DatasetError(
+            f"summary for {rec.id!r}: frame_mask must hold one 0 or 1 "
+            f"for each of the manifest's {rec.features.n_frames} frames"
+        )
+    return mask.astype(np.int8)
+
+
+def _summary_shots(rec, doc: dict) -> tuple[list[Shot], list[int]]:
+    """The summary's shots, which must tile [0, N), and its selected shot indices."""
+    try:
+        pairs, selected = doc["shots"], doc["selected"]
+        bounds = [v for pair in pairs for v in pair]
+        if not all(type(v) is int for v in bounds + selected):
+            raise ValueError("shot bounds and selected indices must be JSON integers")
+        shots = [Shot(*pair) for pair in pairs]
+        check_tiling(shots, rec.features.n_frames)
+        if not all(0 <= i < len(shots) for i in selected):
+            raise ValueError(f"a selected index lies outside [0, {len(shots)})")
+    except KeyError as exc:
+        raise DatasetError(f"summary for {rec.id!r} has no {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"summary for {rec.id!r}: {exc}") from None
+    return shots, selected
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     if not args.manifest:
         raise DatasetError("eval requires --manifest")
@@ -288,8 +308,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     docs = {}
     for rec in records:
         path = summaries_dir / f"{rec.id}.summary.json"
-        if path.is_file():
+        if not path.is_file():
+            continue
+        try:
             docs[rec.id] = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path} is not valid JSON: {exc}") from None
+        if not isinstance(docs[rec.id], dict):
+            raise DatasetError(f"{path} must hold a JSON object")
     if not docs:
         raise DatasetError(f"no *.summary.json files in {summaries_dir} match the manifest")
 
@@ -298,12 +324,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     per_video = {}
     for rec in scored_records:
-        machine = np.asarray(docs[rec.id]["frame_mask"], dtype=np.int8)
-        if machine.shape[0] != rec.features.n_frames:
-            raise DatasetError(
-                f"summary for {rec.id!r} has {machine.shape[0]} frames, "
-                f"manifest says {rec.features.n_frames}"
-            )
+        machine = _summary_mask(rec, docs[rec.id])
         p, r, f = video_fscore(machine, _user_masks(rec), protocol)
         per_video[rec.id] = VideoScore(rec.id, p, r, f)
 
@@ -329,12 +350,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for vid, doc in docs.items():
             if vid not in scored:
                 continue
+            shots, selected = _summary_shots(by_id[vid], doc)
             feats = by_id[vid].features.matrix.astype(np.float64)
-            shot_feats = np.array([feats[a:b].mean(axis=0) for a, b in doc["shots"]])
-            zeta_videos.append((shot_feats, list(doc["selected"])))
+            shot_feats = np.array([feats[s.start : s.end].mean(axis=0) for s in shots])
+            zeta_videos.append((shot_feats, selected))
         # videos that selected no shot are left out of zeta, and counted
         zeta_skipped = sum(not selected for _, selected in zeta_videos)
-        zeta = diversity_zeta(zeta_videos, normalization=args.zeta_norm)
+        zeta = diversity_zeta(zeta_videos)
 
     report = MetricsReport(
         protocol=protocol,
@@ -345,11 +367,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         zeta_skipped_videos=zeta_skipped,
     )
     doc = {**_provenance(args), **report.to_dict()}
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if args.out:
         out = _out_dir(args)
         (out / "metrics.json").write_text(text)
-        (out / "metrics.csv").write_text(report.to_csv())
         print(out / "metrics.json")
     else:
         print(text, end="")
@@ -471,8 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--checkpoint", help="trained checkpoint path")
     p_sum.add_argument("--ratio", type=float, default=_default(generate_summary, "ratio"),
                        help="summary length budget (default %(default)s)")
-    p_sum.add_argument("--emit-plot-data", action="store_true",
-                       help="also write per-video frame,score,selected CSVs")
 
     p_seg = sub.add_parser("segment", help="detect shot boundaries")
     add_common(p_seg, reads=("manifest",))
@@ -485,9 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--protocol", choices=[p.value for p in EvalProtocol],
                         help="per-user aggregation override")
     p_eval.add_argument("--zeta", action="store_true", help="include the diversity metric")
-    p_eval.add_argument("--zeta-norm", choices=ZETA_NORMALIZATIONS,
-                        default=_default(diversity_zeta, "normalization"),
-                        help="diversity normalization (default %(default)s)")
 
     p_grad = sub.add_parser("gradcheck", help="verify gradients by finite differences")
     add_common(p_grad, reads=("seed",))

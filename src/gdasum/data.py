@@ -107,9 +107,7 @@ class VideoRecord:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    setting: SplitSetting
     fold_index: int
-    seed: int
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
 
@@ -151,6 +149,19 @@ def intervals_to_mask(intervals, n_frames: int) -> np.ndarray:
     return mask
 
 
+def _json_int(value, video_id: str, key: str) -> int:
+    """``value`` if JSON gave an integer; floats, strings and booleans are refused."""
+    if type(value) is not int:
+        raise DatasetError(f"video {video_id!r}: {key} takes JSON integers, got {value!r}")
+    return value
+
+
+def _json_ints(values, video_id: str, key: str) -> list[int]:
+    if not isinstance(values, list):
+        raise DatasetError(f"video {video_id!r}: {key} must be a list")
+    return [_json_int(v, video_id, key) for v in values]
+
+
 def _parse_annotations(obj: dict, video_id: str) -> Annotations:
     known = {"keyframe_labels", "user_summaries", "change_points"}
     unknown = set(obj) - known
@@ -158,15 +169,20 @@ def _parse_annotations(obj: dict, video_id: str) -> Annotations:
         raise DatasetError(f"video {video_id!r}: unknown annotation keys {sorted(unknown)}")
     labels = obj.get("keyframe_labels")
     if labels is not None:
-        labels = np.asarray(labels, dtype=np.int8)
+        labels = _json_ints(labels, video_id, "keyframe_labels")
+        # checked before the int8 cast, which would overflow or wrap
+        if not set(labels) <= {0, 1}:
+            raise DatasetError(f"video {video_id!r}: keyframe_labels must be 0/1")
+        labels = np.array(labels, dtype=np.int8)
     summaries = obj.get("user_summaries")
     if summaries is not None:
         summaries = tuple(
-            tuple((int(a), int(b)) for a, b in user) for user in summaries
+            tuple(tuple(_json_ints(interval, video_id, "user_summaries")) for interval in user)
+            for user in summaries
         )
     cps = obj.get("change_points")
     if cps is not None:
-        cps = tuple(int(c) for c in cps)
+        cps = tuple(_json_ints(cps, video_id, "change_points"))
     return Annotations(
         keyframe_labels=labels,
         user_summaries=summaries,
@@ -192,8 +208,8 @@ def load_manifest(path) -> list[VideoRecord]:
     for entry in doc["videos"]:
         try:
             vid = entry["id"]
-            n_frames = int(entry["n_frames"])
-            dim = int(entry["dim"])
+            n_frames = _json_int(entry["n_frames"], vid, "n_frames")
+            dim = _json_int(entry["dim"], vid, "dim")
             features_file = entry["features_file"]
         except KeyError as exc:
             raise DatasetError(f"video entry missing required key {exc}") from exc
@@ -285,9 +301,7 @@ def make_splits(
             raise DatasetError("transfer setting needs auxiliary records to train on")
         return [
             SplitSpec(
-                setting=setting,
                 fold_index=0,
-                seed=seed,
                 train_ids=tuple(aux_ids),
                 test_ids=tuple(target_ids),
             )
@@ -309,9 +323,7 @@ def make_splits(
             train = train + aux_ids
         splits.append(
             SplitSpec(
-                setting=setting,
                 fold_index=fold,
-                seed=seed,
                 train_ids=tuple(train),
                 test_ids=tuple(test),
             )

@@ -42,16 +42,6 @@ class NumericalError(RuntimeError):
 
 
 @dataclass
-class LossWeights:
-    """Coefficient on the supervised variation (DPP) term.
-
-    Zero drops the term entirely: the keyframe-only ablation.
-    """
-
-    variation: float = 1.0
-
-
-@dataclass
 class LossBreakdown:
     variation: float
     keyframe: float
@@ -188,7 +178,7 @@ def _check_mode(mode, labels):
         raise ValueError("supervised loss requires keyframe labels")
 
 
-def _loss_terms(trace, params, hyper, mode, labels, sigma, w):
+def _loss_terms(trace, params, hyper, mode, labels, sigma, variation_weight):
     """The mode's LossBreakdown and the pairwise arrays its gradient reuses.
 
     The arrays are (similarity, DPP kernel) in supervised mode and
@@ -201,9 +191,9 @@ def _loss_terms(trace, params, hyper, mode, labels, sigma, w):
     if mode == "supervised":
         key = keyframe_loss(y, labels)
         var, shared = 0.0, None
-        if w.variation != 0.0:
+        if variation_weight != 0.0:
             shared = _similarity_and_kernel(y, phi, hyper.beta)
-            var = w.variation * variation_loss(shared[1], keyframe_indices(labels))
+            var = variation_weight * variation_loss(shared[1], keyframe_indices(labels))
         return LossBreakdown(var, key, 0.0, 0.0, pen, key + var + pen), shared
 
     length = length_loss(y, sigma)
@@ -225,23 +215,23 @@ def total_loss(
     mode: str,
     labels: np.ndarray | None = None,
     sigma: float = 0.3,
-    weights: LossWeights | None = None,
+    variation_weight: float = 1.0,
 ) -> LossBreakdown:
     """Mode-appropriate training loss plus the L2 weight penalty.
 
     supervised:   keyframe BCE + variation (needs ``labels``)
     unsupervised: length regularizer + repelling (labels are ignored)
+    ``variation_weight`` scales the variation term; 0 is the keyframe-only ablation.
     """
     _check_mode(mode, labels)
-    w = weights or LossWeights()
-    return _loss_terms(trace, params, hyper, mode, labels, sigma, w)[0]
+    return _loss_terms(trace, params, hyper, mode, labels, sigma, variation_weight)[0]
 
 
 # ---------------------------------------------------------------------------
 # analytic gradients
 
 
-def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w, shared):
+def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, variation_weight, shared):
     """d(loss)/dy and d(loss)/dphi for the mode's two loss terms."""
     y, phi = trace.y, trace.phi
     n = y.shape[0]
@@ -269,7 +259,7 @@ def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w, shared):
                         "subset kernel is numerically singular"
                     ) from err
                 g[np.ix_(subset, subset)] -= sub_inv
-            g *= w.variation
+            g *= variation_weight
             # L_ij = y_i y_j sim_ij, so dy_k = 2 sum_j g_kj y_j sim_kj
             dy += 2.0 * (g * sim) @ y
             # dphi_k = -4 beta sum_j g_kj L_kj (phi_k - phi_j)
@@ -302,7 +292,7 @@ def loss_and_grad(
     mode: str,
     labels: np.ndarray | None = None,
     sigma: float = 0.3,
-    weights: LossWeights | None = None,
+    variation_weight: float = 1.0,
 ) -> tuple[LossBreakdown, ModelParams]:
     """``total_loss`` and its exact gradient w.r.t. every parameter.
 
@@ -316,15 +306,14 @@ def loss_and_grad(
     _check_mode(mode, labels)
     if np.shape(x) != trace.context.shape:
         raise ValueError("trace does not match the given feature matrix")
-    w = weights or LossWeights()
     labels = None if labels is None else np.asarray(labels, dtype=np.float64)
 
-    breakdown, shared = _loss_terms(trace, params, hyper, mode, labels, sigma, w)
+    breakdown, shared = _loss_terms(trace, params, hyper, mode, labels, sigma, variation_weight)
     if not np.isfinite(breakdown.total):
         raise NumericalError("non-finite loss")
     # converted only now, so the float64 copy is not alive during the loss
     x = np.asarray(x, dtype=np.float64)
-    dy, dphi = _loss_grads_y_phi(trace, hyper, mode, labels, sigma, w, shared)
+    dy, dphi = _loss_grads_y_phi(trace, hyper, mode, labels, sigma, variation_weight, shared)
     g = params.zeros_like()
 
     # score head: sigmoid -> final linear -> dropout -> layer norm -> relu
@@ -404,10 +393,10 @@ def backward(
     mode: str,
     labels: np.ndarray | None = None,
     sigma: float = 0.3,
-    weights: LossWeights | None = None,
+    variation_weight: float = 1.0,
 ) -> ModelParams:
     """Exact gradient of ``total_loss``: the gradient half of ``loss_and_grad``."""
-    return loss_and_grad(trace, x, params, hyper, mode, labels, sigma, weights)[1]
+    return loss_and_grad(trace, x, params, hyper, mode, labels, sigma, variation_weight)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +410,7 @@ def loss_given_params(
     mode: str,
     labels: np.ndarray | None = None,
     sigma: float = 0.3,
-    weights: LossWeights | None = None,
+    variation_weight: float = 1.0,
     masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Scalar total loss as a pure function of the parameters.
@@ -431,7 +420,7 @@ def loss_given_params(
     """
     mode_fw = "eval" if masks is None else "train"
     trace = forward(x, params, hyper, mode=mode_fw, masks=masks)
-    return total_loss(trace, params, hyper, mode, labels, sigma, weights).total
+    return total_loss(trace, params, hyper, mode, labels, sigma, variation_weight).total
 
 
 def finite_diff_grad(
@@ -441,7 +430,7 @@ def finite_diff_grad(
     mode: str,
     labels: np.ndarray | None = None,
     sigma: float = 0.3,
-    weights: LossWeights | None = None,
+    variation_weight: float = 1.0,
     step: float = 1e-5,
     masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ModelParams:
@@ -455,9 +444,9 @@ def finite_diff_grad(
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + step
-            up = loss_given_params(x, p, hyper, mode, labels, sigma, weights, masks)
+            up = loss_given_params(x, p, hyper, mode, labels, sigma, variation_weight, masks)
             arr[idx] = orig - step
-            down = loss_given_params(x, p, hyper, mode, labels, sigma, weights, masks)
+            down = loss_given_params(x, p, hyper, mode, labels, sigma, variation_weight, masks)
             arr[idx] = orig
             garr[idx] = (up - down) / (2.0 * step)
     return grads

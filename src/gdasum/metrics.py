@@ -20,8 +20,6 @@ class EvalProtocol(enum.Enum):
     MEAN_OVER_USERS = "mean"
 
 
-ZETA_NORMALIZATIONS = ("per_video", "global")
-
 PROTOCOL_BY_SOURCE = {
     "summe-like": EvalProtocol.MAX_OVER_USERS,
     "tvsum-like": EvalProtocol.MEAN_OVER_USERS,
@@ -74,27 +72,18 @@ def video_fscore(
     return tuple(float(v) for v in arr.mean(axis=0))
 
 
-def diversity_zeta(
-    videos: list[tuple[np.ndarray, list[int]]],
-    normalization: str = "per_video",
-) -> float:
+def diversity_zeta(videos: list[tuple[np.ndarray, list[int]]]) -> float:
     """Mean distance from each shot to its nearest selected key shot.
 
     Each entry pairs an (T, D) matrix of per-shot mean feature vectors
-    with the indices of the selected shots.  With the default
-    normalization every video contributes the mean over its own T
-    shots; "global" divides the grand sum by the total shot count
-    instead, as a sensitivity variant.  A video with no selected shot
-    has no nearest key shot and is left out; at least one video must
-    have a selected shot.
+    with the indices of the selected shots.  Every video contributes the
+    mean over its own T shots, and ζ is the mean over videos.  A video
+    with no selected shot has no nearest key shot and is left out; at
+    least one video must have a selected shot.
     """
     if not videos:
         raise ValueError("need at least one video")
-    if normalization not in ZETA_NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalization!r}")
     per_video_means = []
-    total = 0.0
-    total_shots = 0
     for shot_features, selected in videos:
         feats = np.asarray(shot_features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] < 1:
@@ -108,13 +97,9 @@ def diversity_zeta(
         dists = np.sqrt((diff * diff).sum(axis=2))
         nearest = dists.min(axis=1)
         per_video_means.append(float(nearest.mean()))
-        total += float(nearest.sum())
-        total_shots += feats.shape[0]
     if not per_video_means:
         raise ValueError("no video has a selected shot")
-    if normalization == "per_video":
-        return float(np.mean(per_video_means))
-    return total / total_shots
+    return float(np.mean(per_video_means))
 
 
 @dataclass
@@ -155,9 +140,3 @@ class MetricsReport:
             out["zeta"] = self.zeta
             out["zeta_skipped_videos"] = self.zeta_skipped_videos
         return out
-
-    def to_csv(self) -> str:
-        lines = ["video_id,precision,recall,fscore"]
-        for v in self.per_video:
-            lines.append(f"{v.video_id},{v.precision:.4f},{v.recall:.4f},{v.fscore:.4f}")
-        return "\n".join(lines) + "\n"

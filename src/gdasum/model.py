@@ -185,10 +185,6 @@ class ForwardTrace:
     head_mask: np.ndarray | None
     head_drop: np.ndarray
 
-    @property
-    def n_frames(self) -> int:
-        return self.y.shape[0]
-
 
 def normalize_attention(a: np.ndarray) -> np.ndarray:
     """Column-wise softmax: alpha[i, j] = exp(A[i, j]) / sum_r exp(A[r, j]).
@@ -202,7 +198,7 @@ def normalize_attention(a: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def diversity_weights(alpha: np.ndarray, eps: float = 1e-7) -> np.ndarray:
+def diversity_weights(alpha: np.ndarray, eps: float) -> np.ndarray:
     """Normalized per-frame dissimilarity d.
 
     Raw weights are row products d_hat[i] = prod_j (1 - alpha[i, j]),
@@ -210,6 +206,7 @@ def diversity_weights(alpha: np.ndarray, eps: float = 1e-7) -> np.ndarray:
     direct product of N factors below one underflows for long videos)
     and alpha is clipped into [eps, 1 - eps] first so a weight of
     exactly one cannot zero out a row; for N = 1 this forces d = [1].
+    ``forward`` passes ``HyperParams.alpha_clip`` as eps.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim != 2 or alpha.shape[0] == 0:

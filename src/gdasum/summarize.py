@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kts import Shot, shots_from_changepoints
-from .model import ForwardTrace, HyperParams, ModelParams, forward
+from .model import HyperParams, ModelParams, forward
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,8 @@ class Summary:
         }
 
 
-def shot_scores(frame_scores: np.ndarray, shots: list[Shot]) -> ShotScores:
-    """Mean frame score per shot; shots must tile [0, N) contiguously."""
-    scores = np.asarray(frame_scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError("frame_scores must be a 1-D array")
+def check_tiling(shots: list[Shot], n_frames: int) -> None:
+    """Raise ValueError unless ``shots`` tile [0, n_frames) contiguously."""
     if not shots:
         raise ValueError("at least one shot is required")
     pos = 0
@@ -63,8 +60,16 @@ def shot_scores(frame_scores: np.ndarray, shots: list[Shot]) -> ShotScores:
         if shot.start != pos:
             raise ValueError("shots must be contiguous from frame 0")
         pos = shot.end
-    if pos != scores.shape[0]:
-        raise ValueError("shots do not cover the score array")
+    if pos != n_frames:
+        raise ValueError(f"shots end at frame {pos}, not at the video's {n_frames}")
+
+
+def shot_scores(frame_scores: np.ndarray, shots: list[Shot]) -> ShotScores:
+    """Mean frame score per shot; shots must tile [0, N) contiguously."""
+    scores = np.asarray(frame_scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ValueError("frame_scores must be a 1-D array")
+    check_tiling(shots, scores.shape[0])
     values = np.array([scores[s.start : s.end].mean() for s in shots])
     lengths = np.array([s.length for s in shots], dtype=np.int64)
     return ShotScores(shots=tuple(shots), values=values, lengths=lengths)
@@ -144,7 +149,7 @@ def generate_summary(
     change_points: list[int],
     ratio: float = 0.15,
     video_id: str = "",
-) -> tuple[Summary, ForwardTrace]:
+) -> Summary:
     """Score frames with the trained model and select key shots.
 
     Runs an evaluation-mode forward pass, cuts the video into shots at
@@ -152,7 +157,5 @@ def generate_summary(
     ``kts_changepoints`` finds), and picks shots by knapsack under a
     floor(ratio * N) frame budget.
     """
-    trace = forward(x, params, hyper, mode="eval")
     shots = shots_from_changepoints(change_points, x.shape[0])
-    summary = summary_from_scores(video_id, trace.y, shots, ratio)
-    return summary, trace
+    return summary_from_scores(video_id, forward(x, params, hyper, mode="eval").y, shots, ratio)

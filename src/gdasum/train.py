@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SourceDataset, SplitSpec, VideoRecord, majority_source
-from .losses import LossBreakdown, LossWeights, NumericalError, loss_and_grad
+from .losses import LossBreakdown, NumericalError, loss_and_grad
 from .model import HyperParams, ModelParams, forward, init_params
 
 CHECKPOINT_FORMAT = "gdasum-checkpoint"
@@ -56,8 +56,8 @@ class TrainConfig:
     learning_rate: float | None = None
     sigma: float = 0.3
     seed: int = 0
-    grad_clip: float | None = 5.0
-    loss_weights: LossWeights | None = None
+    grad_clip: float = 5.0  # global gradient-norm bound; 0 turns clipping off
+    variation_weight: float = 1.0  # 0 drops the DPP term: the keyframe-only ablation
 
     def __post_init__(self):
         if isinstance(self.mode, str):
@@ -68,8 +68,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError("sigma must lie in (0, 1)")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive")
+        if not self.grad_clip >= 0.0:  # also refuses NaN
+            raise ValueError("grad_clip must be nonnegative (0 disables clipping)")
 
 
 @dataclass
@@ -238,7 +238,7 @@ def train(
                     mode,
                     labels=rec.annotations.keyframe_labels,
                     sigma=config.sigma,
-                    weights=config.loss_weights,
+                    variation_weight=config.variation_weight,
                 )
                 # free the activations before the next forward allocates its own
                 del trace

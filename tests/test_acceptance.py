@@ -16,7 +16,7 @@ import pytest
 from gdasum.cli import run_gradcheck_instance
 from gdasum.data import SplitSetting, intervals_to_mask, load_manifest, make_splits
 from gdasum.kts import SegmentCostTable, kts_changepoints, shots_from_changepoints
-from gdasum.losses import LossWeights, dpp_log_prob
+from gdasum.losses import dpp_log_prob
 from gdasum.metrics import EvalProtocol, diversity_zeta, fscore, video_fscore
 from gdasum.model import HyperParams, forward, init_params
 from gdasum.summarize import knapsack_select, summary_from_scores, generate_summary
@@ -190,7 +190,7 @@ def mean_test_fscore(records, split, params, hyper, ratio=0.15):
     scores = []
     for vid in split.test_ids:
         rec = by_id[vid]
-        summary, _ = generate_summary(
+        summary = generate_summary(
             rec.features.matrix,
             params,
             hyper,
@@ -253,7 +253,7 @@ def test_acceptance_ablation_variation_helps(capsys, planted_setup, trained_full
         epochs=200,
         learning_rate=1e-4,
         seed=0,
-        loss_weights=LossWeights(variation=0.0),
+        variation_weight=0.0,
     )
     key_only_params, _ = train(records, split, config, hyper)
 
@@ -310,7 +310,7 @@ def test_acceptance_real_benchmark(capsys):
             rec = by_id[vid]
             x = rec.features.matrix
             cps = rec.annotations.change_points
-            summary, _ = generate_summary(
+            summary = generate_summary(
                 x,
                 params,
                 hyper,

@@ -81,7 +81,7 @@ def test_pipeline_train_summarize_eval(corpus, tmp_path, capsys):
     sums = tmp_path / "sums"
     code = run([
         "summarize", "--manifest", corpus, "--checkpoint", ckpt,
-        "--setting", "canonical", "--fold", 0, "--out", sums, "--emit-plot-data",
+        "--setting", "canonical", "--fold", 0, "--out", sums,
     ])
     assert code == 0
     summary_files = sorted(sums.glob("*.summary.json"))
@@ -90,7 +90,7 @@ def test_pipeline_train_summarize_eval(corpus, tmp_path, capsys):
     assert doc["format_version"] == "1"
     # run_config records the settings summarize reads, and nothing else
     assert sorted(doc["run_config"]) == [
-        "checkpoint", "command", "emit_plot_data", "fold", "kts_kernel",
+        "checkpoint", "command", "fold", "kts_kernel",
         "kts_max_segments", "kts_penalty", "manifest", "out", "ratio", "seed",
         "setting", "target",
     ]
@@ -98,10 +98,6 @@ def test_pipeline_train_summarize_eval(corpus, tmp_path, capsys):
     assert len(doc["frame_mask"]) == 60
     assert sum(doc["frame_mask"]) <= int(0.15 * 60)
     assert doc["shots"] and doc["selected"] is not None
-    plot = sums / summary_files[0].name.replace(".summary.json", ".plot.csv")
-    lines = plot.read_text().splitlines()
-    assert lines[0] == "frame,score,selected"
-    assert len(lines) == 61
 
     metrics_dir = tmp_path / "metrics"
     code = run([
@@ -115,8 +111,6 @@ def test_pipeline_train_summarize_eval(corpus, tmp_path, capsys):
     assert 0.0 <= doc["mean_fscore"] <= 100.0
     assert doc["zeta"] >= 0.0
     assert len(doc["per_video"]) == 2
-    csv = (metrics_dir / "metrics.csv").read_text()
-    assert csv.startswith("video_id,precision,recall,fscore\n")
 
 
 def test_pipeline_reruns_are_byte_identical(corpus, tmp_path):
@@ -381,6 +375,38 @@ def test_eval_frame_count_mismatch(tmp_path, capsys):
     assert "frames" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("shots", [[0, 2], [2, 2], [2, 4]], "invalid shot [2, 2)"),
+    ("shots", [[0, 1], [3, 4]], "contiguous"),
+    ("shots", [[0, 2]], "shots end at frame 2"),
+    ("shots", [[0, 2], [2, 4.0]], "JSON integers"),
+    ("selected", [2], "selected index"),
+    ("frame_mask", [2, 1, 0, 0], "0 or 1"),
+])
+def test_eval_refuses_malformed_summaries(field, value, named, tmp_path, capsys):
+    manifest = write_solo_manifest(tmp_path)
+    sums = write_solo_summary(tmp_path, [1, 1, 0, 0])
+    path = sums / "solo.summary.json"
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "metrics"
+    assert run(["eval", "--manifest", manifest, "--summaries", sums, "--zeta", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "summary for 'solo'" in err and named in err
+    assert not out.exists()
+
+
+def test_eval_names_an_unreadable_summary(tmp_path, capsys):
+    manifest = write_solo_manifest(tmp_path)
+    sums = write_solo_summary(tmp_path, [1, 1, 0, 0])
+    for text, named in [("{oops", "is not valid JSON"), ("[1, 2]", "must hold a JSON object")]:
+        (sums / "solo.summary.json").write_text(text)
+        assert run(["eval", "--manifest", manifest, "--summaries", sums]) == 1
+        err = capsys.readouterr().err
+        assert "solo.summary.json" in err and named in err
+
+
 def test_eval_requires_summaries(tmp_path, capsys):
     manifest = write_solo_manifest(tmp_path)
     assert run(["eval", "--manifest", manifest]) == 1
@@ -536,14 +562,15 @@ def test_config_file_values_are_parsed(corpus, init_summaries, tmp_path, monkeyp
     assert len(lines) == 1 + 3 + 1  # provenance, one record per epoch, checkpoint path
 
     # true sets a store-true flag and null leaves the default
-    cfg.write_text(json.dumps({"zeta": True, "zeta_norm": None}))
+    cfg.write_text(json.dumps({"zeta": True, "protocol": None}))
     metrics = tmp_path / "metrics"
     _, sums = init_summaries
     assert run(["eval", "--manifest", corpus, "--summaries", sums, "--out", metrics]) == 0
     doc = json.loads((metrics / "metrics.json").read_text())
     assert doc["zeta"] is not None
     assert doc["run_config"]["zeta"] is True
-    assert doc["run_config"]["zeta_norm"] == "per_video"
+    assert doc["run_config"]["protocol"] is None
+    assert doc["protocol"] == "mean"  # inferred from source "other"
 
 
 @pytest.mark.parametrize("command", ["train", "summarize", "segment", "eval", "gradcheck"])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,40 @@ def test_load_manifest_round_trip(tmp_path):
     assert rec.annotations.change_points == (2, 4)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_frames", 6.9),
+    ("n_frames", "6"),
+    ("dim", 3.0),
+    ("keyframe_labels", [0.5, 1.7, 0, 0, 0, 0]),
+    ("user_summaries", [[[0.9, 3.2]]]),
+    ("change_points", [2.5, 4]),
+    ("change_points", ["4"]),
+    ("change_points", [True, 4]),
+])
+def test_load_manifest_numbers_must_be_json_integers(tmp_path, key, value):
+    # each of these used to load, truncated or coerced to an int
+    entries = []
+    annotations = {"keyframe_labels": [0, 1, 0, 0, 1, 0], "change_points": [2, 4]}
+    add_video(tmp_path, entries, "a", n_frames=6, annotations=annotations)
+    if key in entries[0]:
+        entries[0][key] = value
+    else:
+        annotations[key] = value
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, entries)
+    with pytest.raises(DatasetError, match=re.escape(f"video 'a': {key} takes JSON integers")):
+        load_manifest(manifest)
+
+
+def test_load_manifest_labels_checked_before_narrowing(tmp_path):
+    entries = []
+    add_video(tmp_path, entries, "a", n_frames=3, annotations={"keyframe_labels": [0, 257, 1]})
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, entries)
+    with pytest.raises(DatasetError, match="0/1"):
+        load_manifest(manifest)
+
+
 def test_load_manifest_duplicate_ids(tmp_path):
     entries = []
     add_video(tmp_path, entries, "a")
@@ -208,9 +243,7 @@ def test_annotation_validation():
 def test_split_spec_rejects_overlap():
     with pytest.raises(DatasetError, match="overlap"):
         SplitSpec(
-            setting=SplitSetting.CANONICAL,
             fold_index=0,
-            seed=0,
             train_ids=("a", "b"),
             test_ids=("b",),
         )

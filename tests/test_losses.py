@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gdasum.losses import (
-    LossWeights,
     NumericalError,
     backward,
     dpp_log_prob,
@@ -280,7 +279,7 @@ def test_unused_embedding_head_gets_zero_gradient():
     trace = forward(x, params, hyper, mode="eval")
     grads = backward(
         trace, x, params, hyper, "supervised", labels=labels,
-        weights=LossWeights(variation=0.0),
+        variation_weight=0.0,
     )
     assert np.all(grads.emb_w == 0.0)
     assert np.all(grads.emb_b == 0.0)

@@ -11,6 +11,7 @@ from gdasum.model import (
 )
 
 SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.5)
+CLIP = HyperParams().alpha_clip
 
 
 def test_init_xavier_bounds():
@@ -103,17 +104,17 @@ def test_normalize_columns_sum_to_one():
 
 def test_diversity_uniform():
     alpha = np.full((3, 3), 1.0 / 3.0)
-    assert np.allclose(diversity_weights(alpha), 1.0 / 3.0, atol=1e-12)
+    assert np.allclose(diversity_weights(alpha, CLIP), 1.0 / 3.0, atol=1e-12)
 
 
 def test_diversity_hand_example():
     alpha = np.array([[0.5, 2.0 / 3.0], [0.5, 1.0 / 3.0]])
-    d = diversity_weights(alpha)
+    d = diversity_weights(alpha, CLIP)
     assert np.allclose(d, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
 
 def test_diversity_single_frame():
-    assert np.array_equal(diversity_weights(np.array([[1.0]])), [1.0])
+    assert np.array_equal(diversity_weights(np.array([[1.0]]), CLIP), [1.0])
 
 
 def test_diversity_matches_direct_product():
@@ -125,9 +126,9 @@ def test_diversity_matches_direct_product():
         alpha = rng.uniform(0.2, 1.0, size=(n, n))
         alpha /= alpha.sum(axis=0, keepdims=True)
         assert alpha.max() <= 0.9
-        direct = np.prod(1.0 - np.clip(alpha, 1e-7, 1 - 1e-7), axis=1)
+        direct = np.prod(1.0 - np.clip(alpha, CLIP, 1 - CLIP), axis=1)
         direct /= direct.sum()
-        assert np.abs(diversity_weights(alpha) - direct).max() < 1e-10
+        assert np.abs(diversity_weights(alpha, CLIP) - direct).max() < 1e-10
 
 
 def test_forward_eval_invariants():

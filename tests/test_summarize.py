@@ -209,11 +209,9 @@ def test_generate_summary_uses_given_changepoints():
     x = rng.standard_normal((20, 6))
     hyper = HyperParams(hidden=8, embed=4)
     params = init_params(6, hyper, rng)
-    summary, trace = generate_summary(
-        x, params, hyper, ratio=0.5, video_id="v", change_points=[10]
-    )
+    summary = generate_summary(x, params, hyper, ratio=0.5, video_id="v", change_points=[10])
     assert [(s.start, s.end) for s in summary.shots] == [(0, 10), (10, 20)]
-    assert trace.y.shape == (20,)
+    assert summary.frame_scores.shape == (20,)
     assert int(summary.frame_mask.sum()) <= 10
 
 
@@ -222,8 +220,8 @@ def test_generate_summary_deterministic():
     x = rng.standard_normal((15, 5))
     hyper = HyperParams(hidden=8, embed=4)
     params = init_params(5, hyper, rng)
-    a, _ = generate_summary(x, params, hyper, change_points=[5, 10])
-    b, _ = generate_summary(x, params, hyper, change_points=[5, 10])
+    a = generate_summary(x, params, hyper, change_points=[5, 10])
+    b = generate_summary(x, params, hyper, change_points=[5, 10])
     assert (a.frame_mask == b.frame_mask).all()
     assert np.array_equal(a.frame_scores, b.frame_scores)
 
