@@ -43,9 +43,9 @@ def main():
     hyper = HyperParams(hidden=32, embed=8)
     config = TrainConfig(mode="supervised", epochs=60, learning_rate=1e-3, seed=0)
     started = time.perf_counter()
-    params, report = train(records, split, config, hyper)
+    params, epochs = train(records, split, config, hyper)
     wall = time.perf_counter() - started
-    first, last = report.epochs[0].mean_loss.total, report.epochs[-1].mean_loss.total
+    first, last = epochs[0]["loss"]["total"], epochs[-1]["loss"]["total"]
     print(f"trained {config.epochs} epochs in {wall:.1f}s;"
           f" mean loss {first:.3f} -> {last:.3f}\n")
 

@@ -47,8 +47,6 @@ from .losses import (
 )
 from .metrics import (
     EvalProtocol,
-    MetricsReport,
-    VideoScore,
     diversity_zeta,
     fscore,
     video_fscore,
@@ -76,7 +74,6 @@ from .train import (
     CheckpointError,
     TrainConfig,
     TrainMode,
-    TrainReport,
     adam_step,
     load_checkpoint,
     save_checkpoint,
@@ -95,7 +92,6 @@ __all__ = [
     "FrameFeatures",
     "HyperParams",
     "LossBreakdown",
-    "MetricsReport",
     "ModelParams",
     "NumericalError",
     "PlantedSpec",
@@ -108,9 +104,7 @@ __all__ = [
     "Summary",
     "TrainConfig",
     "TrainMode",
-    "TrainReport",
     "VideoRecord",
-    "VideoScore",
     "adam_step",
     "backward",
     "diversity_weights",

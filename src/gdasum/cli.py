@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 import warnings
@@ -33,12 +34,10 @@ from .data import (
     make_splits,
 )
 from .kts import KERNELS, Shot, kts_changepoints
-from .losses import NumericalError, backward, finite_diff_grad, gradient_report
+from .losses import DEFAULT_FD_STEP, NumericalError, backward, finite_diff_grad, gradient_report
 from .metrics import (
     PROTOCOL_BY_SOURCE,
     EvalProtocol,
-    MetricsReport,
-    VideoScore,
     diversity_zeta,
     video_fscore,
 )
@@ -157,15 +156,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             seed=args.seed,
             grad_clip=args.grad_clip,
         )
-        params, report = train(records, split, config, hyper)
+        params, epochs = train(records, split, config, hyper)
         ckpt_path = out / f"fold{k}.ckpt"
         save_checkpoint(params, ckpt_path, hyper, extra_header=_provenance(args))
-        report.checkpoint_path = str(ckpt_path)
         report_path = out / f"fold{k}.report.jsonl"
-        report_path.write_text(
-            json.dumps(_provenance(args)) + "\n" + report.to_json_lines()
-        )
-        final = report.epochs[-1].mean_loss.total if report.epochs else float("nan")
+        lines = [_provenance(args), *epochs, {"checkpoint_path": str(ckpt_path)}]
+        report_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        final = epochs[-1]["loss"]["total"] if epochs else float("nan")
         print(f"fold {k}: checkpoint {ckpt_path} report {report_path} final-loss {final:.6f}")
     return 0
 
@@ -326,7 +323,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for rec in scored_records:
         machine = _summary_mask(rec, docs[rec.id])
         p, r, f = video_fscore(machine, _user_masks(rec), protocol)
-        per_video[rec.id] = VideoScore(rec.id, p, r, f)
+        per_video[rec.id] = {"video_id": rec.id, "precision": p, "recall": r, "fscore": f}
 
     splits = _requested_splits(args, records)
     if splits is None:
@@ -338,35 +335,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DatasetError("no summarized videos fall in the requested fold(s)")
 
     fold_fscores = [
-        float(np.mean([per_video[vid].fscore for vid in fold])) for fold in folds
+        float(np.mean([per_video[vid]["fscore"] for vid in fold])) for fold in folds
     ]
 
-    zeta, zeta_skipped = None, 0
+    doc = {
+        **_provenance(args),
+        "protocol": protocol.value,
+        "per_video": [per_video[vid] for fold in folds for vid in fold],
+        "fold_fscores": fold_fscores,
+        "mean_fscore": float(np.mean(fold_fscores)),
+    }
     if args.zeta:
         by_id = {r.id: r for r in records}
         scored = {vid for fold in folds for vid in fold}
         zeta_videos = []
         # zeta covers the videos the F-scores cover: the requested folds' tests
-        for vid, doc in docs.items():
+        for vid, summary in docs.items():
             if vid not in scored:
                 continue
-            shots, selected = _summary_shots(by_id[vid], doc)
+            shots, selected = _summary_shots(by_id[vid], summary)
             feats = by_id[vid].features.matrix.astype(np.float64)
             shot_feats = np.array([feats[s.start : s.end].mean(axis=0) for s in shots])
             zeta_videos.append((shot_feats, selected))
+        doc["zeta"] = diversity_zeta(zeta_videos)
         # videos that selected no shot are left out of zeta, and counted
-        zeta_skipped = sum(not selected for _, selected in zeta_videos)
-        zeta = diversity_zeta(zeta_videos)
-
-    report = MetricsReport(
-        protocol=protocol,
-        per_video=[per_video[vid] for fold in folds for vid in fold],
-        fold_fscores=fold_fscores,
-        mean_fscore=float(np.mean(fold_fscores)),
-        zeta=zeta,
-        zeta_skipped_videos=zeta_skipped,
-    )
-    doc = {**_provenance(args), **report.to_dict()}
+        doc["zeta_skipped_videos"] = sum(not selected for _, selected in zeta_videos)
     text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if args.out:
         out = _out_dir(args)
@@ -384,8 +377,7 @@ def run_gradcheck_instance(
     feature_dim: int = 5,
     hidden: int = 8,
     embed: int = 4,
-    sigma: float = 0.3,
-    step: float = 1e-5,
+    step: float = DEFAULT_FD_STEP,
 ) -> float:
     """Max relative error between analytic and numeric gradients."""
     rng = np.random.default_rng(seed)
@@ -397,12 +389,16 @@ def run_gradcheck_instance(
         labels = np.zeros(n_frames, dtype=np.int8)
         labels[rng.choice(n_frames, size=max(1, n_frames // 3), replace=False)] = 1
     trace = forward(x, params, hyper, mode="eval")
-    analytic = backward(trace, x, params, hyper, mode, labels=labels, sigma=sigma)
-    numeric = finite_diff_grad(x, params, hyper, mode, labels=labels, sigma=sigma, step=step)
+    analytic = backward(trace, x, params, hyper, mode, labels=labels)
+    numeric = finite_diff_grad(x, params, hyper, mode, labels=labels, step=step)
     return gradient_report(analytic, numeric)["max"]
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    for flag, value in [("--instances", args.instances), ("--fd-step", args.fd_step),
+                        ("--tolerance", args.tolerance)]:
+        if not (math.isfinite(value) and value > 0):
+            raise DatasetError(f"{flag} must be finite and positive, got {value}")
     rows = []
     worst = 0.0
     for i in range(args.instances):

@@ -73,29 +73,6 @@ class Annotations:
     user_summaries: tuple[tuple[tuple[int, int], ...], ...] | None = None
     change_points: tuple[int, ...] | None = None
 
-    def validate(self, n_frames: int) -> None:
-        if self.keyframe_labels is not None:
-            lab = self.keyframe_labels
-            if lab.shape != (n_frames,):
-                raise DatasetError("keyframe_labels length differs from n_frames")
-            if not np.isin(lab, (0, 1)).all():
-                raise DatasetError("keyframe_labels must be 0/1")
-        if self.user_summaries is not None:
-            for user in self.user_summaries:
-                prev_end = 0
-                for start, end in user:
-                    if not (0 <= start < end <= n_frames):
-                        raise DatasetError(
-                            f"interval [{start}, {end}) outside [0, {n_frames})"
-                        )
-                    if start < prev_end:
-                        raise DatasetError("user summary intervals overlap or are unsorted")
-                    prev_end = end
-        if self.change_points is not None:
-            cp = list(self.change_points)
-            if cp != sorted(set(cp)) or (cp and not (0 < cp[0] and cp[-1] < n_frames)):
-                raise DatasetError("change_points must be strictly increasing in (0, N)")
-
 
 @dataclass(frozen=True)
 class VideoRecord:
@@ -162,27 +139,53 @@ def _json_ints(values, video_id: str, key: str) -> list[int]:
     return [_json_int(v, video_id, key) for v in values]
 
 
-def _parse_annotations(obj: dict, video_id: str) -> Annotations:
-    known = {"keyframe_labels", "user_summaries", "change_points"}
-    unknown = set(obj) - known
+def _parse_annotations(obj, video_id: str, n_frames: int) -> Annotations:
+    """A video's annotations, each key checked for type, nesting, length and range."""
+
+    def refuse(key: str, problem: str):
+        raise DatasetError(f"video {video_id!r}: {key} {problem}")
+
+    if not isinstance(obj, dict):
+        refuse("annotations", f"must be a JSON object, got {obj!r}")
+    unknown = set(obj) - {"keyframe_labels", "user_summaries", "change_points"}
     if unknown:
         raise DatasetError(f"video {video_id!r}: unknown annotation keys {sorted(unknown)}")
+
     labels = obj.get("keyframe_labels")
     if labels is not None:
         labels = _json_ints(labels, video_id, "keyframe_labels")
+        if len(labels) != n_frames:
+            refuse("keyframe_labels", f"has {len(labels)} entries for {n_frames} frames")
         # checked before the int8 cast, which would overflow or wrap
         if not set(labels) <= {0, 1}:
-            raise DatasetError(f"video {video_id!r}: keyframe_labels must be 0/1")
+            refuse("keyframe_labels", "must be 0/1")
         labels = np.array(labels, dtype=np.int8)
+
     summaries = obj.get("user_summaries")
     if summaries is not None:
-        summaries = tuple(
-            tuple(tuple(_json_ints(interval, video_id, "user_summaries")) for interval in user)
-            for user in summaries
-        )
+        if not isinstance(summaries, list) or not all(isinstance(u, list) for u in summaries):
+            refuse("user_summaries", "must be a list holding one interval list per user")
+        parsed = []
+        for user in summaries:
+            prev_end = 0
+            for interval in user:
+                if not isinstance(interval, list) or len(interval) != 2:
+                    refuse("user_summaries", f"intervals are [start, end] pairs, not {interval!r}")
+                start, end = _json_ints(interval, video_id, "user_summaries")
+                if not 0 <= start < end <= n_frames:
+                    refuse("user_summaries", f"interval [{start}, {end}) outside [0, {n_frames})")
+                if start < prev_end:
+                    refuse("user_summaries", "intervals overlap or are unsorted")
+                prev_end = end
+            parsed.append(tuple(tuple(interval) for interval in user))
+        summaries = tuple(parsed)
+
     cps = obj.get("change_points")
     if cps is not None:
-        cps = tuple(_json_ints(cps, video_id, "change_points"))
+        cps = _json_ints(cps, video_id, "change_points")
+        if cps != sorted(set(cps)) or (cps and not (0 < cps[0] and cps[-1] < n_frames)):
+            refuse("change_points", f"must be strictly increasing in (0, {n_frames})")
+        cps = tuple(cps)
     return Annotations(
         keyframe_labels=labels,
         user_summaries=summaries,
@@ -199,13 +202,15 @@ def load_manifest(path) -> list[VideoRecord]:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "videos" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("videos"), list):
         raise DatasetError('manifest must be an object with a "videos" list')
 
     records = []
     seen = set()
     base = path.parent
-    for entry in doc["videos"]:
+    for i, entry in enumerate(doc["videos"]):
+        if not isinstance(entry, dict):
+            raise DatasetError(f"videos[{i}] must be a JSON object, got {entry!r}")
         try:
             vid = entry["id"]
             n_frames = _json_int(entry["n_frames"], vid, "n_frames")
@@ -213,6 +218,9 @@ def load_manifest(path) -> list[VideoRecord]:
             features_file = entry["features_file"]
         except KeyError as exc:
             raise DatasetError(f"video entry missing required key {exc}") from exc
+        for key, value in (("id", vid), ("features_file", features_file)):
+            if not isinstance(value, str):
+                raise DatasetError(f"videos[{i}]: {key} must be a JSON string, got {value!r}")
         if vid in seen:
             raise DatasetError(f"duplicate video id {vid!r}")
         seen.add(vid)
@@ -228,8 +236,7 @@ def load_manifest(path) -> list[VideoRecord]:
                 f"video {vid!r}: unknown source_dataset {source_raw!r}"
             ) from exc
         features = read_features(base / features_file, n_frames, dim)
-        annotations = _parse_annotations(entry.get("annotations", {}), vid)
-        annotations.validate(n_frames)
+        annotations = _parse_annotations(entry.get("annotations", {}), vid, n_frames)
         records.append(
             VideoRecord(
                 id=vid,

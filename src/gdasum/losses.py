@@ -33,6 +33,10 @@ from .model import (
 )
 
 SCORE_CLIP = 1e-7
+# defaults of the loss signatures, TrainConfig and the gradient check
+DEFAULT_SIGMA = 0.3  # summary-ratio target of the length loss
+DEFAULT_VARIATION_WEIGHT = 1.0
+DEFAULT_FD_STEP = 1e-5  # central-difference step of finite_diff_grad
 
 MODES = ("supervised", "unsupervised")
 
@@ -214,8 +218,8 @@ def total_loss(
     hyper: HyperParams,
     mode: str,
     labels: np.ndarray | None = None,
-    sigma: float = 0.3,
-    variation_weight: float = 1.0,
+    sigma: float = DEFAULT_SIGMA,
+    variation_weight: float = DEFAULT_VARIATION_WEIGHT,
 ) -> LossBreakdown:
     """Mode-appropriate training loss plus the L2 weight penalty.
 
@@ -291,8 +295,8 @@ def loss_and_grad(
     hyper: HyperParams,
     mode: str,
     labels: np.ndarray | None = None,
-    sigma: float = 0.3,
-    variation_weight: float = 1.0,
+    sigma: float = DEFAULT_SIGMA,
+    variation_weight: float = DEFAULT_VARIATION_WEIGHT,
 ) -> tuple[LossBreakdown, ModelParams]:
     """``total_loss`` and its exact gradient w.r.t. every parameter.
 
@@ -392,8 +396,8 @@ def backward(
     hyper: HyperParams,
     mode: str,
     labels: np.ndarray | None = None,
-    sigma: float = 0.3,
-    variation_weight: float = 1.0,
+    sigma: float = DEFAULT_SIGMA,
+    variation_weight: float = DEFAULT_VARIATION_WEIGHT,
 ) -> ModelParams:
     """Exact gradient of ``total_loss``: the gradient half of ``loss_and_grad``."""
     return loss_and_grad(trace, x, params, hyper, mode, labels, sigma, variation_weight)[1]
@@ -409,8 +413,8 @@ def loss_given_params(
     hyper: HyperParams,
     mode: str,
     labels: np.ndarray | None = None,
-    sigma: float = 0.3,
-    variation_weight: float = 1.0,
+    sigma: float = DEFAULT_SIGMA,
+    variation_weight: float = DEFAULT_VARIATION_WEIGHT,
     masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Scalar total loss as a pure function of the parameters.
@@ -429,9 +433,9 @@ def finite_diff_grad(
     hyper: HyperParams,
     mode: str,
     labels: np.ndarray | None = None,
-    sigma: float = 0.3,
-    variation_weight: float = 1.0,
-    step: float = 1e-5,
+    sigma: float = DEFAULT_SIGMA,
+    variation_weight: float = DEFAULT_VARIATION_WEIGHT,
+    step: float = DEFAULT_FD_STEP,
     masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ModelParams:
     """Central differences (f(p + h) - f(p - h)) / 2h per scalar parameter."""

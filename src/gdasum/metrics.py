@@ -10,7 +10,6 @@ video's content more tightly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,42 +100,3 @@ def diversity_zeta(videos: list[tuple[np.ndarray, list[int]]]) -> float:
         raise ValueError("no video has a selected shot")
     return float(np.mean(per_video_means))
 
-
-@dataclass
-class VideoScore:
-    video_id: str
-    precision: float
-    recall: float
-    fscore: float
-
-
-@dataclass
-class MetricsReport:
-    """Per-video scores plus fold aggregates, serializable to JSON."""
-
-    protocol: EvalProtocol
-    per_video: list[VideoScore] = field(default_factory=list)
-    fold_fscores: list[float] = field(default_factory=list)
-    mean_fscore: float = 0.0
-    zeta: float | None = None
-    zeta_skipped_videos: int = 0
-
-    def to_dict(self) -> dict:
-        out = {
-            "protocol": self.protocol.value,
-            "per_video": [
-                {
-                    "video_id": v.video_id,
-                    "precision": v.precision,
-                    "recall": v.recall,
-                    "fscore": v.fscore,
-                }
-                for v in self.per_video
-            ],
-            "fold_fscores": list(self.fold_fscores),
-            "mean_fscore": self.mean_fscore,
-        }
-        if self.zeta is not None:
-            out["zeta"] = self.zeta
-            out["zeta_skipped_videos"] = self.zeta_skipped_videos
-        return out

@@ -16,13 +16,19 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import SourceDataset, SplitSpec, VideoRecord, majority_source
-from .losses import LossBreakdown, NumericalError, loss_and_grad
+from .losses import (
+    DEFAULT_SIGMA,
+    DEFAULT_VARIATION_WEIGHT,
+    LossBreakdown,
+    NumericalError,
+    loss_and_grad,
+)
 from .model import HyperParams, ModelParams, forward, init_params
 
 CHECKPOINT_FORMAT = "gdasum-checkpoint"
@@ -54,10 +60,11 @@ class TrainConfig:
     mode: TrainMode = TrainMode.SUPERVISED
     epochs: int = 200
     learning_rate: float | None = None
-    sigma: float = 0.3
+    sigma: float = DEFAULT_SIGMA
     seed: int = 0
     grad_clip: float = 5.0  # global gradient-norm bound; 0 turns clipping off
-    variation_weight: float = 1.0  # 0 drops the DPP term: the keyframe-only ablation
+    # 0 drops the DPP term: the keyframe-only ablation
+    variation_weight: float = DEFAULT_VARIATION_WEIGHT
 
     def __post_init__(self):
         if isinstance(self.mode, str):
@@ -83,37 +90,6 @@ class AdamState:
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
         return cls(m=params.zeros_like(), v=params.zeros_like(), t=0)
-
-
-@dataclass
-class EpochStats:
-    epoch: int
-    mean_loss: LossBreakdown
-    wall_seconds: float
-    grad_norm_median: float  # global gradient norms before clipping
-    grad_norm_max: float
-    clipped_fraction: float  # share of the epoch's steps that were clipped
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "loss": asdict(self.mean_loss),
-            "wall_seconds": self.wall_seconds,
-            "grad_norm": {"median": self.grad_norm_median, "max": self.grad_norm_max},
-            "clipped_fraction": self.clipped_fraction,
-        }
-
-
-@dataclass
-class TrainReport:
-    epochs: list[EpochStats] = field(default_factory=list)
-    checkpoint_path: str | None = None
-
-    def to_json_lines(self) -> str:
-        lines = [json.dumps(e.to_dict()) for e in self.epochs]
-        if self.checkpoint_path is not None:
-            lines.append(json.dumps({"checkpoint_path": self.checkpoint_path}))
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def resolve_learning_rate(config: TrainConfig, test_records: list[VideoRecord]) -> float:
@@ -184,8 +160,14 @@ def train(
     split: SplitSpec,
     config: TrainConfig,
     hyper: HyperParams,
-) -> tuple[ModelParams, TrainReport]:
-    """Run the full training loop on one split and return final parameters."""
+) -> tuple[ModelParams, list[dict]]:
+    """Run the full training loop on one split.
+
+    Returns the final parameters and one record per epoch, the JSON
+    object each line of the training report holds: the mean loss terms,
+    wall time, median and max global gradient norm before clipping, and
+    the share of steps that were clipped.
+    """
     by_id = {r.id: r for r in records}
     missing = [vid for vid in split.train_ids if vid not in by_id]
     if missing:
@@ -216,7 +198,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = init_params(feature_dim, hyper, config.seed)
     state = AdamState.zeros(params)
-    report = TrainReport()
+    epochs = []
     clip = config.grad_clip or np.inf
 
     for epoch in range(config.epochs):
@@ -248,19 +230,14 @@ def train(
                 raise NumericalError(f"{err} on video {rec.id!r} at epoch {epoch}") from err
             norms.append(norm)
             sums += astuple(breakdown)
-        means = sums / len(train_records)
-        mean_loss = LossBreakdown(*means)
-        report.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                mean_loss=mean_loss,
-                wall_seconds=time.perf_counter() - started,
-                grad_norm_median=float(np.median(norms)),
-                grad_norm_max=max(norms),
-                clipped_fraction=float(np.mean(np.array(norms) > clip)),
-            )
-        )
-    return params, report
+        epochs.append({
+            "epoch": epoch,
+            "loss": asdict(LossBreakdown(*(sums / len(train_records)))),
+            "wall_seconds": time.perf_counter() - started,
+            "grad_norm": {"median": float(np.median(norms)), "max": max(norms)},
+            "clipped_fraction": float(np.mean(np.array(norms) > clip)),
+        })
+    return params, epochs
 
 
 def save_checkpoint(

@@ -64,6 +64,22 @@ def test_gradcheck_impossible_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--instances", "0"),
+    ("--instances", "-2"),
+    ("--fd-step", "0"),
+    ("--fd-step", "nan"),
+    ("--fd-step", "inf"),
+    ("--tolerance", "-1e-4"),
+    ("--tolerance", "nan"),
+])
+def test_gradcheck_refuses_values_that_check_nothing(flag, value, capsys):
+    assert run(["gradcheck", f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} must be finite and positive" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_pipeline_train_summarize_eval(corpus, tmp_path, capsys):
     out = tmp_path / "run"
     code = run([
@@ -346,6 +362,38 @@ def test_eval_perfect_match_scores_100(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["protocol"] == "max"  # inferred from summe-like
     assert doc["mean_fscore"] == 100.0
+
+
+def test_metrics_report_serialization(tmp_path, capsys):
+    manifest = write_solo_manifest(tmp_path)
+    sums = write_solo_summary(tmp_path, [1, 0, 0, 0])
+    out = tmp_path / "metrics"
+    assert run(["eval", "--manifest", manifest, "--summaries", sums, "--zeta", "--out", out]) == 0
+    doc = json.loads((out / "metrics.json").read_text())
+    assert list(doc) == [
+        "format_version", "run_config", "protocol", "per_video",
+        "fold_fscores", "mean_fscore", "zeta", "zeta_skipped_videos",
+    ]
+    assert doc["protocol"] == "max"
+    (video,) = doc["per_video"]
+    assert list(video) == ["video_id", "precision", "recall", "fscore"]
+    assert video["video_id"] == "solo"
+    assert (video["precision"], video["recall"]) == (100.0, 50.0)
+    assert video["fscore"] == pytest.approx(200.0 / 3.0)
+    assert doc["fold_fscores"] == [video["fscore"]]
+    assert doc["mean_fscore"] == video["fscore"]
+    assert doc["zeta_skipped_videos"] == 0
+
+
+def test_metrics_report_omits_unset_zeta(tmp_path, capsys):
+    manifest = write_solo_manifest(tmp_path)
+    sums = write_solo_summary(tmp_path, [1, 1, 0, 0])
+    assert run(["eval", "--manifest", manifest, "--summaries", sums]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == [
+        "format_version", "run_config", "protocol", "per_video",
+        "fold_fscores", "mean_fscore",
+    ]
 
 
 def test_eval_empty_machine_scores_0(tmp_path, capsys):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gdasum.data import (
-    Annotations,
     DatasetError,
     FrameFeatures,
     SourceDataset,
@@ -175,9 +174,19 @@ def test_load_manifest_rejects_bad_json(tmp_path):
     manifest.write_text("{not json")
     with pytest.raises(DatasetError, match="not valid JSON"):
         load_manifest(manifest)
-    manifest.write_text(json.dumps([1, 2]))
-    with pytest.raises(DatasetError, match="videos"):
+    for doc in ([1, 2], {"videos": 5}):
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match='"videos" list'):
+            load_manifest(manifest)
+    manifest.write_text(json.dumps({"videos": [5]}))
+    with pytest.raises(DatasetError, match=re.escape("videos[0] must be a JSON object")):
         load_manifest(manifest)
+    entry = {"id": "a", "n_frames": 4, "dim": 2, "features_file": "a.f32"}
+    for key, value in (("id", [1]), ("features_file", 5)):
+        manifest.write_text(json.dumps({"videos": [{**entry, key: value}]}))
+        named = re.escape(f"videos[0]: {key} must be a JSON string")
+        with pytest.raises(DatasetError, match=named):
+            load_manifest(manifest)
 
 
 def test_load_manifest_rejects_non_finite_features(tmp_path):
@@ -222,22 +231,27 @@ def test_load_manifest_warns_on_single_frame(tmp_path):
     assert records[0].features.n_frames == 1
 
 
-def test_annotation_validation():
-    with pytest.raises(DatasetError, match="0/1"):
-        Annotations(keyframe_labels=np.array([0, 2, 1])).validate(3)
-    with pytest.raises(DatasetError, match="length"):
-        Annotations(keyframe_labels=np.array([0, 1])).validate(3)
-    with pytest.raises(DatasetError, match="overlap"):
-        Annotations(user_summaries=(((0, 3), (2, 5)),)).validate(6)
-    with pytest.raises(DatasetError, match="change_points"):
-        Annotations(change_points=(0, 2)).validate(6)
-    with pytest.raises(DatasetError, match="change_points"):
-        Annotations(change_points=(2, 2)).validate(6)
-    Annotations(
-        keyframe_labels=np.array([1, 0, 1]),
-        user_summaries=(((0, 1), (2, 3)),),
-        change_points=(1, 2),
-    ).validate(3)
+@pytest.mark.parametrize("annotations, named", [
+    (5, "annotations must be a JSON object"),
+    ({"keyframe_labels": 5}, "keyframe_labels must be a list"),
+    ({"keyframe_labels": [0, 1]}, "keyframe_labels has 2 entries for 6 frames"),
+    ({"keyframe_labels": [0, 2, 1, 0, 0, 0]}, "keyframe_labels must be 0/1"),
+    ({"user_summaries": 5}, "user_summaries must be a list holding one interval list per user"),
+    ({"user_summaries": [5]}, "user_summaries must be a list holding one interval list per user"),
+    ({"user_summaries": [[5]]}, "user_summaries intervals are [start, end] pairs, not 5"),
+    ({"user_summaries": [[[0, 2, 3]]]}, "user_summaries intervals are [start, end] pairs"),
+    ({"user_summaries": [[[0, 7]]]}, "user_summaries interval [0, 7) outside [0, 6)"),
+    ({"user_summaries": [[[0, 3], [2, 5]]]}, "user_summaries intervals overlap or are unsorted"),
+    ({"change_points": [0, 2]}, "change_points must be strictly increasing in (0, 6)"),
+    ({"change_points": [2, 2]}, "change_points must be strictly increasing in (0, 6)"),
+])
+def test_load_manifest_checks_each_annotation(tmp_path, annotations, named):
+    entries = []
+    add_video(tmp_path, entries, "a", n_frames=6, annotations=annotations)
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, entries)
+    with pytest.raises(DatasetError, match=re.escape(f"video 'a': {named}")):
+        load_manifest(manifest)
 
 
 def test_split_spec_rejects_overlap():

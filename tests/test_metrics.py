@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +6,6 @@ from hypothesis import strategies as st
 from gdasum.metrics import (
     PROTOCOL_BY_SOURCE,
     EvalProtocol,
-    MetricsReport,
-    VideoScore,
     diversity_zeta,
     fscore,
     video_fscore,
@@ -153,26 +149,6 @@ def test_zeta_validates_input():
         diversity_zeta([(feats, [])])
     with pytest.raises(ValueError):
         diversity_zeta([(feats, [3])])
-
-
-def test_metrics_report_serialization():
-    report = MetricsReport(
-        protocol=EvalProtocol.MAX_OVER_USERS,
-        per_video=[VideoScore("a", 50.0, 100.0, 200.0 / 3.0)],
-        fold_fscores=[200.0 / 3.0],
-        mean_fscore=200.0 / 3.0,
-        zeta=0.25,
-    )
-    data = json.loads(json.dumps(report.to_dict()))
-    assert data["protocol"] == "max"
-    assert data["per_video"][0]["video_id"] == "a"
-    assert abs(data["mean_fscore"] - 200.0 / 3.0) < 1e-9
-    assert data["zeta"] == 0.25
-
-
-def test_metrics_report_omits_unset_zeta():
-    report = MetricsReport(protocol=EvalProtocol.MEAN_OVER_USERS)
-    assert "zeta" not in report.to_dict()
 
 
 def test_zeta_leaves_out_videos_without_selection():

@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+from gdasum.cli import CONFIG_ENV_VAR, main
 from gdasum.data import (
     Annotations,
     FrameFeatures,
@@ -17,7 +18,7 @@ from gdasum.data import (
 )
 from gdasum.losses import LossBreakdown, NumericalError, backward
 from gdasum.model import HyperParams, forward, init_params
-from gdasum.synthetic import PlantedSpec, make_planted_dataset
+from gdasum.synthetic import PlantedSpec, make_planted_dataset, write_planted_corpus
 from gdasum.train import (
     DEFAULT_LEARNING_RATES,
     AdamState,
@@ -202,9 +203,9 @@ def test_train_config_validation():
 def test_train_zero_epochs_returns_initialization():
     records, split = small_corpus()
     config = TrainConfig(epochs=0, seed=5)
-    params, report = train(records, split, config, SMALL_HYPER)
+    params, epochs = train(records, split, config, SMALL_HYPER)
     reference = init_params(16, SMALL_HYPER, 5)
-    assert report.epochs == []
+    assert epochs == []
     for a, b in zip(params.arrays(), reference.arrays()):
         assert np.array_equal(a, b)
 
@@ -212,10 +213,10 @@ def test_train_zero_epochs_returns_initialization():
 def test_train_loss_decreases():
     records, split = small_corpus()
     config = TrainConfig(epochs=8, learning_rate=1e-3, seed=0)
-    params, report = train(records, split, config, SMALL_HYPER)
-    assert len(report.epochs) == 8
-    first = report.epochs[0].mean_loss.total
-    last = report.epochs[-1].mean_loss.total
+    params, epochs = train(records, split, config, SMALL_HYPER)
+    assert len(epochs) == 8
+    first = epochs[0]["loss"]["total"]
+    last = epochs[-1]["loss"]["total"]
     assert np.isfinite(first) and np.isfinite(last)
     assert last < first
 
@@ -236,9 +237,9 @@ def test_train_unsupervised_ignores_missing_labels():
     hyper = HyperParams(hidden=16, embed=8, dropout_rate=0.2)
     records = [record(f"v{i}", seed=i, d=8, labeled=False) for i in range(3)]
     config = TrainConfig(mode="unsupervised", epochs=2, learning_rate=1e-3)
-    params, report = train(records, split_of(["v0", "v1", "v2"]), config, hyper)
-    assert len(report.epochs) == 2
-    assert np.isfinite(report.epochs[-1].mean_loss.total)
+    params, epochs = train(records, split_of(["v0", "v1", "v2"]), config, hyper)
+    assert len(epochs) == 2
+    assert np.isfinite(epochs[-1]["loss"]["total"])
 
 
 def test_train_supervised_requires_all_labels():
@@ -262,8 +263,8 @@ def test_train_semi_mixes_labeled_and_unlabeled():
         record("v1", seed=1, d=8, labeled=False),
     ]
     config = TrainConfig(mode="semi", epochs=2, learning_rate=1e-3)
-    params, report = train(records, split_of(["v0", "v1"]), config, hyper)
-    assert np.isfinite(report.epochs[-1].mean_loss.total)
+    params, epochs = train(records, split_of(["v0", "v1"]), config, hyper)
+    assert np.isfinite(epochs[-1]["loss"]["total"])
 
 
 def test_train_rejects_unknown_split_ids():
@@ -365,30 +366,35 @@ def test_train_reports_gradient_norm_before_clipping():
 
     for clip, fraction in [(norm / 2, 1.0), (2 * norm, 0.0), (0.0, 0.0)]:
         config = TrainConfig(epochs=1, learning_rate=1e-3, grad_clip=clip)
-        _, report = train([rec], split_of(["v0"]), config, hyper)
-        line = json.loads(report.to_json_lines())
-        assert line["grad_norm"] == {"median": norm, "max": norm}
-        assert line["clipped_fraction"] == fraction
+        _, (epoch,) = train([rec], split_of(["v0"]), config, hyper)
+        assert epoch["grad_norm"] == {"median": norm, "max": norm}
+        assert epoch["clipped_fraction"] == fraction
 
     records, split = small_corpus()
     config = TrainConfig(epochs=2, learning_rate=1e-3, grad_clip=1e-12)
-    _, report = train(records, split, config, SMALL_HYPER)
-    for epoch in report.epochs:
-        assert 0.0 < epoch.grad_norm_median <= epoch.grad_norm_max
-        assert epoch.clipped_fraction == 1.0
+    _, epochs = train(records, split, config, SMALL_HYPER)
+    for epoch in epochs:
+        assert 0.0 < epoch["grad_norm"]["median"] <= epoch["grad_norm"]["max"]
+        assert epoch["clipped_fraction"] == 1.0
 
 
-def test_train_report_json_lines():
-    records, split = small_corpus()
-    config = TrainConfig(epochs=2, learning_rate=1e-3)
-    _, report = train(records, split, config, SMALL_HYPER)
-    report.checkpoint_path = "fold0.ckpt"
-    lines = report.to_json_lines().strip().split("\n")
-    assert len(lines) == 3
-    first = json.loads(lines[0])
-    assert first["epoch"] == 0
-    assert "total" in first["loss"]
-    assert json.loads(lines[-1]) == {"checkpoint_path": "fold0.ckpt"}
+def test_train_report_json_lines(tmp_path, monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    manifest = write_planted_corpus(tmp_path, PlantedSpec(n_videos=6, n_frames=60, dim=8, seed=2))
+    out = tmp_path / "run"
+    assert main([
+        "train", "--manifest", str(manifest), "--fold", "0", "--epochs", "2",
+        "--hidden", "8", "--embed", "4", "--lr", "1e-3", "--out", str(out),
+    ]) == 0
+    lines = [json.loads(line) for line in (out / "fold0.report.jsonl").read_text().splitlines()]
+    assert len(lines) == 4
+    assert list(lines[0]) == ["format_version", "run_config"]
+    for k, epoch in enumerate(lines[1:3]):
+        assert list(epoch) == ["epoch", "loss", "wall_seconds", "grad_norm", "clipped_fraction"]
+        assert epoch["epoch"] == k
+        assert list(epoch["loss"]) == [f.name for f in dataclasses.fields(LossBreakdown)]
+        assert list(epoch["grad_norm"]) == ["median", "max"]
+    assert lines[-1] == {"checkpoint_path": str(out / "fold0.ckpt")}
 
 
 def reference_checkpoint(params, dtype, hyper=None):
