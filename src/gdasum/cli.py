@@ -175,6 +175,14 @@ def _records_to_summarize(args: argparse.Namespace, records):
     return [by_id[vid] for vid in splits[0].test_ids]  # fold 0 unless --fold names one
 
 
+def _check_kts_flags(args: argparse.Namespace) -> None:
+    """Refuse --kts-* values that would segment nothing, before any video loads."""
+    if not (math.isfinite(args.kts_penalty) and args.kts_penalty >= 0):
+        raise DatasetError(f"--kts-penalty must be finite and non-negative, got {args.kts_penalty}")
+    if args.kts_max_segments is not None and args.kts_max_segments < 1:
+        raise DatasetError(f"--kts-max-segments must be at least 1, got {args.kts_max_segments}")
+
+
 def _kts_boundaries(args: argparse.Namespace, x: np.ndarray) -> list[int]:
     """Shot boundaries of one video by KTS, under the command's --kts-* flags."""
     return kts_changepoints(
@@ -190,6 +198,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         raise DatasetError("summarize requires --manifest")
     if not args.checkpoint:
         raise DatasetError("summarize requires --checkpoint")
+    _check_kts_flags(args)
     records = load_manifest(args.manifest)
     params, hyper = load_checkpoint(args.checkpoint)
     targets = _records_to_summarize(args, records)
@@ -219,6 +228,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 def cmd_segment(args: argparse.Namespace) -> int:
     if not args.manifest:
         raise DatasetError("segment requires --manifest")
+    _check_kts_flags(args)
     records = load_manifest(args.manifest)
 
     def segment_one(rec):

@@ -18,11 +18,17 @@ import numpy as np
 
 # Largest frame count the segmentation accepts.  Its peak memory, measured
 # with tracemalloc, is 25 * N^2 bytes while the cost matrix is built (the
-# prefix-sum table, the matrix and one temporary, each (N+1)^2 float64)
-# and 16 * N^2 bytes during the DP: 0.9 GB at the cap.
+# prefix-sum table, the matrix and one temporary, each (N+1)^2 float64):
+# 0.9 GB at the cap.  The DP then holds the matrix, 8 * N^2 bytes, plus
+# its best and back tables, about 1.6 * N^2 bytes at the default
+# max_segments of N/10.
 MAX_FRAMES = 6000
 
 KERNELS = ("linear", "rbf")
+
+# End frames per block of the DP.  A block's rows of the cost matrix stay
+# in cache while every level runs over them; 32 to 128 time the same.
+DP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -130,13 +136,19 @@ def kts_changepoints(
     ``max_segments`` (default: N/10 rounded up) and returns the interior
     boundaries of the m minimizing total cost + penalty; ties prefer
     fewer segments.  An empty list means the video is a single shot.
-    Each level of the DP is one pass over the cost matrix: O(N^2)
-    memory and O(max_segments * N^2) work in all.
+    The DP walks the end frames in blocks of DP_BLOCK, running every
+    level over a block's rows of the cost matrix and reading only the
+    starts that precede the block's last end: O(N^2) memory, and about
+    max_segments * N^2 / 2 cell additions in all.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
+    if not (math.isfinite(penalty_coeff) and penalty_coeff >= 0):
+        raise ValueError(f"penalty_coeff must be finite and non-negative, got {penalty_coeff}")
     if max_segments is None:
         max_segments = math.ceil(n / 10)
+    if isinstance(max_segments, bool) or not isinstance(max_segments, (int, np.integer)):
+        raise ValueError(f"max_segments must be an integer, got {max_segments!r}")
     if max_segments < 1:
         raise ValueError("max_segments must be at least 1")
     kmax = min(max_segments, n)
@@ -147,15 +159,24 @@ def kts_changepoints(
     best = np.full((kmax + 1, n + 1), np.inf)
     back = np.zeros((kmax + 1, n + 1), dtype=np.intp)
     best[0, 0] = 0.0
-    buf = np.empty(n * (n + 1))
-    for k in range(1, kmax + 1):
-        # ends t >= k, starts s >= k - 1: cand[t - k, s - k + 1]
-        rows, cols = n + 1 - k, n + 2 - k
-        cand = buf[: rows * cols].reshape(rows, cols)
-        np.add(cost_by_end[k:, k - 1 :], best[k - 1, k - 1 :], out=cand)
-        first = cand.argmin(axis=1)  # the first minimum: the smallest start
-        back[k, k:] = first + (k - 1)
-        best[k, k:] = cand[np.arange(rows), first]
+    buf = np.empty(DP_BLOCK * (n + 1))
+    block_rows = np.arange(DP_BLOCK)
+    # Ends t in blocks [t0, t1), every level for one block before the next:
+    # row t reads best[k - 1, s] for s < t only, which earlier blocks and
+    # this block's level k - 1 have already set.  Starts s >= t1 - 1 cost
+    # +inf in every row of the block, so they are skipped without moving
+    # the first minimum.
+    for t0 in range(1, n + 1, DP_BLOCK):
+        t1 = min(t0 + DP_BLOCK, n + 1)
+        for k in range(1, min(kmax, t1 - 1) + 1):
+            # ends t in [lo, t1), starts s in [k - 1, t1 - 1): cand[t - lo, s - k + 1]
+            lo = max(t0, k)
+            rows, cols = t1 - lo, t1 - k
+            cand = buf[: rows * cols].reshape(rows, cols)
+            np.add(cost_by_end[lo:t1, k - 1 : t1 - 1], best[k - 1, k - 1 : t1 - 1], out=cand)
+            first = cand.argmin(axis=1)  # the first minimum: the smallest start
+            back[k, lo:t1] = first + (k - 1)
+            best[k, lo:t1] = cand[block_rows[:rows], first]
 
     objective = [
         best[m, n] + segment_penalty(n, m, penalty_coeff)

@@ -322,6 +322,45 @@ def test_segment_stdout_and_files(corpus, tmp_path, capsys):
     assert doc["video_id"] == "planted-000"
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--kts-penalty", "nan", "--kts-penalty must be finite and non-negative"),
+    ("--kts-penalty", "inf", "--kts-penalty must be finite and non-negative"),
+    ("--kts-penalty", "-1", "--kts-penalty must be finite and non-negative"),
+    ("--kts-max-segments", "0", "--kts-max-segments must be at least 1"),
+])
+def test_kts_flags_refuse_values_that_segment_nothing(
+    corpus, init_summaries, flag, value, named, tmp_path, capsys
+):
+    ckpt, _ = init_summaries
+    capsys.readouterr()
+    for args in (
+        ["segment", "--manifest", corpus],
+        ["summarize", "--manifest", corpus, "--checkpoint", ckpt, "--out", tmp_path / "sums"],
+    ):
+        assert run([*args, f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "sums").exists()
+
+
+def test_train_numerical_failure_exits_2_naming_video_and_epoch(tmp_path):
+    # the known singular subset kernel, reached in seconds at these shapes
+    manifest = write_planted_corpus(tmp_path, PlantedSpec(n_videos=5, n_frames=60, dim=8))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gdasum.cli", "train", "--manifest", str(manifest),
+         "--fold", "0", "--epochs", "2", "--hidden", "8", "--embed", "4", "--lr", "1e-3",
+         "--out", str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "numerical failure: subset kernel is numerically singular on video "
+        "'planted-001' at epoch 1\n"
+    )
+
+
 def write_solo_manifest(tmp_path, source="summe-like"):
     rng = np.random.default_rng(1)
     matrix = rng.standard_normal((4, 2)).astype(np.float32)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gdasum.kts import (
+    DP_BLOCK,
     MAX_FRAMES,
     SegmentCostTable,
     Shot,
@@ -215,25 +216,27 @@ def test_changepoints_deterministic():
     assert kts_changepoints(x) == kts_changepoints(x)
 
 
-def reference_changepoints(x, kernel):
+def reference_changepoints(x, kernel, max_segments=None, penalty_coeff=1.0):
     """The segmentation DP one cell at a time, over the cost matrix.
 
     It visits starts in increasing order and keeps the first minimum, so
     its ties resolve like the vectorized DP's.
     """
     n = x.shape[0]
-    kmax = math.ceil(n / 10)
-    cost = costs(x, kernel)
+    kmax = min(math.ceil(n / 10) if max_segments is None else max_segments, n)
+    cost = costs(x, kernel).tolist()
     best = [[math.inf] * (n + 1) for _ in range(kmax + 1)]
     back = [[0] * (n + 1) for _ in range(kmax + 1)]
     best[0][0] = 0.0
     for k in range(1, kmax + 1):
         for t in range(k, n + 1):
             for s in range(k - 1, t):
-                cand = best[k - 1][s] + cost[s, t]
+                cand = best[k - 1][s] + cost[s][t]
                 if cand < best[k][t]:
                     best[k][t], back[k][t] = cand, s
-    objective = [best[m][n] + segment_penalty(n, m, 1.0) for m in range(1, kmax + 1)]
+    objective = [
+        best[m][n] + segment_penalty(n, m, penalty_coeff) for m in range(1, kmax + 1)
+    ]
     m_opt = 1 + int(np.argmin(objective))
     boundaries, t = [], n
     for k in range(m_opt, 0, -1):
@@ -251,6 +254,79 @@ def test_changepoints_pinned_to_reference_dp_on_planted_videos(kernel, seed):
     assert kts_changepoints(x, kernel=kernel) == reference_changepoints(
         x.astype(np.float64), kernel
     )
+
+
+def block_edge_video(kind, n):
+    """An (n, D) float64 video of one kind, for the block-edge tests."""
+    if kind == "planted":  # the first n frames of a planted video
+        runs = max(7, -(-n // 6))
+        spec = PlantedSpec(n_videos=1, n_frames=6 * runs, dim=16, center_scale=1.0, seed=n)
+        return make_planted_dataset(spec)[0].features.matrix[:n].astype(np.float64)
+    if kind == "random":
+        return np.random.default_rng(n).standard_normal((n, 4))
+    if kind == "constant":  # every segment costs exactly 0
+        return np.full((n, 3), 1.5)
+    # 0/1 runs of 3 frames: under the linear kernel the Gram sums are
+    # integers, so equal segments cost bit-equal amounts and capped
+    # segment counts leave exact ties
+    return ((np.arange(n) // 3) % 2).astype(np.float64)[:, None]
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+@pytest.mark.parametrize("kind", ["planted", "random", "constant", "runs"])
+@pytest.mark.parametrize(
+    "n", [1, 2, DP_BLOCK - 1, DP_BLOCK, DP_BLOCK + 1, 2 * DP_BLOCK + 1]
+)
+def test_changepoints_pinned_to_reference_dp_across_block_edges(n, kind, kernel):
+    # the default settings, every level up to N (deeper than one block
+    # once N > DP_BLOCK), and a cap below the true run count
+    x = block_edge_video(kind, n)
+    for max_segments, penalty_coeff in [(None, 1.0), (n, 0.0), (max(1, n // 8), 0.0)]:
+        flags = {"max_segments": max_segments, "penalty_coeff": penalty_coeff}
+        assert kts_changepoints(x, kernel=kernel, **flags) == reference_changepoints(
+            x, kernel, **flags
+        ), flags
+
+
+def test_first_minimum_start_wins_a_tie_across_a_block_edge():
+    # one spike frame at DP_BLOCK between two equal runs of zeros: under
+    # the linear kernel's integer Gram sums, both two-shot splits, at
+    # DP_BLOCK and DP_BLOCK + 1, cost bit-equal amounts
+    x = np.zeros((2 * DP_BLOCK + 1, 1))
+    x[DP_BLOCK] = 1.0
+    flags = {"max_segments": 2, "penalty_coeff": 0.0}
+    assert kts_changepoints(x, **flags) == [DP_BLOCK]
+    assert reference_changepoints(x, "linear", **flags) == [DP_BLOCK]
+
+
+@pytest.mark.parametrize("penalty_coeff", [math.nan, math.inf, -math.inf, -0.5])
+def test_penalty_must_be_finite_and_non_negative(penalty_coeff):
+    x = np.random.default_rng(8).standard_normal((30, 3))
+    with pytest.raises(ValueError, match="penalty_coeff must be finite and non-negative"):
+        kts_changepoints(x, penalty_coeff=penalty_coeff)
+
+
+@pytest.mark.parametrize("max_segments", [2.5, 3.0, "3", True])
+def test_max_segments_must_be_an_integer(max_segments):
+    x = np.random.default_rng(9).standard_normal((30, 3))
+    with pytest.raises(ValueError, match="max_segments must be an integer"):
+        kts_changepoints(x, max_segments=max_segments)
+    assert kts_changepoints(x, max_segments=np.int64(3)) == kts_changepoints(x, max_segments=3)
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_segmentation_peak_memory_stays_within_26_n_squared_bytes(kernel):
+    # the cost-matrix build sets the peak (25.5 N^2 bytes measured); the
+    # DP adds a DP_BLOCK-row buffer, not a second N^2 one
+    n = 600
+    x = np.random.default_rng(10).standard_normal((n, 16))
+    tracemalloc.start()
+    try:
+        kts_changepoints(x, kernel=kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * n * n
 
 
 def test_frame_cap_raises_before_allocating():
