@@ -143,19 +143,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise DatasetError("train requires --manifest")
     records = load_manifest(args.manifest)
     hyper = HyperParams(**{f.name: getattr(args, f.name) for f in fields(HyperParams)})
+    config = TrainConfig(
+        mode=args.mode,
+        epochs=args.epochs,
+        learning_rate=args.lr,
+        sigma=args.sigma,
+        seed=args.seed,
+        grad_clip=args.grad_clip,
+    )
     splits = _requested_splits(args, records)
     out = _out_dir(args)
 
     for split in splits:
         k = split.fold_index
-        config = TrainConfig(
-            mode=args.mode,
-            epochs=args.epochs,
-            learning_rate=args.lr,
-            sigma=args.sigma,
-            seed=args.seed,
-            grad_clip=args.grad_clip,
-        )
         params, epochs = train(records, split, config, hyper)
         ckpt_path = out / f"fold{k}.ckpt"
         save_checkpoint(params, ckpt_path, hyper, extra_header=_provenance(args))

@@ -3,7 +3,10 @@
 Supervised mode combines a binary cross-entropy keyframe loss with a
 variation loss (the negative log-likelihood of the annotated keyframe
 subset under a determinantal point process whose kernel decomposes into
-per-frame quality times a Gaussian similarity of the embeddings).
+per-frame quality times a Gaussian similarity of the embeddings; a
+similarity below ``SIM_FLOOR`` = 2^-200 is stored as 0, which moves the
+loss and gradient by at most about 2^-200 relative and keeps the linear
+algebra off subnormal floats).
 Unsupervised mode combines a summary-length regularizer with a
 repelling loss (mean pairwise cosine of the embeddings).  Both modes
 add an L2 penalty over the weight matrices so every differentiable
@@ -37,6 +40,8 @@ SCORE_CLIP = 1e-7
 DEFAULT_SIGMA = 0.3  # summary-ratio target of the length loss
 DEFAULT_VARIATION_WEIGHT = 1.0
 DEFAULT_FD_STEP = 1e-5  # central-difference step of finite_diff_grad
+# DPP similarities below this are exactly 0: see _similarity_and_kernel
+SIM_FLOOR = 2.0**-200
 
 MODES = ("supervised", "unsupervised")
 
@@ -80,8 +85,20 @@ def pairwise_sq_dists(phi: np.ndarray) -> np.ndarray:
 
 
 def _similarity_and_kernel(y, phi, beta):
-    """exp(-beta D^2) and the quality-diversity kernel L = y y^T * exp(-beta D^2)."""
+    """exp(-beta D^2) and the quality-diversity kernel L = y y^T * exp(-beta D^2).
+
+    Similarities below ``SIM_FLOOR`` are stored as exactly 0.  Since
+    S_ii = 1, S_ij is the pair's normalised correlation in L, so dropping
+    entries below 2^-200 moves log det(L + I), log det L_S and the
+    gradient by at most about 2^-200 relative (2^-400 where the pair is
+    otherwise uncoupled), far below double rounding (2^-53).  Without the
+    floor, the Cholesky, the inverses and the gradient's (N, N) @ (N, E)
+    product run on subnormal operands and fill-in, several times slower;
+    flooring at the subnormal boundary alone is not enough, because the
+    factorizations multiply small entries down into subnormals.
+    """
     sim = np.exp(-beta * pairwise_sq_dists(phi))
+    sim[sim < SIM_FLOOR] = 0.0
     return sim, y[:, None] * y[None, :] * sim
 
 

@@ -13,6 +13,7 @@ the whole evaluation-mode pass is equivariant under frame permutation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -44,10 +45,10 @@ class HyperParams:
             raise ValueError("hidden and embed widths must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be nonnegative and finite")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be positive and finite")
         if not 0.0 < self.alpha_clip < 0.5:
             raise ValueError("alpha_clip must lie in (0, 0.5)")
 

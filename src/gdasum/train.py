@@ -71,8 +71,12 @@ class TrainConfig:
             self.mode = TrainMode(self.mode)
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if self.learning_rate is not None and not (
+            math.isfinite(self.learning_rate) and self.learning_rate > 0
+        ):
+            raise ValueError("learning_rate must be positive and finite")
+        if not (math.isfinite(self.variation_weight) and self.variation_weight >= 0):
+            raise ValueError("variation_weight must be nonnegative and finite")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError("sigma must lie in (0, 1)")
         if not self.grad_clip >= 0.0:  # also refuses NaN

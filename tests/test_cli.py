@@ -361,6 +361,28 @@ def test_train_numerical_failure_exits_2_naming_video_and_epoch(tmp_path):
     )
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--lr", "nan", "learning_rate must be positive and finite"),
+    ("--lr", "inf", "learning_rate must be positive and finite"),
+    ("--beta", "nan", "beta must be positive and finite"),
+    ("--beta", "inf", "beta must be positive and finite"),
+    ("--weight-decay", "nan", "weight_decay must be nonnegative and finite"),
+    ("--weight-decay", "inf", "weight_decay must be nonnegative and finite"),
+])
+def test_train_refuses_non_finite_hyperparameters(corpus, flag, value, named, tmp_path):
+    # refused before any step: no silent NaN update, no NumPy warning
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gdasum.cli", "train", "--manifest", str(corpus),
+         "--fold", "0", "--epochs", "1", "--hidden", "8", "--embed", "4",
+         f"{flag}={value}", "--out", str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {named}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def write_solo_manifest(tmp_path, source="summe-like"):
     rng = np.random.default_rng(1)
     matrix = rng.standard_normal((4, 2)).astype(np.float32)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gdasum.losses import (
+    SIM_FLOOR,
     NumericalError,
     backward,
     dpp_log_prob,
@@ -395,3 +396,63 @@ def test_backward_and_loss_given_params_as_the_benchmark_calls_them():
             - loss_given_params(x, down, hyper, mode, lab, sigma, masks=masks)
         ) / (2 * step)
         assert abs(analytic - numeric) <= 1e-5 * max(1.0, abs(analytic))
+
+
+def _floored_cases():
+    """Supervised instances whose similarities reach below ``SIM_FLOOR``.
+
+    With emb_w scaled tenfold, beta ||phi_i - phi_j||^2 runs from about 31
+    to 3353 in eval mode: four pairs stay below 200 ln 2 (similarity above
+    the floor), most fall between 200 ln 2 and 708 (normal floats below
+    the floor), and one, near 726, is subnormal.  Yields (hyper, x,
+    params, labels, trace, masks) for an eval trace and for a trace with
+    recorded dropout masks.
+    """
+    dropout = HyperParams(hidden=8, embed=4, dropout_rate=0.4)
+    for hyper, fw_mode in ((SMALL, "eval"), (dropout, "train")):
+        x, params, labels = _instance(1, n=8, hyper=hyper)
+        params.emb_w *= 10.0
+        trace = forward(x, params, hyper, mode=fw_mode, rng=np.random.default_rng(2))
+        masks = None if fw_mode == "eval" else (trace.ff_mask, trace.head_mask)
+        _assert_reaches_floored_band(trace, hyper.beta)
+        yield hyper, x, params, labels, trace, masks
+
+
+def _assert_reaches_floored_band(trace, beta):
+    raw = np.exp(-beta * pairwise_sq_dists(trace.phi))
+    off_diagonal = raw[~np.eye(len(raw), dtype=bool)]
+    assert np.any((off_diagonal >= SIM_FLOOR) & (off_diagonal < 1.0))
+    assert np.any((raw > 0.0) & (raw < SIM_FLOOR))
+    return raw
+
+
+def test_similarity_floor_stores_tiny_entries_as_exact_zeros():
+    hyper, _, _, _, trace, _ = next(_floored_cases())
+    raw = _assert_reaches_floored_band(trace, hyper.beta)
+    assert np.any((raw > 0.0) & (raw < np.finfo(np.float64).tiny))  # a subnormal
+    sim, kernel = similarity_and_kernel(trace.y, trace.phi, hyper.beta)
+    assert not np.any((sim > 0.0) & (sim < SIM_FLOOR))
+    assert np.array_equal(sim, np.where(raw < SIM_FLOOR, 0.0, raw))
+    assert not np.any((kernel != 0.0) & (np.abs(kernel) < np.finfo(np.float64).tiny))
+    assert np.array_equal(kernel == 0.0, sim == 0.0)
+
+
+def test_similarity_floor_leaves_loss_and_gradient_bit_identical(monkeypatch):
+    losses_module = importlib.import_module("gdasum.losses")
+    for hyper, x, params, labels, trace, _ in _floored_cases():
+        floored = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels)
+        with monkeypatch.context() as patch:
+            patch.setattr(losses_module, "SIM_FLOOR", 0.0)
+            reference = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels)
+        assert floored[0] == reference[0]
+        for (name, a), (_, b) in zip(floored[1].items(), reference[1].items()):
+            assert _bits_equal(a, b), name
+
+
+def test_gradients_match_finite_differences_below_the_similarity_floor():
+    for hyper, x, params, labels, trace, masks in _floored_cases():
+        analytic = backward(trace, x, params, hyper, "supervised", labels=labels)
+        numeric = finite_diff_grad(
+            x, params, hyper, "supervised", labels=labels, masks=masks
+        )
+        assert gradient_report(analytic, numeric)["max"] <= 1e-4

@@ -229,3 +229,10 @@ def test_hyperparams_validation():
         HyperParams(hidden=8, embed=4, weight_decay=-1e-3)
     with pytest.raises(ValueError):
         HyperParams(hidden=8, embed=4, beta=0.0)
+
+
+@pytest.mark.parametrize("name", ["beta", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_hyperparams_refuse_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be \\w+ and finite"):
+        HyperParams(hidden=8, embed=4, **{name: value})

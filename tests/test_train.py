@@ -200,6 +200,18 @@ def test_train_config_validation():
         TrainConfig(mode="reinforced")
 
 
+@pytest.mark.parametrize("name, value", [
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("variation_weight", float("nan")),
+    ("variation_weight", float("inf")),
+    ("variation_weight", -1.0),
+])
+def test_train_config_refuses_non_finite_and_negative_weights(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be \\w+ and finite"):
+        TrainConfig(**{name: value})
+
+
 def test_train_zero_epochs_returns_initialization():
     records, split = small_corpus()
     config = TrainConfig(epochs=0, seed=5)
@@ -604,8 +616,9 @@ def test_checkpoint_hyper_header_is_checked(tmp_path):
         with pytest.raises(CheckpointError, match="hyperparameters"):
             load_checkpoint(bad)
 
-    invalid = tmp_path / "invalid.ckpt"
-    invalid.write_bytes(path.read_bytes())
-    corrupt(invalid, lambda h: h["hyper"].update(beta=-1.0))
-    with pytest.raises(CheckpointError, match="beta must be positive"):
-        load_checkpoint(invalid)
+    for beta in (-1.0, float("nan")):  # json writes and reads NaN
+        invalid = tmp_path / "invalid.ckpt"
+        invalid.write_bytes(path.read_bytes())
+        corrupt(invalid, lambda h: h["hyper"].update(beta=beta))
+        with pytest.raises(CheckpointError, match="beta must be positive"):
+            load_checkpoint(invalid)
