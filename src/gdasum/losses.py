@@ -335,40 +335,35 @@ def loss_and_grad(
     # converted only now, so the float64 copy is not alive during the loss
     x = np.asarray(x, dtype=np.float64)
     dy, dphi = _loss_grads_y_phi(trace, hyper, mode, labels, sigma, variation_weight, shared)
-    g = params.zeros_like()
 
     # score head: sigmoid -> final linear -> dropout -> layer norm -> relu
     dlogits = dy * trace.y * (1.0 - trace.y)
-    g.reg_w2 += (dlogits[:, None] * trace.head_drop).sum(axis=0, keepdims=True)
-    g.reg_b2 += np.array([dlogits.sum()])
+    reg_w2 = (dlogits[:, None] * trace.head_drop).sum(axis=0, keepdims=True)
+    reg_b2 = np.array([dlogits.sum()])
     d_ln2_out = dlogits[:, None] * params.reg_w2[0][None, :]
     if trace.head_mask is not None:
         d_ln2_out *= trace.head_mask
-    d_relu, dg2, db2 = layernorm_backward(
+    d_relu, ln2_scale, ln2_offset = layernorm_backward(
         d_ln2_out, trace.ln2_xhat, trace.ln2_inv_std, params.ln2_scale
     )
-    g.ln2_scale += dg2
-    g.ln2_offset += db2
     d_head_pre = d_relu * (trace.head_pre > 0.0)
-    g.reg_w1 += d_head_pre.T @ trace.ff_out
-    g.reg_b1 += d_head_pre.sum(axis=0)
+    reg_w1 = d_head_pre.T @ trace.ff_out
+    reg_b1 = d_head_pre.sum(axis=0)
     d_ff_out = d_head_pre @ params.reg_w1
 
     # embedding head
-    g.emb_w += dphi.T @ trace.ff_out
-    g.emb_b += dphi.sum(axis=0)
+    emb_w = dphi.T @ trace.ff_out
+    emb_b = dphi.sum(axis=0)
     d_ff_out += dphi @ params.emb_w
 
     # feed-forward layer: layer norm -> dropout -> linear
-    dz1, dg1, db1 = layernorm_backward(
+    dz1, ln1_scale, ln1_offset = layernorm_backward(
         d_ff_out, trace.ln1_xhat, trace.ln1_inv_std, params.ln1_scale
     )
-    g.ln1_scale += dg1
-    g.ln1_offset += db1
     if trace.ff_mask is not None:
         dz1 *= trace.ff_mask
-    g.ff_w += dz1.T @ trace.context
-    g.ff_b += dz1.sum(axis=0)
+    ff_w = dz1.T @ trace.context
+    ff_b = dz1.sum(axis=0)
     d_context = dz1 @ params.ff_w
 
     # context c_i = d_i * v_i
@@ -391,10 +386,24 @@ def loss_and_grad(
     dq = scale * (da @ trace.k_proj)
     dk = scale * (da.T @ trace.q_proj)
 
-    g.w_q += dq.T @ x
-    g.w_k += dk.T @ x
-    g.w_v += dv.T @ x
-
+    # each field is the array its branch computed, written once
+    g = ModelParams(
+        w_q=dq.T @ x,
+        w_k=dk.T @ x,
+        w_v=dv.T @ x,
+        ff_w=ff_w,
+        ff_b=ff_b,
+        ln1_scale=ln1_scale,
+        ln1_offset=ln1_offset,
+        reg_w1=reg_w1,
+        reg_b1=reg_b1,
+        ln2_scale=ln2_scale,
+        ln2_offset=ln2_offset,
+        reg_w2=reg_w2,
+        reg_b2=reg_b2,
+        emb_w=emb_w,
+        emb_b=emb_b,
+    )
     if hyper.weight_decay != 0.0:
         for name in WEIGHT_FIELDS:
             getattr(g, name)[...] += 2.0 * hyper.weight_decay * getattr(params, name)

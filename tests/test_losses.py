@@ -356,6 +356,22 @@ def test_loss_and_grad_equals_total_loss_and_backward():
         assert sup.variation == variation_loss(kernel, np.flatnonzero(labels))
 
 
+def test_loss_and_grad_fields_are_fresh_arrays_shaped_like_the_parameters():
+    # each gradient field is the array its branch computed; weight decay
+    # then adds into it in place, so none may alias another array
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.4, weight_decay=0.01)
+    x, params, labels = _instance(8, n=9, hyper=hyper)
+    trace = forward(x, params, hyper, mode="train", rng=np.random.default_rng(1))
+    for mode, lab in (("supervised", labels), ("unsupervised", None)):
+        _, grads = loss_and_grad(trace, x, params, hyper, mode, labels=lab)
+        others = params.arrays() + [a for a in vars(trace).values() if isinstance(a, np.ndarray)]
+        for name, g in grads.items():
+            assert g.shape == getattr(params, name).shape and g.dtype == np.float64, name
+            assert g.flags.c_contiguous, name
+            others_here = others + [h for h in grads.arrays() if h is not g]
+            assert not any(np.shares_memory(g, a) for a in others_here), name
+
+
 def test_loss_and_grad_stops_on_non_finite_loss(monkeypatch):
     x, params, _ = _instance(9)
     trace = forward(x, params, SMALL, mode="eval")

@@ -20,6 +20,10 @@ from gdasum.losses import LossBreakdown, NumericalError, backward
 from gdasum.model import HyperParams, forward, init_params
 from gdasum.synthetic import PlantedSpec, make_planted_dataset, write_planted_corpus
 from gdasum.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_BLOCK,
+    ADAM_EPS,
     DEFAULT_LEARNING_RATES,
     AdamState,
     CheckpointError,
@@ -154,6 +158,80 @@ def test_adam_step_allocates_less_than_one_parameter_set():
         tracemalloc.stop()
     assert new_params is params and new_state is state
     assert peak < param_bytes
+
+
+def unblocked_adam_step(params, grads, state, lr):
+    # the whole-field update, one field-sized temporary per operation
+    state.t += 1
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
+    for name, theta in params.items():
+        g = getattr(grads, name)
+        m = getattr(state.m, name)
+        v = getattr(state.v, name)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+# D = 200: each D x D field is one full block plus a 7232-element tail,
+# and every vector field is shorter than one block
+BLOCKED_D = 200
+
+
+def test_adam_step_in_blocks_matches_the_whole_field_update():
+    params = init_params(BLOCKED_D, SMALL_HYPER, 0)
+    assert params.w_q.size == ADAM_BLOCK + 7232 and params.ff_b.size < ADAM_BLOCK
+    reference = params.copy()
+    state, ref_state = AdamState.zeros(params), AdamState.zeros(reference)
+    rng = np.random.default_rng(3)
+    for lr in (1e-3, 5e-4, 2e-3, 1e-4):
+        grads = params.zeros_like()
+        for arr in grads.arrays():
+            arr[...] = rng.standard_normal(arr.shape) * rng.choice([1e-6, 1.0, 1e3])
+        adam_step(params, grads, state, lr)
+        unblocked_adam_step(reference, grads, ref_state, lr)
+    assert state.t == ref_state.t == 4
+    for got, want in ((params, reference), (state.m, ref_state.m), (state.v, ref_state.v)):
+        for (name, a), b in zip(got.items(), want.arrays()):
+            assert np.array_equal(a, b), name
+
+
+def test_adam_step_allocates_two_blocks():
+    params = init_params(BLOCKED_D, SMALL_HYPER, 0)
+    grads = params.copy()
+    state = AdamState.zeros(params)
+    tracemalloc.start()
+    try:
+        adam_step(params, grads, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ADAM_BLOCK * 8 + 16384
+
+
+def test_adam_step_refuses_non_contiguous_parameters():
+    params = init_params(4, SMALL_HYPER, 0)
+    state = AdamState.zeros(params)
+    params.w_q = np.asfortranarray(params.w_q + np.eye(4))
+    with pytest.raises(ValueError, match="'w_q' is not C-contiguous"):
+        adam_step(params, params.zeros_like(), state, lr=0.1)
+
+
+def test_clip_gradients_refuses_an_overflowing_norm():
+    # the squared norm overflows although every gradient is finite;
+    # scaling by max_norm / inf would zero them all
+    params = init_params(3, SMALL_HYPER, 0)
+    for max_norm in (5.0, np.inf):
+        grads = params.copy()
+        grads.w_q[...] = 1e200
+        before = grads.copy()
+        with pytest.raises(NumericalError, match="gradient norm overflowed"):
+            clip_gradients(grads, max_norm)
+        for a, b in zip(grads.arrays(), before.arrays()):
+            assert np.array_equal(a, b)
 
 
 def test_adam_step_takes_inline_clipped_gradients():
@@ -402,8 +480,13 @@ def test_train_report_json_lines(tmp_path, monkeypatch):
     assert len(lines) == 4
     assert list(lines[0]) == ["format_version", "run_config"]
     for k, epoch in enumerate(lines[1:3]):
-        assert list(epoch) == ["epoch", "loss", "wall_seconds", "grad_norm", "clipped_fraction"]
+        assert list(epoch) == [
+            "epoch", "loss", "wall_seconds", "stage_seconds", "grad_norm", "clipped_fraction",
+        ]
         assert epoch["epoch"] == k
+        assert list(epoch["stage_seconds"]) == ["forward", "loss_and_grad", "optimizer"]
+        assert all(t > 0.0 for t in epoch["stage_seconds"].values())
+        assert sum(epoch["stage_seconds"].values()) <= epoch["wall_seconds"]
         assert list(epoch["loss"]) == [f.name for f in dataclasses.fields(LossBreakdown)]
         assert list(epoch["grad_norm"]) == ["median", "max"]
     assert lines[-1] == {"checkpoint_path": str(out / "fold0.ckpt")}
