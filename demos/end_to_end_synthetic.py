@@ -53,14 +53,14 @@ def main():
         return generate_summary(
             rec.features.matrix, params, hyper, ratio=0.15,
             video_id=rec.id, change_points=list(rec.annotations.change_points),
-        ).frame_mask
+        )["frame_mask"]
 
     rng = np.random.default_rng(99)
 
     def random_mask(rec):
         n = rec.features.n_frames
         shots = shots_from_changepoints(list(rec.annotations.change_points), n)
-        return summary_from_scores(rec.id, rng.uniform(size=n), shots, ratio=0.15).frame_mask
+        return summary_from_scores(rec.id, rng.uniform(size=n), shots, ratio=0.15)["frame_mask"]
 
     trained = test_fscores(records, split, trained_mask)
     random_rows = test_fscores(records, split, random_mask)

@@ -33,17 +33,19 @@ def main():
     frame_scores = np.concatenate([
         np.full(14, 0.30), np.full(10, 0.85), np.full(16, 0.55),
     ])[:n]
-    table = shot_scores(frame_scores, shots)
-    for shot, value, length in zip(table.shots, table.values, table.lengths):
-        print(f"  shot [{shot.start:2d}, {shot.end:2d})  mean score {value:.2f}  length {length}")
+    values = shot_scores(frame_scores, shots)
+    lengths = np.array([s.length for s in shots])
+    for shot, value in zip(shots, values):
+        print(f"  shot [{shot.start:2d}, {shot.end:2d})  mean score {value:.2f}  length {shot.length}")
 
     budget = int(0.65 * n)
-    picked = knapsack_select(table.values, table.lengths, budget)
+    picked = knapsack_select(values, lengths, budget)
     print(f"\nframe budget {budget}: knapsack keeps shots {picked}")
 
     summary = summary_from_scores("demo", frame_scores, shots, ratio=0.65)
-    kept = int(summary.frame_mask.sum())
-    print(f"summary keeps {kept}/{n} frames: mask {''.join(str(int(v)) for v in summary.frame_mask)}")
+    kept = [summary["shots"][i] for i in summary["selected"]]
+    print(f"summary keeps shots {kept}, {sum(summary['frame_mask'])}/{n} frames: "
+          f"mask {''.join(map(str, summary['frame_mask']))}")
 
 
 if __name__ == "__main__":

@@ -61,8 +61,6 @@ from .model import (
     normalize_attention,
 )
 from .summarize import (
-    ShotScores,
-    Summary,
     generate_summary,
     knapsack_select,
     shot_scores,
@@ -97,11 +95,9 @@ __all__ = [
     "PlantedSpec",
     "SegmentCostTable",
     "Shot",
-    "ShotScores",
     "SourceDataset",
     "SplitSetting",
     "SplitSpec",
-    "Summary",
     "TrainConfig",
     "TrainMode",
     "VideoRecord",

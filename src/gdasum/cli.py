@@ -33,7 +33,7 @@ from .data import (
     majority_source,
     make_splits,
 )
-from .kts import KERNELS, Shot, kts_changepoints
+from .kts import KERNELS, kts_changepoints
 from .losses import DEFAULT_FD_STEP, NumericalError, backward, finite_diff_grad, gradient_report
 from .metrics import (
     PROTOCOL_BY_SOURCE,
@@ -42,7 +42,7 @@ from .metrics import (
     video_fscore,
 )
 from .model import HyperParams, forward, init_params
-from .summarize import check_tiling, generate_summary
+from .summarize import generate_summary, summary_mask, summary_shots
 from .train import (
     CheckpointError,
     TrainConfig,
@@ -218,9 +218,8 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
     summaries = [summarize_one(rec) for rec in targets]
     for summary in summaries:
-        doc = {**_provenance(args), **summary.to_dict()}
-        path = out / f"{summary.video_id}.summary.json"
-        path.write_text(json.dumps(doc) + "\n")
+        path = out / f"{summary['video_id']}.summary.json"
+        path.write_text(json.dumps({**_provenance(args), **summary}) + "\n")
         print(path)
     return 0
 
@@ -272,33 +271,14 @@ def _eval_protocol(args: argparse.Namespace, records) -> EvalProtocol:
     return chosen
 
 
-def _summary_mask(rec, doc: dict) -> np.ndarray:
-    """The summary's frame_mask: N entries, each 0 or 1."""
-    mask = np.asarray(doc.get("frame_mask"))
-    if mask.shape != (rec.features.n_frames,) or not np.isin(mask, (0, 1)).all():
-        raise DatasetError(
-            f"summary for {rec.id!r}: frame_mask must hold one 0 or 1 "
-            f"for each of the manifest's {rec.features.n_frames} frames"
-        )
-    return mask.astype(np.int8)
-
-
-def _summary_shots(rec, doc: dict) -> tuple[list[Shot], list[int]]:
-    """The summary's shots, which must tile [0, N), and its selected shot indices."""
+def _read_summary(read, rec, doc: dict):
+    """``read(doc, n_frames)``, with its refusal naming the summary's video."""
     try:
-        pairs, selected = doc["shots"], doc["selected"]
-        bounds = [v for pair in pairs for v in pair]
-        if not all(type(v) is int for v in bounds + selected):
-            raise ValueError("shot bounds and selected indices must be JSON integers")
-        shots = [Shot(*pair) for pair in pairs]
-        check_tiling(shots, rec.features.n_frames)
-        if not all(0 <= i < len(shots) for i in selected):
-            raise ValueError(f"a selected index lies outside [0, {len(shots)})")
+        return read(doc, rec.features.n_frames)
     except KeyError as exc:
         raise DatasetError(f"summary for {rec.id!r} has no {exc} field") from None
     except (TypeError, ValueError) as exc:
         raise DatasetError(f"summary for {rec.id!r}: {exc}") from None
-    return shots, selected
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -331,7 +311,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     per_video = {}
     for rec in scored_records:
-        machine = _summary_mask(rec, docs[rec.id])
+        machine = _read_summary(summary_mask, rec, docs[rec.id])
         p, r, f = video_fscore(machine, _user_masks(rec), protocol)
         per_video[rec.id] = {"video_id": rec.id, "precision": p, "recall": r, "fscore": f}
 
@@ -363,7 +343,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for vid, summary in docs.items():
             if vid not in scored:
                 continue
-            shots, selected = _summary_shots(by_id[vid], summary)
+            shots, selected = _read_summary(summary_shots, by_id[vid], summary)
             feats = by_id[vid].features.matrix.astype(np.float64)
             shot_feats = np.array([feats[s.start : s.end].mean(axis=0) for s in shots])
             zeta_videos.append((shot_feats, selected))

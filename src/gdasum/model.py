@@ -223,10 +223,10 @@ def diversity_weights(alpha: np.ndarray, eps: float) -> np.ndarray:
 
 def _layernorm(x: np.ndarray, scale: np.ndarray, offset: np.ndarray):
     """Per-row layer norm; returns (out, xhat, inv_std) for the backward pass."""
-    mu = x.mean(axis=1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=1)
+    xhat = x - x.mean(axis=1, keepdims=True)  # centred here, scaled in place below
+    var = (xhat**2).mean(axis=1)
     inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = (x - mu) * inv_std[:, None]
+    xhat *= inv_std[:, None]
     return scale * xhat + offset, xhat, inv_std
 
 

@@ -3,52 +3,16 @@
 Frame importance scores are averaged per shot and a subset of shots is
 chosen by exact 0/1 knapsack so that total selected length stays within
 a fraction of the video length while total shot value is maximal.
+A summary is the dict ``gdasum summarize`` writes as JSON;
+``summary_mask`` and ``summary_shots`` read one back.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kts import Shot, shots_from_changepoints
 from .model import HyperParams, ModelParams, forward
-
-
-@dataclass(frozen=True)
-class ShotScores:
-    """Per-shot mean importance and lengths, aligned by index."""
-
-    shots: tuple[Shot, ...]
-    values: np.ndarray
-    lengths: np.ndarray
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Selected shots plus the induced frame-level mask."""
-
-    video_id: str
-    ratio: float
-    shots: tuple[Shot, ...]
-    selected: tuple[int, ...]
-    frame_scores: np.ndarray
-    frame_mask: np.ndarray
-
-    def to_dict(self) -> dict:
-        # "shots" and "selected" go beyond the minimal summary schema so
-        # the diversity metric can be computed from the file alone.
-        return {
-            "video_id": self.video_id,
-            "ratio": self.ratio,
-            "selected_shots": [
-                [self.shots[i].start, self.shots[i].end] for i in self.selected
-            ],
-            "frame_scores": [float(v) for v in self.frame_scores],
-            "frame_mask": [int(v) for v in self.frame_mask],
-            "shots": [[s.start, s.end] for s in self.shots],
-            "selected": [int(i) for i in self.selected],
-        }
 
 
 def check_tiling(shots: list[Shot], n_frames: int) -> None:
@@ -64,15 +28,13 @@ def check_tiling(shots: list[Shot], n_frames: int) -> None:
         raise ValueError(f"shots end at frame {pos}, not at the video's {n_frames}")
 
 
-def shot_scores(frame_scores: np.ndarray, shots: list[Shot]) -> ShotScores:
+def shot_scores(frame_scores: np.ndarray, shots: list[Shot]) -> np.ndarray:
     """Mean frame score per shot; shots must tile [0, N) contiguously."""
     scores = np.asarray(frame_scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ValueError("frame_scores must be a 1-D array")
     check_tiling(shots, scores.shape[0])
-    values = np.array([scores[s.start : s.end].mean() for s in shots])
-    lengths = np.array([s.length for s in shots], dtype=np.int64)
-    return ShotScores(shots=tuple(shots), values=values, lengths=lengths)
+    return np.array([scores[s.start : s.end].mean() for s in shots])
 
 
 def knapsack_select(
@@ -121,25 +83,33 @@ def summary_from_scores(
     frame_scores: np.ndarray,
     shots: list[Shot],
     ratio: float,
-) -> Summary:
-    """Knapsack-selected summary capped at floor(ratio * N) frames."""
+) -> dict:
+    """Knapsack-selected summary capped at floor(ratio * N) frames.
+
+    Returns the record ``gdasum summarize`` writes after its provenance
+    keys: ``video_id``, ``ratio``, ``frame_scores``, ``frame_mask`` (0 or
+    1 per frame), ``shots`` ([start, end) pairs tiling the video) and
+    ``selected`` (ascending indices into ``shots``).  The selected shots
+    are ``[shots[i] for i in selected]``.
+    """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must lie in (0, 1]")
-    per_shot = shot_scores(frame_scores, shots)
-    n_frames = int(per_shot.lengths.sum())
-    budget = int(np.floor(ratio * n_frames))
-    picks = knapsack_select(per_shot.values, per_shot.lengths, budget)
-    mask = np.zeros(n_frames, dtype=np.int8)
+    scores = np.asarray(frame_scores, dtype=np.float64)
+    values = shot_scores(scores, shots)
+    lengths = np.array([s.length for s in shots], dtype=np.int64)
+    budget = int(np.floor(ratio * scores.shape[0]))
+    picks = knapsack_select(values, lengths, budget)
+    mask = np.zeros(scores.shape[0], dtype=np.int8)
     for i in picks:
         mask[shots[i].start : shots[i].end] = 1
-    return Summary(
-        video_id=video_id,
-        ratio=float(ratio),
-        shots=per_shot.shots,
-        selected=tuple(picks),
-        frame_scores=np.asarray(frame_scores, dtype=np.float64),
-        frame_mask=mask,
-    )
+    return {
+        "video_id": video_id,
+        "ratio": float(ratio),
+        "frame_scores": scores.tolist(),
+        "frame_mask": mask.tolist(),
+        "shots": [[s.start, s.end] for s in shots],
+        "selected": picks,
+    }
 
 
 def generate_summary(
@@ -149,13 +119,41 @@ def generate_summary(
     change_points: list[int],
     ratio: float = 0.15,
     video_id: str = "",
-) -> Summary:
+) -> dict:
     """Score frames with the trained model and select key shots.
 
     Runs an evaluation-mode forward pass, cuts the video into shots at
     the given interior boundaries (annotated change points, or those
     ``kts_changepoints`` finds), and picks shots by knapsack under a
-    floor(ratio * N) frame budget.
+    floor(ratio * N) frame budget.  Returns ``summary_from_scores``'s
+    record.
     """
     shots = shots_from_changepoints(change_points, x.shape[0])
     return summary_from_scores(video_id, forward(x, params, hyper, mode="eval").y, shots, ratio)
+
+
+def summary_mask(doc: dict, n_frames: int) -> np.ndarray:
+    """A summary record's frame_mask: ``n_frames`` entries, each 0 or 1."""
+    mask = np.asarray(doc.get("frame_mask"))
+    if mask.shape != (n_frames,) or not np.isin(mask, (0, 1)).all():
+        raise ValueError(
+            f"frame_mask must hold one 0 or 1 for each of the manifest's {n_frames} frames"
+        )
+    return mask.astype(np.int8)
+
+
+def summary_shots(doc: dict, n_frames: int) -> tuple[list[Shot], list[int]]:
+    """A summary record's shots, which must tile [0, n_frames), and its selected indices.
+
+    A missing field raises KeyError; any other fault raises TypeError or
+    ValueError.
+    """
+    pairs, selected = doc["shots"], doc["selected"]
+    bounds = [v for pair in pairs for v in pair]
+    if not all(type(v) is int for v in bounds + selected):
+        raise ValueError("shot bounds and selected indices must be JSON integers")
+    shots = [Shot(*pair) for pair in pairs]
+    check_tiling(shots, n_frames)
+    if not all(0 <= i < len(shots) for i in selected):
+        raise ValueError(f"a selected index lies outside [0, {len(shots)})")
+    return shots, selected

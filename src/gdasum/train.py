@@ -152,13 +152,19 @@ def adam_step(
 def clip_gradients(grads: ModelParams, max_norm: float) -> tuple[ModelParams, float]:
     """Scale ``grads`` in place so their joint L2 norm is at most max_norm.
 
-    Returns ``grads`` itself and its norm before clipping.  Finite
-    gradients whose squared norm overflows raise ``NumericalError``
-    before anything is scaled: scaling by max_norm/inf would zero them.
+    Returns ``grads`` itself and its norm before clipping.  A non-finite
+    squared norm raises ``NumericalError`` before anything is scaled,
+    naming the first non-finite field, or saying the norm overflowed if
+    every field is finite: scaling by max_norm/nan would poison every
+    field, and by max_norm/inf would zero them.
     """
     with np.errstate(over="ignore"):
         total_sq = sum(float((g * g).sum()) for g in grads.arrays())
-    if total_sq == math.inf and all(np.isfinite(g).all() for g in grads.arrays()):
+    if not math.isfinite(total_sq):
+        try:
+            grads.check_finite()
+        except ValueError as exc:
+            raise NumericalError(f"gradient: {exc}") from exc
         raise NumericalError("gradient norm overflowed")
     norm = float(np.sqrt(total_sq))
     if norm <= max_norm or norm == 0.0:

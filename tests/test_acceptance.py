@@ -198,7 +198,7 @@ def mean_test_fscore(records, split, params, hyper, ratio=0.15):
             ratio=ratio,
             video_id=vid,
         )
-        _, _, f = fscore(summary.frame_mask, rec.annotations.keyframe_labels)
+        _, _, f = fscore(summary["frame_mask"], rec.annotations.keyframe_labels)
         scores.append(f)
     return float(np.mean(scores))
 
@@ -230,7 +230,7 @@ def test_acceptance_end_to_end_synthetic(capsys, planted_setup, trained_full):
             n = rec.features.n_frames
             shots = shots_from_changepoints(list(rec.annotations.change_points), n)
             summary = summary_from_scores(vid, rng.uniform(size=n), shots, ratio=0.15)
-            _, _, f = fscore(summary.frame_mask, rec.annotations.keyframe_labels)
+            _, _, f = fscore(summary["frame_mask"], rec.annotations.keyframe_labels)
             fs.append(f)
         baseline_means.append(float(np.mean(fs)))
     baseline_f = float(np.mean(baseline_means))
@@ -323,7 +323,7 @@ def test_acceptance_real_benchmark(capsys):
                 for user in rec.annotations.user_summaries
             ]
             _, _, f = video_fscore(
-                summary.frame_mask, masks, EvalProtocol.MAX_OVER_USERS
+                summary["frame_mask"], masks, EvalProtocol.MAX_OVER_USERS
             )
             fs.append(f)
         fold_scores.append(float(np.mean(fs)))

@@ -10,8 +10,9 @@ from gdasum.cli import CONFIG_ENV_VAR, main
 from gdasum.data import load_manifest, write_features, write_manifest
 from gdasum.kts import kts_changepoints
 from gdasum.model import HyperParams, init_params
+from gdasum.summarize import generate_summary
 from gdasum.synthetic import PlantedSpec, write_planted_corpus
-from gdasum.train import save_checkpoint
+from gdasum.train import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(autouse=True)
@@ -260,6 +261,19 @@ def init_summaries(corpus, tmp_path_factory):
     return root / "init.ckpt", root / "sums"
 
 
+def test_summary_file_is_provenance_then_the_generate_summary_record(corpus, init_summaries):
+    ckpt, sums = init_summaries
+    params, hyper = load_checkpoint(ckpt)
+    for rec in load_manifest(corpus):
+        doc = json.loads((sums / f"{rec.id}.summary.json").read_text())
+        summary = generate_summary(
+            rec.features.matrix, params, hyper, list(rec.annotations.change_points),
+            video_id=rec.id,
+        )
+        assert list(doc)[:2] == ["format_version", "run_config"]
+        assert list(doc.items())[2:] == list(summary.items())
+
+
 def test_fold_needs_setting(corpus, init_summaries, tmp_path, capsys):
     ckpt, sums = init_summaries
     capsys.readouterr()
@@ -504,6 +518,17 @@ def test_eval_refuses_malformed_summaries(field, value, named, tmp_path, capsys)
     err = capsys.readouterr().err
     assert "summary for 'solo'" in err and named in err
     assert not out.exists()
+
+
+def test_eval_names_a_missing_summary_field(tmp_path, capsys):
+    manifest = write_solo_manifest(tmp_path)
+    sums = write_solo_summary(tmp_path, [1, 1, 0, 0])
+    path = sums / "solo.summary.json"
+    doc = json.loads(path.read_text())
+    del doc["selected"]
+    path.write_text(json.dumps(doc))
+    assert run(["eval", "--manifest", manifest, "--summaries", sums, "--zeta"]) == 1
+    assert capsys.readouterr().err == "error: summary for 'solo' has no 'selected' field\n"
 
 
 def test_eval_names_an_unreadable_summary(tmp_path, capsys):

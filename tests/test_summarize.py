@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from gdasum.kts import Shot
 from gdasum.model import HyperParams, init_params
 from gdasum.summarize import (
-    ShotScores,
-    Summary,
     generate_summary,
     knapsack_select,
     shot_scores,
@@ -39,9 +37,7 @@ def exhaustive_knapsack(values, lengths, budget):
 def test_shot_scores_mean_examples():
     frame_scores = np.array([0.2, 0.4, 0.9, 0.1, 0.5])
     shots = [Shot(0, 2), Shot(2, 3), Shot(3, 5)]
-    ss = shot_scores(frame_scores, shots)
-    assert np.allclose(ss.values, [0.3, 0.9, 0.3])
-    assert ss.lengths.tolist() == [2, 1, 2]
+    assert np.allclose(shot_scores(frame_scores, shots), [0.3, 0.9, 0.3])
 
 
 def test_shot_scores_loop_oracle():
@@ -49,12 +45,12 @@ def test_shot_scores_loop_oracle():
     frame_scores = rng.uniform(0, 1, size=30)
     bounds = [0, 4, 9, 17, 22, 30]
     shots = [Shot(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    ss = shot_scores(frame_scores, shots)
+    values = shot_scores(frame_scores, shots)
     for k, s in enumerate(shots):
         acc = 0.0
         for t in range(s.start, s.end):
             acc += frame_scores[t]
-        assert abs(ss.values[k] - acc / s.length) < 1e-12
+        assert abs(values[k] - acc / s.length) < 1e-12
 
 
 def test_shot_scores_requires_tiling():
@@ -151,16 +147,16 @@ def test_summary_budget_is_floor_of_ratio():
     shots = [Shot(i, i + 1) for i in range(10)]
     summary = summary_from_scores("v", frame_scores, shots, ratio=0.35)
     # floor(0.35 * 10) = 3 frames
-    assert int(summary.frame_mask.sum()) == 3
-    assert summary.frame_mask[[7, 8, 9]].all()
+    assert sum(summary["frame_mask"]) == 3
+    assert summary["frame_mask"][7:] == [1, 1, 1]
 
 
 def test_summary_ratio_one_selects_everything():
     frame_scores = np.array([0.5, 0.1, 0.9, 0.2])
     shots = [Shot(0, 2), Shot(2, 4)]
     summary = summary_from_scores("v", frame_scores, shots, ratio=1.0)
-    assert summary.frame_mask.all()
-    assert summary.selected == (0, 1)
+    assert summary["frame_mask"] == [1, 1, 1, 1]
+    assert summary["selected"] == [0, 1]
 
 
 def test_summary_mask_matches_selected_shots():
@@ -170,10 +166,10 @@ def test_summary_mask_matches_selected_shots():
     shots = [Shot(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     summary = summary_from_scores("v", frame_scores, shots, ratio=0.4)
     mask = np.zeros(24, dtype=bool)
-    for k in summary.selected:
+    for k in summary["selected"]:
         mask[shots[k].start : shots[k].end] = True
-    assert (summary.frame_mask == mask).all()
-    assert int(summary.frame_mask.sum()) <= int(0.4 * 24)
+    assert summary["frame_mask"] == mask.astype(int).tolist()
+    assert sum(summary["frame_mask"]) <= int(0.4 * 24)
 
 
 def test_summary_validates_ratio():
@@ -184,35 +180,18 @@ def test_summary_validates_ratio():
         summary_from_scores("v", np.zeros(4), shots, ratio=1.5)
 
 
-def test_summary_to_dict_round_trip():
-    summary = Summary(
-        video_id="vid-7",
-        ratio=0.15,
-        shots=(Shot(0, 3), Shot(3, 8)),
-        selected=(1,),
-        frame_scores=np.array([0.1, 0.2, 0.3, 0.9, 0.8, 0.7, 0.6, 0.5]),
-        frame_mask=np.array([0, 0, 0, 1, 1, 1, 1, 1], dtype=bool),
-    )
-    blob = json.dumps(summary.to_dict())
-    data = json.loads(blob)
-    assert data["video_id"] == "vid-7"
-    assert data["ratio"] == 0.15
-    assert data["frame_mask"] == [0, 0, 0, 1, 1, 1, 1, 1]
-    assert data["shots"] == [[0, 3], [3, 8]]
-    assert data["selected"] == [1]
-    assert data["selected_shots"] == [[3, 8]]
-    assert np.allclose(data["frame_scores"], summary.frame_scores)
-
-
 def test_generate_summary_uses_given_changepoints():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((20, 6))
     hyper = HyperParams(hidden=8, embed=4)
     params = init_params(6, hyper, rng)
     summary = generate_summary(x, params, hyper, ratio=0.5, video_id="v", change_points=[10])
-    assert [(s.start, s.end) for s in summary.shots] == [(0, 10), (10, 20)]
-    assert summary.frame_scores.shape == (20,)
-    assert int(summary.frame_mask.sum()) <= 10
+    assert list(summary) == [
+        "video_id", "ratio", "frame_scores", "frame_mask", "shots", "selected",
+    ]
+    assert summary["shots"] == [[0, 10], [10, 20]]
+    assert len(summary["frame_scores"]) == 20
+    assert sum(summary["frame_mask"]) <= 10
 
 
 def test_generate_summary_deterministic():
@@ -222,14 +201,4 @@ def test_generate_summary_deterministic():
     params = init_params(5, hyper, rng)
     a = generate_summary(x, params, hyper, change_points=[5, 10])
     b = generate_summary(x, params, hyper, change_points=[5, 10])
-    assert (a.frame_mask == b.frame_mask).all()
-    assert np.array_equal(a.frame_scores, b.frame_scores)
-
-
-def test_shot_scores_container_consistency():
-    ss = ShotScores(
-        shots=[Shot(0, 2), Shot(2, 5)],
-        values=np.array([0.5, 0.25]),
-        lengths=np.array([2, 3]),
-    )
-    assert len(ss.shots) == len(ss.values) == len(ss.lengths)
+    assert a == b

@@ -234,6 +234,21 @@ def test_clip_gradients_refuses_an_overflowing_norm():
             assert np.array_equal(a, b)
 
 
+def test_clip_gradients_refuses_a_non_finite_gradient():
+    # a NaN or inf field makes the norm NaN or inf; scaling by it would
+    # poison or zero every field
+    params = init_params(8, SMALL_HYPER, 0)
+    for bad in (np.nan, np.inf):
+        for max_norm in (5.0, np.inf):
+            grads = params.copy()
+            grads.reg_b2[0] = bad
+            before = grads.copy()
+            with pytest.raises(NumericalError, match="non-finite values in parameter 'reg_b2'"):
+                clip_gradients(grads, max_norm)
+            for a, b in zip(grads.arrays(), before.arrays()):
+                assert np.array_equal(a, b, equal_nan=True)
+
+
 def test_adam_step_takes_inline_clipped_gradients():
     # the call form of the stage timings in bench/stages.py
     params = init_params(4, SMALL_HYPER, 0)
