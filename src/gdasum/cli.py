@@ -42,7 +42,7 @@ from .metrics import (
     video_fscore,
 )
 from .model import HyperParams, forward, init_params
-from .summarize import generate_summary, summary_mask, summary_shots
+from .summarize import check_ratio, generate_summary, read_summary
 from .train import (
     CheckpointError,
     TrainConfig,
@@ -199,6 +199,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     if not args.checkpoint:
         raise DatasetError("summarize requires --checkpoint")
     _check_kts_flags(args)
+    check_ratio(args.ratio, "--ratio")
     records = load_manifest(args.manifest)
     params, hyper = load_checkpoint(args.checkpoint)
     targets = _records_to_summarize(args, records)
@@ -271,16 +272,6 @@ def _eval_protocol(args: argparse.Namespace, records) -> EvalProtocol:
     return chosen
 
 
-def _read_summary(read, rec, doc: dict):
-    """``read(doc, n_frames)``, with its refusal naming the summary's video."""
-    try:
-        return read(doc, rec.features.n_frames)
-    except KeyError as exc:
-        raise DatasetError(f"summary for {rec.id!r} has no {exc} field") from None
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(f"summary for {rec.id!r}: {exc}") from None
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     if not args.manifest:
         raise DatasetError("eval requires --manifest")
@@ -292,27 +283,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise DatasetError(f"summary directory not found: {summaries_dir}")
 
     records = load_manifest(args.manifest)
-    docs = {}
+    selections = {}  # video id -> read_summary's (shots, selected, mask)
     for rec in records:
         path = summaries_dir / f"{rec.id}.summary.json"
         if not path.is_file():
             continue
         try:
-            docs[rec.id] = json.loads(path.read_text())
+            doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path} is not valid JSON: {exc}") from None
-        if not isinstance(docs[rec.id], dict):
+        if not isinstance(doc, dict):
             raise DatasetError(f"{path} must hold a JSON object")
-    if not docs:
+        try:
+            selections[rec.id] = read_summary(doc, rec.features.n_frames)
+        except KeyError as exc:
+            raise DatasetError(f"summary for {rec.id!r} has no {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"summary for {rec.id!r}: {exc}") from None
+    if not selections:
         raise DatasetError(f"no *.summary.json files in {summaries_dir} match the manifest")
 
-    scored_records = [r for r in records if r.id in docs]
+    scored_records = [r for r in records if r.id in selections]
     protocol = _eval_protocol(args, scored_records)
 
     per_video = {}
     for rec in scored_records:
-        machine = _read_summary(summary_mask, rec, docs[rec.id])
-        p, r, f = video_fscore(machine, _user_masks(rec), protocol)
+        p, r, f = video_fscore(selections[rec.id][2], _user_masks(rec), protocol)
         per_video[rec.id] = {"video_id": rec.id, "precision": p, "recall": r, "fscore": f}
 
     splits = _requested_splits(args, records)
@@ -340,10 +336,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         scored = {vid for fold in folds for vid in fold}
         zeta_videos = []
         # zeta covers the videos the F-scores cover: the requested folds' tests
-        for vid, summary in docs.items():
+        for vid, (shots, selected, _) in selections.items():
             if vid not in scored:
                 continue
-            shots, selected = _read_summary(summary_shots, by_id[vid], summary)
             feats = by_id[vid].features.matrix.astype(np.float64)
             shot_feats = np.array([feats[s.start : s.end].mean(axis=0) for s in shots])
             zeta_videos.append((shot_feats, selected))

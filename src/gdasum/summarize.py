@@ -3,14 +3,15 @@
 Frame importance scores are averaged per shot and a subset of shots is
 chosen by exact 0/1 knapsack so that total selected length stays within
 a fraction of the video length while total shot value is maximal.
-A summary is the dict ``gdasum summarize`` writes as JSON;
-``summary_mask`` and ``summary_shots`` read one back.
+A summary is the dict ``gdasum summarize`` writes as JSON; ``read_summary``
+reads one back, refusing a frame_mask other than its selected shots' mask.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .data import intervals_to_mask
 from .kts import Shot, shots_from_changepoints
 from .model import HyperParams, ModelParams, forward
 
@@ -26,6 +27,17 @@ def check_tiling(shots: list[Shot], n_frames: int) -> None:
         pos = shot.end
     if pos != n_frames:
         raise ValueError(f"shots end at frame {pos}, not at the video's {n_frames}")
+
+
+def check_ratio(ratio: float, name: str = "ratio") -> None:
+    """Raise ValueError naming ``name`` unless ``ratio`` lies in (0, 1]; NaN does not."""
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {ratio}")
+
+
+def selection_mask(shots: list[Shot], selected: list[int], n_frames: int) -> np.ndarray:
+    """The 0/1 frame mask of the selected shots: a summary's frame_mask."""
+    return intervals_to_mask([(shots[i].start, shots[i].end) for i in selected], n_frames)
 
 
 def shot_scores(frame_scores: np.ndarray, shots: list[Shot]) -> np.ndarray:
@@ -87,26 +99,22 @@ def summary_from_scores(
     """Knapsack-selected summary capped at floor(ratio * N) frames.
 
     Returns the record ``gdasum summarize`` writes after its provenance
-    keys: ``video_id``, ``ratio``, ``frame_scores``, ``frame_mask`` (0 or
-    1 per frame), ``shots`` ([start, end) pairs tiling the video) and
-    ``selected`` (ascending indices into ``shots``).  The selected shots
-    are ``[shots[i] for i in selected]``.
+    keys: ``video_id``, ``ratio``, ``frame_scores``, ``frame_mask``
+    (``selection_mask`` of the selected shots), ``shots`` ([start, end)
+    pairs tiling the video) and ``selected`` (ascending indices into
+    ``shots``).  The selected shots are ``[shots[i] for i in selected]``.
     """
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError("ratio must lie in (0, 1]")
+    check_ratio(ratio)
     scores = np.asarray(frame_scores, dtype=np.float64)
     values = shot_scores(scores, shots)
     lengths = np.array([s.length for s in shots], dtype=np.int64)
     budget = int(np.floor(ratio * scores.shape[0]))
     picks = knapsack_select(values, lengths, budget)
-    mask = np.zeros(scores.shape[0], dtype=np.int8)
-    for i in picks:
-        mask[shots[i].start : shots[i].end] = 1
     return {
         "video_id": video_id,
         "ratio": float(ratio),
         "frame_scores": scores.tolist(),
-        "frame_mask": mask.tolist(),
+        "frame_mask": selection_mask(shots, picks, scores.shape[0]).tolist(),
         "shots": [[s.start, s.end] for s in shots],
         "selected": picks,
     }
@@ -132,21 +140,11 @@ def generate_summary(
     return summary_from_scores(video_id, forward(x, params, hyper, mode="eval").y, shots, ratio)
 
 
-def summary_mask(doc: dict, n_frames: int) -> np.ndarray:
-    """A summary record's frame_mask: ``n_frames`` entries, each 0 or 1."""
-    mask = np.asarray(doc.get("frame_mask"))
-    if mask.shape != (n_frames,) or not np.isin(mask, (0, 1)).all():
-        raise ValueError(
-            f"frame_mask must hold one 0 or 1 for each of the manifest's {n_frames} frames"
-        )
-    return mask.astype(np.int8)
+def read_summary(doc: dict, n_frames: int) -> tuple[list[Shot], list[int], np.ndarray]:
+    """A summary's tiling shots, strictly ascending selected indices and their mask.
 
-
-def summary_shots(doc: dict, n_frames: int) -> tuple[list[Shot], list[int]]:
-    """A summary record's shots, which must tile [0, n_frames), and its selected indices.
-
-    A missing field raises KeyError; any other fault raises TypeError or
-    ValueError.
+    frame_mask must equal that mask.  A missing field raises KeyError;
+    any other fault raises TypeError or ValueError.
     """
     pairs, selected = doc["shots"], doc["selected"]
     bounds = [v for pair in pairs for v in pair]
@@ -156,4 +154,10 @@ def summary_shots(doc: dict, n_frames: int) -> tuple[list[Shot], list[int]]:
     check_tiling(shots, n_frames)
     if not all(0 <= i < len(shots) for i in selected):
         raise ValueError(f"a selected index lies outside [0, {len(shots)})")
-    return shots, selected
+    if any(a >= b for a, b in zip(selected, selected[1:])):
+        raise ValueError(f"selected indices must ascend strictly, got {selected}")
+    mask = selection_mask(shots, selected, n_frames)
+    if doc["frame_mask"] != mask.tolist():
+        raise ValueError(f"frame_mask must mark the selected shots, one 0 or 1 for each "
+                         f"of the manifest's {n_frames} frames")
+    return shots, selected, mask

@@ -1,4 +1,5 @@
-"""The names the benchmark harness under bench/ takes from gdasum still exist.
+"""The names the benchmark harness under bench/ takes from gdasum still exist,
+and the files gdasum writes still pass the harness's own output check.
 
 bench/env.py must be imported before numpy, so the harness is imported
 in a fresh interpreter: each of its modules, then a Tracer installed
@@ -48,14 +49,44 @@ timed = [key.rpartition(".")[0] for key in tracing.PER_LAYER
 print(json.dumps(dict(timed=timed, wrapped=wrapped)))
 """
 
+# Summarizes and evaluates a tiny planted corpus the way the summarize
+# workload does, once per KTS kernel, and prints on its last line what
+# bench/checks.py's check_part finds wrong with each pass.
+CHECK_PART_SCRIPT = PRELUDE + """
+import json
+from pathlib import Path
+
+from gdasum.cli import main
+from gdasum.model import HyperParams, init_params
+from gdasum.synthetic import PlantedSpec, make_planted_dataset
+from gdasum.train import save_checkpoint
+
+root = Path({root!r})
+records = make_planted_dataset(PlantedSpec(n_videos=2, n_frames=60, dim=8, center_scale=1.0))
+manifest = str(inputs.write_corpus(root / "corpus", records, change_points=False))
+checkpoint = str(root / "init.ckpt")
+hyper = HyperParams(hidden=8, embed=4)
+save_checkpoint(init_params(8, hyper, 0), checkpoint, hyper)
+fails = {{}}
+for kernel, zeta in (("linear", True), ("rbf", False)):
+    part = dict(manifest=manifest, summaries=str(root / kernel / "summaries"),
+                metrics=str(root / kernel / "metrics"), kernel=kernel, zeta=zeta)
+    assert main(["summarize", "--manifest", manifest, "--checkpoint", checkpoint,
+                 "--kts-kernel", kernel, "--out", part["summaries"]]) == 0
+    assert main(["eval", "--manifest", manifest, "--summaries", part["summaries"],
+                 "--out", part["metrics"], *(["--zeta"] if zeta else [])]) == 0
+    fails[kernel] = checks.check_part(part)
+print(json.dumps(fails))
+"""
+
 # Layers PER_LAYER still names although gdasum no longer has them; each
 # reads 0 until the benchmark drops it.
 STALE_LAYERS = {"losses.dpp_kernel"}
 
 
-def run_script(script):
+def run_script(script, **fields):
     proc = subprocess.run(
-        [sys.executable, "-c", script.format(bench=str(BENCH))],
+        [sys.executable, "-c", script.format(bench=str(BENCH), **fields)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -72,3 +103,8 @@ def test_every_timed_layer_is_traced():
     layers = json.loads(run_script(LAYERS_SCRIPT))
     assert layers["timed"]
     assert set(layers["timed"]) - set(layers["wrapped"]) <= STALE_LAYERS
+
+
+def test_summaries_and_metrics_pass_the_benchmark_output_check(tmp_path):
+    out = run_script(CHECK_PART_SCRIPT, root=str(tmp_path))
+    assert json.loads(out.splitlines()[-1]) == {"linear": [], "rbf": []}

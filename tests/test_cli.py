@@ -358,6 +358,23 @@ def test_kts_flags_refuse_values_that_segment_nothing(
     assert not (tmp_path / "sums").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "nan", "1.5"])
+def test_summarize_refuses_a_ratio_outside_0_1_before_any_video_loads(
+    corpus, init_summaries, value, tmp_path, capsys
+):
+    ckpt, _ = init_summaries
+    capsys.readouterr()
+    out = tmp_path / "sums"
+    assert run([
+        "summarize", "--manifest", corpus, "--checkpoint", ckpt, "--out", out,
+        f"--ratio={value}",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --ratio must lie in (0, 1], got {float(value)}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_train_numerical_failure_exits_2_naming_video_and_epoch(tmp_path):
     # the known singular subset kernel, reached in seconds at these shapes
     manifest = write_planted_corpus(tmp_path, PlantedSpec(n_videos=5, n_frames=60, dim=8))
@@ -415,14 +432,14 @@ def write_solo_manifest(tmp_path, source="summe-like"):
     return tmp_path / "manifest.json"
 
 
-def write_solo_summary(tmp_path, frame_mask):
+def write_solo_summary(tmp_path, frame_mask, shots=([0, 2], [2, 4]), selected=(0,)):
     doc = {
         "video_id": "solo",
         "ratio": 0.5,
         "frame_mask": frame_mask,
         "frame_scores": [0.5] * 4,
-        "shots": [[0, 2], [2, 4]],
-        "selected": [0],
+        "shots": list(shots),
+        "selected": list(selected),
     }
     sums = tmp_path / "sums"
     sums.mkdir(exist_ok=True)
@@ -441,7 +458,7 @@ def test_eval_perfect_match_scores_100(tmp_path, capsys):
 
 def test_metrics_report_serialization(tmp_path, capsys):
     manifest = write_solo_manifest(tmp_path)
-    sums = write_solo_summary(tmp_path, [1, 0, 0, 0])
+    sums = write_solo_summary(tmp_path, [1, 0, 0, 0], shots=([0, 1], [1, 4]))
     out = tmp_path / "metrics"
     assert run(["eval", "--manifest", manifest, "--summaries", sums, "--zeta", "--out", out]) == 0
     doc = json.loads((out / "metrics.json").read_text())
@@ -473,7 +490,7 @@ def test_metrics_report_omits_unset_zeta(tmp_path, capsys):
 
 def test_eval_empty_machine_scores_0(tmp_path, capsys):
     manifest = write_solo_manifest(tmp_path)
-    sums = write_solo_summary(tmp_path, [0, 0, 0, 0])
+    sums = write_solo_summary(tmp_path, [0, 0, 0, 0], selected=())
     assert run(["eval", "--manifest", manifest, "--summaries", sums]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["mean_fscore"] == 0.0
@@ -505,6 +522,10 @@ def test_eval_frame_count_mismatch(tmp_path, capsys):
     ("shots", [[0, 2], [2, 4.0]], "JSON integers"),
     ("selected", [2], "selected index"),
     ("frame_mask", [2, 1, 0, 0], "0 or 1"),
+    ("selected", [0, 0], "selected indices must ascend strictly"),
+    ("selected", [1, 0], "selected indices must ascend strictly"),
+    # frame_mask [1, 1, 0, 0] is shot 0, not the selected shot [2, 4)
+    ("selected", [1], "frame_mask must mark the selected shots"),
 ])
 def test_eval_refuses_malformed_summaries(field, value, named, tmp_path, capsys):
     manifest = write_solo_manifest(tmp_path)
@@ -514,21 +535,23 @@ def test_eval_refuses_malformed_summaries(field, value, named, tmp_path, capsys)
     doc[field] = value
     path.write_text(json.dumps(doc))
     out = tmp_path / "metrics"
-    assert run(["eval", "--manifest", manifest, "--summaries", sums, "--zeta", "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert "summary for 'solo'" in err and named in err
-    assert not out.exists()
+    for zeta in (["--zeta"], []):  # F and zeta read the same selection
+        assert run(["eval", "--manifest", manifest, "--summaries", sums, "--out", out, *zeta]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: summary for 'solo'") and named in err
+        assert not out.exists()
 
 
 def test_eval_names_a_missing_summary_field(tmp_path, capsys):
     manifest = write_solo_manifest(tmp_path)
     sums = write_solo_summary(tmp_path, [1, 1, 0, 0])
     path = sums / "solo.summary.json"
-    doc = json.loads(path.read_text())
-    del doc["selected"]
-    path.write_text(json.dumps(doc))
-    assert run(["eval", "--manifest", manifest, "--summaries", sums, "--zeta"]) == 1
-    assert capsys.readouterr().err == "error: summary for 'solo' has no 'selected' field\n"
+    full = json.loads(path.read_text())
+    for field in ("shots", "selected", "frame_mask"):
+        path.write_text(json.dumps({k: v for k, v in full.items() if k != field}))
+        for zeta in (["--zeta"], []):
+            assert run(["eval", "--manifest", manifest, "--summaries", sums, *zeta]) == 1
+            assert capsys.readouterr().err == f"error: summary for 'solo' has no {field!r} field\n"
 
 
 def test_eval_names_an_unreadable_summary(tmp_path, capsys):

@@ -10,6 +10,7 @@ from gdasum.model import HyperParams, init_params
 from gdasum.summarize import (
     generate_summary,
     knapsack_select,
+    read_summary,
     shot_scores,
     summary_from_scores,
 )
@@ -172,12 +173,27 @@ def test_summary_mask_matches_selected_shots():
     assert sum(summary["frame_mask"]) <= int(0.4 * 24)
 
 
+def test_read_summary_reads_back_what_summary_from_scores_writes():
+    rng = np.random.default_rng(4)
+    bounds = [0, 3, 7, 8, 15, 20]
+    shots = [Shot(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    for ratio in (0.1, 0.3, 1.0):
+        summary = json.loads(json.dumps(
+            summary_from_scores("v", rng.uniform(0, 1, size=20), shots, ratio)
+        ))
+        got_shots, selected, mask = read_summary(summary, 20)
+        assert got_shots == shots and selected == summary["selected"]
+        assert mask.tolist() == summary["frame_mask"]
+
+
 def test_summary_validates_ratio():
     shots = [Shot(0, 4)]
     with pytest.raises(ValueError):
         summary_from_scores("v", np.zeros(4), shots, ratio=0.0)
     with pytest.raises(ValueError):
         summary_from_scores("v", np.zeros(4), shots, ratio=1.5)
+    with pytest.raises(ValueError, match=r"ratio must lie in \(0, 1\], got nan"):
+        summary_from_scores("v", np.zeros(4), shots, ratio=float("nan"))
 
 
 def test_generate_summary_uses_given_changepoints():
