@@ -59,6 +59,7 @@ from .model import (
     forward,
     init_params,
     normalize_attention,
+    score_frames,
 )
 from .summarize import (
     generate_summary,
@@ -126,6 +127,7 @@ __all__ = [
     "read_features",
     "repelling_loss",
     "save_checkpoint",
+    "score_frames",
     "segment_penalty",
     "shot_scores",
     "shots_from_changepoints",

@@ -90,7 +90,11 @@ class SegmentCostTable:
             np.exp(gram, out=gram)
         self._diag = np.concatenate([[0.0], np.cumsum(np.diag(gram))])
         block = np.zeros((self.n + 1, self.n + 1))
-        np.cumsum(gram, axis=0, out=block[1:, 1:])
+        # np.cumsum(gram, axis=0) row by row: the same additions, in
+        # contiguous rows instead of one strided walk per column
+        block[1, 1:] = gram[0]
+        for t in range(1, self.n):
+            np.add(block[t, 1:], gram[t], out=block[t + 1, 1:])
         del gram
         np.cumsum(block[1:, 1:], axis=1, out=block[1:, 1:])
         self._block = block

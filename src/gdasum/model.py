@@ -9,6 +9,13 @@ two-layer score-regression head and a linear embedding head.
 
 Everything is plain float64 numpy; there is no positional encoding, so
 the whole evaluation-mode pass is equivariant under frame permutation.
+
+``forward`` is the training pass and keeps every intermediate the
+backward pass reads; it peaks at about five N x N arrays at once.
+``score_frames`` is the scorer summaries use.  It returns forward's
+eval-mode scores bit for bit, skips the embedding head and the caches,
+and holds one N x N array, so a video of N frames peaks at
+8 * N^2 + O(N * D) bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +26,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 LAYERNORM_EPS = 1e-5
+
+# Widest column block of the attention score_frames works on at once.  It
+# must be at least 128, NumPy's pairwise-summation leaf; 128 to 512 time
+# the same.
+SCORE_BLOCK = 256
 
 # Fields holding weight matrices: Xavier-initialized and subject to L2 decay.
 WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "ff_w", "reg_w1", "reg_w2", "emb_w")
@@ -215,19 +227,56 @@ def diversity_weights(alpha: np.ndarray, eps: float) -> np.ndarray:
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
     clipped = np.clip(alpha, eps, 1.0 - eps)
-    log_dhat = np.log1p(-clipped).sum(axis=1)
-    shifted = log_dhat - log_dhat.max()
-    e = np.exp(shifted)
+    return _simplex(np.log1p(-clipped).sum(axis=1))
+
+
+def _simplex(log_w: np.ndarray) -> np.ndarray:
+    """exp(log_w), normalized to sum to one."""
+    e = np.exp(log_w - log_w.max())
     return e / e.sum()
 
 
-def _layernorm(x: np.ndarray, scale: np.ndarray, offset: np.ndarray):
-    """Per-row layer norm; returns (out, xhat, inv_std) for the backward pass."""
-    xhat = x - x.mean(axis=1, keepdims=True)  # centred here, scaled in place below
-    var = (xhat**2).mean(axis=1)
-    inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat *= inv_std[:, None]
-    return scale * xhat + offset, xhat, inv_std
+def _pairwise_row_sums(block_sums, lo: int, hi: int) -> np.ndarray:
+    """Row sums over the columns [lo, hi), added as NumPy's row sum adds them.
+
+    ``block_sums(lo, hi)`` returns the row sums of one column block of
+    at most SCORE_BLOCK columns.  NumPy sums a row pairwise: it halves
+    a row longer than 128 at a multiple of 8 and adds the halves' sums.
+    Wider ranges are halved the same way here, so with block sums taken
+    by ``sum(axis=1)`` the result equals the whole row's bit for bit.
+    """
+    n = hi - lo
+    if n <= SCORE_BLOCK:
+        return block_sums(lo, hi)
+    mid = lo + n // 2 - (n // 2) % 8
+    return _pairwise_row_sums(block_sums, lo, mid) + _pairwise_row_sums(block_sums, mid, hi)
+
+
+def _log_keep_sums(a: np.ndarray, eps: float) -> np.ndarray:
+    """Row sums of log(1 - clip(alpha)), alpha the column softmax of a.
+
+    Equals ``np.log1p(-np.clip(normalize_attention(a), eps, 1 - eps)).sum(axis=1)``
+    bit for bit, with temporaries of at most SCORE_BLOCK columns.
+    """
+
+    def block_sums(lo, hi):
+        blk = a[:, lo:hi] - a[:, lo:hi].max(axis=0)
+        np.exp(blk, out=blk)
+        blk /= blk.sum(axis=0)  # column sums add row by row, as over all of a
+        np.clip(blk, eps, 1.0 - eps, out=blk)
+        np.negative(blk, out=blk)
+        np.log1p(blk, out=blk)
+        return blk.sum(axis=1)
+
+    return _pairwise_row_sums(block_sums, 0, a.shape[1])
+
+
+def _standardize(x: np.ndarray) -> np.ndarray:
+    """Centre and scale each row of x to unit variance in place; returns 1 / std."""
+    x -= x.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((x**2).mean(axis=1) + LAYERNORM_EPS)
+    x *= inv_std[:, None]
+    return inv_std
 
 
 def layernorm_backward(dout, xhat, inv_std, scale):
@@ -258,6 +307,30 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
+def _check_features(x, params: ModelParams) -> np.ndarray:
+    """x as float64, refused unless it is a finite (N, D) matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    d_feat = params.dims[0]
+    if x.ndim != 2 or x.shape[1] != d_feat:
+        raise ValueError(
+            f"feature matrix has shape {x.shape}, expected (N, {d_feat})"
+        )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features contain non-finite values")
+    return x
+
+
+def _attention(q_proj: np.ndarray, k_proj: np.ndarray) -> np.ndarray:
+    """A = q k^T / sqrt(D), refused if any entry overflowed."""
+    d_feat = q_proj.shape[1]
+    a = q_proj @ k_proj.T
+    del q_proj, k_proj  # score_frames passes its only references
+    a /= np.sqrt(d_feat)
+    if not np.all(np.isfinite(a)):
+        raise FloatingPointError("attention matrix overflowed; check input scale")
+    return a
+
+
 def forward(
     x: np.ndarray,
     params: ModelParams,
@@ -274,20 +347,11 @@ def forward(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _check_features(x, params)
     d_feat, h, _ = params.dims
-    if x.ndim != 2 or x.shape[1] != d_feat:
-        raise ValueError(
-            f"feature matrix has shape {x.shape}, expected (N, {d_feat})"
-        )
-
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features contain non-finite values")
     q_proj = x @ params.w_q.T
     k_proj = x @ params.w_k.T
-    a = (q_proj @ k_proj.T) / np.sqrt(d_feat)
-    if not np.all(np.isfinite(a)):
-        raise FloatingPointError("attention matrix overflowed; check input scale")
+    a = _attention(q_proj, k_proj)
     alpha = normalize_attention(a)
     d = diversity_weights(alpha, hyper.alpha_clip)
 
@@ -308,15 +372,14 @@ def forward(
     z1 = context @ params.ff_w.T + params.ff_b
     if ff_mask is not None:
         z1 *= ff_mask
-    ff_out, ln1_xhat, ln1_inv_std = _layernorm(
-        z1, params.ln1_scale, params.ln1_offset
-    )
+    ln1_xhat = z1
+    ln1_inv_std = _standardize(ln1_xhat)
+    ff_out = params.ln1_scale * ln1_xhat + params.ln1_offset
 
     head_pre = ff_out @ params.reg_w1.T + params.reg_b1
-    relu = np.maximum(head_pre, 0.0)
-    ln2_out, ln2_xhat, ln2_inv_std = _layernorm(
-        relu, params.ln2_scale, params.ln2_offset
-    )
+    ln2_xhat = np.maximum(head_pre, 0.0)
+    ln2_inv_std = _standardize(ln2_xhat)
+    ln2_out = params.ln2_scale * ln2_xhat + params.ln2_offset
     head_drop = ln2_out if head_mask is None else ln2_out * head_mask
     logits = head_drop @ params.reg_w2.T + params.reg_b2
     y = sigmoid(logits[:, 0])
@@ -343,3 +406,33 @@ def forward(
         head_mask=head_mask,
         head_drop=head_drop,
     )
+
+
+def score_frames(x: np.ndarray, params: ModelParams, hyper: HyperParams) -> np.ndarray:
+    """Frame scores of an (N, D) feature matrix: ``forward(mode="eval").y``, bit for bit.
+
+    Skips what only training reads: the embedding head phi and every
+    cached intermediate.  Biases, ReLU and both layer norms are applied
+    in place, and the attention becomes diversity weights one column
+    block at a time, so the one N x N array held is the attention
+    itself: the peak is 8 * N^2 + O(N * D) bytes.  Refuses the inputs
+    ``forward`` refuses, with the same errors.
+    """
+    x = _check_features(x, params)
+    a = _attention(x @ params.w_q.T, x @ params.w_k.T)
+    d = _simplex(_log_keep_sums(a, hyper.alpha_clip))
+    del a
+    z = x @ params.w_v.T
+    z *= d[:, None]
+    z = z @ params.ff_w.T
+    z += params.ff_b
+    _standardize(z)
+    z *= params.ln1_scale
+    z += params.ln1_offset
+    z = z @ params.reg_w1.T
+    z += params.reg_b1
+    np.maximum(z, 0.0, out=z)
+    _standardize(z)
+    z *= params.ln2_scale
+    z += params.ln2_offset
+    return sigmoid((z @ params.reg_w2.T + params.reg_b2)[:, 0])

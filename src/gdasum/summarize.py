@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import intervals_to_mask
 from .kts import Shot, shots_from_changepoints
-from .model import HyperParams, ModelParams, forward
+from .model import HyperParams, ModelParams, score_frames
 
 
 def check_tiling(shots: list[Shot], n_frames: int) -> None:
@@ -130,14 +130,16 @@ def generate_summary(
 ) -> dict:
     """Score frames with the trained model and select key shots.
 
-    Runs an evaluation-mode forward pass, cuts the video into shots at
-    the given interior boundaries (annotated change points, or those
-    ``kts_changepoints`` finds), and picks shots by knapsack under a
-    floor(ratio * N) frame budget.  Returns ``summary_from_scores``'s
-    record.
+    Scores the frames with ``score_frames``: the evaluation-mode
+    forward pass's scores, bit for bit, without the embedding head and
+    the training caches, in 8 * N^2 + O(N * D) bytes at peak.  Cuts the
+    video into shots at the given interior boundaries (annotated change
+    points, or those ``kts_changepoints`` finds), and picks shots by
+    knapsack under a floor(ratio * N) frame budget.  Returns
+    ``summary_from_scores``'s record.
     """
     shots = shots_from_changepoints(change_points, x.shape[0])
-    return summary_from_scores(video_id, forward(x, params, hyper, mode="eval").y, shots, ratio)
+    return summary_from_scores(video_id, score_frames(x, params, hyper), shots, ratio)
 
 
 def read_summary(doc: dict, n_frames: int) -> tuple[list[Shot], list[int], np.ndarray]:
@@ -157,7 +159,9 @@ def read_summary(doc: dict, n_frames: int) -> tuple[list[Shot], list[int], np.nd
     if any(a >= b for a, b in zip(selected, selected[1:])):
         raise ValueError(f"selected indices must ascend strictly, got {selected}")
     mask = selection_mask(shots, selected, n_frames)
-    if doc["frame_mask"] != mask.tolist():
+    frame_mask = doc["frame_mask"]
+    # 1.0 and True compare equal to 1, so each entry's type is checked too
+    if frame_mask != mask.tolist() or not all(type(v) is int for v in frame_mask):
         raise ValueError(f"frame_mask must mark the selected shots, one 0 or 1 for each "
                          f"of the manifest's {n_frames} frames")
     return shots, selected, mask

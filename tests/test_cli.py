@@ -526,6 +526,11 @@ def test_eval_frame_count_mismatch(tmp_path, capsys):
     ("selected", [1, 0], "selected indices must ascend strictly"),
     # frame_mask [1, 1, 0, 0] is shot 0, not the selected shot [2, 4)
     ("selected", [1], "frame_mask must mark the selected shots"),
+    # entries equal to 0 or 1 that are not JSON integers
+    ("frame_mask", [1.0, 1, 0, 0], "0 or 1"),
+    ("frame_mask", [1, True, 0, 0], "0 or 1"),
+    ("frame_mask", [1, 1, 0.0, 0], "0 or 1"),
+    ("frame_mask", [1, 1, 0, False], "0 or 1"),
 ])
 def test_eval_refuses_malformed_summaries(field, value, named, tmp_path, capsys):
     manifest = write_solo_manifest(tmp_path)

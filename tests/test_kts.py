@@ -314,6 +314,19 @@ def test_max_segments_must_be_an_integer(max_segments):
     assert kts_changepoints(x, max_segments=np.int64(3)) == kts_changepoints(x, max_segments=3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 300, 1200])
+def test_prefix_sum_table_equals_numpy_cumsum(n):
+    # the table's column prefix sums are added row by row; they must keep
+    # np.cumsum's bits, signed zeros of an all-zero frame included
+    x = np.random.default_rng(n).standard_normal((n, 16)) * 1e3
+    x[n // 2] = 0.0
+    gram = x @ x.T
+    want = np.cumsum(np.cumsum(gram, axis=0), axis=1)
+    block = SegmentCostTable(x, kernel="linear")._block
+    assert block[1:, 1:].tobytes() == want.tobytes()
+    assert not block[0].any() and not block[:, 0].any()
+
+
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
 def test_segmentation_peak_memory_stays_within_26_n_squared_bytes(kernel):
     # the cost-matrix build sets the peak (25.5 N^2 bytes measured); the

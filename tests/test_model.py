@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gdasum.model import (
+    SCORE_BLOCK,
+    WEIGHT_FIELDS,
     HyperParams,
+    _pairwise_row_sums,
     diversity_weights,
     forward,
     init_params,
     normalize_attention,
+    score_frames,
     sigmoid,
 )
 
@@ -236,3 +242,84 @@ def test_hyperparams_validation():
 def test_hyperparams_refuse_non_finite_values(name, value):
     with pytest.raises(ValueError, match=f"{name} must be \\w+ and finite"):
         HyperParams(hidden=8, embed=4, **{name: value})
+
+
+def trained_like_params(d, hyper, seed):
+    """init_params with random biases and layer-norm gains, as after training."""
+    params = init_params(d, hyper, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, a in params.items():
+        if name not in WEIGHT_FIELDS:
+            a[...] = rng.standard_normal(a.shape)
+    return params
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 300, 513, 1000])
+def test_score_frames_equals_the_eval_forward_bit_for_bit(n):
+    hyper = HyperParams(hidden=8, embed=4)
+    params = trained_like_params(6, hyper, seed=n)
+    rng = np.random.default_rng(n)
+    for scale in (0.01, 1.0, 40.0):
+        x = rng.standard_normal((n, 6)) * scale
+        want = forward(x, params, hyper, mode="eval")
+        assert score_frames(x, params, hyper).tobytes() == want.y.tobytes()
+    # at the largest scale some attention weights lie outside the clip band
+    assert np.any((want.alpha < hyper.alpha_clip) | (want.alpha > 1.0 - hyper.alpha_clip))
+
+
+def test_score_frames_equals_the_eval_forward_at_the_paper_width():
+    hyper = HyperParams(hidden=64, embed=16)
+    params = trained_like_params(1024, hyper, seed=1)
+    x = np.random.default_rng(1).standard_normal((300, 1024))
+    assert score_frames(x, params, hyper).tobytes() == forward(x, params, hyper).y.tobytes()
+
+
+@pytest.mark.parametrize("x", [
+    np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]]),
+    np.array([[0.0, np.inf, 0.0], [0.0, 0.0, 0.0]]),
+    np.zeros(3),
+    np.zeros((2, 4)),
+    np.zeros((2, 2, 3)),
+    np.full((2, 3), 1e200),  # finite features whose attention overflows
+], ids=["nan", "inf", "1-d", "wrong-width", "3-d", "attention-overflow"])
+def test_score_frames_refuses_what_forward_refuses(x):
+    params = init_params(3, SMALL, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(Exception) as want:
+            forward(x, params, SMALL, mode="eval")
+        with pytest.raises(want.type) as got:
+            score_frames(x, params, SMALL)
+    assert want.type in (ValueError, FloatingPointError)
+    assert str(got.value) == str(want.value)
+
+
+def test_score_frames_holds_one_n_by_n_array():
+    # the attention is 8 * N^2 bytes; forward peaks at 5.0 times that here
+    n = 1500
+    hyper = HyperParams(hidden=16, embed=4)
+    params = init_params(8, hyper, seed=0)
+    x = np.random.default_rng(0).standard_normal((n, 8))
+    tracemalloc.start()
+    try:
+        score_frames(x, params, hyper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * n * n + 1_000_000
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 127, 128, 129, 256, 257, 300, 511, 513, 1000, 1500, 2400, 6000])
+def test_numpy_row_sums_add_in_the_pairwise_order_score_frames_assumes(n):
+    # score_frames adds column-block row sums in _pairwise_row_sums's tree;
+    # that equals sum(axis=1) only while NumPy keeps its pairwise order
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((3, n)) * np.exp(rng.uniform(-20, 20, size=(3, n)))
+    blocks = []
+
+    def block_sums(lo, hi):
+        assert hi - lo <= SCORE_BLOCK
+        blocks.append((lo, hi))
+        return rows[:, lo:hi].sum(axis=1)
+
+    assert _pairwise_row_sums(block_sums, 0, n).tobytes() == rows.sum(axis=1).tobytes()
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]

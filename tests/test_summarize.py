@@ -186,6 +186,17 @@ def test_read_summary_reads_back_what_summary_from_scores_writes():
         assert mask.tolist() == summary["frame_mask"]
 
 
+
+@pytest.mark.parametrize("frame_mask", [
+    [1.0, 1, 0, 0], [True, 1, 0, 0], [1, 1, 0.0, 0], [1, 1, False, 0],
+])
+def test_read_summary_refuses_a_frame_mask_entry_that_is_not_a_json_integer(frame_mask):
+    doc = {"shots": [[0, 2], [2, 4]], "selected": [0], "frame_mask": frame_mask}
+    with pytest.raises(ValueError, match="frame_mask must mark the selected shots"):
+        read_summary(doc, 4)
+    doc["frame_mask"] = [1, 1, 0, 0]
+    assert read_summary(doc, 4)[2].tolist() == [1, 1, 0, 0]
+
 def test_summary_validates_ratio():
     shots = [Shot(0, 4)]
     with pytest.raises(ValueError):
