@@ -11,11 +11,12 @@ Everything is plain float64 numpy; there is no positional encoding, so
 the whole evaluation-mode pass is equivariant under frame permutation.
 
 ``forward`` is the training pass and keeps every intermediate the
-backward pass reads; it peaks at about five N x N arrays at once.
+backward pass reads; it peaks at about three N x N arrays at once.
 ``score_frames`` is the scorer summaries use.  It returns forward's
 eval-mode scores bit for bit, skips the embedding head and the caches,
 and holds one N x N array, so a video of N frames peaks at
-8 * N^2 + O(N * D) bytes.
+8 * N^2 + O(N * D) bytes.  Both turn attention into diversity weights
+with the same in-place helpers.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 LAYERNORM_EPS = 1e-5
-
-# Widest column block of the attention score_frames works on at once.  It
-# must be at least 128, NumPy's pairwise-summation leaf; 128 to 512 time
-# the same.
-SCORE_BLOCK = 256
 
 # Fields holding weight matrices: Xavier-initialized and subject to L2 decay.
 WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "ff_w", "reg_w1", "reg_w2", "emb_w")
@@ -53,6 +49,11 @@ class HyperParams:
     alpha_clip: float = 1e-7
 
     def __post_init__(self):
+        # exact ints, as a checkpoint header must store them
+        if type(self.hidden) is not int or type(self.embed) is not int:
+            raise TypeError(
+                f"hidden and embed widths must be ints, got {self.hidden!r} and {self.embed!r}"
+            )
         if self.hidden < 1 or self.embed < 1:
             raise ValueError("hidden and embed widths must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -205,10 +206,7 @@ def normalize_attention(a: np.ndarray) -> np.ndarray:
     Stabilized by subtracting each column's max, so every column sums
     to one for arbitrary finite input.
     """
-    a = np.asarray(a, dtype=np.float64)
-    shifted = a - a.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    return _softmax_columns(np.array(a, dtype=np.float64))
 
 
 def diversity_weights(alpha: np.ndarray, eps: float) -> np.ndarray:
@@ -221,13 +219,12 @@ def diversity_weights(alpha: np.ndarray, eps: float) -> np.ndarray:
     exactly one cannot zero out a row; for N = 1 this forces d = [1].
     ``forward`` passes ``HyperParams.alpha_clip`` as eps.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 2 or alpha.shape[0] == 0:
+    alpha = np.array(alpha, dtype=np.float64)  # a copy: the caller's alpha stays intact
+    if alpha.ndim != 2 or alpha.shape[0] == 0 or alpha.shape[0] != alpha.shape[1]:
         raise ValueError("alpha must be a nonempty square matrix")
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
-    clipped = np.clip(alpha, eps, 1.0 - eps)
-    return _simplex(np.log1p(-clipped).sum(axis=1))
+    return _simplex(_log_keep_sums(alpha, eps))
 
 
 def _simplex(log_w: np.ndarray) -> np.ndarray:
@@ -236,39 +233,20 @@ def _simplex(log_w: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _pairwise_row_sums(block_sums, lo: int, hi: int) -> np.ndarray:
-    """Row sums over the columns [lo, hi), added as NumPy's row sum adds them.
-
-    ``block_sums(lo, hi)`` returns the row sums of one column block of
-    at most SCORE_BLOCK columns.  NumPy sums a row pairwise: it halves
-    a row longer than 128 at a multiple of 8 and adds the halves' sums.
-    Wider ranges are halved the same way here, so with block sums taken
-    by ``sum(axis=1)`` the result equals the whole row's bit for bit.
-    """
-    n = hi - lo
-    if n <= SCORE_BLOCK:
-        return block_sums(lo, hi)
-    mid = lo + n // 2 - (n // 2) % 8
-    return _pairwise_row_sums(block_sums, lo, mid) + _pairwise_row_sums(block_sums, mid, hi)
+def _softmax_columns(a: np.ndarray) -> np.ndarray:
+    """Column-wise softmax of a float64 array, computed in place; returns a."""
+    a -= a.max(axis=0)
+    np.exp(a, out=a)
+    a /= a.sum(axis=0)
+    return a
 
 
-def _log_keep_sums(a: np.ndarray, eps: float) -> np.ndarray:
-    """Row sums of log(1 - clip(alpha)), alpha the column softmax of a.
-
-    Equals ``np.log1p(-np.clip(normalize_attention(a), eps, 1 - eps)).sum(axis=1)``
-    bit for bit, with temporaries of at most SCORE_BLOCK columns.
-    """
-
-    def block_sums(lo, hi):
-        blk = a[:, lo:hi] - a[:, lo:hi].max(axis=0)
-        np.exp(blk, out=blk)
-        blk /= blk.sum(axis=0)  # column sums add row by row, as over all of a
-        np.clip(blk, eps, 1.0 - eps, out=blk)
-        np.negative(blk, out=blk)
-        np.log1p(blk, out=blk)
-        return blk.sum(axis=1)
-
-    return _pairwise_row_sums(block_sums, 0, a.shape[1])
+def _log_keep_sums(alpha: np.ndarray, eps: float) -> np.ndarray:
+    """Row sums of log(1 - clip(alpha, eps, 1 - eps)); overwrites alpha."""
+    np.clip(alpha, eps, 1.0 - eps, out=alpha)
+    np.negative(alpha, out=alpha)
+    np.log1p(alpha, out=alpha)
+    return alpha.sum(axis=1)
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
@@ -326,7 +304,8 @@ def _attention(q_proj: np.ndarray, k_proj: np.ndarray) -> np.ndarray:
     a = q_proj @ k_proj.T
     del q_proj, k_proj  # score_frames passes its only references
     a /= np.sqrt(d_feat)
-    if not np.all(np.isfinite(a)):
+    # max and min propagate NaN, and unlike isfinite build no N x N mask
+    if not (math.isfinite(a.max()) and math.isfinite(a.min())):
         raise FloatingPointError("attention matrix overflowed; check input scale")
     return a
 
@@ -413,14 +392,14 @@ def score_frames(x: np.ndarray, params: ModelParams, hyper: HyperParams) -> np.n
 
     Skips what only training reads: the embedding head phi and every
     cached intermediate.  Biases, ReLU and both layer norms are applied
-    in place, and the attention becomes diversity weights one column
-    block at a time, so the one N x N array held is the attention
-    itself: the peak is 8 * N^2 + O(N * D) bytes.  Refuses the inputs
-    ``forward`` refuses, with the same errors.
+    in place, and the attention becomes diversity weights in place, so
+    the one N x N array held is the attention itself: the peak is
+    8 * N^2 + O(N * D) bytes.  Refuses the inputs ``forward`` refuses,
+    with the same errors.
     """
     x = _check_features(x, params)
     a = _attention(x @ params.w_q.T, x @ params.w_k.T)
-    d = _simplex(_log_keep_sums(a, hyper.alpha_clip))
+    d = _simplex(_log_keep_sums(_softmax_columns(a), hyper.alpha_clip))
     del a
     z = x @ params.w_v.T
     z *= d[:, None]

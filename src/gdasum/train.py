@@ -310,8 +310,10 @@ def save_checkpoint(
             raise CheckpointError(f"extra header fields clash with reserved keys: {sorted(clash)}")
         header.update(extra_header)
     header["hyper"] = asdict(hyper)
+    # serialized before the file is opened, so a bad header leaves no file
+    head = json.dumps(header).encode() + b"\n"
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
+        fh.write(head)
         for arr in params.arrays():
             np.ascontiguousarray(arr, dtype=CHECKPOINT_DTYPE).tofile(fh)
 

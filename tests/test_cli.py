@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,20 @@ from gdasum.model import HyperParams, init_params
 from gdasum.summarize import generate_summary
 from gdasum.synthetic import PlantedSpec, write_planted_corpus
 from gdasum.train import load_checkpoint, save_checkpoint
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_process(*args):
+    """``python *args`` in a child process that imports gdasum from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -378,12 +394,10 @@ def test_summarize_refuses_a_ratio_outside_0_1_before_any_video_loads(
 def test_train_numerical_failure_exits_2_naming_video_and_epoch(tmp_path):
     # the known singular subset kernel, reached in seconds at these shapes
     manifest = write_planted_corpus(tmp_path, PlantedSpec(n_videos=5, n_frames=60, dim=8))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gdasum.cli", "train", "--manifest", str(manifest),
-         "--fold", "0", "--epochs", "2", "--hidden", "8", "--embed", "4", "--lr", "1e-3",
-         "--out", str(tmp_path / "run")],
-        capture_output=True,
-        text=True,
+    proc = run_cli_process(
+        "-m", "gdasum.cli", "train", "--manifest", str(manifest),
+        "--fold", "0", "--epochs", "2", "--hidden", "8", "--embed", "4", "--lr", "1e-3",
+        "--out", str(tmp_path / "run"),
     )
     assert proc.returncode == 2
     assert proc.stderr == (
@@ -402,12 +416,10 @@ def test_train_numerical_failure_exits_2_naming_video_and_epoch(tmp_path):
 ])
 def test_train_refuses_non_finite_hyperparameters(corpus, flag, value, named, tmp_path):
     # refused before any step: no silent NaN update, no NumPy warning
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "gdasum.cli", "train", "--manifest", str(corpus),
-         "--fold", "0", "--epochs", "1", "--hidden", "8", "--embed", "4",
-         f"{flag}={value}", "--out", str(tmp_path / "run")],
-        capture_output=True,
-        text=True,
+    proc = run_cli_process(
+        "-W", "error", "-m", "gdasum.cli", "train", "--manifest", str(corpus),
+        "--fold", "0", "--epochs", "1", "--hidden", "8", "--embed", "4",
+        f"{flag}={value}", "--out", str(tmp_path / "run"),
     )
     assert proc.returncode == 1
     assert proc.stderr == f"error: {named}\n"
@@ -746,10 +758,6 @@ def test_command_help(command, monkeypatch, capsys):
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gdasum.cli", "gradcheck", "--instances", "1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli_process("-m", "gdasum.cli", "gradcheck", "--instances", "1")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from gdasum.model import (
-    SCORE_BLOCK,
     WEIGHT_FIELDS,
     HyperParams,
-    _pairwise_row_sums,
     diversity_weights,
     forward,
     init_params,
@@ -121,6 +119,31 @@ def test_diversity_hand_example():
 
 def test_diversity_single_frame():
     assert np.array_equal(diversity_weights(np.array([[1.0]]), CLIP), [1.0])
+
+
+@pytest.mark.parametrize("alpha", [
+    np.full((3, 5), 0.2),
+    np.full((5, 3), 0.2),
+    np.zeros((0, 0)),
+    np.full(3, 1.0 / 3.0),
+    np.full((2, 2, 2), 0.5),
+], ids=["wide", "tall", "empty", "1-d", "3-d"])
+def test_diversity_refuses_a_non_square_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be a nonempty square matrix"):
+        diversity_weights(alpha, CLIP)
+
+
+def test_normalize_and_diversity_leave_their_argument_intact():
+    # both work in place on a copy; a float64 C-contiguous argument is the
+    # case where converting without copying would hand them the caller's array
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((9, 9))
+    before = a.tobytes()
+    alpha = normalize_attention(a)
+    assert a.tobytes() == before
+    before = alpha.tobytes()
+    diversity_weights(alpha, CLIP)
+    assert alpha.tobytes() == before
 
 
 def test_diversity_matches_direct_product():
@@ -237,6 +260,14 @@ def test_hyperparams_validation():
         HyperParams(hidden=8, embed=4, beta=0.0)
 
 
+@pytest.mark.parametrize("widths", [
+    {"hidden": 8.0}, {"embed": 4.0}, {"hidden": np.int64(8)}, {"embed": True},
+], ids=["float-hidden", "float-embed", "numpy-int-hidden", "bool-embed"])
+def test_hyperparams_refuse_widths_that_are_not_ints(widths):
+    with pytest.raises(TypeError, match="hidden and embed widths must be ints"):
+        HyperParams(**{"hidden": 8, "embed": 4, **widths})
+
+
 @pytest.mark.parametrize("name", ["beta", "weight_decay"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_hyperparams_refuse_non_finite_values(name, value):
@@ -293,33 +324,31 @@ def test_score_frames_refuses_what_forward_refuses(x):
     assert str(got.value) == str(want.value)
 
 
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_score_frames_holds_one_n_by_n_array():
-    # the attention is 8 * N^2 bytes; forward peaks at 5.0 times that here
+    # the attention is 8 * N^2 bytes, and score_frames holds nothing else that size
     n = 1500
     hyper = HyperParams(hidden=16, embed=4)
     params = init_params(8, hyper, seed=0)
     x = np.random.default_rng(0).standard_normal((n, 8))
-    tracemalloc.start()
-    try:
-        score_frames(x, params, hyper)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * 8 * n * n + 1_000_000
+    assert traced_peak(lambda: score_frames(x, params, hyper)) < 1.05 * 8 * n * n + 1_000_000
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 127, 128, 129, 256, 257, 300, 511, 513, 1000, 1500, 2400, 6000])
-def test_numpy_row_sums_add_in_the_pairwise_order_score_frames_assumes(n):
-    # score_frames adds column-block row sums in _pairwise_row_sums's tree;
-    # that equals sum(axis=1) only while NumPy keeps its pairwise order
-    rng = np.random.default_rng(n)
-    rows = rng.standard_normal((3, n)) * np.exp(rng.uniform(-20, 20, size=(3, n)))
-    blocks = []
-
-    def block_sums(lo, hi):
-        assert hi - lo <= SCORE_BLOCK
-        blocks.append((lo, hi))
-        return rows[:, lo:hi].sum(axis=1)
-
-    assert _pairwise_row_sums(block_sums, 0, n).tobytes() == rows.sum(axis=1).tobytes()
-    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_forward_holds_three_n_by_n_arrays(mode):
+    # attention, alpha and the copy diversity_weights works in
+    n = 1500
+    hyper = HyperParams(hidden=16, embed=4)
+    params = init_params(8, hyper, seed=0)
+    x = np.random.default_rng(0).standard_normal((n, 8))
+    rng = np.random.default_rng(0)
+    peak = traced_peak(lambda: forward(x, params, hyper, mode=mode, rng=rng))
+    assert peak < 3.25 * 8 * n * n + 1_000_000

@@ -720,3 +720,19 @@ def test_checkpoint_hyper_header_is_checked(tmp_path):
         corrupt(invalid, lambda h: h["hyper"].update(beta=beta))
         with pytest.raises(CheckpointError, match="beta must be positive"):
             load_checkpoint(invalid)
+
+    # 16.0 and 8.0 imply the same shape table, yet widths must be JSON integers
+    for widths in ({"hidden": 16.0}, {"embed": 8.0}):
+        float_width = tmp_path / "float_width.ckpt"
+        float_width.write_bytes(path.read_bytes())
+        corrupt(float_width, lambda h: h["hyper"].update(widths))
+        with pytest.raises(CheckpointError, match="invalid hyperparameters: hidden and embed"):
+            load_checkpoint(float_width)
+
+
+def test_checkpoint_unserializable_header_writes_no_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_checkpoint(init_params(4, SMALL_HYPER, 0), path, SMALL_HYPER,
+                        extra_header={"seed": np.int64(1)})
+    assert not path.exists()
