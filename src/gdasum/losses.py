@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ADAM_BLOCK,
     ForwardTrace,
     HyperParams,
     ModelParams,
@@ -97,9 +98,13 @@ def _similarity_and_kernel(y, phi, beta):
     flooring at the subnormal boundary alone is not enough, because the
     factorizations multiply small entries down into subnormals.
     """
-    sim = np.exp(-beta * pairwise_sq_dists(phi))
+    sim = pairwise_sq_dists(phi)
+    np.multiply(-beta, sim, out=sim)
+    np.exp(sim, out=sim)
     sim[sim < SIM_FLOOR] = 0.0
-    return sim, y[:, None] * y[None, :] * sim
+    kernel = np.multiply(y[:, None], y[None, :])
+    kernel *= sim
+    return sim, kernel
 
 
 def dpp_log_prob(kernel: np.ndarray, subset) -> float:
@@ -117,7 +122,7 @@ def dpp_log_prob(kernel: np.ndarray, subset) -> float:
         raise ValueError("subset contains repeated indices")
 
     try:
-        chol_norm = np.linalg.cholesky(kernel + np.eye(n))
+        chol_norm = np.linalg.cholesky(_plus_identity(kernel))
     except np.linalg.LinAlgError as err:
         raise NumericalError("kernel + I is not positive definite") from err
     log_norm = 2.0 * np.log(np.diag(chol_norm)).sum()
@@ -129,6 +134,13 @@ def dpp_log_prob(kernel: np.ndarray, subset) -> float:
     if sign <= 0:
         raise NumericalError("subset kernel is numerically singular")
     return float(log_sub - log_norm)
+
+
+def _plus_identity(kernel: np.ndarray) -> np.ndarray:
+    """A copy of the square ``kernel`` with 1 added to its diagonal: L + I."""
+    shifted = kernel.copy()
+    shifted.flat[:: kernel.shape[0] + 1] += 1.0
+    return shifted
 
 
 def variation_loss(kernel: np.ndarray, keyframe_subset) -> float:
@@ -269,7 +281,7 @@ def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, variation_weight, share
             subset = keyframe_indices(labels)
             # d(-log P)/dL = (L + I)^{-1} - scatter((L_sub)^{-1})
             try:
-                g = np.linalg.inv(kernel + np.eye(n))
+                g = np.linalg.inv(_plus_identity(kernel))
             except np.linalg.LinAlgError as err:
                 raise NumericalError("kernel + I is not invertible") from err
             if subset.size:
@@ -282,11 +294,14 @@ def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, variation_weight, share
                 g[np.ix_(subset, subset)] -= sub_inv
             g *= variation_weight
             # L_ij = y_i y_j sim_ij, so dy_k = 2 sum_j g_kj y_j sim_kj
-            dy += 2.0 * (g * sim) @ y
-            # dphi_k = -4 beta sum_j g_kj L_kj (phi_k - phi_j)
-            gl = g * kernel
-            row = gl.sum(axis=1)
-            dphi += -4.0 * hyper.beta * (row[:, None] * phi - gl @ phi)
+            work = g * sim
+            work *= 2.0
+            dy += work @ y
+            del work
+            # dphi_k = -4 beta sum_j g_kj L_kj (phi_k - phi_j), with g * L in g
+            g *= kernel
+            row = g.sum(axis=1)
+            dphi += -4.0 * hyper.beta * (row[:, None] * phi - g @ phi)
         return dy, dphi
 
     # unsupervised
@@ -332,9 +347,11 @@ def loss_and_grad(
     breakdown, shared = _loss_terms(trace, params, hyper, mode, labels, sigma, variation_weight)
     if not np.isfinite(breakdown.total):
         raise NumericalError("non-finite loss")
-    # converted only now, so the float64 copy is not alive during the loss
-    x = np.asarray(x, dtype=np.float64)
     dy, dphi = _loss_grads_y_phi(trace, hyper, mode, labels, sigma, variation_weight, shared)
+    del shared
+    # Each intermediate is deleted after its last read and each elementwise
+    # step runs in place, with the operands and order of the plain formulas,
+    # so the gradient is the same bit for bit while far fewer arrays are alive.
 
     # score head: sigmoid -> final linear -> dropout -> layer norm -> relu
     dlogits = dy * trace.y * (1.0 - trace.y)
@@ -343,13 +360,15 @@ def loss_and_grad(
     d_ln2_out = dlogits[:, None] * params.reg_w2[0][None, :]
     if trace.head_mask is not None:
         d_ln2_out *= trace.head_mask
-    d_relu, ln2_scale, ln2_offset = layernorm_backward(
+    d_head_pre, ln2_scale, ln2_offset = layernorm_backward(
         d_ln2_out, trace.ln2_xhat, trace.ln2_inv_std, params.ln2_scale
     )
-    d_head_pre = d_relu * (trace.head_pre > 0.0)
+    del d_ln2_out
+    d_head_pre *= trace.head_pre > 0.0
     reg_w1 = d_head_pre.T @ trace.ff_out
     reg_b1 = d_head_pre.sum(axis=0)
     d_ff_out = d_head_pre @ params.reg_w1
+    del d_head_pre
 
     # embedding head
     emb_w = dphi.T @ trace.ff_out
@@ -360,37 +379,57 @@ def loss_and_grad(
     dz1, ln1_scale, ln1_offset = layernorm_backward(
         d_ff_out, trace.ln1_xhat, trace.ln1_inv_std, params.ln1_scale
     )
+    del d_ff_out
     if trace.ff_mask is not None:
         dz1 *= trace.ff_mask
     ff_w = dz1.T @ trace.context
     ff_b = dz1.sum(axis=0)
     d_context = dz1 @ params.ff_w
+    del dz1
 
-    # context c_i = d_i * v_i
+    # context c_i = d_i * v_i; converted only now, so the float64 copy of x
+    # is not alive during the loss and the heads
+    x = np.asarray(x, dtype=np.float64)
     dd = (d_context * trace.v_proj).sum(axis=1)
-    dv = d_context * trace.d[:, None]
+    dv = d_context
+    dv *= trace.d[:, None]
+    del d_context
+    w_v = dv.T @ x
+    del dv
 
-    # d = softmax over row sums of log(1 - clipped alpha)
+    # d = softmax over row sums of log(1 - clipped alpha), in one N x N array
     dlog = trace.d * (dd - float(dd @ trace.d))
-    clipped = np.clip(trace.alpha, hyper.alpha_clip, 1.0 - hyper.alpha_clip)
-    inside = (trace.alpha > hyper.alpha_clip) & (
-        trace.alpha < 1.0 - hyper.alpha_clip
-    )
-    dalpha = dlog[:, None] * (-1.0 / (1.0 - clipped)) * inside
+    alpha, lo, hi = trace.alpha, hyper.alpha_clip, 1.0 - hyper.alpha_clip
+    da = np.clip(alpha, lo, hi)
+    np.subtract(1.0, da, out=da)
+    np.divide(-1.0, da, out=da)
+    np.multiply(dlog[:, None], da, out=da)
+    inside = alpha > lo
+    inside &= alpha < hi
+    da *= inside  # d(loss)/d(alpha)
+    del inside
 
-    # column softmax
-    colsum = (trace.alpha * dalpha).sum(axis=0, keepdims=True)
-    da = trace.alpha * (dalpha - colsum)
+    # column softmax, with the column sums taken in a second N x N array
+    colsum = np.multiply(alpha, da).sum(axis=0, keepdims=True)
+    da -= colsum
+    np.multiply(alpha, da, out=da)  # d(loss)/dA
 
     scale = 1.0 / np.sqrt(x.shape[1])
-    dq = scale * (da @ trace.k_proj)
-    dk = scale * (da.T @ trace.q_proj)
+    dq = da @ trace.k_proj
+    dq *= scale
+    w_q = dq.T @ x
+    del dq
+    dk = da.T @ trace.q_proj
+    del da
+    dk *= scale
+    w_k = dk.T @ x
+    del dk
 
     # each field is the array its branch computed, written once
     g = ModelParams(
-        w_q=dq.T @ x,
-        w_k=dk.T @ x,
-        w_v=dv.T @ x,
+        w_q=w_q,
+        w_k=w_k,
+        w_v=w_v,
         ff_w=ff_w,
         ff_b=ff_b,
         ln1_scale=ln1_scale,
@@ -405,14 +444,31 @@ def loss_and_grad(
         emb_b=emb_b,
     )
     if hyper.weight_decay != 0.0:
-        for name in WEIGHT_FIELDS:
-            getattr(g, name)[...] += 2.0 * hyper.weight_decay * getattr(params, name)
+        _add_weight_decay(g, params, 2.0 * hyper.weight_decay)
 
     try:
         g.check_finite()
     except ValueError as exc:
         raise NumericalError(f"gradient: {exc}") from exc
     return breakdown, g
+
+
+def _add_weight_decay(grads: ModelParams, params: ModelParams, coeff: float) -> None:
+    """grads += coeff * params on every weight field, through one block buffer.
+
+    Each product and sum is elementwise, so taking them ADAM_BLOCK
+    elements at a time gives the same floats as the whole-field
+    ``grads += coeff * params`` without a field-sized temporary.  The
+    gradient fields are fresh C-contiguous arrays, so their flat views
+    write through.
+    """
+    buf = np.empty(ADAM_BLOCK)
+    for name in WEIGHT_FIELDS:
+        g = getattr(grads, name).reshape(-1)
+        p = getattr(params, name).reshape(-1)
+        for start in range(0, g.size, ADAM_BLOCK):
+            gb = g[start : start + ADAM_BLOCK]
+            gb += np.multiply(coeff, p[start : start + ADAM_BLOCK], out=buf[: gb.size])
 
 
 def backward(

@@ -11,7 +11,13 @@ Everything is plain float64 numpy; there is no positional encoding, so
 the whole evaluation-mode pass is equivariant under frame permutation.
 
 ``forward`` is the training pass and keeps every intermediate the
-backward pass reads; it peaks at about three N x N arrays at once.
+backward pass reads; it peaks at about three N x N arrays at once and
+applies its biases, layer-norm gains and dropout masks in place.  A
+whole training step, ``forward`` then ``losses.loss_and_grad``, peaks
+at about four N x N arrays unsupervised and six supervised (8 * N^2
+bytes each), since the backward frees each intermediate after its last
+read and works in place; at D = H = 1024 and N = 600 that step holds
+about 111 MB beside the parameters, 44 MB of it the new gradients.
 ``score_frames`` is the scorer summaries use.  It returns forward's
 eval-mode scores bit for bit, skips the embedding head and the caches,
 and holds one N x N array, so a video of N frames peaks at
@@ -30,6 +36,11 @@ LAYERNORM_EPS = 1e-5
 
 # Fields holding weight matrices: Xavier-initialized and subject to L2 decay.
 WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "ff_w", "reg_w1", "reg_w2", "emb_w")
+# Elementwise passes over parameter fields (Adam's update, the weight-decay
+# gradient) walk each field in blocks of this many elements: the six float64
+# blocks an Adam step touches (parameter, gradient, two moments, two scratch
+# buffers) take 6 x 256 KB, which stays in one core's L2 cache
+ADAM_BLOCK = 1 << 15
 
 
 @dataclass
@@ -258,15 +269,22 @@ def _standardize(x: np.ndarray) -> np.ndarray:
 
 
 def layernorm_backward(dout, xhat, inv_std, scale):
-    """Gradients of per-row layer norm: returns (dx, dscale, doffset)."""
-    dscale = (dout * xhat).sum(axis=0)
+    """Gradients of per-row layer norm: returns (dx, dscale, doffset).
+
+    dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+    dxhat = dout * scale, built in two arrays the size of ``dout`` (dx
+    and one scratch) from the same operations in the same order as that
+    formula, so the result is the same bit for bit.  ``dout`` is only read.
+    """
+    work = dout * xhat
+    dscale = work.sum(axis=0)
     doffset = dout.sum(axis=0)
-    dxhat = dout * scale
-    dx = inv_std[:, None] * (
-        dxhat
-        - dxhat.mean(axis=1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-    )
+    dx = dout * scale
+    np.multiply(dx, xhat, out=work)
+    row_mean = work.mean(axis=1, keepdims=True)
+    dx -= dx.mean(axis=1, keepdims=True)
+    dx -= np.multiply(xhat, row_mean, out=work)
+    dx *= inv_std[:, None]
     return dx, dscale, doffset
 
 
@@ -280,9 +298,13 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    # inverted scaling: kept units divided by keep prob, eval needs no rescale
+    # inverted scaling: kept units divided by keep prob, eval needs no rescale;
+    # the 0/1 mask is written over the uniform draws, so one array is built
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    mask = rng.random(shape)
+    np.less(mask, keep, out=mask)
+    mask /= keep
+    return mask
 
 
 def _check_features(x, params: ModelParams) -> np.ndarray:
@@ -293,6 +315,8 @@ def _check_features(x, params: ModelParams) -> np.ndarray:
         raise ValueError(
             f"feature matrix has shape {x.shape}, expected (N, {d_feat})"
         )
+    if x.shape[0] == 0:
+        raise ValueError(f"feature matrix has shape {x.shape}: no frames to score")
     if not np.all(np.isfinite(x)):
         raise ValueError("features contain non-finite values")
     return x
@@ -348,22 +372,27 @@ def forward(
             ff_mask = _dropout_mask((n, d_feat), hyper.dropout_rate, rng)
             head_mask = _dropout_mask((n, h), hyper.dropout_rate, rng)
 
-    z1 = context @ params.ff_w.T + params.ff_b
+    ln1_xhat = context @ params.ff_w.T
+    ln1_xhat += params.ff_b
     if ff_mask is not None:
-        z1 *= ff_mask
-    ln1_xhat = z1
+        ln1_xhat *= ff_mask
     ln1_inv_std = _standardize(ln1_xhat)
-    ff_out = params.ln1_scale * ln1_xhat + params.ln1_offset
+    ff_out = params.ln1_scale * ln1_xhat
+    ff_out += params.ln1_offset
 
-    head_pre = ff_out @ params.reg_w1.T + params.reg_b1
+    head_pre = ff_out @ params.reg_w1.T
+    head_pre += params.reg_b1
     ln2_xhat = np.maximum(head_pre, 0.0)
     ln2_inv_std = _standardize(ln2_xhat)
-    ln2_out = params.ln2_scale * ln2_xhat + params.ln2_offset
-    head_drop = ln2_out if head_mask is None else ln2_out * head_mask
+    head_drop = params.ln2_scale * ln2_xhat
+    head_drop += params.ln2_offset
+    if head_mask is not None:
+        head_drop *= head_mask
     logits = head_drop @ params.reg_w2.T + params.reg_b2
     y = sigmoid(logits[:, 0])
 
-    phi = ff_out @ params.emb_w.T + params.emb_b
+    phi = ff_out @ params.emb_w.T
+    phi += params.emb_b
 
     return ForwardTrace(
         attention=a,

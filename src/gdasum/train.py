@@ -29,7 +29,7 @@ from .losses import (
     NumericalError,
     loss_and_grad,
 )
-from .model import HyperParams, ModelParams, forward, init_params
+from .model import ADAM_BLOCK, HyperParams, ModelParams, forward, init_params
 
 CHECKPOINT_FORMAT = "gdasum-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -43,10 +43,6 @@ DEFAULT_LEARNING_RATES = {
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Adam walks each field in blocks of this many elements: the six float64
-# blocks a step touches (parameter, gradient, two moments, two scratch
-# buffers) take 6 x 256 KB, which stays in one core's L2 cache
-ADAM_BLOCK = 1 << 15
 
 
 class CheckpointError(ValueError):
@@ -264,6 +260,8 @@ def train(
                 t2 = time.perf_counter()
                 norm = clip_gradients(grads, clip)[1]
                 adam_step(params, grads, state, lr)
+                # free the gradients before the next step builds its own
+                del grads
                 stage_seconds["forward"] += t1 - t0
                 stage_seconds["loss_and_grad"] += t2 - t1
                 stage_seconds["optimizer"] += time.perf_counter() - t2

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,68 @@ def test_loss_and_grad_fields_are_fresh_arrays_shaped_like_the_parameters():
             assert g.flags.c_contiguous, name
             others_here = others + [h for h in grads.arrays() if h is not g]
             assert not any(np.shares_memory(g, a) for a in others_here), name
+
+
+def test_loss_and_grad_leaves_its_inputs_intact():
+    # the backward runs in place only on arrays it made itself
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.4, weight_decay=0.01)
+    x, params, labels = _instance(12, n=9, hyper=hyper)
+    trace = forward(x, params, hyper, mode="train", rng=np.random.default_rng(1))
+    inputs = [x, *params.arrays(), *(a for a in vars(trace).values() if isinstance(a, np.ndarray))]
+    before = [a.tobytes() for a in inputs]
+    for mode, lab in (("supervised", labels), ("unsupervised", None)):
+        loss_and_grad(trace, x, params, hyper, mode, labels=lab)
+        assert [a.tobytes() for a in inputs] == before, mode
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+# A training step at N=1500, D=8 in units of one N x N array.  forward peaks at 3
+# and leaves the attention and alpha; the backward then needs two more N x N
+# arrays, and the DPP path holds S, L, (L + I)^-1 and one work array.
+@pytest.mark.parametrize("mode, bound", [("unsupervised", 4.5), ("supervised", 6.25)])
+def test_training_step_peak_in_n_by_n_arrays(mode, bound):
+    n = 1500
+    hyper = HyperParams(hidden=16, embed=4, dropout_rate=0.0)
+    params = init_params(8, hyper, seed=0)
+    x = np.random.default_rng(0).standard_normal((n, 8))
+    labels = np.zeros(n)
+    labels[::7] = 1.0
+
+    def step():
+        trace = forward(x, params, hyper, mode="train", rng=np.random.default_rng(0))
+        return loss_and_grad(trace, x, params, hyper, mode, labels=labels)
+
+    peak, _ = _traced_peak(step)
+    assert peak < bound * 8 * n * n
+
+
+# loss_and_grad at N = D = H = 256 beside a trace made beforehand: the peak
+# above the returned gradients, in units of one float64 N x D array.  What
+# remains is the float64 copy of x, one (N, D) gradient and one N x N array,
+# plus in supervised mode the DPP path's N x N arrays (N x N is N x D here).
+@pytest.mark.parametrize("mode, bound", [("unsupervised", 3.0), ("supervised", 5.0)])
+def test_loss_and_grad_holds_few_n_by_d_arrays_beside_its_gradients(mode, bound):
+    n = d = 256
+    hyper = HyperParams(hidden=d, embed=64)
+    params = init_params(d, hyper, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, d)).astype(np.float32)
+    labels = np.zeros(n)
+    labels[::9] = 1.0
+    trace = forward(x, params, hyper, mode="train", rng=rng)
+    peak, (_, grads) = _traced_peak(
+        lambda: loss_and_grad(trace, x, params, hyper, mode, labels=labels)
+    )
+    held = sum(g.nbytes for g in grads.arrays())
+    assert peak - held < bound * 8 * n * d
 
 
 def test_loss_and_grad_stops_on_non_finite_loss(monkeypatch):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from gdasum.model import (
+    LAYERNORM_EPS,
     WEIGHT_FIELDS,
     HyperParams,
+    _dropout_mask,
     diversity_weights,
     forward,
     init_params,
+    layernorm_backward,
     normalize_attention,
     score_frames,
     sigmoid,
@@ -217,6 +220,62 @@ def test_forward_rejects_nonfinite():
     x[0, 0] = np.nan
     with pytest.raises(ValueError):
         forward(x, params, SMALL, mode="eval")
+
+
+@pytest.mark.parametrize("entry", [forward, score_frames], ids=["forward", "score_frames"])
+def test_zero_frames_are_refused_naming_the_shape(entry):
+    params = init_params(3, SMALL, seed=0)
+    with pytest.raises(ValueError, match=r"shape \(0, 3\): no frames"):
+        entry(np.zeros((0, 3)), params, SMALL)
+
+
+def reference_dropout_mask(shape, rate, rng):
+    """The mask as a comparison cast to float64, then scaled: three arrays."""
+    keep = 1.0 - rate
+    return (rng.random(shape) < keep).astype(np.float64) / keep
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.6, 0.9])
+def test_dropout_mask_equals_the_out_of_place_mask_and_draws_the_same(rate):
+    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for shape in ((1, 1), (7, 5), (300, 64)):
+        got = _dropout_mask(shape, rate, got_rng)
+        want = reference_dropout_mask(shape, rate, want_rng)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def reference_layernorm_backward(dout, xhat, inv_std, scale):
+    """The layer-norm gradient as one out-of-place formula."""
+    dscale = (dout * xhat).sum(axis=0)
+    doffset = dout.sum(axis=0)
+    dxhat = dout * scale
+    dx = inv_std[:, None] * (
+        dxhat
+        - dxhat.mean(axis=1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+    )
+    return dx, dscale, doffset
+
+
+@pytest.mark.parametrize("n, width", [(1, 1), (1, 6), (9, 5), (64, 129), (300, 1024)])
+def test_layernorm_backward_equals_the_out_of_place_formula(n, width):
+    rng = np.random.default_rng(n * width)
+    pre = rng.standard_normal((n, width)) * 3.0 + 1.0
+    pre[n // 2] = 0.0  # a zero row: xhat is 0 there and inv_std is 1/sqrt(eps)
+    xhat = pre - pre.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xhat**2).mean(axis=1) + LAYERNORM_EPS)
+    xhat *= inv_std[:, None]
+    scale = rng.standard_normal(width)
+    for dout in (rng.standard_normal((n, width)), np.zeros((n, width))):
+        dout[-1] = 0.0
+        before = dout.copy()
+        got = layernorm_backward(dout, xhat, inv_std, scale)
+        want = reference_layernorm_backward(dout, xhat, inv_std, scale)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert dout.tobytes() == before.tobytes()
 
 
 def test_dropout_identity_at_rate_zero():
