@@ -55,10 +55,8 @@ from .model import (
     ForwardTrace,
     HyperParams,
     ModelParams,
-    diversity_weights,
     forward,
     init_params,
-    normalize_attention,
     score_frames,
 )
 from .summarize import (
@@ -104,7 +102,6 @@ __all__ = [
     "VideoRecord",
     "adam_step",
     "backward",
-    "diversity_weights",
     "diversity_zeta",
     "dpp_log_prob",
     "finite_diff_grad",
@@ -123,7 +120,6 @@ __all__ = [
     "loss_and_grad",
     "make_planted_dataset",
     "make_splits",
-    "normalize_attention",
     "read_features",
     "repelling_loss",
     "save_checkpoint",

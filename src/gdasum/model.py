@@ -10,19 +10,18 @@ two-layer score-regression head and a linear embedding head.
 Everything is plain float64 numpy; there is no positional encoding, so
 the whole evaluation-mode pass is equivariant under frame permutation.
 
-``forward`` is the training pass and keeps every intermediate the
-backward pass reads; it peaks at about three N x N arrays at once and
-applies its biases, layer-norm gains and dropout masks in place.  A
-whole training step, ``forward`` then ``losses.loss_and_grad``, peaks
-at about four N x N arrays unsupervised and six supervised (8 * N^2
-bytes each), since the backward frees each intermediate after its last
-read and works in place; at D = H = 1024 and N = 600 that step holds
-about 111 MB beside the parameters, 44 MB of it the new gradients.
-``score_frames`` is the scorer summaries use.  It returns forward's
-eval-mode scores bit for bit, skips the embedding head and the caches,
-and holds one N x N array, so a video of N frames peaks at
-8 * N^2 + O(N * D) bytes.  Both turn attention into diversity weights
-with the same in-place helpers.
+The network is written once, as a chain that applies every layer in
+place.  ``score_frames``, the scorer summaries use, runs it alone: it
+holds one N x N array, the attention, so a video of N frames peaks at
+8 * N^2 + O(N * D) bytes.  ``forward``, the training pass, runs it
+with a cache that keeps every intermediate the backward pass reads,
+copying each one a later layer would overwrite, and adds the embedding
+head; it peaks at about two N x N arrays, alpha and the copy the
+diversity weights are computed in.  A whole training step, ``forward``
+then ``losses.loss_and_grad``, peaks at about three N x N arrays
+unsupervised and five supervised (8 * N^2 bytes each), since the
+backward frees each intermediate after its last read and works in
+place.
 """
 
 from __future__ import annotations
@@ -182,15 +181,15 @@ def init_params(feature_dim: int, hyper: HyperParams, seed: int) -> ModelParams:
 class ForwardTrace:
     """Everything one forward pass produced.
 
-    Public outputs: ``attention`` (A, N x N), ``alpha`` (column-stochastic
-    weights), ``d`` (diversity weights on the simplex), ``context``
+    Public outputs: ``alpha`` (column-stochastic attention weights,
+    N x N), ``d`` (diversity weights on the simplex), ``context``
     (N x D), ``phi`` (N x E embeddings) and ``y`` (scores in (0, 1)).
     The remaining tensors are cached intermediates consumed by the
     backward pass; the dropout masks are None in eval mode, where
-    dropout is the identity.
+    dropout is the identity.  The attention logits themselves are not
+    kept: ``_attention(q_proj, k_proj)`` recomputes them.
     """
 
-    attention: np.ndarray
     alpha: np.ndarray
     d: np.ndarray
     context: np.ndarray
@@ -211,33 +210,6 @@ class ForwardTrace:
     head_drop: np.ndarray
 
 
-def normalize_attention(a: np.ndarray) -> np.ndarray:
-    """Column-wise softmax: alpha[i, j] = exp(A[i, j]) / sum_r exp(A[r, j]).
-
-    Stabilized by subtracting each column's max, so every column sums
-    to one for arbitrary finite input.
-    """
-    return _softmax_columns(np.array(a, dtype=np.float64))
-
-
-def diversity_weights(alpha: np.ndarray, eps: float) -> np.ndarray:
-    """Normalized per-frame dissimilarity d.
-
-    Raw weights are row products d_hat[i] = prod_j (1 - alpha[i, j]),
-    normalized to sum to one.  The product is taken in log space (the
-    direct product of N factors below one underflows for long videos)
-    and alpha is clipped into [eps, 1 - eps] first so a weight of
-    exactly one cannot zero out a row; for N = 1 this forces d = [1].
-    ``forward`` passes ``HyperParams.alpha_clip`` as eps.
-    """
-    alpha = np.array(alpha, dtype=np.float64)  # a copy: the caller's alpha stays intact
-    if alpha.ndim != 2 or alpha.shape[0] == 0 or alpha.shape[0] != alpha.shape[1]:
-        raise ValueError("alpha must be a nonempty square matrix")
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 0.5)")
-    return _simplex(_log_keep_sums(alpha, eps))
-
-
 def _simplex(log_w: np.ndarray) -> np.ndarray:
     """exp(log_w), normalized to sum to one."""
     e = np.exp(log_w - log_w.max())
@@ -245,7 +217,11 @@ def _simplex(log_w: np.ndarray) -> np.ndarray:
 
 
 def _softmax_columns(a: np.ndarray) -> np.ndarray:
-    """Column-wise softmax of a float64 array, computed in place; returns a."""
+    """Column-wise softmax of a float64 array, computed in place; returns a.
+
+    alpha[i, j] = exp(A[i, j]) / sum_r exp(A[r, j]), stabilized by
+    subtracting each column's max, so every column sums to one.
+    """
     a -= a.max(axis=0)
     np.exp(a, out=a)
     a /= a.sum(axis=0)
@@ -253,7 +229,13 @@ def _softmax_columns(a: np.ndarray) -> np.ndarray:
 
 
 def _log_keep_sums(alpha: np.ndarray, eps: float) -> np.ndarray:
-    """Row sums of log(1 - clip(alpha, eps, 1 - eps)); overwrites alpha."""
+    """Row sums of log(1 - clip(alpha, eps, 1 - eps)); overwrites alpha.
+
+    The diversity weights are these row products of (1 - alpha) on the
+    simplex.  Log space keeps a long video's product of N factors from
+    underflowing, and the clip keeps a weight of one from zeroing a row;
+    for N = 1 the weights are [1].
+    """
     np.clip(alpha, eps, 1.0 - eps, out=alpha)
     np.negative(alpha, out=alpha)
     np.log1p(alpha, out=alpha)
@@ -326,12 +308,66 @@ def _attention(q_proj: np.ndarray, k_proj: np.ndarray) -> np.ndarray:
     """A = q k^T / sqrt(D), refused if any entry overflowed."""
     d_feat = q_proj.shape[1]
     a = q_proj @ k_proj.T
-    del q_proj, k_proj  # score_frames passes its only references
     a /= np.sqrt(d_feat)
     # max and min propagate NaN, and unlike isfinite build no N x N mask
     if not (math.isfinite(a.max()) and math.isfinite(a.min())):
         raise FloatingPointError("attention matrix overflowed; check input scale")
     return a
+
+
+def _network(
+    x: np.ndarray,
+    params: ModelParams,
+    hyper: HyperParams,
+    cache: dict | None = None,
+    ff_mask: np.ndarray | None = None,
+    head_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Scores y of a checked (N, D) feature matrix, each layer applied in place.
+
+    Given a ``cache`` dict, it also records every intermediate the
+    backward pass reads under its ``ForwardTrace`` name, and hands the
+    next layer a copy wherever that layer would overwrite one.  The
+    dropout masks multiply the feed-forward pre-activation and the head
+    output; None is the identity.
+    """
+
+    def record(name, a):
+        if cache is not None:
+            cache[name] = a
+        return a
+
+    def record_copy(name, a):
+        return a if cache is None else record(name, a).copy()
+
+    q_proj = record("q_proj", x @ params.w_q.T)
+    k_proj = record("k_proj", x @ params.w_k.T)
+    a = _attention(q_proj, k_proj)
+    del q_proj, k_proj
+    _softmax_columns(a)
+    d = record("d", _simplex(_log_keep_sums(record_copy("alpha", a), hyper.alpha_clip)))
+    del a
+    z = record_copy("v_proj", x @ params.w_v.T)
+    z *= d[:, None]
+    z = record("context", z) @ params.ff_w.T
+    z += params.ff_b
+    if ff_mask is not None:
+        z *= ff_mask
+    record("ln1_inv_std", _standardize(z))
+    z = record_copy("ln1_xhat", z)
+    z *= params.ln1_scale
+    z += params.ln1_offset
+    z = record("ff_out", z) @ params.reg_w1.T
+    z += params.reg_b1
+    z = record_copy("head_pre", z)
+    np.maximum(z, 0.0, out=z)
+    record("ln2_inv_std", _standardize(z))
+    z = record_copy("ln2_xhat", z)
+    z *= params.ln2_scale
+    z += params.ln2_offset
+    if head_mask is not None:
+        z *= head_mask
+    return sigmoid((record("head_drop", z) @ params.reg_w2.T + params.reg_b2)[:, 0])
 
 
 def forward(
@@ -342,105 +378,40 @@ def forward(
     rng: np.random.Generator | None = None,
     masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ForwardTrace:
-    """Run the full scoring network on an (N, D) feature matrix.
+    """Run the scoring network on an (N, D) feature matrix, keeping what backward reads.
 
     In ``train`` mode dropout masks are sampled from ``rng`` (or taken
     from ``masks``, which is how gradient checks freeze them); in
-    ``eval`` mode dropout is the identity.
+    ``eval`` mode dropout is the identity.  Beside the network's cached
+    intermediates it adds the embedding head phi.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     x = _check_features(x, params)
-    d_feat, h, _ = params.dims
-    q_proj = x @ params.w_q.T
-    k_proj = x @ params.w_k.T
-    a = _attention(q_proj, k_proj)
-    alpha = normalize_attention(a)
-    d = diversity_weights(alpha, hyper.alpha_clip)
-
-    v = x @ params.w_v.T
-    context = d[:, None] * v
-
-    n = x.shape[0]
     ff_mask = head_mask = None
     if mode == "train":
         if masks is not None:
             ff_mask, head_mask = masks
+        elif rng is None:
+            raise ValueError("train mode needs an rng (or explicit masks)")
         else:
-            if rng is None:
-                raise ValueError("train mode needs an rng (or explicit masks)")
+            n = x.shape[0]
+            d_feat, h, _ = params.dims
             ff_mask = _dropout_mask((n, d_feat), hyper.dropout_rate, rng)
             head_mask = _dropout_mask((n, h), hyper.dropout_rate, rng)
-
-    ln1_xhat = context @ params.ff_w.T
-    ln1_xhat += params.ff_b
-    if ff_mask is not None:
-        ln1_xhat *= ff_mask
-    ln1_inv_std = _standardize(ln1_xhat)
-    ff_out = params.ln1_scale * ln1_xhat
-    ff_out += params.ln1_offset
-
-    head_pre = ff_out @ params.reg_w1.T
-    head_pre += params.reg_b1
-    ln2_xhat = np.maximum(head_pre, 0.0)
-    ln2_inv_std = _standardize(ln2_xhat)
-    head_drop = params.ln2_scale * ln2_xhat
-    head_drop += params.ln2_offset
-    if head_mask is not None:
-        head_drop *= head_mask
-    logits = head_drop @ params.reg_w2.T + params.reg_b2
-    y = sigmoid(logits[:, 0])
-
-    phi = ff_out @ params.emb_w.T
+    cache = {}
+    y = _network(x, params, hyper, cache, ff_mask, head_mask)
+    phi = cache["ff_out"] @ params.emb_w.T
     phi += params.emb_b
-
-    return ForwardTrace(
-        attention=a,
-        alpha=alpha,
-        d=d,
-        context=context,
-        phi=phi,
-        y=y,
-        q_proj=q_proj,
-        k_proj=k_proj,
-        v_proj=v,
-        ff_mask=ff_mask,
-        ln1_xhat=ln1_xhat,
-        ln1_inv_std=ln1_inv_std,
-        ff_out=ff_out,
-        head_pre=head_pre,
-        ln2_xhat=ln2_xhat,
-        ln2_inv_std=ln2_inv_std,
-        head_mask=head_mask,
-        head_drop=head_drop,
-    )
+    return ForwardTrace(phi=phi, y=y, ff_mask=ff_mask, head_mask=head_mask, **cache)
 
 
 def score_frames(x: np.ndarray, params: ModelParams, hyper: HyperParams) -> np.ndarray:
     """Frame scores of an (N, D) feature matrix: ``forward(mode="eval").y``, bit for bit.
 
-    Skips what only training reads: the embedding head phi and every
-    cached intermediate.  Biases, ReLU and both layer norms are applied
-    in place, and the attention becomes diversity weights in place, so
-    the one N x N array held is the attention itself: the peak is
+    The same network with no cache, so every layer works in place and
+    the one N x N array held is the attention: the peak is
     8 * N^2 + O(N * D) bytes.  Refuses the inputs ``forward`` refuses,
     with the same errors.
     """
-    x = _check_features(x, params)
-    a = _attention(x @ params.w_q.T, x @ params.w_k.T)
-    d = _simplex(_log_keep_sums(_softmax_columns(a), hyper.alpha_clip))
-    del a
-    z = x @ params.w_v.T
-    z *= d[:, None]
-    z = z @ params.ff_w.T
-    z += params.ff_b
-    _standardize(z)
-    z *= params.ln1_scale
-    z += params.ln1_offset
-    z = z @ params.reg_w1.T
-    z += params.reg_b1
-    np.maximum(z, 0.0, out=z)
-    _standardize(z)
-    z *= params.ln2_scale
-    z += params.ln2_offset
-    return sigmoid((z @ params.reg_w2.T + params.reg_b2)[:, 0])
+    return _network(_check_features(x, params), params, hyper)

@@ -79,6 +79,32 @@ for kernel, zeta in (("linear", True), ("rbf", False)):
 print(json.dumps(fails))
 """
 
+# Trains on a tiny planted corpus the way the training workloads do, for
+# two epochs in each mode, and prints on its last line what bench/checks.py's
+# check_training finds wrong with each run.
+CHECK_TRAINING_SCRIPT = PRELUDE + """
+import json
+from pathlib import Path
+
+from gdasum.cli import main
+from gdasum.data import make_splits
+from gdasum.synthetic import PlantedSpec, make_planted_dataset
+
+root = Path({root!r})
+epochs, seed = 2, 0
+records = make_planted_dataset(PlantedSpec(n_videos=6, n_frames=60, center_scale=1.0))
+manifest = str(inputs.write_corpus(root / "corpus", records, change_points=True))
+train_ids = list(make_splits(records, "canonical", seed)[0].train_ids)
+fails = {{}}
+for mode in ("supervised", "unsupervised"):
+    plan = dict(manifest=manifest, train_ids=train_ids, train_out=str(root / mode))
+    assert main(["train", "--manifest", manifest, "--setting", "canonical", "--fold", "0",
+                 "--mode", mode, "--epochs", str(epochs), "--seed", str(seed),
+                 "--hidden", "8", "--embed", "4", "--out", plan["train_out"]]) == 0
+    fails[mode] = checks.check_training(plan, mode, epochs, seed)
+print(json.dumps(fails))
+"""
+
 # Layers PER_LAYER still names although gdasum no longer has them; each
 # reads 0 until the benchmark drops it.
 STALE_LAYERS = {"losses.dpp_kernel"}
@@ -108,3 +134,8 @@ def test_every_timed_layer_is_traced():
 def test_summaries_and_metrics_pass_the_benchmark_output_check(tmp_path):
     out = run_script(CHECK_PART_SCRIPT, root=str(tmp_path))
     assert json.loads(out.splitlines()[-1]) == {"linear": [], "rbf": []}
+
+
+def test_training_passes_the_benchmark_training_check(tmp_path):
+    out = run_script(CHECK_TRAINING_SCRIPT, root=str(tmp_path))
+    assert json.loads(out.splitlines()[-1]) == {"supervised": [], "unsupervised": []}

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,19 +7,36 @@ import pytest
 from gdasum.model import (
     LAYERNORM_EPS,
     WEIGHT_FIELDS,
+    ForwardTrace,
     HyperParams,
+    _attention,
     _dropout_mask,
-    diversity_weights,
+    _log_keep_sums,
+    _simplex,
+    _softmax_columns,
     forward,
     init_params,
     layernorm_backward,
-    normalize_attention,
     score_frames,
     sigmoid,
 )
 
 SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.5)
 CLIP = HyperParams().alpha_clip
+
+
+def attention_of(trace):
+    return _attention(trace.q_proj, trace.k_proj)
+
+
+def softmax_columns(a):
+    """The network's column softmax, on a copy."""
+    return _softmax_columns(a.copy())
+
+
+def diversity(alpha):
+    """The network's diversity weights, on a copy."""
+    return _simplex(_log_keep_sums(alpha.copy(), CLIP))
 
 
 def test_init_xavier_bounds():
@@ -55,14 +73,14 @@ def test_attention_orthonormal_identity():
     params = init_params(d, SMALL, seed=0)
     params.w_q = np.eye(d)
     params.w_k = np.eye(d)
-    a = forward(np.eye(d), params, SMALL).attention
+    a = attention_of(forward(np.eye(d), params, SMALL))
     assert np.allclose(a, np.eye(d) / np.sqrt(d), atol=1e-12)
 
 
 def test_attention_zero_projection():
     params = init_params(3, SMALL, seed=0)
     params.w_q = np.zeros((3, 3))
-    a = forward(np.random.default_rng(0).standard_normal((5, 3)), params, SMALL).attention
+    a = attention_of(forward(np.random.default_rng(0).standard_normal((5, 3)), params, SMALL))
     assert np.all(a == 0.0)
 
 
@@ -70,7 +88,7 @@ def test_attention_matches_triple_loop():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 2))
     params = init_params(2, SMALL, seed=7)
-    a = forward(x, params, SMALL).attention
+    a = attention_of(forward(x, params, SMALL))
     q = 2
     for i in range(3):
         for j in range(3):
@@ -81,13 +99,13 @@ def test_attention_matches_triple_loop():
 
 
 def test_normalize_uniform():
-    alpha = normalize_attention(np.zeros((4, 4)))
+    alpha = softmax_columns(np.zeros((4, 4)))
     assert np.allclose(alpha, 0.25, atol=1e-15)
 
 
 def test_normalize_hand_example():
     a = np.array([[0.0, np.log(2.0)], [0.0, 0.0]])
-    alpha = normalize_attention(a)
+    alpha = softmax_columns(a)
     assert np.allclose(alpha[:, 0], [0.5, 0.5], atol=1e-12)
     assert np.allclose(alpha[:, 1], [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
@@ -97,56 +115,31 @@ def test_normalize_column_shift_invariance():
     a = rng.standard_normal((6, 6))
     shifted = a.copy()
     shifted[:, 2] += 17.5
-    base = normalize_attention(a)
-    moved = normalize_attention(shifted)
+    base = softmax_columns(a)
+    moved = softmax_columns(shifted)
     assert np.allclose(moved[:, 2], base[:, 2], atol=1e-12)
 
 
 def test_normalize_columns_sum_to_one():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        alpha = normalize_attention(rng.standard_normal((8, 8)) * 5)
+        alpha = softmax_columns(rng.standard_normal((8, 8)) * 5)
         assert np.abs(alpha.sum(axis=0) - 1.0).max() < 1e-9
 
 
 def test_diversity_uniform():
     alpha = np.full((3, 3), 1.0 / 3.0)
-    assert np.allclose(diversity_weights(alpha, CLIP), 1.0 / 3.0, atol=1e-12)
+    assert np.allclose(diversity(alpha), 1.0 / 3.0, atol=1e-12)
 
 
 def test_diversity_hand_example():
     alpha = np.array([[0.5, 2.0 / 3.0], [0.5, 1.0 / 3.0]])
-    d = diversity_weights(alpha, CLIP)
+    d = diversity(alpha)
     assert np.allclose(d, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
 
 def test_diversity_single_frame():
-    assert np.array_equal(diversity_weights(np.array([[1.0]]), CLIP), [1.0])
-
-
-@pytest.mark.parametrize("alpha", [
-    np.full((3, 5), 0.2),
-    np.full((5, 3), 0.2),
-    np.zeros((0, 0)),
-    np.full(3, 1.0 / 3.0),
-    np.full((2, 2, 2), 0.5),
-], ids=["wide", "tall", "empty", "1-d", "3-d"])
-def test_diversity_refuses_a_non_square_alpha(alpha):
-    with pytest.raises(ValueError, match="alpha must be a nonempty square matrix"):
-        diversity_weights(alpha, CLIP)
-
-
-def test_normalize_and_diversity_leave_their_argument_intact():
-    # both work in place on a copy; a float64 C-contiguous argument is the
-    # case where converting without copying would hand them the caller's array
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((9, 9))
-    before = a.tobytes()
-    alpha = normalize_attention(a)
-    assert a.tobytes() == before
-    before = alpha.tobytes()
-    diversity_weights(alpha, CLIP)
-    assert alpha.tobytes() == before
+    assert np.array_equal(diversity(np.array([[1.0]])), [1.0])
 
 
 def test_diversity_matches_direct_product():
@@ -160,7 +153,7 @@ def test_diversity_matches_direct_product():
         assert alpha.max() <= 0.9
         direct = np.prod(1.0 - np.clip(alpha, CLIP, 1 - CLIP), axis=1)
         direct /= direct.sum()
-        assert np.abs(diversity_weights(alpha, CLIP) - direct).max() < 1e-10
+        assert np.abs(diversity(alpha) - direct).max() < 1e-10
 
 
 def test_forward_eval_invariants():
@@ -189,7 +182,7 @@ def test_forward_permutation_equivariance():
         assert np.abs(moved.y - base.y[perm]).max() < 1e-9
         assert np.abs(moved.d - base.d[perm]).max() < 1e-9
         assert np.abs(moved.phi - base.phi[perm]).max() < 1e-9
-        assert np.abs(moved.attention - base.attention[np.ix_(perm, perm)]).max() < 1e-9
+        assert np.abs(attention_of(moved) - attention_of(base)[np.ix_(perm, perm)]).max() < 1e-9
 
 
 def test_forward_train_deterministic_given_rng():
@@ -344,6 +337,85 @@ def trained_like_params(d, hyper, seed):
     return params
 
 
+def reference_standardize(z):
+    """Layer-norm centring and scaling out of place: (xhat, 1 / std)."""
+    centred = z - z.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centred**2).mean(axis=1) + LAYERNORM_EPS)
+    return centred * inv_std[:, None], inv_std
+
+
+def reference_forward(x, params, hyper, mode="eval", rng=None, masks=None):
+    """The scoring network as out-of-place formulas, each intermediate a new array."""
+    n, d_feat = x.shape
+    q_proj = x @ params.w_q.T
+    k_proj = x @ params.w_k.T
+    a = q_proj @ k_proj.T / np.sqrt(d_feat)
+    e = np.exp(a - a.max(axis=0))
+    alpha = e / e.sum(axis=0)
+    log_keep = np.log1p(-np.clip(alpha, hyper.alpha_clip, 1.0 - hyper.alpha_clip)).sum(axis=1)
+    w = np.exp(log_keep - log_keep.max())
+    d = w / w.sum()
+    v_proj = x @ params.w_v.T
+    context = d[:, None] * v_proj
+    ff_mask = head_mask = None
+    if mode == "train":
+        if masks is not None:
+            ff_mask, head_mask = masks
+        else:
+            ff_mask = reference_dropout_mask((n, d_feat), hyper.dropout_rate, rng)
+            head_mask = reference_dropout_mask((n, hyper.hidden), hyper.dropout_rate, rng)
+    pre = context @ params.ff_w.T + params.ff_b
+    if ff_mask is not None:
+        pre = pre * ff_mask
+    ln1_xhat, ln1_inv_std = reference_standardize(pre)
+    ff_out = params.ln1_scale * ln1_xhat + params.ln1_offset
+    head_pre = ff_out @ params.reg_w1.T + params.reg_b1
+    ln2_xhat, ln2_inv_std = reference_standardize(np.maximum(head_pre, 0.0))
+    head_drop = params.ln2_scale * ln2_xhat + params.ln2_offset
+    if head_mask is not None:
+        head_drop = head_drop * head_mask
+    y = sigmoid((head_drop @ params.reg_w2.T + params.reg_b2)[:, 0])
+    phi = ff_out @ params.emb_w.T + params.emb_b
+    return ForwardTrace(
+        alpha=alpha, d=d, context=context, phi=phi, y=y,
+        q_proj=q_proj, k_proj=k_proj, v_proj=v_proj, ff_mask=ff_mask,
+        ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv_std, ff_out=ff_out, head_pre=head_pre,
+        ln2_xhat=ln2_xhat, ln2_inv_std=ln2_inv_std, head_mask=head_mask, head_drop=head_drop,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300, 513])
+def test_forward_and_score_frames_equal_the_out_of_place_network(n):
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.4)
+    no_dropout = dataclasses.replace(hyper, dropout_rate=0.0)
+    params = trained_like_params(6, hyper, seed=n)
+    rng = np.random.default_rng(n)
+    for scale in (0.01, 1.0, 40.0):
+        x = rng.standard_normal((n, 6)) * scale
+        masks = (_dropout_mask((n, 6), 0.4, rng), _dropout_mask((n, 8), 0.4, rng))
+        # each call draws its masks from a fresh generator of the same seed
+        cases = {
+            "eval": (hyper, lambda: {"mode": "eval"}),
+            "train, rng": (hyper, lambda: {"mode": "train", "rng": np.random.default_rng(5)}),
+            "train, masks": (hyper, lambda: {"mode": "train", "masks": masks}),
+            "dropout 0": (no_dropout, lambda: {"mode": "train", "rng": np.random.default_rng(5)}),
+        }
+        for case, (hp, call) in cases.items():
+            got = forward(x, params, hp, **call())
+            want = reference_forward(x, params, hp, **call())
+            for field in dataclasses.fields(ForwardTrace):
+                g, w = getattr(got, field.name), getattr(want, field.name)
+                where = f"{field.name}, {case}, scale {scale}"
+                if w is None:
+                    assert g is None, where
+                else:
+                    assert g.dtype == w.dtype and g.shape == w.shape, where
+                    assert g.tobytes() == w.tobytes(), where
+        assert score_frames(x, params, hyper).tobytes() == reference_forward(x, params, hyper).y.tobytes()
+    # at the largest scale some attention weights lie outside the clip band
+    assert np.any((want.alpha < hyper.alpha_clip) | (want.alpha > 1.0 - hyper.alpha_clip))
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 300, 513, 1000])
 def test_score_frames_equals_the_eval_forward_bit_for_bit(n):
     hyper = HyperParams(hidden=8, embed=4)
@@ -402,12 +474,12 @@ def test_score_frames_holds_one_n_by_n_array():
 
 
 @pytest.mark.parametrize("mode", ["eval", "train"])
-def test_forward_holds_three_n_by_n_arrays(mode):
-    # attention, alpha and the copy diversity_weights works in
+def test_forward_holds_two_n_by_n_arrays(mode):
+    # alpha and the copy the diversity weights are computed in
     n = 1500
     hyper = HyperParams(hidden=16, embed=4)
     params = init_params(8, hyper, seed=0)
     x = np.random.default_rng(0).standard_normal((n, 8))
     rng = np.random.default_rng(0)
     peak = traced_peak(lambda: forward(x, params, hyper, mode=mode, rng=rng))
-    assert peak < 3.25 * 8 * n * n + 1_000_000
+    assert peak < 2.25 * 8 * n * n + 1_000_000
