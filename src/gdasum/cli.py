@@ -54,6 +54,8 @@ from .train import (
 
 FORMAT_VERSION = "1"
 CONFIG_ENV_VAR = "GDASUM_CONFIG"
+# (frames, feature dim, hidden width, embedding width) of each gradcheck instance
+GRADCHECK_SHAPE = (6, 5, 8, 4)
 
 
 class _UsageError(Exception):
@@ -355,16 +357,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_gradcheck_instance(
-    seed: int,
-    mode: str,
-    n_frames: int = 6,
-    feature_dim: int = 5,
-    hidden: int = 8,
-    embed: int = 4,
-    step: float = DEFAULT_FD_STEP,
-) -> float:
+def run_gradcheck_instance(seed: int, mode: str, step: float = DEFAULT_FD_STEP) -> float:
     """Max relative error between analytic and numeric gradients."""
+    n_frames, feature_dim, hidden, embed = GRADCHECK_SHAPE
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_frames, feature_dim))
     hyper = HyperParams(hidden=hidden, embed=embed, dropout_rate=0.0)

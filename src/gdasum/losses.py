@@ -1,4 +1,4 @@
-"""Training losses, DPP kernel, analytic gradients, finite-difference oracle.
+"""Training objectives, DPP kernel, their y/phi gradients, finite-difference oracle.
 
 Supervised mode combines a binary cross-entropy keyframe loss with a
 variation loss (the negative log-likelihood of the annotated keyframe
@@ -12,9 +12,11 @@ repelling loss (mean pairwise cosine of the embeddings).  Both modes
 add an L2 penalty over the weight matrices so every differentiable
 term is covered by the finite-difference check.
 
-``loss_and_grad`` computes the loss terms and a hand-written reverse pass
-through the whole network in one call, so the DPP kernel (or the cosine
-matrix) is built once per step; ``backward`` is its gradient half.
+``loss_and_grad`` computes the loss terms and their gradients with
+respect to the scores y and embeddings phi, building the DPP kernel (or
+the cosine matrix) once per step, and hands those gradients to
+``model.network_grad``, the reverse pass through the network.
+``backward`` is its gradient half.
 ``total_loss`` is the loss-only path behind ``loss_given_params``, and
 ``finite_diff_grad`` is the independent central-difference oracle the
 gradient is verified against.
@@ -33,7 +35,7 @@ from .model import (
     ModelParams,
     WEIGHT_FIELDS,
     forward,
-    layernorm_backward,
+    network_grad,
 )
 
 SCORE_CLIP = 1e-7
@@ -199,11 +201,6 @@ def weight_penalty(params: ModelParams, weight_decay: float) -> float:
     return weight_decay * total
 
 
-def keyframe_indices(labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels)
-    return np.flatnonzero(labels > 0)
-
-
 def _check_mode(mode, labels):
     if mode not in MODES:
         raise ValueError(f"unknown loss mode {mode!r}")
@@ -226,7 +223,8 @@ def _loss_terms(trace, params, hyper, mode, labels, sigma, variation_weight):
         var, shared = 0.0, None
         if variation_weight != 0.0:
             shared = _similarity_and_kernel(y, phi, hyper.beta)
-            var = variation_weight * variation_loss(shared[1], keyframe_indices(labels))
+            subset = np.flatnonzero(np.asarray(labels) > 0)
+            var = variation_weight * variation_loss(shared[1], subset)
         return LossBreakdown(var, key, 0.0, 0.0, pen, key + var + pen), shared
 
     length = length_loss(y, sigma)
@@ -278,7 +276,7 @@ def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, variation_weight, share
 
         if shared is not None:
             sim, kernel = shared
-            subset = keyframe_indices(labels)
+            subset = np.flatnonzero(labels > 0)
             # d(-log P)/dL = (L + I)^{-1} - scatter((L_sub)^{-1})
             try:
                 g = np.linalg.inv(_plus_identity(kernel))
@@ -333,11 +331,10 @@ def loss_and_grad(
     """``total_loss`` and its exact gradient w.r.t. every parameter.
 
     The trace must come from ``forward`` on the same ``x`` and
-    ``params``; recorded dropout masks are honored, so the result is
-    the exact gradient of the loss as realized with those masks.  The
-    pairwise arrays (DPP kernel or cosine matrix) are built once and
-    serve both halves.  A non-finite total raises ``NumericalError``
-    before any gradient work.
+    ``params``; the loss's y and phi gradients run back through
+    ``model.network_grad`` with the trace's dropout masks.  The pairwise
+    arrays (DPP kernel or cosine matrix) serve both halves.  A
+    non-finite total raises ``NumericalError`` before any gradient work.
     """
     _check_mode(mode, labels)
     if np.shape(x) != trace.context.shape:
@@ -349,100 +346,7 @@ def loss_and_grad(
         raise NumericalError("non-finite loss")
     dy, dphi = _loss_grads_y_phi(trace, hyper, mode, labels, sigma, variation_weight, shared)
     del shared
-    # Each intermediate is deleted after its last read and each elementwise
-    # step runs in place, with the operands and order of the plain formulas,
-    # so the gradient is the same bit for bit while far fewer arrays are alive.
-
-    # score head: sigmoid -> final linear -> dropout -> layer norm -> relu
-    dlogits = dy * trace.y * (1.0 - trace.y)
-    reg_w2 = (dlogits[:, None] * trace.head_drop).sum(axis=0, keepdims=True)
-    reg_b2 = np.array([dlogits.sum()])
-    d_ln2_out = dlogits[:, None] * params.reg_w2[0][None, :]
-    if trace.head_mask is not None:
-        d_ln2_out *= trace.head_mask
-    d_head_pre, ln2_scale, ln2_offset = layernorm_backward(
-        d_ln2_out, trace.ln2_xhat, trace.ln2_inv_std, params.ln2_scale
-    )
-    del d_ln2_out
-    d_head_pre *= trace.head_pre > 0.0
-    reg_w1 = d_head_pre.T @ trace.ff_out
-    reg_b1 = d_head_pre.sum(axis=0)
-    d_ff_out = d_head_pre @ params.reg_w1
-    del d_head_pre
-
-    # embedding head
-    emb_w = dphi.T @ trace.ff_out
-    emb_b = dphi.sum(axis=0)
-    d_ff_out += dphi @ params.emb_w
-
-    # feed-forward layer: layer norm -> dropout -> linear
-    dz1, ln1_scale, ln1_offset = layernorm_backward(
-        d_ff_out, trace.ln1_xhat, trace.ln1_inv_std, params.ln1_scale
-    )
-    del d_ff_out
-    if trace.ff_mask is not None:
-        dz1 *= trace.ff_mask
-    ff_w = dz1.T @ trace.context
-    ff_b = dz1.sum(axis=0)
-    d_context = dz1 @ params.ff_w
-    del dz1
-
-    # context c_i = d_i * v_i; converted only now, so the float64 copy of x
-    # is not alive during the loss and the heads
-    x = np.asarray(x, dtype=np.float64)
-    dd = (d_context * trace.v_proj).sum(axis=1)
-    dv = d_context
-    dv *= trace.d[:, None]
-    del d_context
-    w_v = dv.T @ x
-    del dv
-
-    # d = softmax over row sums of log(1 - clipped alpha), in one N x N array
-    dlog = trace.d * (dd - float(dd @ trace.d))
-    alpha, lo, hi = trace.alpha, hyper.alpha_clip, 1.0 - hyper.alpha_clip
-    da = np.clip(alpha, lo, hi)
-    np.subtract(1.0, da, out=da)
-    np.divide(-1.0, da, out=da)
-    np.multiply(dlog[:, None], da, out=da)
-    inside = alpha > lo
-    inside &= alpha < hi
-    da *= inside  # d(loss)/d(alpha)
-    del inside
-
-    # column softmax, with the column sums taken in a second N x N array
-    colsum = np.multiply(alpha, da).sum(axis=0, keepdims=True)
-    da -= colsum
-    np.multiply(alpha, da, out=da)  # d(loss)/dA
-
-    scale = 1.0 / np.sqrt(x.shape[1])
-    dq = da @ trace.k_proj
-    dq *= scale
-    w_q = dq.T @ x
-    del dq
-    dk = da.T @ trace.q_proj
-    del da
-    dk *= scale
-    w_k = dk.T @ x
-    del dk
-
-    # each field is the array its branch computed, written once
-    g = ModelParams(
-        w_q=w_q,
-        w_k=w_k,
-        w_v=w_v,
-        ff_w=ff_w,
-        ff_b=ff_b,
-        ln1_scale=ln1_scale,
-        ln1_offset=ln1_offset,
-        reg_w1=reg_w1,
-        reg_b1=reg_b1,
-        ln2_scale=ln2_scale,
-        ln2_offset=ln2_offset,
-        reg_w2=reg_w2,
-        reg_b2=reg_b2,
-        emb_w=emb_w,
-        emb_b=emb_b,
-    )
+    g = network_grad(trace, x, params, hyper, dy, dphi)
     if hyper.weight_decay != 0.0:
         _add_weight_decay(g, params, 2.0 * hyper.weight_decay)
 

@@ -1,4 +1,4 @@
-"""Diverse-attention frame scoring network.
+"""Diverse-attention frame scoring network, forward and reverse.
 
 Maps a sequence of per-frame feature vectors to per-frame importance
 scores in (0, 1) and per-frame embedding vectors.  The pipeline is:
@@ -11,17 +11,17 @@ Everything is plain float64 numpy; there is no positional encoding, so
 the whole evaluation-mode pass is equivariant under frame permutation.
 
 The network is written once, as a chain that applies every layer in
-place.  ``score_frames``, the scorer summaries use, runs it alone: it
-holds one N x N array, the attention, so a video of N frames peaks at
-8 * N^2 + O(N * D) bytes.  ``forward``, the training pass, runs it
-with a cache that keeps every intermediate the backward pass reads,
-copying each one a later layer would overwrite, and adds the embedding
-head; it peaks at about two N x N arrays, alpha and the copy the
-diversity weights are computed in.  A whole training step, ``forward``
-then ``losses.loss_and_grad``, peaks at about three N x N arrays
-unsupervised and five supervised (8 * N^2 bytes each), since the
-backward frees each intermediate after its last read and works in
-place.
+place.  ``score_frames``, the scorer summaries use, runs it alone and
+holds one N x N array, the attention: 8 * N^2 + O(N * D) bytes.
+``forward``, the training pass, runs it with a cache of every
+intermediate the reverse pass reads, copying each one a later layer
+would overwrite, and adds the embedding head; it peaks at about two
+N x N arrays, alpha and the copy the diversity weights are computed in.
+``network_grad``, the reverse pass, carries a loss's gradients with
+respect to y and phi back to every parameter.  It frees each
+intermediate after its last read and works in place, so a training step
+(``forward``, then ``losses.loss_and_grad``) peaks at about three N x N
+arrays (8 * N^2 bytes each) unsupervised and five supervised.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ class ForwardTrace:
     Public outputs: ``alpha`` (column-stochastic attention weights,
     N x N), ``d`` (diversity weights on the simplex), ``context``
     (N x D), ``phi`` (N x E embeddings) and ``y`` (scores in (0, 1)).
-    The remaining tensors are cached intermediates consumed by the
-    backward pass; the dropout masks are None in eval mode, where
+    The remaining tensors are cached intermediates ``network_grad``
+    reads; the dropout masks are None in eval mode, where
     dropout is the identity.  The attention logits themselves are not
     kept: ``_attention(q_proj, k_proj)`` recomputes them.
     """
@@ -325,8 +325,8 @@ def _network(
 ) -> np.ndarray:
     """Scores y of a checked (N, D) feature matrix, each layer applied in place.
 
-    Given a ``cache`` dict, it also records every intermediate the
-    backward pass reads under its ``ForwardTrace`` name, and hands the
+    Given a ``cache`` dict, it also records every intermediate
+    ``network_grad`` reads under its ``ForwardTrace`` name, and hands the
     next layer a copy wherever that layer would overwrite one.  The
     dropout masks multiply the feed-forward pre-activation and the head
     output; None is the identity.
@@ -378,7 +378,7 @@ def forward(
     rng: np.random.Generator | None = None,
     masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ForwardTrace:
-    """Run the scoring network on an (N, D) feature matrix, keeping what backward reads.
+    """Run the scoring network on an (N, D) feature matrix, keeping what network_grad reads.
 
     In ``train`` mode dropout masks are sampled from ``rng`` (or taken
     from ``masks``, which is how gradient checks freeze them); in
@@ -404,6 +404,97 @@ def forward(
     phi = cache["ff_out"] @ params.emb_w.T
     phi += params.emb_b
     return ForwardTrace(phi=phi, y=y, ff_mask=ff_mask, head_mask=head_mask, **cache)
+
+
+def network_grad(
+    trace: ForwardTrace,
+    x: np.ndarray,
+    params: ModelParams,
+    hyper: HyperParams,
+    dy: np.ndarray,
+    dphi: np.ndarray,
+) -> ModelParams:
+    """Gradient of <dy, y> + <dphi, phi> w.r.t. every parameter: the reverse pass.
+
+    ``trace`` comes from ``forward`` on the same ``x`` and ``params``, and
+    its dropout masks are honored.  Each intermediate is deleted after its
+    last read and each elementwise step runs in place, with the operands
+    and order of the plain formulas, so few arrays are alive at once.
+    """
+    g = {}  # each field's gradient, the array its branch computed, written once
+    # score head: sigmoid -> final linear -> dropout -> layer norm -> relu
+    dlogits = dy * trace.y * (1.0 - trace.y)
+    g["reg_w2"] = (dlogits[:, None] * trace.head_drop).sum(axis=0, keepdims=True)
+    g["reg_b2"] = np.array([dlogits.sum()])
+    d_ln2_out = dlogits[:, None] * params.reg_w2[0][None, :]
+    if trace.head_mask is not None:
+        d_ln2_out *= trace.head_mask
+    d_head_pre, g["ln2_scale"], g["ln2_offset"] = layernorm_backward(
+        d_ln2_out, trace.ln2_xhat, trace.ln2_inv_std, params.ln2_scale
+    )
+    del d_ln2_out
+    d_head_pre *= trace.head_pre > 0.0
+    g["reg_w1"] = d_head_pre.T @ trace.ff_out
+    g["reg_b1"] = d_head_pre.sum(axis=0)
+    d_ff_out = d_head_pre @ params.reg_w1
+    del d_head_pre
+
+    # embedding head
+    g["emb_w"] = dphi.T @ trace.ff_out
+    g["emb_b"] = dphi.sum(axis=0)
+    d_ff_out += dphi @ params.emb_w
+
+    # feed-forward layer: layer norm -> dropout -> linear
+    dz1, g["ln1_scale"], g["ln1_offset"] = layernorm_backward(
+        d_ff_out, trace.ln1_xhat, trace.ln1_inv_std, params.ln1_scale
+    )
+    del d_ff_out
+    if trace.ff_mask is not None:
+        dz1 *= trace.ff_mask
+    g["ff_w"] = dz1.T @ trace.context
+    g["ff_b"] = dz1.sum(axis=0)
+    d_context = dz1 @ params.ff_w
+    del dz1
+
+    # context c_i = d_i * v_i; x is converted only now, so its float64 copy
+    # is not alive during the heads' reverse pass
+    x = np.asarray(x, dtype=np.float64)
+    dd = (d_context * trace.v_proj).sum(axis=1)
+    dv = d_context
+    dv *= trace.d[:, None]
+    del d_context
+    g["w_v"] = dv.T @ x
+    del dv
+
+    # d = softmax over row sums of log(1 - clipped alpha), in one N x N array
+    dlog = trace.d * (dd - float(dd @ trace.d))
+    alpha, lo, hi = trace.alpha, hyper.alpha_clip, 1.0 - hyper.alpha_clip
+    da = np.clip(alpha, lo, hi)
+    np.subtract(1.0, da, out=da)
+    np.divide(-1.0, da, out=da)
+    np.multiply(dlog[:, None], da, out=da)
+    inside = alpha > lo
+    inside &= alpha < hi
+    da *= inside  # d(loss)/d(alpha)
+    del inside
+
+    # column softmax, with the column sums taken in a second N x N array
+    colsum = np.multiply(alpha, da).sum(axis=0, keepdims=True)
+    da -= colsum
+    np.multiply(alpha, da, out=da)  # d(loss)/dA
+
+    scale = 1.0 / np.sqrt(x.shape[1])
+    dq = da @ trace.k_proj
+    dq *= scale
+    g["w_q"] = dq.T @ x
+    del dq
+    dk = da.T @ trace.q_proj
+    del da
+    dk *= scale
+    g["w_k"] = dk.T @ x
+    del dk
+
+    return ModelParams(**g)
 
 
 def score_frames(x: np.ndarray, params: ModelParams, hyper: HyperParams) -> np.ndarray:

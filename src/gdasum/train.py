@@ -69,6 +69,9 @@ class TrainConfig:
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = TrainMode(self.mode)
+        for name in ("epochs", "seed"):  # exact ints: range and SeedSequence need them
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.learning_rate is not None and not (

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import tracemalloc
 import types
 
@@ -291,6 +292,10 @@ def test_train_config_validation():
         TrainConfig(grad_clip=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(mode="reinforced")
+    for name, value in [("epochs", 1.5), ("epochs", True), ("epochs", 2.0),
+                        ("seed", 1.5), ("seed", False), ("seed", np.int64(3))]:
+        with pytest.raises(TypeError, match=re.escape(f"{name} must be an int, got {value!r}")):
+            TrainConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name, value", [
