@@ -15,7 +15,10 @@ term is covered by the finite-difference check.
 ``loss_and_grad`` computes the loss terms and their gradients with
 respect to the scores y and embeddings phi, building the DPP kernel (or
 the cosine matrix) once per step, and hands those gradients to
-``model.network_grad``, the reverse pass through the network.
+``model.network_grad``, the reverse pass through the network.  The
+loss terms, the DPP linear algebra and the y/phi gradients are float64
+whatever dtype the network ran in: a float32 trace's y and phi are
+upcast first, and its parameter gradients are upcast field by field.
 ``backward`` is its gradient half.
 ``total_loss`` is the loss-only path behind ``loss_given_params``, and
 ``finite_diff_grad`` is the independent central-difference oracle the
@@ -24,7 +27,7 @@ gradient is verified against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -197,7 +200,8 @@ def weight_penalty(params: ModelParams, weight_decay: float) -> float:
     """L2 penalty over weight matrices only (no biases, no norm params)."""
     if weight_decay == 0.0:
         return 0.0
-    total = sum(float((getattr(params, f) ** 2).sum()) for f in WEIGHT_FIELDS)
+    # vdot sums the squares without a field-sized temporary
+    total = sum(float(np.vdot(w, w)) for w in (getattr(params, f) for f in WEIGHT_FIELDS))
     return weight_decay * total
 
 
@@ -206,6 +210,19 @@ def _check_mode(mode, labels):
         raise ValueError(f"unknown loss mode {mode!r}")
     if mode == "supervised" and labels is None:
         raise ValueError("supervised loss requires keyframe labels")
+
+
+def _float64_outputs(trace: ForwardTrace) -> ForwardTrace:
+    """The trace with y and phi in float64, where every loss term is computed.
+
+    Only a float32 trace's y and phi (N and N x E elements) are copied;
+    every other field is shared.
+    """
+    return replace(
+        trace,
+        y=np.asarray(trace.y, dtype=np.float64),
+        phi=np.asarray(trace.phi, dtype=np.float64),
+    )
 
 
 def _loss_terms(trace, params, hyper, mode, labels, sigma, variation_weight):
@@ -255,7 +272,8 @@ def total_loss(
     ``variation_weight`` scales the variation term; 0 is the keyframe-only ablation.
     """
     _check_mode(mode, labels)
-    return _loss_terms(trace, params, hyper, mode, labels, sigma, variation_weight)[0]
+    outputs = _float64_outputs(trace)
+    return _loss_terms(outputs, params, hyper, mode, labels, sigma, variation_weight)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,26 +345,38 @@ def loss_and_grad(
     labels: np.ndarray | None = None,
     sigma: float = DEFAULT_SIGMA,
     variation_weight: float = DEFAULT_VARIATION_WEIGHT,
+    working: ModelParams | None = None,
+    out: ModelParams | None = None,
 ) -> tuple[LossBreakdown, ModelParams]:
     """``total_loss`` and its exact gradient w.r.t. every parameter.
 
-    The trace must come from ``forward`` on the same ``x`` and
-    ``params``; the loss's y and phi gradients run back through
-    ``model.network_grad`` with the trace's dropout masks.  The pairwise
-    arrays (DPP kernel or cosine matrix) serve both halves.  A
-    non-finite total raises ``NumericalError`` before any gradient work.
+    The trace must come from ``forward`` on the same ``x`` and on
+    ``working``, a copy of ``params`` in another dtype, or on ``params``
+    itself when ``working`` is None; the loss's y and phi gradients run
+    back through ``model.network_grad`` on the same parameters, with the
+    trace's dropout masks.  The weight penalty and its gradient read
+    ``params``, and the gradient is in ``params``' dtype: it is written
+    into ``out`` when given (a set reused from step to step), into a new
+    set otherwise.  The pairwise arrays (DPP kernel or cosine matrix)
+    serve both halves.  A non-finite total raises ``NumericalError``
+    before any gradient work.
     """
     _check_mode(mode, labels)
     if np.shape(x) != trace.context.shape:
         raise ValueError("trace does not match the given feature matrix")
     labels = None if labels is None else np.asarray(labels, dtype=np.float64)
 
-    breakdown, shared = _loss_terms(trace, params, hyper, mode, labels, sigma, variation_weight)
+    outputs = _float64_outputs(trace)
+    breakdown, shared = _loss_terms(outputs, params, hyper, mode, labels, sigma, variation_weight)
     if not np.isfinite(breakdown.total):
         raise NumericalError("non-finite loss")
-    dy, dphi = _loss_grads_y_phi(trace, hyper, mode, labels, sigma, variation_weight, shared)
-    del shared
-    g = network_grad(trace, x, params, hyper, dy, dphi)
+    dy, dphi = _loss_grads_y_phi(outputs, hyper, mode, labels, sigma, variation_weight, shared)
+    del shared, outputs
+    net = params if working is None else working
+    if out is None and net.dtype != params.dtype:
+        out = params.zeros_like()
+    dy, dphi = dy.astype(net.dtype, copy=False), dphi.astype(net.dtype, copy=False)
+    g = network_grad(trace, x, net, hyper, dy, dphi, out)
     if hyper.weight_decay != 0.0:
         _add_weight_decay(g, params, 2.0 * hyper.weight_decay)
 
@@ -363,8 +393,7 @@ def _add_weight_decay(grads: ModelParams, params: ModelParams, coeff: float) -> 
     Each product and sum is elementwise, so taking them ADAM_BLOCK
     elements at a time gives the same floats as the whole-field
     ``grads += coeff * params`` without a field-sized temporary.  The
-    gradient fields are fresh C-contiguous arrays, so their flat views
-    write through.
+    gradient fields are C-contiguous, so their flat views write through.
     """
     buf = np.empty(ADAM_BLOCK)
     for name in WEIGHT_FIELDS:

@@ -7,8 +7,12 @@ pairwise attention -> column softmax -> per-frame diversity weights
 context -> feed-forward layer with dropout and layer norm -> a
 two-layer score-regression head and a linear embedding head.
 
-Everything is plain float64 numpy; there is no positional encoding, so
-the whole evaluation-mode pass is equivariant under frame permutation.
+The network computes in the dtype of the parameters it is given:
+float64 parameters (a checkpoint, the gradient check) run every
+product and elementwise step in float64, and float32 ones (the
+trainer's working copy) run them in float32, at about twice the
+matrix rate.  There is no positional encoding, so the whole
+evaluation-mode pass is equivariant under frame permutation.
 
 The network is written once, as a chain that applies every layer in
 place.  ``score_frames``, the scorer summaries use, runs it alone and
@@ -135,6 +139,11 @@ class ModelParams:
         """(feature dim D, hidden width H, embedding width E)."""
         return self.w_q.shape[1], self.reg_w1.shape[0], self.emb_w.shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the network computes in with these parameters."""
+        return self.w_q.dtype
+
     def arrays(self) -> list[np.ndarray]:
         return [getattr(self, f.name) for f in fields(self)]
 
@@ -146,6 +155,10 @@ class ModelParams:
 
     def zeros_like(self) -> "ModelParams":
         return ModelParams(*[np.zeros_like(a) for a in self.arrays()])
+
+    def astype(self, dtype) -> "ModelParams":
+        """A copy with every field in ``dtype``."""
+        return ModelParams(*[a.astype(dtype) for a in self.arrays()])
 
     def check_finite(self):
         for name, a in self.items():
@@ -217,7 +230,7 @@ def _simplex(log_w: np.ndarray) -> np.ndarray:
 
 
 def _softmax_columns(a: np.ndarray) -> np.ndarray:
-    """Column-wise softmax of a float64 array, computed in place; returns a.
+    """Column-wise softmax of a float array, computed in place; returns a.
 
     alpha[i, j] = exp(A[i, j]) / sum_r exp(A[r, j]), stabilized by
     subtracting each column's max, so every column sums to one.
@@ -279,19 +292,21 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+def _dropout_mask(shape, rate: float, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
     # inverted scaling: kept units divided by keep prob, eval needs no rescale;
-    # the 0/1 mask is written over the uniform draws, so one array is built
+    # the draws are float64 whatever the dtype, so a seed gives one stream,
+    # and a float64 mask is written over its draws, so one array is built
     keep = 1.0 - rate
-    mask = rng.random(shape)
-    np.less(mask, keep, out=mask)
+    draws = rng.random(shape)
+    mask = draws if draws.dtype == dtype else np.empty(shape, dtype)
+    np.less(draws, keep, out=mask)
     mask /= keep
     return mask
 
 
 def _check_features(x, params: ModelParams) -> np.ndarray:
-    """x as float64, refused unless it is a finite (N, D) matrix."""
-    x = np.asarray(x, dtype=np.float64)
+    """x in the parameters' dtype, refused unless it is a finite (N, D) matrix."""
+    x = np.asarray(x, dtype=params.dtype)
     d_feat = params.dims[0]
     if x.ndim != 2 or x.shape[1] != d_feat:
         raise ValueError(
@@ -308,7 +323,7 @@ def _attention(q_proj: np.ndarray, k_proj: np.ndarray) -> np.ndarray:
     """A = q k^T / sqrt(D), refused if any entry overflowed."""
     d_feat = q_proj.shape[1]
     a = q_proj @ k_proj.T
-    a /= np.sqrt(d_feat)
+    a /= math.sqrt(d_feat)
     # max and min propagate NaN, and unlike isfinite build no N x N mask
     if not (math.isfinite(a.max()) and math.isfinite(a.min())):
         raise FloatingPointError("attention matrix overflowed; check input scale")
@@ -397,8 +412,8 @@ def forward(
         else:
             n = x.shape[0]
             d_feat, h, _ = params.dims
-            ff_mask = _dropout_mask((n, d_feat), hyper.dropout_rate, rng)
-            head_mask = _dropout_mask((n, h), hyper.dropout_rate, rng)
+            ff_mask = _dropout_mask((n, d_feat), hyper.dropout_rate, rng, x.dtype)
+            head_mask = _dropout_mask((n, h), hyper.dropout_rate, rng, x.dtype)
     cache = {}
     y = _network(x, params, hyper, cache, ff_mask, head_mask)
     phi = cache["ff_out"] @ params.emb_w.T
@@ -413,19 +428,26 @@ def network_grad(
     hyper: HyperParams,
     dy: np.ndarray,
     dphi: np.ndarray,
+    out: ModelParams | None = None,
 ) -> ModelParams:
     """Gradient of <dy, y> + <dphi, phi> w.r.t. every parameter: the reverse pass.
 
     ``trace`` comes from ``forward`` on the same ``x`` and ``params``, and
-    its dropout masks are honored.  Each intermediate is deleted after its
-    last read and each elementwise step runs in place, with the operands
-    and order of the plain formulas, so few arrays are alive at once.
+    its dropout masks are honored; ``dy`` and ``dphi`` are in the
+    parameters' dtype, and so is every gradient.  Each intermediate is
+    deleted after its last read and each elementwise step runs in place,
+    with the operands and order of the plain formulas, so few arrays are
+    alive at once.  Given ``out``, each field's gradient is copied into
+    out's field (cast to its dtype) as soon as it is computed, and
+    ``out`` is returned: a float32 pass fills a float64 set one field at
+    a time, and the set can be reused from step to step.
     """
-    g = {}  # each field's gradient, the array its branch computed, written once
+    # each field's gradient, the array its branch computed, written once
+    g = {} if out is None else _CopyInto(out)
     # score head: sigmoid -> final linear -> dropout -> layer norm -> relu
     dlogits = dy * trace.y * (1.0 - trace.y)
     g["reg_w2"] = (dlogits[:, None] * trace.head_drop).sum(axis=0, keepdims=True)
-    g["reg_b2"] = np.array([dlogits.sum()])
+    g["reg_b2"] = dlogits.sum(keepdims=True)
     d_ln2_out = dlogits[:, None] * params.reg_w2[0][None, :]
     if trace.head_mask is not None:
         d_ln2_out *= trace.head_mask
@@ -456,9 +478,9 @@ def network_grad(
     d_context = dz1 @ params.ff_w
     del dz1
 
-    # context c_i = d_i * v_i; x is converted only now, so its float64 copy
+    # context c_i = d_i * v_i; x is converted only now, so a converted copy
     # is not alive during the heads' reverse pass
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.dtype)
     dd = (d_context * trace.v_proj).sum(axis=1)
     dv = d_context
     dv *= trace.d[:, None]
@@ -483,7 +505,7 @@ def network_grad(
     da -= colsum
     np.multiply(alpha, da, out=da)  # d(loss)/dA
 
-    scale = 1.0 / np.sqrt(x.shape[1])
+    scale = 1.0 / math.sqrt(x.shape[1])
     dq = da @ trace.k_proj
     dq *= scale
     g["w_q"] = dq.T @ x
@@ -494,7 +516,17 @@ def network_grad(
     g["w_k"] = dk.T @ x
     del dk
 
-    return ModelParams(**g)
+    return ModelParams(**g) if out is None else out
+
+
+class _CopyInto:
+    """Write-only field map onto a ModelParams: ``g[name] = a`` copies a into its field."""
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+
+    def __setitem__(self, name: str, grad: np.ndarray):
+        np.copyto(getattr(self.params, name), grad)
 
 
 def score_frames(x: np.ndarray, params: ModelParams, hyper: HyperParams) -> np.ndarray:

@@ -7,6 +7,12 @@ training interleaves labeled videos (scored + variation loss) and
 unlabeled videos (length + repelling loss) in the same stream.
 Gradients are clipped by global norm before each update to guard the
 log-det term; each epoch record reports that norm before clipping.
+
+The network's matrix products run in float32: ``train`` keeps a float32
+working copy of the parameters, which ``forward`` and the reverse pass
+run on and ``adam_step`` refreshes as it updates.  The master
+parameters, the Adam moments, the gradient the optimizer sees, the
+loss, clipping and the checkpoint stay float64.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ DEFAULT_LEARNING_RATES = {
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# dtype of the working copy the network runs on in training
+WORKING_DTYPE = np.float32
 
 
 class CheckpointError(ValueError):
@@ -109,7 +117,11 @@ def resolve_learning_rate(config: TrainConfig, test_records: list[VideoRecord]) 
 
 
 def adam_step(
-    params: ModelParams, grads: ModelParams, state: AdamState, lr: float
+    params: ModelParams,
+    grads: ModelParams,
+    state: AdamState,
+    lr: float,
+    working: ModelParams | None = None,
 ) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update of ``params`` and ``state`` in place.
 
@@ -117,8 +129,10 @@ def adam_step(
     the same two objects it was given.  Each field is updated in blocks
     of ADAM_BLOCK elements through two scratch buffers allocated once
     per call; every operation is elementwise, so the result is the same
-    bit for bit as one whole-field pass.  Parameter and moment arrays
-    must be C-contiguous, so that the update writes through to them.
+    bit for bit as one whole-field pass.  ``working``, a copy of the
+    parameters in another dtype, is refreshed from each updated block
+    in the same pass.  Parameter, moment and working arrays must be
+    C-contiguous, so that the update writes through to them.
     """
     try:
         grads.check_finite()
@@ -131,12 +145,14 @@ def adam_step(
     buf_a, buf_b = np.empty(size), np.empty(size)
     for name, theta in params.items():
         written = (theta, getattr(state.m, name), getattr(state.v, name))
+        if working is not None:
+            written += (getattr(working, name),)
         if not all(arr.flags.c_contiguous for arr in written):
             raise ValueError(f"adam_step: field {name!r} is not C-contiguous")
         # reshape(-1) of a C-contiguous array is a view, so blocks write through
-        flat = [arr.reshape(-1) for arr in (*written, getattr(grads, name))]
+        flat = [arr.reshape(-1) for arr in (getattr(grads, name), *written)]
         for start in range(0, theta.size, ADAM_BLOCK):
-            th, m, v, g = (arr[start : start + ADAM_BLOCK] for arr in flat)
+            g, th, m, v, *refresh = (arr[start : start + ADAM_BLOCK] for arr in flat)
             a, b = buf_a[: th.size], buf_b[: th.size]
             m *= ADAM_BETA1
             m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
@@ -145,20 +161,23 @@ def adam_step(
             np.multiply(lr, np.divide(m, bc1, out=a), out=a)
             np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
             th -= np.divide(a, b, out=a)
+            for w in refresh:
+                np.copyto(w, th)
     return params, state
 
 
 def clip_gradients(grads: ModelParams, max_norm: float) -> tuple[ModelParams, float]:
     """Scale ``grads`` in place so their joint L2 norm is at most max_norm.
 
-    Returns ``grads`` itself and its norm before clipping.  A non-finite
-    squared norm raises ``NumericalError`` before anything is scaled,
-    naming the first non-finite field, or saying the norm overflowed if
-    every field is finite: scaling by max_norm/nan would poison every
-    field, and by max_norm/inf would zero them.
+    Returns ``grads`` itself and its norm before clipping.  Each field's
+    squares are summed by ``np.vdot``, which builds no temporary.  A
+    non-finite squared norm raises ``NumericalError`` before anything is
+    scaled, naming the first non-finite field, or saying the norm
+    overflowed if every field is finite: scaling by max_norm/nan would
+    poison every field, and by max_norm/inf would zero them.
     """
     with np.errstate(over="ignore"):
-        total_sq = sum(float((g * g).sum()) for g in grads.arrays())
+        total_sq = sum(float(np.vdot(g, g)) for g in grads.arrays())
     if not math.isfinite(total_sq):
         try:
             grads.check_finite()
@@ -230,6 +249,8 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     params = init_params(feature_dim, hyper, config.seed)
+    working = params.astype(WORKING_DTYPE)
+    grads = params.zeros_like()  # every step's gradient is written into this one set
     state = AdamState.zeros(params)
     epochs = []
     clip = config.grad_clip or np.inf
@@ -246,9 +267,9 @@ def train(
             x = rec.features.matrix
             try:
                 t0 = time.perf_counter()
-                trace = forward(x, params, hyper, mode="train", rng=rng)
+                trace = forward(x, working, hyper, mode="train", rng=rng)
                 t1 = time.perf_counter()
-                breakdown, grads = loss_and_grad(
+                breakdown, _ = loss_and_grad(
                     trace,
                     x,
                     params,
@@ -257,14 +278,14 @@ def train(
                     labels=rec.annotations.keyframe_labels,
                     sigma=config.sigma,
                     variation_weight=config.variation_weight,
+                    working=working,
+                    out=grads,
                 )
                 # free the activations before the next forward allocates its own
                 del trace
                 t2 = time.perf_counter()
                 norm = clip_gradients(grads, clip)[1]
-                adam_step(params, grads, state, lr)
-                # free the gradients before the next step builds its own
-                del grads
+                adam_step(params, grads, state, lr, working)
                 stage_seconds["forward"] += t1 - t0
                 stage_seconds["loss_and_grad"] += t2 - t1
                 stage_seconds["optimizer"] += time.perf_counter() - t2

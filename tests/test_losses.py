@@ -535,3 +535,39 @@ def test_gradients_match_finite_differences_below_the_similarity_floor():
             x, params, hyper, "supervised", labels=labels, masks=masks
         )
         assert gradient_report(analytic, numeric)["max"] <= 1e-4
+
+
+# A float32 dot product of length D is exact to about D * u relative to
+# the sum of its terms' magnitudes, u = eps / 2 (Higham, "Accuracy and
+# Stability of Numerical Algorithms", section 3.1).  Forward and reverse,
+# a parameter's gradient passes through at most 16 products and sums of
+# length at most D, hence 16 * D * u = 8 * D * eps, about 9.8e-4 at D = 1024.
+PAPER_D = 1024
+FLOAT32_TOL = 8 * PAPER_D * float(np.finfo(np.float32).eps)
+
+
+@pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+def test_float32_network_matches_float64_at_the_paper_width(mode):
+    # the training step's split: a float32 network under float64 loss terms.
+    # The bound is relative to the terms' magnitudes, so each field's error
+    # is measured against the step's largest gradient entry: a field whose
+    # exact gradient cancels to nearly 0 (emb_b in supervised mode; w_q and
+    # w_k at initialisation, where ff_b = 0 lets layer norm remove the
+    # diversity weights' scale) keeps an error of the terms' size
+    n, hyper = 300, HyperParams(hidden=64, embed=16)
+    params = init_params(PAPER_D, hyper, seed=0)
+    working = params.astype(np.float32)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, PAPER_D)).astype(np.float32)
+    labels = np.zeros(n, dtype=np.int8)
+    labels[rng.choice(n, size=30, replace=False)] = 1
+    t32 = forward(x, working, hyper, mode="train", rng=np.random.default_rng(1))
+    t64 = forward(x, params, hyper, mode="train", rng=np.random.default_rng(1))
+    b32, g32 = loss_and_grad(t32, x, params, hyper, mode, labels=labels, working=working)
+    b64, g64 = loss_and_grad(t64, x, params, hyper, mode, labels=labels)
+    assert b32.weight_penalty == b64.weight_penalty  # from the float64 master weights
+    assert abs(b32.total - b64.total) <= FLOAT32_TOL * abs(b64.total)
+    scale = max(np.abs(b).max() for b in g64.arrays())
+    for (name, a), b in zip(g32.items(), g64.arrays()):
+        assert a.dtype == np.float64, name
+        assert np.abs(a - b).max() <= FLOAT32_TOL * scale, name

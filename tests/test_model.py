@@ -470,6 +470,39 @@ def test_network_grad_matches_central_differences(mode):
         assert abs(analytic - numeric) <= 1e-7 * max(abs(numeric), 1.0), name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_network_follows_the_parameters_dtype(dtype):
+    # float32 features as loaded; the parameters' dtype picks the arithmetic
+    n, d_feat = 9, 5
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.6)
+    master = trained_like_params(d_feat, hyper, seed=3)
+    params = master.astype(dtype)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((n, d_feat)).astype(np.float32)
+    dy, dphi = rng.standard_normal(n).astype(dtype), rng.standard_normal((n, 4)).astype(dtype)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    trace = forward(x, params, hyper, mode="train", rng=got_rng)
+    want = reference_forward(x.astype(np.float64), master, hyper, mode="train", rng=want_rng)
+    # the masks come from the same float64 draws in every dtype
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for field in dataclasses.fields(ForwardTrace):
+        got = getattr(trace, field.name)
+        assert got.dtype == dtype, field.name
+        if dtype == np.float64:
+            assert got.tobytes() == getattr(want, field.name).tobytes(), field.name
+    assert np.array_equal(trace.ff_mask, want.ff_mask.astype(dtype))
+    assert np.array_equal(trace.head_mask, want.head_mask.astype(dtype))
+    assert score_frames(x, params, hyper).dtype == dtype
+
+    grads = network_grad(trace, x, params, hyper, dy, dphi)
+    # out= takes each field as it is computed, cast to out's dtype
+    into = master.zeros_like()
+    assert network_grad(trace, x, params, hyper, dy, dphi, out=into) is into
+    for (name, g), upcast in zip(grads.items(), into.arrays()):
+        assert g.dtype == dtype and g.shape == getattr(params, name).shape, name
+        assert upcast.dtype == np.float64 and upcast.tobytes() == g.astype(np.float64).tobytes()
+
+
 def traced_peak(fn):
     tracemalloc.start()
     try:

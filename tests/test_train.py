@@ -17,7 +17,7 @@ from gdasum.data import (
     SplitSpec,
     VideoRecord,
 )
-from gdasum.losses import LossBreakdown, NumericalError, backward
+from gdasum.losses import LossBreakdown, NumericalError, loss_and_grad
 from gdasum.model import HyperParams, forward, init_params
 from gdasum.synthetic import PlantedSpec, make_planted_dataset, write_planted_corpus
 from gdasum.train import (
@@ -26,6 +26,7 @@ from gdasum.train import (
     ADAM_BLOCK,
     ADAM_EPS,
     DEFAULT_LEARNING_RATES,
+    WORKING_DTYPE,
     AdamState,
     CheckpointError,
     TrainConfig,
@@ -339,6 +340,35 @@ def test_train_same_seed_bit_identical(tmp_path):
     save_checkpoint(params_a, tmp_path / "a.ckpt", hyper=SMALL_HYPER)
     save_checkpoint(params_b, tmp_path / "b.ckpt", hyper=SMALL_HYPER)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    # the checkpoint holds the float64 master, not the float32 working copy
+    loaded, _ = load_checkpoint(tmp_path / "a.ckpt")
+    for a, b in zip(loaded.arrays(), params_a.arrays()):
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+def test_train_keeps_float64_master_state_beside_a_float32_working_copy(monkeypatch):
+    # the network runs on the working copy; Adam, clipping and the
+    # checkpoint see float64, and the copy tracks the master every step
+    train_module = importlib.import_module("gdasum.train")
+    steps = []
+
+    def checked_adam_step(params, grads, state, lr, working=None):
+        out = adam_step(params, grads, state, lr, working)
+        for name, theta in params.items():
+            arrays = (theta, getattr(grads, name), getattr(state.m, name), getattr(state.v, name))
+            assert all(a.dtype == np.float64 for a in arrays), name
+            assert getattr(working, name).tobytes() == theta.astype(np.float32).tobytes(), name
+        steps.append(state.t)
+        return out
+
+    monkeypatch.setattr(train_module, "adam_step", checked_adam_step)
+    records, split = small_corpus()
+    config = TrainConfig(epochs=2, learning_rate=1e-3, seed=7)
+    params, _ = train(records, split, config, SMALL_HYPER)
+    assert steps == list(range(1, 9))
+    assert all(a.dtype == np.float64 for a in params.arrays())
+    # the master keeps digits the float32 copy rounds away
+    assert any(not np.array_equal(a, a.astype(np.float32)) for a in params.arrays())
 
 
 def test_train_unsupervised_ignores_missing_labels():
@@ -470,9 +500,11 @@ def test_train_reports_gradient_norm_before_clipping():
     x = rec.features.matrix
     labels = rec.annotations.keyframe_labels
     params = init_params(x.shape[1], hyper, 0)
-    trace = forward(x, params, hyper, mode="train", rng=np.random.default_rng(0))
-    grads = backward(trace, x, params, hyper, "supervised", labels=labels)
-    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.arrays())))
+    # the step train takes: the network runs on a float32 working copy
+    working = params.astype(WORKING_DTYPE)
+    trace = forward(x, working, hyper, mode="train", rng=np.random.default_rng(0))
+    _, grads = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels, working=working)
+    norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.arrays())))
 
     for clip, fraction in [(norm / 2, 1.0), (2 * norm, 0.0), (0.0, 0.0)]:
         config = TrainConfig(epochs=1, learning_rate=1e-3, grad_clip=clip)
