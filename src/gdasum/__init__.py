@@ -43,7 +43,6 @@ from .losses import (
     loss_and_grad,
     repelling_loss,
     total_loss,
-    variation_loss,
 )
 from .metrics import (
     EvalProtocol,
@@ -130,7 +129,6 @@ __all__ = [
     "summary_from_scores",
     "total_loss",
     "train",
-    "variation_loss",
     "video_fscore",
     "write_features",
     "write_manifest",

@@ -12,14 +12,15 @@ repelling loss (mean pairwise cosine of the embeddings).  Both modes
 add an L2 penalty over the weight matrices so every differentiable
 term is covered by the finite-difference check.
 
-``loss_and_grad`` computes the loss terms and their gradients with
-respect to the scores y and embeddings phi, building the DPP kernel (or
-the cosine matrix) once per step, and hands those gradients to
+Each mode is one function, ``_supervised`` or ``_unsupervised``, giving
+its two loss terms and a function for their gradients with respect to
+the scores y and embeddings phi, which reads the pairwise arrays the
+loss built.  ``loss_and_grad`` hands those gradients to
 ``model.network_grad``, the reverse pass through the network.  The
 loss terms, the DPP linear algebra and the y/phi gradients are float64
 whatever dtype the network ran in: a float32 trace's y and phi are
 upcast first, and its parameter gradients are upcast field by field.
-``backward`` is its gradient half.
+``backward`` is the gradient half of ``loss_and_grad``.
 ``total_loss`` is the loss-only path behind ``loss_given_params``, and
 ``finite_diff_grad`` is the independent central-difference oracle the
 gradient is verified against.
@@ -27,7 +28,7 @@ gradient is verified against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,11 +149,6 @@ def _plus_identity(kernel: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def variation_loss(kernel: np.ndarray, keyframe_subset) -> float:
-    """Negative DPP log-likelihood of the annotated keyframe subset."""
-    return -dpp_log_prob(kernel, keyframe_subset)
-
-
 def keyframe_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
     """Binary cross entropy between scores and 0/1 keyframe labels, summed."""
     y = np.asarray(y, dtype=np.float64)
@@ -179,12 +175,12 @@ def repelling_loss(phi: np.ndarray) -> float:
     return _mean_off_diagonal(_cosines(phi)[2])
 
 
-def _cosines(phi):
-    """Row norms, unit rows and the cosine matrix of nonzero embeddings."""
+def _cosines(phi, error=ValueError):
+    """Row norms, unit rows and the cosine matrix of embeddings; a zero one raises ``error``."""
     norms = np.linalg.norm(phi, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(
+        raise error(
             f"repelling loss undefined for zero-norm embeddings (frame {zero[0]})"
         )
     u = phi / norms[:, None]
@@ -205,55 +201,99 @@ def weight_penalty(params: ModelParams, weight_decay: float) -> float:
     return weight_decay * total
 
 
-def _check_mode(mode, labels):
+def _supervised(y, phi, labels, beta, variation_weight):
+    """(keyframe BCE, weighted DPP variation, grad), ``grad()`` giving (dy, dphi).
+
+    ``grad`` reads the similarity and kernel the variation term built;
+    a zero ``variation_weight`` builds none.
+    """
+    keyframe = keyframe_loss(y, labels)
+    variation, sim, kernel = 0.0, None, None
+    subset = np.flatnonzero(labels > 0)
+    if variation_weight != 0.0:
+        sim, kernel = _similarity_and_kernel(y, phi, beta)
+        variation = variation_weight * -dpp_log_prob(kernel, subset)
+
+    def grad():
+        dy, dphi = np.zeros_like(y), np.zeros_like(phi)
+        yc = np.clip(y, SCORE_CLIP, 1.0 - SCORE_CLIP)
+        live = (y > SCORE_CLIP) & (y < 1.0 - SCORE_CLIP)
+        dy += live * (-labels / yc + (1.0 - labels) / (1.0 - yc))
+        if kernel is None:
+            return dy, dphi
+        # d(-log P)/dL = (L + I)^{-1} - scatter((L_sub)^{-1})
+        try:
+            g = np.linalg.inv(_plus_identity(kernel))
+        except np.linalg.LinAlgError as err:
+            raise NumericalError("kernel + I is not invertible") from err
+        if subset.size:
+            try:
+                sub_inv = np.linalg.inv(kernel[np.ix_(subset, subset)])
+            except np.linalg.LinAlgError as err:
+                raise NumericalError("subset kernel is numerically singular") from err
+            g[np.ix_(subset, subset)] -= sub_inv
+        g *= variation_weight
+        # L_ij = y_i y_j sim_ij, so dy_k = 2 sum_j g_kj y_j sim_kj
+        work = g * sim
+        work *= 2.0
+        dy += work @ y
+        del work
+        # dphi_k = -4 beta sum_j g_kj L_kj (phi_k - phi_j), with g * L in g
+        g *= kernel
+        row = g.sum(axis=1)
+        dphi += -4.0 * beta * (row[:, None] * phi - g @ phi)
+        return dy, dphi
+
+    return keyframe, variation, grad
+
+
+def _unsupervised(y, phi, sigma):
+    """(length, repelling, grad), ``grad()`` giving (dy, dphi).
+
+    ``grad`` reads the norms, unit rows and cosines the repelling term
+    built.  A zero-norm embedding is a ``NumericalError``: dropout can
+    zero a frame's embedding, a training fault, not bad input.
+    """
+    n = y.shape[0]
+    length = length_loss(y, sigma)
+    repelling, cosines = 0.0, None
+    if n >= 2:
+        cosines = _cosines(phi, NumericalError)
+        repelling = _mean_off_diagonal(cosines[2])
+
+    def grad():
+        dy, dphi = np.zeros_like(y), np.zeros_like(phi)
+        diff = y.mean() - sigma
+        if diff != 0.0:
+            dy += np.sign(diff) / n
+        if cosines is None:
+            return dy, dphi
+        norms, u, cos = cosines
+        c = 1.0 / (n * (n - 1))
+        # d/dphi_k of sum_{i != j} cos_ij = 2 sum_{j != k} (u_j - cos_kj u_k) / ||phi_k||
+        u_sum = u.sum(axis=0)
+        cos_row = cos.sum(axis=1)
+        dphi += (2.0 * c / norms[:, None]) * ((u_sum - u) - (cos_row - 1.0)[:, None] * u)
+        return dy, dphi
+
+    return length, repelling, grad
+
+
+def _objective(trace, params, hyper, mode, labels, sigma, variation_weight):
+    """The mode's LossBreakdown and (dy, dphi) function, on y and phi upcast to float64."""
     if mode not in MODES:
         raise ValueError(f"unknown loss mode {mode!r}")
     if mode == "supervised" and labels is None:
         raise ValueError("supervised loss requires keyframe labels")
-
-
-def _float64_outputs(trace: ForwardTrace) -> ForwardTrace:
-    """The trace with y and phi in float64, where every loss term is computed.
-
-    Only a float32 trace's y and phi (N and N x E elements) are copied;
-    every other field is shared.
-    """
-    return replace(
-        trace,
-        y=np.asarray(trace.y, dtype=np.float64),
-        phi=np.asarray(trace.phi, dtype=np.float64),
-    )
-
-
-def _loss_terms(trace, params, hyper, mode, labels, sigma, variation_weight):
-    """The mode's LossBreakdown and the pairwise arrays its gradient reuses.
-
-    The arrays are (similarity, DPP kernel) in supervised mode and
-    (norms, unit rows, cosines) in unsupervised mode, or None when the
-    pairwise term is off or has no pairs.
-    """
+    y = np.asarray(trace.y, dtype=np.float64)
+    phi = np.asarray(trace.phi, dtype=np.float64)
     pen = weight_penalty(params, hyper.weight_decay)
-    y, phi = trace.y, trace.phi
-
     if mode == "supervised":
-        key = keyframe_loss(y, labels)
-        var, shared = 0.0, None
-        if variation_weight != 0.0:
-            shared = _similarity_and_kernel(y, phi, hyper.beta)
-            subset = np.flatnonzero(np.asarray(labels) > 0)
-            var = variation_weight * variation_loss(shared[1], subset)
-        return LossBreakdown(var, key, 0.0, 0.0, pen, key + var + pen), shared
-
-    length = length_loss(y, sigma)
-    rep, shared = 0.0, None
-    if phi.shape[0] >= 2:
-        try:
-            shared = _cosines(phi)
-        except ValueError as exc:
-            # dropout can zero a frame's embedding: a training fault, not bad input
-            raise NumericalError(str(exc)) from exc
-        rep = _mean_off_diagonal(shared[2])
-    return LossBreakdown(0.0, 0.0, length, rep, pen, length + rep + pen), shared
+        labels = np.asarray(labels, dtype=np.float64)
+        key, var, grad = _supervised(y, phi, labels, hyper.beta, variation_weight)
+        return LossBreakdown(var, key, 0.0, 0.0, pen, key + var + pen), grad
+    length, rep, grad = _unsupervised(y, phi, sigma)
+    return LossBreakdown(0.0, 0.0, length, rep, pen, length + rep + pen), grad
 
 
 def total_loss(
@@ -271,69 +311,7 @@ def total_loss(
     unsupervised: length regularizer + repelling (labels are ignored)
     ``variation_weight`` scales the variation term; 0 is the keyframe-only ablation.
     """
-    _check_mode(mode, labels)
-    outputs = _float64_outputs(trace)
-    return _loss_terms(outputs, params, hyper, mode, labels, sigma, variation_weight)[0]
-
-
-# ---------------------------------------------------------------------------
-# analytic gradients
-
-
-def _loss_grads_y_phi(trace, hyper, mode, labels, sigma, variation_weight, shared):
-    """d(loss)/dy and d(loss)/dphi for the mode's two loss terms."""
-    y, phi = trace.y, trace.phi
-    n = y.shape[0]
-    dy = np.zeros_like(y)
-    dphi = np.zeros_like(phi)
-
-    if mode == "supervised":
-        yc = np.clip(y, SCORE_CLIP, 1.0 - SCORE_CLIP)
-        live = (y > SCORE_CLIP) & (y < 1.0 - SCORE_CLIP)
-        dy += live * (-labels / yc + (1.0 - labels) / (1.0 - yc))
-
-        if shared is not None:
-            sim, kernel = shared
-            subset = np.flatnonzero(labels > 0)
-            # d(-log P)/dL = (L + I)^{-1} - scatter((L_sub)^{-1})
-            try:
-                g = np.linalg.inv(_plus_identity(kernel))
-            except np.linalg.LinAlgError as err:
-                raise NumericalError("kernel + I is not invertible") from err
-            if subset.size:
-                try:
-                    sub_inv = np.linalg.inv(kernel[np.ix_(subset, subset)])
-                except np.linalg.LinAlgError as err:
-                    raise NumericalError(
-                        "subset kernel is numerically singular"
-                    ) from err
-                g[np.ix_(subset, subset)] -= sub_inv
-            g *= variation_weight
-            # L_ij = y_i y_j sim_ij, so dy_k = 2 sum_j g_kj y_j sim_kj
-            work = g * sim
-            work *= 2.0
-            dy += work @ y
-            del work
-            # dphi_k = -4 beta sum_j g_kj L_kj (phi_k - phi_j), with g * L in g
-            g *= kernel
-            row = g.sum(axis=1)
-            dphi += -4.0 * hyper.beta * (row[:, None] * phi - g @ phi)
-        return dy, dphi
-
-    # unsupervised
-    diff = y.mean() - sigma
-    if diff != 0.0:
-        dy += np.sign(diff) / n
-    if shared is not None:
-        norms, u, cos = shared
-        c = 1.0 / (n * (n - 1))
-        # d/dphi_k of sum_{i != j} cos_ij = 2 sum_{j != k} (u_j - cos_kj u_k) / ||phi_k||
-        u_sum = u.sum(axis=0)
-        cos_row = cos.sum(axis=1)
-        dphi += (2.0 * c / norms[:, None]) * (
-            (u_sum - u) - (cos_row - 1.0)[:, None] * u
-        )
-    return dy, dphi
+    return _objective(trace, params, hyper, mode, labels, sigma, variation_weight)[0]
 
 
 def loss_and_grad(
@@ -356,22 +334,21 @@ def loss_and_grad(
     back through ``model.network_grad`` on the same parameters, with the
     trace's dropout masks.  The weight penalty and its gradient read
     ``params``, and the gradient is in ``params``' dtype: it is written
-    into ``out`` when given (a set reused from step to step), into a new
-    set otherwise.  The pairwise arrays (DPP kernel or cosine matrix)
-    serve both halves.  A non-finite total raises ``NumericalError``
-    before any gradient work.
+    into ``out`` when given (a set reused from step to step, each field
+    a C-contiguous array of its parameter's shape and dtype), into a new
+    set otherwise.  A non-finite total raises ``NumericalError`` before
+    any gradient work.
     """
-    _check_mode(mode, labels)
     if np.shape(x) != trace.context.shape:
         raise ValueError("trace does not match the given feature matrix")
-    labels = None if labels is None else np.asarray(labels, dtype=np.float64)
+    if out is not None:
+        _check_out(out, params)
 
-    outputs = _float64_outputs(trace)
-    breakdown, shared = _loss_terms(outputs, params, hyper, mode, labels, sigma, variation_weight)
+    breakdown, grad = _objective(trace, params, hyper, mode, labels, sigma, variation_weight)
     if not np.isfinite(breakdown.total):
         raise NumericalError("non-finite loss")
-    dy, dphi = _loss_grads_y_phi(outputs, hyper, mode, labels, sigma, variation_weight, shared)
-    del shared, outputs
+    dy, dphi = grad()
+    del grad  # frees the pairwise arrays before the reverse pass allocates its own
     net = params if working is None else working
     if out is None and net.dtype != params.dtype:
         out = params.zeros_like()
@@ -385,6 +362,17 @@ def loss_and_grad(
     except ValueError as exc:
         raise NumericalError(f"gradient: {exc}") from exc
     return breakdown, g
+
+
+def _check_out(out: ModelParams, params: ModelParams) -> None:
+    """Refuse an ``out`` field the gradient and weight decay could not write through."""
+    for name, p in params.items():
+        o = getattr(out, name)
+        if not (o.flags.c_contiguous and o.shape == p.shape and o.dtype == p.dtype):
+            raise ValueError(
+                f"loss_and_grad: out field {name!r} is not a C-contiguous "
+                f"{p.dtype} array of shape {p.shape}"
+            )
 
 
 def _add_weight_decay(grads: ModelParams, params: ModelParams, coeff: float) -> None:

@@ -154,16 +154,27 @@ class ModelParams:
         return ModelParams(*[a.copy() for a in self.arrays()])
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(*[np.zeros_like(a) for a in self.arrays()])
+        """Zeros of every field's shape and dtype, each field C-contiguous."""
+        return ModelParams(*[np.zeros(a.shape, a.dtype) for a in self.arrays()])
 
     def astype(self, dtype) -> "ModelParams":
         """A copy with every field in ``dtype``."""
         return ModelParams(*[a.astype(dtype) for a in self.arrays()])
 
-    def check_finite(self):
-        for name, a in self.items():
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"non-finite values in parameter {name!r}")
+    def check_finite(self) -> float:
+        """Sum of every field's squares by ``np.vdot`` (no temporary); inf on overflow.
+
+        A field holding NaN or inf is a ValueError naming it; ``np.isfinite``
+        runs only on a field whose sum is not finite.
+        """
+        total = 0.0
+        with np.errstate(over="ignore"):
+            for name, a in self.items():
+                sq = float(np.vdot(a, a))
+                if not math.isfinite(sq) and not np.all(np.isfinite(a)):
+                    raise ValueError(f"non-finite values in parameter {name!r}")
+                total += sq
+        return total
 
 
 def init_params(feature_dim: int, hyper: HyperParams, seed: int) -> ModelParams:

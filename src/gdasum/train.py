@@ -169,20 +169,18 @@ def adam_step(
 def clip_gradients(grads: ModelParams, max_norm: float) -> tuple[ModelParams, float]:
     """Scale ``grads`` in place so their joint L2 norm is at most max_norm.
 
-    Returns ``grads`` itself and its norm before clipping.  Each field's
-    squares are summed by ``np.vdot``, which builds no temporary.  A
-    non-finite squared norm raises ``NumericalError`` before anything is
-    scaled, naming the first non-finite field, or saying the norm
-    overflowed if every field is finite: scaling by max_norm/nan would
-    poison every field, and by max_norm/inf would zero them.
+    Returns ``grads`` itself and its norm before clipping, the square
+    root of the sum ``grads.check_finite()`` returns.  A non-finite
+    squared norm raises ``NumericalError`` before anything is scaled,
+    naming the first non-finite field, or saying the norm overflowed if
+    every field is finite: scaling by max_norm/nan would poison every
+    field, and by max_norm/inf would zero them.
     """
-    with np.errstate(over="ignore"):
-        total_sq = sum(float(np.vdot(g, g)) for g in grads.arrays())
+    try:
+        total_sq = grads.check_finite()
+    except ValueError as exc:
+        raise NumericalError(f"gradient: {exc}") from exc
     if not math.isfinite(total_sq):
-        try:
-            grads.check_finite()
-        except ValueError as exc:
-            raise NumericalError(f"gradient: {exc}") from exc
         raise NumericalError("gradient norm overflowed")
     norm = float(np.sqrt(total_sq))
     if norm <= max_norm or norm == 0.0:

@@ -19,11 +19,10 @@ from gdasum.losses import (
     pairwise_sq_dists,
     repelling_loss,
     total_loss,
-    variation_loss,
     weight_penalty,
 )
 from gdasum.losses import _similarity_and_kernel as similarity_and_kernel
-from gdasum.model import HyperParams, forward, init_params
+from gdasum.model import HyperParams, ModelParams, forward, init_params
 
 SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.0)
 
@@ -33,7 +32,7 @@ def _instance(seed, n=6, d=5, hyper=SMALL):
     x = rng.standard_normal((n, d))
     params = init_params(d, hyper, seed)
     labels = np.zeros(n, dtype=np.int8)
-    labels[rng.choice(n, size=2, replace=False)] = 1
+    labels[rng.choice(n, size=min(2, n), replace=False)] = 1
     return x, params, labels
 
 
@@ -85,9 +84,10 @@ def test_dpp_kernel_hand_example():
 
 
 def test_dpp_log_prob_identity_kernel():
-    kernel = np.eye(3)
-    for subset in ([], [0], [1, 2], [0, 1, 2]):
-        assert abs(dpp_log_prob(kernel, subset) - (-np.log(8.0))) < 1e-12
+    # det(L_S) = 1 for every S, and det(L + I) = 2^n
+    for n, subsets in ((2, ([],)), (3, ([], [0], [1, 2], [0, 1, 2])), (4, ([0, 2],))):
+        for subset in subsets:
+            assert abs(dpp_log_prob(np.eye(n), subset) + n * np.log(2.0)) < 1e-12
 
 
 def test_dpp_log_prob_hand_example():
@@ -124,34 +124,30 @@ def test_dpp_log_prob_non_psd_raises():
         dpp_log_prob(np.array([[-2.0, 0.0], [0.0, -2.0]]), [0])
 
 
-def test_variation_loss_identity_kernel():
-    assert abs(variation_loss(np.eye(4), [0, 2]) - 4 * np.log(2.0)) < 1e-12
-    assert abs(variation_loss(np.eye(2), []) - np.log(4.0)) < 1e-12
-
-
-def test_variation_loss_minimized_at_most_probable_subset():
+def test_dpp_log_prob_maximized_at_most_probable_subset():
     rng = np.random.default_rng(9)
     n = 6
     y = rng.uniform(0.2, 0.9, size=n)
     phi = rng.standard_normal((n, 2))
     kernel = kernel_by_definition(y, phi, beta=1.0)
-    losses = {}
+    log_probs = {}
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):
-            losses[subset] = variation_loss(kernel, subset)
-    best = min(losses, key=losses.get)
-    # the argmin over nonempty subsets has maximal probability
-    probs = {s: np.exp(dpp_log_prob(kernel, s)) for s in losses}
-    assert probs[best] == max(probs.values())
+            log_probs[subset] = dpp_log_prob(kernel, subset)
+    best = max(log_probs, key=log_probs.get)
+    # the argmax over nonempty subsets has the largest det(L_S), the
+    # unnormalised probability computed by its definition
+    dets = {s: np.linalg.det(kernel[np.ix_(s, s)]) for s in log_probs}
+    assert dets[best] == max(dets.values())
 
 
-def test_variation_loss_nonnegative():
+def test_dpp_log_prob_nonpositive():
     for seed in range(10):
         r = np.random.default_rng(seed)
         n = 5
         kernel = kernel_by_definition(r.uniform(0.1, 0.9, n), r.standard_normal((n, 2)), 1.0)
         subset = list(np.flatnonzero(r.integers(0, 2, n)))
-        assert variation_loss(kernel, subset) >= 0.0
+        assert dpp_log_prob(kernel, subset) <= 0.0
 
 
 def test_keyframe_loss_hand_examples():
@@ -215,7 +211,7 @@ def test_total_loss_mode_composition():
     assert unsup.keyframe == 0.0 and unsup.variation == 0.0
     # components match the standalone ops
     kernel = kernel_by_definition(trace.y, trace.phi, SMALL.beta)
-    assert abs(sup.variation - variation_loss(kernel, np.flatnonzero(labels))) < 1e-12
+    assert abs(sup.variation + dpp_log_prob(kernel, np.flatnonzero(labels))) < 1e-12
     assert abs(sup.keyframe - keyframe_loss(trace.y, labels)) < 1e-12
 
 
@@ -235,14 +231,16 @@ def test_total_loss_unsupervised_ignores_labels():
 
 
 def test_gradients_match_finite_differences_eval():
+    # 0.5 checks the variation weight's scaling of the DPP gradient
+    runs = (("supervised", 1.0), ("supervised", 0.5), ("unsupervised", 1.0))
     for seed in range(3):
         x, params, labels = _instance(seed)
-        for mode in ("supervised", "unsupervised"):
-            lab = labels if mode == "supervised" else None
-            trace = forward(x, params, SMALL, mode="eval")
-            analytic = backward(trace, x, params, SMALL, mode, labels=lab)
-            numeric = finite_diff_grad(x, params, SMALL, mode, labels=lab)
-            assert gradient_report(analytic, numeric)["max"] <= 1e-4
+        trace = forward(x, params, SMALL, mode="eval")
+        for mode, w in runs:
+            args = dict(labels=labels if mode == "supervised" else None, variation_weight=w)
+            analytic = backward(trace, x, params, SMALL, mode, **args)
+            numeric = finite_diff_grad(x, params, SMALL, mode, **args)
+            assert gradient_report(analytic, numeric)["max"] <= 1e-4, (seed, mode, w)
 
 
 def test_eval_trace_without_masks_matches_ones_masks_bit_for_bit():
@@ -338,23 +336,24 @@ def _bits_equal(a, b):
 
 def test_loss_and_grad_equals_total_loss_and_backward():
     dropout = HyperParams(hidden=8, embed=4, dropout_rate=0.4)
-    for hyper, fw_mode in ((SMALL, "eval"), (dropout, "train")):
-        x, params, labels = _instance(8, n=9, hyper=hyper)
+    cases = itertools.product((1, 2, 9), ((SMALL, "eval"), (dropout, "train")))
+    for n, (hyper, fw_mode) in cases:
+        x, params, labels = _instance(8, n=n, hyper=hyper)
         trace = forward(x, params, hyper, mode=fw_mode, rng=np.random.default_rng(1))
-        for mode, lab in (("supervised", labels), ("unsupervised", None)):
-            breakdown, grads = loss_and_grad(
-                trace, x, params, hyper, mode, labels=lab, sigma=0.2
-            )
-            assert breakdown == total_loss(
-                trace, params, hyper, mode, labels=lab, sigma=0.2
-            )
-            want = backward(trace, x, params, hyper, mode, labels=lab, sigma=0.2)
-            for (name, a), (_, b) in zip(grads.items(), want.items()):
-                assert _bits_equal(a, b), name
-        # the shared kernel is L by its definition, bit for bit
+        # the kernel the variation term reads is L by its definition, bit for bit
         kernel = kernel_by_definition(trace.y, trace.phi, hyper.beta)
-        sup = total_loss(trace, params, hyper, "supervised", labels=labels)
-        assert sup.variation == variation_loss(kernel, np.flatnonzero(labels))
+        log_p = dpp_log_prob(kernel, np.flatnonzero(labels))
+        runs = [("unsupervised", None, 1.0)]
+        runs += [("supervised", labels, w) for w in (1.0, 0.5, 0.0)]
+        for mode, lab, w in runs:
+            args = dict(labels=lab, sigma=0.2, variation_weight=w)
+            breakdown, grads = loss_and_grad(trace, x, params, hyper, mode, **args)
+            assert breakdown == total_loss(trace, params, hyper, mode, **args)
+            want = backward(trace, x, params, hyper, mode, **args)
+            for (name, a), (_, b) in zip(grads.items(), want.items()):
+                assert _bits_equal(a, b), (n, fw_mode, mode, w, name)
+            if mode == "supervised":
+                assert breakdown.variation == w * -log_p, (n, fw_mode, w)
 
 
 def test_loss_and_grad_fields_are_fresh_arrays_shaped_like_the_parameters():
@@ -436,17 +435,70 @@ def test_loss_and_grad_holds_few_n_by_d_arrays_beside_its_gradients(mode, bound)
 
 
 def test_loss_and_grad_stops_on_non_finite_loss(monkeypatch):
-    x, params, _ = _instance(9)
+    x, params, labels = _instance(9)
     trace = forward(x, params, SMALL, mode="eval")
     losses_module = importlib.import_module("gdasum.losses")
-    monkeypatch.setattr(losses_module, "length_loss", lambda *a, **k: np.inf)
+    called = []
 
-    def no_gradient_work(*args, **kwargs):
+    def no_gradient_work():
         raise AssertionError("gradient computed for a non-finite loss")
 
-    monkeypatch.setattr(losses_module, "_loss_grads_y_phi", no_gradient_work)
-    with pytest.raises(NumericalError, match="non-finite loss"):
-        loss_and_grad(trace, x, params, SMALL, "unsupervised")
+    # each mode's objective keeps its real terms, one of them made infinite,
+    # and hands back a gradient function that must never run
+    for objective, term in (("_supervised", "keyframe_loss"), ("_unsupervised", "length_loss")):
+        def without_gradient(*args, real=getattr(losses_module, objective), name=objective):
+            called.append(name)
+            *terms, _ = real(*args)
+            return (*terms, no_gradient_work)
+
+        monkeypatch.setattr(losses_module, objective, without_gradient)
+        monkeypatch.setattr(losses_module, term, lambda *a, **k: np.inf)
+    for mode, lab in (("supervised", labels), ("unsupervised", None)):
+        with pytest.raises(NumericalError, match="non-finite loss"):
+            loss_and_grad(trace, x, params, SMALL, mode, labels=lab)
+    assert called == ["_supervised", "_unsupervised"]
+
+
+def test_loss_and_grad_refuses_an_out_it_could_not_write_through():
+    # weight decay adds through each field's flat view, which a field that
+    # is not C-contiguous would not write back to
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=0.1)
+    x, params, labels = _instance(11, hyper=hyper)
+    trace = forward(x, params, hyper, mode="eval")
+    want = backward(trace, x, params, hyper, "supervised", labels=labels)
+    out = params.zeros_like()
+    _, got = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels, out=out)
+    assert got is out
+    for (name, a), (_, b) in zip(got.items(), want.items()):
+        assert _bits_equal(a, b), name
+    bad_fields = {
+        "ff_w": np.asfortranarray(params.ff_w),
+        "reg_w1": np.zeros_like(params.reg_w1, dtype=np.float32),
+        "emb_b": np.zeros(params.emb_b.size + 1),
+        "w_q": np.zeros((params.w_q.shape[0], 2 * params.w_q.shape[1]))[:, ::2],
+    }
+    for name, bad in bad_fields.items():
+        out = params.zeros_like()
+        setattr(out, name, bad)
+        with pytest.raises(ValueError, match=f"out field '{name}' is not a C-contiguous"):
+            loss_and_grad(trace, x, params, hyper, "supervised", labels=labels, out=out)
+
+
+def test_loss_and_grad_keeps_weight_decay_for_fortran_ordered_parameters():
+    # a float32 working copy makes loss_and_grad allocate the float64 set
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=0.1)
+    x, params, labels = _instance(11, hyper=hyper)
+    fortran = ModelParams(*[np.asfortranarray(a) for a in params.arrays()])
+    results = []
+    for p in (params, fortran):
+        working = p.astype(np.float32)
+        trace = forward(x, working, hyper, mode="eval")
+        results.append(
+            loss_and_grad(trace, x, p, hyper, "supervised", labels=labels, working=working)[1]
+        )
+    for (name, a), (_, b) in zip(*(r.items() for r in results)):
+        np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-6, err_msg=name)
+        assert b.flags.c_contiguous, name
 
 
 def test_backward_and_loss_given_params_as_the_benchmark_calls_them():

@@ -531,3 +531,26 @@ def test_forward_holds_two_n_by_n_arrays(mode):
     rng = np.random.default_rng(0)
     peak = traced_peak(lambda: forward(x, params, hyper, mode=mode, rng=rng))
     assert peak < 2.25 * 8 * n * n + 1_000_000
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_check_finite_returns_the_sum_of_squares(dtype):
+    params = init_params(4, SMALL, 0).astype(dtype)
+    want = sum(float(np.sum(a.astype(np.float64) ** 2)) for a in params.arrays())
+    assert params.check_finite() == pytest.approx(want, rel=1e-6)
+    zeros = params.zeros_like()
+    assert zeros.check_finite() == 0.0
+    assert all(a.flags.c_contiguous and a.dtype == dtype for a in zeros.arrays())
+
+
+def test_check_finite_names_the_first_non_finite_field_past_an_overflow():
+    params = init_params(4, SMALL, 0)
+    # finite, but the squares overflow: the total is inf, nothing is refused
+    params.w_q[...] = 1e200
+    assert params.check_finite() == np.inf
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = params.copy()
+        broken.reg_w1[0, 0] = bad
+        broken.emb_b[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite values in parameter 'reg_w1'"):
+            broken.check_finite()

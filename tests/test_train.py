@@ -421,29 +421,36 @@ def test_train_rejects_mixed_feature_dims():
 
 def test_train_aborts_on_non_finite_loss(monkeypatch):
     records = [record("v0", labeled=False)]
-    bad = LossBreakdown(
-        variation=0.0,
-        keyframe=0.0,
-        length=np.nan,
-        repelling=0.0,
-        weight_penalty=0.0,
-        total=np.nan,
-    )
+
+    def no_gradient_work():
+        raise AssertionError("gradient computed for a non-finite loss")
+
+    # the unsupervised objective's length term is NaN, so the total is too
     losses_module = importlib.import_module("gdasum.losses")
-    monkeypatch.setattr(losses_module, "_loss_terms", lambda *a, **k: (bad, None))
+    monkeypatch.setattr(
+        losses_module, "_unsupervised", lambda *a: (np.nan, 0.0, no_gradient_work)
+    )
     config = TrainConfig(mode="unsupervised", epochs=1)
     with pytest.raises(NumericalError, match="non-finite loss on video 'v0'"):
         train(records, split_of(["v0"]), config, SMALL_HYPER)
 
 
 def test_train_names_video_on_non_finite_gradient(monkeypatch):
-    def nan_dy(trace, *args):
-        dy = np.zeros_like(trace.y)
-        dy[0] = np.nan
-        return dy, np.zeros_like(trace.phi)
-
     losses_module = importlib.import_module("gdasum.losses")
-    monkeypatch.setattr(losses_module, "_loss_grads_y_phi", nan_dy)
+    supervised = losses_module._supervised
+
+    def nan_dy(*args):
+        # the real terms, and the real gradient with one NaN score gradient
+        keyframe, variation, grad = supervised(*args)
+
+        def nan_grad():
+            dy, dphi = grad()
+            dy[0] = np.nan
+            return dy, dphi
+
+        return keyframe, variation, nan_grad
+
+    monkeypatch.setattr(losses_module, "_supervised", nan_dy)
     with pytest.raises(NumericalError, match="non-finite .* on video 'v0'"):
         train([record("v0")], split_of(["v0"]), TrainConfig(epochs=1), SMALL_HYPER)
 
