@@ -1,11 +1,9 @@
 """Command-line pipeline: train, summarize, segment, eval, gradcheck.
 
 Each setting is one argument of its command's parser, which owns its
-name, type, default and choices.  An optional JSON config file named by
-the GDASUM_CONFIG environment variable supplies flags too: its values
-are parsed as flags placed before the command line's, so they are
-checked the same way and explicit flags win.  Every file this tool
-writes embeds the parsed settings and a format-version string.  Exit
+name, type, default and choices.  Every file this tool writes embeds a
+format-version string, the parsed settings and the numerical
+environment (NumPy, its BLAS and the BLAS thread variables).  Exit
 codes: 0 on success, 1 on validation errors (bad inputs, files, flags),
 2 on numerical failures.
 """
@@ -53,7 +51,8 @@ from .train import (
 )
 
 FORMAT_VERSION = "1"
-CONFIG_ENV_VAR = "GDASUM_CONFIG"
+# a BLAS thread count can change the output bytes
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # (frames, feature dim, hidden width, embedding width) of each gradcheck instance
 GRADCHECK_SHAPE = (6, 5, 8, 4)
 
@@ -73,51 +72,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def _file_flags(parser: argparse.ArgumentParser, command: str) -> list[str]:
-    """The GDASUM_CONFIG file's values, written as flags of ``command``.
-
-    A key is a flag name with "_" for "-".  true sets a store-true flag;
-    false and null leave the default.  A key only other commands define
-    is dropped; a key no command defines is an error, and so is a value
-    the flag would refuse, named by file and key.
-    """
-    path = os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return []
-    path = Path(path)
-    if not path.is_file():
-        raise DatasetError(f"{CONFIG_ENV_VAR} names a missing file: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DatasetError(f"config file {path} must hold a JSON object")
-    defaults = {name: vars(parser.parse_args([name])) for name in COMMANDS}
-    unknown = set(doc).difference(*defaults.values())
-    if unknown:
-        raise DatasetError(f"config file {path} has unknown keys: {sorted(unknown)}")
-    flags = []
-    for key, value in doc.items():
-        if key not in defaults[command] or value is None:
-            continue
-        if isinstance(value, (list, dict)):
-            raise DatasetError(f"config file {path} key {key!r} must hold one value")
-        flag = "--" + key.replace("_", "-")
-        if defaults[command][key] is False and isinstance(value, bool):  # store-true
-            key_flags = [flag] if value else []
-        else:
-            key_flags = [f"{flag}={value if isinstance(value, str) else json.dumps(value)}"]
-        try:
-            parser.parse_args([command, *key_flags])
-        except _UsageError as exc:
-            raise DatasetError(f"config file {path} key {key!r}: {exc}") from None
-        flags += key_flags
-    return flags
-
-
 def _provenance(args: argparse.Namespace) -> dict:
-    return {"format_version": FORMAT_VERSION, "run_config": vars(args)}
+    """The keys every written file starts with.
+
+    ``numerics`` records what fixes the bytes besides the settings: the
+    NumPy version, its BLAS (null without ``show_config(mode="dicts")``)
+    and the BLAS thread variables (null when unset).
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):
+        blas = None
+    numerics = {"numpy": np.__version__, "blas": blas}
+    numerics.update((var, os.environ.get(var)) for var in BLAS_THREAD_VARS)
+    return {"format_version": FORMAT_VERSION, "run_config": vars(args), "numerics": numerics}
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -141,8 +110,6 @@ def _requested_splits(args: argparse.Namespace, records) -> list | None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if not args.manifest:
-        raise DatasetError("train requires --manifest")
     records = load_manifest(args.manifest)
     hyper = HyperParams(**{f.name: getattr(args, f.name) for f in fields(HyperParams)})
     config = TrainConfig(
@@ -196,10 +163,6 @@ def _kts_boundaries(args: argparse.Namespace, x: np.ndarray) -> list[int]:
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
-    if not args.manifest:
-        raise DatasetError("summarize requires --manifest")
-    if not args.checkpoint:
-        raise DatasetError("summarize requires --checkpoint")
     _check_kts_flags(args)
     check_ratio(args.ratio, "--ratio")
     records = load_manifest(args.manifest)
@@ -228,8 +191,6 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    if not args.manifest:
-        raise DatasetError("segment requires --manifest")
     _check_kts_flags(args)
     records = load_manifest(args.manifest)
 
@@ -275,8 +236,6 @@ def _eval_protocol(args: argparse.Namespace, records) -> EvalProtocol:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if not args.manifest:
-        raise DatasetError("eval requires --manifest")
     summaries_dir = args.summaries or args.out
     if not summaries_dir:
         raise DatasetError("eval requires --summaries (or --out) naming the summary directory")
@@ -417,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, reads=("manifest", "seed")):
         # only the settings the command reads, so run_config records no others
         if "manifest" in reads:
-            p.add_argument("--manifest", help="dataset manifest JSON")
+            p.add_argument("--manifest", required=True, help="dataset manifest JSON")
         if "seed" in reads:
             p.add_argument("--seed", type=int, default=TrainConfig.seed,
                            help="PRNG seed (default %(default)s)")
@@ -465,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sum)
     add_split(p_sum)
     add_kts(p_sum)
-    p_sum.add_argument("--checkpoint", help="trained checkpoint path")
+    p_sum.add_argument("--checkpoint", required=True, help="trained checkpoint path")
     p_sum.add_argument("--ratio", type=float, default=_default(generate_summary, "ratio"),
                        help="summary length budget (default %(default)s)")
 
@@ -505,8 +464,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        if argv and argv[0] in COMMANDS:
-            argv = [argv[0], *_file_flags(parser, argv[0]), *argv[1:]]
         args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
     except _UsageError as exc:

@@ -464,17 +464,20 @@ def gradient_report(analytic: ModelParams, numeric: ModelParams) -> dict:
 
     The error for a tensor is the max absolute difference scaled by the
     larger of the two tensors' max magnitudes (a pair of all-zero
-    tensors compares equal).
+    tensors compares equal).  A NaN or inf in either tensor is an error
+    of inf, so no tolerance passes it.
     """
     report = {}
     worst = 0.0
     for name, a in analytic.items():
         b = getattr(numeric, name)
-        scale = max(np.abs(a).max(), np.abs(b).max(), 0.0)
-        if scale == 0.0:
+        peaks = (np.abs(a).max(), np.abs(b).max())  # NaN or inf if any entry is
+        if not np.isfinite(peaks).all():
+            err = np.inf
+        elif max(peaks) == 0.0:
             err = 0.0
         else:
-            err = float(np.abs(a - b).max() / max(scale, 1e-8))
+            err = float(np.abs(a - b).max() / max(*peaks, 1e-8))
         report[name] = err
         worst = max(worst, err)
     report["max"] = worst

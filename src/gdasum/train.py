@@ -418,5 +418,8 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
                 raise CheckpointError(f"payload ends inside field {name!r}")
             arrays[name] = arr.reshape(shape)
     params = ModelParams(**arrays)
-    params.check_finite()
+    try:
+        params.check_finite()
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
     return params, hyper

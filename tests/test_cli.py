@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdasum.cli import CONFIG_ENV_VAR, main
+from gdasum.cli import BLAS_THREAD_VARS, main
 from gdasum.data import load_manifest, write_features, write_manifest
 from gdasum.kts import kts_changepoints
-from gdasum.model import HyperParams, init_params
+from gdasum.model import HyperParams, ModelParams, init_params
 from gdasum.summarize import generate_summary
 from gdasum.synthetic import PlantedSpec, write_planted_corpus
 from gdasum.train import load_checkpoint, save_checkpoint
@@ -29,11 +29,6 @@ def run_cli_process(*args):
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +54,17 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 def test_missing_manifest_is_validation_error(capsys):
-    assert run(["train"]) == 1
-    assert "manifest" in capsys.readouterr().err
+    # argparse names the missing required flag
+    for argv, flag in [
+        (["train"], "--manifest"),
+        (["summarize", "--checkpoint", "any.ckpt"], "--manifest"),
+        (["segment"], "--manifest"),
+        (["eval", "--summaries", "sums"], "--manifest"),
+        (["summarize", "--manifest", "any.json"], "--checkpoint"),
+    ]:
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert f"the following arguments are required: {flag}\n" in err, argv
 
 
 def test_gradcheck_passes_and_reports(tmp_path, capsys):
@@ -79,6 +83,34 @@ def test_gradcheck_passes_and_reports(tmp_path, capsys):
 def test_gradcheck_impossible_tolerance_fails(capsys):
     assert run(["gradcheck", "--instances", 1, "--tolerance", "1e-15"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_fails_on_a_nan_numeric_gradient(monkeypatch, tmp_path, capsys):
+    def nan_grad(x, params, *args, **kwargs):
+        return ModelParams(*[np.full_like(a, np.nan) for a in params.arrays()])
+
+    monkeypatch.setattr("gdasum.cli.finite_diff_grad", nan_grad)
+    out = tmp_path / "gc"
+    assert run(["gradcheck", "--instances", 1, "--out", out]) == 2
+    assert "FAIL" in capsys.readouterr().out
+    doc = json.loads((out / "gradcheck.json").read_text())
+    assert doc["pass"] is False
+    assert doc["max_rel_err"] == np.inf
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_summarize_names_a_checkpoint_holding_a_non_finite_value(value, corpus, tmp_path, capsys):
+    hyper = HyperParams(hidden=8, embed=4)
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(init_params(8, hyper, 0), ckpt, hyper)
+    raw = ckpt.read_bytes()
+    payload = raw.index(b"\n") + 1  # the first payload float is w_q[0, 0]
+    ckpt.write_bytes(raw[:payload] + np.array([value], "<f8").tobytes() + raw[payload + 8 :])
+    out = tmp_path / "sums"
+    assert run(["summarize", "--manifest", corpus, "--checkpoint", ckpt, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: checkpoint {ckpt}: non-finite values in parameter 'w_q'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -286,8 +318,8 @@ def test_summary_file_is_provenance_then_the_generate_summary_record(corpus, ini
             rec.features.matrix, params, hyper, list(rec.annotations.change_points),
             video_id=rec.id,
         )
-        assert list(doc)[:2] == ["format_version", "run_config"]
-        assert list(doc.items())[2:] == list(summary.items())
+        assert list(doc)[:3] == ["format_version", "run_config", "numerics"]
+        assert list(doc.items())[3:] == list(summary.items())
 
 
 def test_fold_needs_setting(corpus, init_summaries, tmp_path, capsys):
@@ -475,7 +507,7 @@ def test_metrics_report_serialization(tmp_path, capsys):
     assert run(["eval", "--manifest", manifest, "--summaries", sums, "--zeta", "--out", out]) == 0
     doc = json.loads((out / "metrics.json").read_text())
     assert list(doc) == [
-        "format_version", "run_config", "protocol", "per_video",
+        "format_version", "run_config", "numerics", "protocol", "per_video",
         "fold_fscores", "mean_fscore", "zeta", "zeta_skipped_videos",
     ]
     assert doc["protocol"] == "max"
@@ -495,7 +527,7 @@ def test_metrics_report_omits_unset_zeta(tmp_path, capsys):
     assert run(["eval", "--manifest", manifest, "--summaries", sums]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert list(doc) == [
-        "format_version", "run_config", "protocol", "per_video",
+        "format_version", "run_config", "numerics", "protocol", "per_video",
         "fold_fscores", "mean_fscore",
     ]
 
@@ -662,89 +694,46 @@ def test_eval_zeta_covers_only_the_fold_test_videos(corpus, tmp_path, capsys):
     assert zeta_of(only)["zeta"] == fold0["zeta"]
 
 
-def test_config_file_feeds_defaults(tmp_path, monkeypatch, capsys):
+def test_a_config_file_variable_changes_nothing(corpus, tmp_path, monkeypatch):
+    # settings come from the command line alone
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"instances": 3, "epochs": 7}))
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+    cfg.write_text(json.dumps({"hidden": 3, "ratio": 0.5}))
+    out, sums = tmp_path / "train", tmp_path / "sums"
+    commands = [
+        ["train", "--manifest", corpus, "--fold", 0, "--epochs", 1, "--embed", 4,
+         "--lr", "1e-3", "--out", out],
+        ["summarize", "--manifest", corpus, "--checkpoint", out / "fold0.ckpt",
+         "--setting", "canonical", "--fold", 0, "--out", sums],
+    ]
+
+    def outputs():
+        for argv in commands:
+            assert run(argv) == 0
+        report = [json.loads(line) for line in (out / "fold0.report.jsonl").read_text().splitlines()]
+        for line in report[1:-1]:
+            del line["wall_seconds"], line["stage_seconds"]
+        files = {p.name: p.read_bytes() for p in [out / "fold0.ckpt", *sums.glob("*.json")]}
+        return report, files
+
+    expected = outputs()
+    monkeypatch.setenv("GDASUM_CONFIG", str(cfg))
+    assert outputs() == expected
+    assert expected[0][0]["run_config"]["hidden"] == HyperParams.hidden
+
+
+def test_written_files_record_numpy_blas_and_thread_variables(tmp_path, monkeypatch):
+    monkeypatch.setenv(BLAS_THREAD_VARS[0], "1")
+    for var in BLAS_THREAD_VARS[1:]:
+        monkeypatch.delenv(var, raising=False)
     out = tmp_path / "gc"
-    assert run(["gradcheck", "--out", out]) == 0
+    assert run(["gradcheck", "--instances", 1, "--out", out]) == 0
     doc = json.loads((out / "gradcheck.json").read_text())
-    assert len(doc["instances"]) == 6  # 3 seeds x 2 modes
-    # a key of another command is accepted but not recorded
-    assert doc["run_config"]["instances"] == 3
-    assert "epochs" not in doc["run_config"]
-
-
-def test_flags_override_config_file(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"instances": 1, "tolerance": 1e-15}))
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-    # the file alone would fail; the flag must win
-    assert run(["gradcheck", "--tolerance", "1e-3"]) == 0
-    assert "PASS" in capsys.readouterr().out
-
-
-def test_config_file_errors(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(tmp_path / "absent.json"))
-    assert run(["gradcheck", "--instances", 1]) == 1
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"granularity": 3}))
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(bad))
-    assert run(["gradcheck", "--instances", 1]) == 1
-    assert "unknown keys" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("doc, command, named", [
-    ({"epochs": 2.9}, "train", "argument --epochs"),
-    ({"zeta": "false"}, "eval", "argument --zeta"),
-    # the corpus has change points, so summarize never runs KTS
-    ({"kts_kernel": "foo"}, "summarize", "argument --kts-kernel"),
-    ({"summaries": ["a", "b"]}, "eval", "key 'summaries'"),
-])
-def test_config_file_values_are_checked_like_flags(
-    doc, command, named, corpus, init_summaries, tmp_path, monkeypatch, capsys
-):
-    ckpt, sums = init_summaries
-    args = {
-        "train": ["--fold", 0, "--hidden", 8, "--embed", 4, "--lr", "1e-3"],
-        "summarize": ["--checkpoint", ckpt],
-        "eval": ["--summaries", sums],
-    }[command]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-    capsys.readouterr()
-    out = tmp_path / "out"
-    assert run([command, "--manifest", corpus, *args, "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert named in err
-    # the file and its key are named, since no such flag was typed
-    assert f"config file {cfg} key {next(iter(doc))!r}" in err
-    assert not out.exists()
-
-
-def test_config_file_values_are_parsed(corpus, init_summaries, tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-    cfg.write_text(json.dumps({"epochs": "3", "hidden": 8, "embed": 4, "lr": "1e-3"}))
-    out = tmp_path / "train"
-    assert run(["train", "--manifest", corpus, "--fold", 0, "--out", out]) == 0
-    lines = (out / "fold0.report.jsonl").read_text().splitlines()
-    run_config = json.loads(lines[0])["run_config"]
-    assert run_config["epochs"] == 3 and type(run_config["epochs"]) is int
-    assert len(lines) == 1 + 3 + 1  # provenance, one record per epoch, checkpoint path
-
-    # true sets a store-true flag and null leaves the default
-    cfg.write_text(json.dumps({"zeta": True, "protocol": None}))
-    metrics = tmp_path / "metrics"
-    _, sums = init_summaries
-    assert run(["eval", "--manifest", corpus, "--summaries", sums, "--out", metrics]) == 0
-    doc = json.loads((metrics / "metrics.json").read_text())
-    assert doc["zeta"] is not None
-    assert doc["run_config"]["zeta"] is True
-    assert doc["run_config"]["protocol"] is None
-    assert doc["protocol"] == "mean"  # inferred from source "other"
+    assert list(doc)[:3] == ["format_version", "run_config", "numerics"]
+    numerics = doc["numerics"]
+    assert list(numerics) == ["numpy", "blas", *BLAS_THREAD_VARS]
+    assert numerics["numpy"] == np.__version__
+    assert numerics["blas"] is None or list(numerics["blas"]) == ["name", "version"]
+    assert [numerics[var] for var in BLAS_THREAD_VARS] == ["1", None, None]
 
 
 @pytest.mark.parametrize("command", ["train", "summarize", "segment", "eval", "gradcheck"])

@@ -301,6 +301,24 @@ def test_gradient_report_catches_sign_flip():
     assert gradient_report(mutated, numeric)["max"] > 1e-4
 
 
+@pytest.mark.parametrize("poison", ["all", "one"])
+@pytest.mark.parametrize("side", ["analytic", "numeric"])
+def test_gradient_report_fails_a_non_finite_gradient(side, poison):
+    _, params, _ = _instance(5)
+    clean = params.copy()
+    bad = params.copy()
+    for value, name in zip([np.nan, np.inf], ["w_q", "reg_b2"]):
+        field = getattr(bad, name)
+        if poison == "all":
+            field.fill(value)
+        else:
+            field.flat[0] = value
+    pair = (bad, clean) if side == "analytic" else (clean, bad)
+    report = gradient_report(*pair)
+    assert report["w_q"] == report["reg_b2"] == report["max"] == np.inf
+    assert report["w_k"] == 0.0
+
+
 def test_finite_diff_on_quadratic():
     # (f(3 + h) - f(3 - h)) / 2h for f = x^2 is exactly 6
     h = 1e-5

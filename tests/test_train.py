@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from gdasum.cli import CONFIG_ENV_VAR, main
+from gdasum.cli import main
 from gdasum.data import (
     Annotations,
     FrameFeatures,
@@ -527,8 +527,7 @@ def test_train_reports_gradient_norm_before_clipping():
         assert epoch["clipped_fraction"] == 1.0
 
 
-def test_train_report_json_lines(tmp_path, monkeypatch):
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+def test_train_report_json_lines(tmp_path):
     manifest = write_planted_corpus(tmp_path, PlantedSpec(n_videos=6, n_frames=60, dim=8, seed=2))
     out = tmp_path / "run"
     assert main([
@@ -537,7 +536,7 @@ def test_train_report_json_lines(tmp_path, monkeypatch):
     ]) == 0
     lines = [json.loads(line) for line in (out / "fold0.report.jsonl").read_text().splitlines()]
     assert len(lines) == 4
-    assert list(lines[0]) == ["format_version", "run_config"]
+    assert list(lines[0]) == ["format_version", "run_config", "numerics"]
     for k, epoch in enumerate(lines[1:3]):
         assert list(epoch) == [
             "epoch", "loss", "wall_seconds", "stage_seconds", "grad_norm", "clipped_fraction",
