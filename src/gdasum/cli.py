@@ -344,17 +344,18 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         seed = args.seed + i
         for mode in ("supervised", "unsupervised"):
             err = run_gradcheck_instance(seed, mode, step=args.fd_step)
-            rows.append({"seed": seed, "mode": mode, "max_rel_err": err})
+            rows.append({"seed": seed, "mode": mode,
+                         "max_rel_err": err if math.isfinite(err) else None})
             worst = max(worst, err)
     ok = worst <= args.tolerance
     doc = {
         **_provenance(args),
         "tolerance": args.tolerance,
         "instances": rows,
-        "max_rel_err": worst,
+        "max_rel_err": worst if math.isfinite(worst) else None,
         "pass": ok,
     }
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if args.out:
         out = _out_dir(args)
         (out / "gradcheck.json").write_text(text)

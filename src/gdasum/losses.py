@@ -19,7 +19,7 @@ loss built.  ``loss_and_grad`` hands those gradients to
 ``model.network_grad``, the reverse pass through the network.  The
 loss terms, the DPP linear algebra and the y/phi gradients are float64
 whatever dtype the network ran in: a float32 trace's y and phi are
-upcast first, and its parameter gradients are upcast field by field.
+upcast first, and ``decayed_gradient`` makes its parameter gradients float64.
 ``backward`` is the gradient half of ``loss_and_grad``.
 ``total_loss`` is the loss-only path behind ``loss_given_params``, and
 ``finite_diff_grad`` is the independent central-difference oracle the
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    ADAM_BLOCK,
     ForwardTrace,
     HyperParams,
     ModelParams,
@@ -324,25 +323,22 @@ def loss_and_grad(
     sigma: float = DEFAULT_SIGMA,
     variation_weight: float = DEFAULT_VARIATION_WEIGHT,
     working: ModelParams | None = None,
-    out: ModelParams | None = None,
 ) -> tuple[LossBreakdown, ModelParams]:
-    """``total_loss`` and its exact gradient w.r.t. every parameter.
+    """``total_loss`` and its gradient w.r.t. every parameter.
 
     The trace must come from ``forward`` on the same ``x`` and on
     ``working``, a copy of ``params`` in another dtype, or on ``params``
     itself when ``working`` is None; the loss's y and phi gradients run
     back through ``model.network_grad`` on the same parameters, with the
     trace's dropout masks.  The weight penalty and its gradient read
-    ``params``, and the gradient is in ``params``' dtype: it is written
-    into ``out`` when given (a set reused from step to step, each field
-    a C-contiguous array of its parameter's shape and dtype), into a new
-    set otherwise.  A non-finite total raises ``NumericalError`` before
-    any gradient work.
+    ``params``.  A non-finite total raises ``NumericalError`` before any
+    gradient work.  Without ``working``, the gradient is float64 with the
+    penalty's term, and a NaN or inf in it raises ``NumericalError``.
+    With ``working``, as in training, it is the reverse pass's, in the
+    working dtype: the trainer's ``adam_step`` adds the term and checks it.
     """
     if np.shape(x) != trace.context.shape:
         raise ValueError("trace does not match the given feature matrix")
-    if out is not None:
-        _check_out(out, params)
 
     breakdown, grad = _objective(trace, params, hyper, mode, labels, sigma, variation_weight)
     if not np.isfinite(breakdown.total):
@@ -350,46 +346,44 @@ def loss_and_grad(
     dy, dphi = grad()
     del grad  # frees the pairwise arrays before the reverse pass allocates its own
     net = params if working is None else working
-    if out is None and net.dtype != params.dtype:
-        out = params.zeros_like()
     dy, dphi = dy.astype(net.dtype, copy=False), dphi.astype(net.dtype, copy=False)
-    g = network_grad(trace, x, net, hyper, dy, dphi, out)
-    if hyper.weight_decay != 0.0:
-        _add_weight_decay(g, params, 2.0 * hyper.weight_decay)
-
+    grads = network_grad(trace, x, net, hyper, dy, dphi)
+    if working is not None:
+        return breakdown, grads
+    for name, p in params.items():  # one field's old and new arrays alive at a time
+        setattr(grads, name, decayed_gradient(name, getattr(grads, name), p, hyper.weight_decay))
     try:
-        g.check_finite()
+        grads.check_finite()
     except ValueError as exc:
         raise NumericalError(f"gradient: {exc}") from exc
-    return breakdown, g
+    return breakdown, grads
 
 
-def _check_out(out: ModelParams, params: ModelParams) -> None:
-    """Refuse an ``out`` field the gradient and weight decay could not write through."""
-    for name, p in params.items():
-        o = getattr(out, name)
-        if not (o.flags.c_contiguous and o.shape == p.shape and o.dtype == p.dtype):
-            raise ValueError(
-                f"loss_and_grad: out field {name!r} is not a C-contiguous "
-                f"{p.dtype} array of shape {p.shape}"
-            )
+def decayed_gradient(
+    name: str,
+    grad: np.ndarray,
+    theta: np.ndarray,
+    weight_decay: float,
+    buf: np.ndarray | None = None,
+) -> np.ndarray:
+    """Float64 gradient of ``total_loss`` on elements of parameter field ``name``.
 
-
-def _add_weight_decay(grads: ModelParams, params: ModelParams, coeff: float) -> None:
-    """grads += coeff * params on every weight field, through one block buffer.
-
-    Each product and sum is elementwise, so taking them ADAM_BLOCK
-    elements at a time gives the same floats as the whole-field
-    ``grads += coeff * params`` without a field-sized temporary.  The
-    gradient fields are C-contiguous, so their flat views write through.
+    ``grad``, in any dtype, is the reverse pass's gradient there and
+    ``theta`` the parameters; a weight field adds the penalty's
+    ``2 * weight_decay * theta``.  ``grad`` itself is returned when it is
+    float64 and takes no decay; otherwise the result is built in
+    ``buf[:grad.size]``, or in a new array when ``buf`` is None.
     """
-    buf = np.empty(ADAM_BLOCK)
-    for name in WEIGHT_FIELDS:
-        g = getattr(grads, name).reshape(-1)
-        p = getattr(params, name).reshape(-1)
-        for start in range(0, g.size, ADAM_BLOCK):
-            gb = g[start : start + ADAM_BLOCK]
-            gb += np.multiply(coeff, p[start : start + ADAM_BLOCK], out=buf[: gb.size])
+    decays = weight_decay != 0.0 and name in WEIGHT_FIELDS
+    if grad.dtype == np.float64 and not decays:
+        return grad
+    out = (np.empty(grad.size) if buf is None else buf[: grad.size]).reshape(grad.shape)
+    if decays:
+        np.multiply(2.0 * weight_decay, theta, out=out)
+        out += grad  # IEEE addition commutes: the same floats as grad + decay
+    else:
+        np.copyto(out, grad)
+    return out
 
 
 def backward(

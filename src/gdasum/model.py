@@ -39,10 +39,9 @@ LAYERNORM_EPS = 1e-5
 
 # Fields holding weight matrices: Xavier-initialized and subject to L2 decay.
 WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "ff_w", "reg_w1", "reg_w2", "emb_w")
-# Elementwise passes over parameter fields (Adam's update, the weight-decay
-# gradient) walk each field in blocks of this many elements: the six float64
-# blocks an Adam step touches (parameter, gradient, two moments, two scratch
-# buffers) take 6 x 256 KB, which stays in one core's L2 cache
+# Adam's update walks each parameter field in blocks of this many elements:
+# the six float64 blocks it touches (parameter, gradient, two moments, two
+# scratch buffers) take 6 x 256 KB, which stays in one core's L2 cache
 ADAM_BLOCK = 1 << 15
 
 
@@ -162,19 +161,25 @@ class ModelParams:
         return ModelParams(*[a.astype(dtype) for a in self.arrays()])
 
     def check_finite(self) -> float:
-        """Sum of every field's squares by ``np.vdot`` (no temporary); inf on overflow.
+        """``sum_of_squares`` of every field, in field order."""
+        return sum_of_squares(self.items())
 
-        A field holding NaN or inf is a ValueError naming it; ``np.isfinite``
-        runs only on a field whose sum is not finite.
-        """
-        total = 0.0
-        with np.errstate(over="ignore"):
-            for name, a in self.items():
-                sq = float(np.vdot(a, a))
-                if not math.isfinite(sq) and not np.all(np.isfinite(a)):
-                    raise ValueError(f"non-finite values in parameter {name!r}")
-                total += sq
-        return total
+
+def sum_of_squares(named_arrays) -> float:
+    """Sum of squares over (name, array) pairs by ``np.vdot`` (no temporary); inf on overflow.
+
+    An array holding NaN or inf is a ValueError naming it; ``np.isfinite``
+    runs only on an array whose sum is not finite.  Each array is read
+    before the next pair is taken, so a generator may refill one buffer.
+    """
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for name, a in named_arrays:
+            sq = float(np.vdot(a, a))
+            if not math.isfinite(sq) and not np.all(np.isfinite(a)):
+                raise ValueError(f"non-finite values in parameter {name!r}")
+            total += sq
+    return total
 
 
 def init_params(feature_dim: int, hyper: HyperParams, seed: int) -> ModelParams:
@@ -439,7 +444,6 @@ def network_grad(
     hyper: HyperParams,
     dy: np.ndarray,
     dphi: np.ndarray,
-    out: ModelParams | None = None,
 ) -> ModelParams:
     """Gradient of <dy, y> + <dphi, phi> w.r.t. every parameter: the reverse pass.
 
@@ -448,13 +452,10 @@ def network_grad(
     parameters' dtype, and so is every gradient.  Each intermediate is
     deleted after its last read and each elementwise step runs in place,
     with the operands and order of the plain formulas, so few arrays are
-    alive at once.  Given ``out``, each field's gradient is copied into
-    out's field (cast to its dtype) as soon as it is computed, and
-    ``out`` is returned: a float32 pass fills a float64 set one field at
-    a time, and the set can be reused from step to step.
+    alive at once.  A float32 pass gives a float32 gradient: the trainer's
+    ``adam_step`` is where it becomes float64.
     """
-    # each field's gradient, the array its branch computed, written once
-    g = {} if out is None else _CopyInto(out)
+    g = {}  # each field's gradient, the array its branch computed
     # score head: sigmoid -> final linear -> dropout -> layer norm -> relu
     dlogits = dy * trace.y * (1.0 - trace.y)
     g["reg_w2"] = (dlogits[:, None] * trace.head_drop).sum(axis=0, keepdims=True)
@@ -527,17 +528,7 @@ def network_grad(
     g["w_k"] = dk.T @ x
     del dk
 
-    return ModelParams(**g) if out is None else out
-
-
-class _CopyInto:
-    """Write-only field map onto a ModelParams: ``g[name] = a`` copies a into its field."""
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-
-    def __setitem__(self, name: str, grad: np.ndarray):
-        np.copyto(getattr(self.params, name), grad)
+    return ModelParams(**g)
 
 
 def score_frames(x: np.ndarray, params: ModelParams, hyper: HyperParams) -> np.ndarray:

@@ -10,9 +10,9 @@ log-det term; each epoch record reports that norm before clipping.
 
 The network's matrix products run in float32: ``train`` keeps a float32
 working copy of the parameters, which ``forward`` and the reverse pass
-run on and ``adam_step`` refreshes as it updates.  The master
-parameters, the Adam moments, the gradient the optimizer sees, the
-loss, clipping and the checkpoint stay float64.
+run on and ``adam_step`` refreshes as it updates.  ``adam_step`` makes
+the float32 gradient float64 a field or a block at a time.  The master
+parameters, the Adam moments, the loss and the checkpoint stay float64.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .losses import (
     DEFAULT_VARIATION_WEIGHT,
     LossBreakdown,
     NumericalError,
+    decayed_gradient,
     loss_and_grad,
 )
-from .model import ADAM_BLOCK, HyperParams, ModelParams, forward, init_params
+from .model import ADAM_BLOCK, HyperParams, ModelParams, forward, init_params, sum_of_squares
 
 CHECKPOINT_FORMAT = "gdasum-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -96,11 +97,12 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First and second moment estimates, shapes mirroring the parameters."""
+    """Moment estimates shaped like the parameters, steps taken, last pre-clip gradient norm."""
 
     m: ModelParams
     v: ModelParams
     t: int = 0
+    grad_norm: float = 0.0
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
@@ -122,38 +124,51 @@ def adam_step(
     state: AdamState,
     lr: float,
     working: ModelParams | None = None,
+    weight_decay: float = 0.0,
+    max_norm: float = math.inf,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update of ``params`` and ``state`` in place.
+    """One bias-corrected Adam update of ``params`` and ``state`` in place; returns both.
 
-    Uses β1 = ADAM_BETA1, β2 = ADAM_BETA2 and ε = ADAM_EPS, and returns
-    the same two objects it was given.  Each field is updated in blocks
-    of ADAM_BLOCK elements through two scratch buffers allocated once
-    per call; every operation is elementwise, so the result is the same
-    bit for bit as one whole-field pass.  ``working``, a copy of the
-    parameters in another dtype, is refreshed from each updated block
-    in the same pass.  Parameter, moment and working arrays must be
-    C-contiguous, so that the update writes through to them.
+    ``grads``, in any dtype, becomes float64 only here, by ``decayed_gradient``
+    with ``weight_decay``.  Pass 1 builds one field at a time in one buffer
+    and sums its squares; a NaN, inf or overflowing norm raises
+    ``NumericalError`` before anything is written.  Pass 2 builds each block
+    of ADAM_BLOCK elements again, scales it by max_norm/norm if the norm
+    (kept as ``state.grad_norm``) exceeds ``max_norm``, and updates the
+    moments, the parameters and ``working``, a copy of them in another
+    dtype; all must be C-contiguous.  Every operation is elementwise, so
+    the result is the same bit for bit as whole-field passes.
     """
-    try:
-        grads.check_finite()
-    except ValueError as exc:
-        raise NumericalError(f"adam_step: {exc}") from exc
-    state.t += 1
-    bc1 = 1.0 - ADAM_BETA1**state.t
-    bc2 = 1.0 - ADAM_BETA2**state.t
-    size = min(ADAM_BLOCK, max(a.size for a in params.arrays()))
-    buf_a, buf_b = np.empty(size), np.empty(size)
+    arrays = {}  # name -> (gradient, parameter, moments, working copy)
     for name, theta in params.items():
         written = (theta, getattr(state.m, name), getattr(state.v, name))
         if working is not None:
             written += (getattr(working, name),)
         if not all(arr.flags.c_contiguous for arr in written):
             raise ValueError(f"adam_step: field {name!r} is not C-contiguous")
+        arrays[name] = (getattr(grads, name), *written)
+    largest = max(theta.size for theta in params.arrays())
+    builds = weight_decay != 0.0 or any(g.dtype != np.float64 for g in grads.arrays())
+    buf = np.empty(largest) if builds else None
+    buf_a, buf_b = np.empty(min(ADAM_BLOCK, largest)), np.empty(min(ADAM_BLOCK, largest))
+    norm = _gradient_norm(
+        (name, decayed_gradient(name, g, theta, weight_decay, buf))
+        for name, (g, theta, *_) in arrays.items()
+    )
+    scale = max_norm / norm if norm > max_norm else None
+    state.t += 1
+    state.grad_norm = norm
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
+    for name, field in arrays.items():
         # reshape(-1) of a C-contiguous array is a view, so blocks write through
-        flat = [arr.reshape(-1) for arr in (getattr(grads, name), *written)]
-        for start in range(0, theta.size, ADAM_BLOCK):
+        flat = [arr.reshape(-1) for arr in field]
+        for start in range(0, flat[1].size, ADAM_BLOCK):
             g, th, m, v, *refresh = (arr[start : start + ADAM_BLOCK] for arr in flat)
             a, b = buf_a[: th.size], buf_b[: th.size]
+            g = decayed_gradient(name, g, th, weight_decay, b)  # b is free until g's last read
+            if scale is not None:
+                g = np.multiply(g, scale, out=b)
             m *= ADAM_BETA1
             m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
             v *= ADAM_BETA2
@@ -166,28 +181,28 @@ def adam_step(
     return params, state
 
 
-def clip_gradients(grads: ModelParams, max_norm: float) -> tuple[ModelParams, float]:
-    """Scale ``grads`` in place so their joint L2 norm is at most max_norm.
-
-    Returns ``grads`` itself and its norm before clipping, the square
-    root of the sum ``grads.check_finite()`` returns.  A non-finite
-    squared norm raises ``NumericalError`` before anything is scaled,
-    naming the first non-finite field, or saying the norm overflowed if
-    every field is finite: scaling by max_norm/nan would poison every
-    field, and by max_norm/inf would zero them.
-    """
+def _gradient_norm(named_fields) -> float:
+    """Joint L2 norm of float64 (name, gradient) pairs; NaN or inf would poison clipping."""
     try:
-        total_sq = grads.check_finite()
+        total_sq = sum_of_squares(named_fields)
     except ValueError as exc:
         raise NumericalError(f"gradient: {exc}") from exc
     if not math.isfinite(total_sq):
         raise NumericalError("gradient norm overflowed")
-    norm = float(np.sqrt(total_sq))
-    if norm <= max_norm or norm == 0.0:
-        return grads, norm
-    scale = max_norm / norm
-    for g in grads.arrays():
-        g *= scale
+    return float(np.sqrt(total_sq))
+
+
+def clip_gradients(grads: ModelParams, max_norm: float) -> tuple[ModelParams, float]:
+    """Scale the float64 ``grads`` in place so their joint L2 norm is at most max_norm.
+
+    Returns ``grads`` itself and its norm before clipping, taken and
+    refused as ``adam_step`` takes and refuses it, before any scaling.
+    """
+    norm = _gradient_norm(grads.items())
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.arrays():
+            g *= scale
     return grads, norm
 
 
@@ -214,9 +229,9 @@ def train(
     Returns the final parameters and one record per epoch, the JSON
     object each line of the training report holds: the mean loss terms,
     wall time, the seconds spent in the forward pass, in
-    ``loss_and_grad`` and in clipping plus Adam, the median and max
-    global gradient norm before clipping, and the share of steps that
-    were clipped.
+    ``loss_and_grad`` and in ``adam_step`` (weight decay, clipping and
+    Adam), the median and max global gradient norm before clipping, and
+    the share of steps that were clipped.
     """
     by_id = {r.id: r for r in records}
     missing = [vid for vid in split.train_ids if vid not in by_id]
@@ -248,7 +263,6 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = init_params(feature_dim, hyper, config.seed)
     working = params.astype(WORKING_DTYPE)
-    grads = params.zeros_like()  # every step's gradient is written into this one set
     state = AdamState.zeros(params)
     epochs = []
     clip = config.grad_clip or np.inf
@@ -267,7 +281,7 @@ def train(
                 t0 = time.perf_counter()
                 trace = forward(x, working, hyper, mode="train", rng=rng)
                 t1 = time.perf_counter()
-                breakdown, _ = loss_and_grad(
+                breakdown, grads = loss_and_grad(
                     trace,
                     x,
                     params,
@@ -277,19 +291,18 @@ def train(
                     sigma=config.sigma,
                     variation_weight=config.variation_weight,
                     working=working,
-                    out=grads,
                 )
                 # free the activations before the next forward allocates its own
                 del trace
                 t2 = time.perf_counter()
-                norm = clip_gradients(grads, clip)[1]
-                adam_step(params, grads, state, lr, working)
+                adam_step(params, grads, state, lr, working, hyper.weight_decay, clip)
+                del grads
                 stage_seconds["forward"] += t1 - t0
                 stage_seconds["loss_and_grad"] += t2 - t1
                 stage_seconds["optimizer"] += time.perf_counter() - t2
             except NumericalError as err:
                 raise NumericalError(f"{err} on video {rec.id!r} at epoch {epoch}") from err
-            norms.append(norm)
+            norms.append(state.grad_norm)
             sums += astuple(breakdown)
         epochs.append({
             "epoch": epoch,
@@ -378,48 +391,48 @@ def load_checkpoint(path) -> tuple[ModelParams, HyperParams]:
     hyperparameters must be present and valid, the shape table must be
     the one D and the hyperparameters' H and E imply, and the payload
     size must match.  Each field is then read straight into its final
-    array.
+    array.  Every ``CheckpointError``, a non-finite field's too, names the file.
     """
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line.endswith(b"\n"):
-            raise CheckpointError("missing header line")
-        try:
-            header = json.loads(line.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unreadable header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"format version {header.get('version')} != {CHECKPOINT_VERSION}"
-            )
-        if header.get("dtype") != CHECKPOINT_DTYPE:
-            raise CheckpointError(f"unsupported payload dtype {header.get('dtype')!r}")
-        hyper = _header_hyper(header)
-        shapes = _header_shapes(header, hyper)
-
-        payload_bytes = os.fstat(fh.fileno()).st_size - len(line)
-        itemsize = np.dtype(CHECKPOINT_DTYPE).itemsize
-        expected_bytes = sum(math.prod(shape) for shape in shapes.values()) * itemsize
-        if payload_bytes != expected_bytes:
-            raise CheckpointError(
-                f"payload is {payload_bytes} bytes, header promises {expected_bytes}"
-            )
-
-        arrays = {}
-        for name, shape in shapes.items():
-            count = math.prod(shape)
-            arr = np.fromfile(fh, dtype=CHECKPOINT_DTYPE, count=count)
-            if arr.size != count:
-                raise CheckpointError(f"payload ends inside field {name!r}")
-            arrays[name] = arr.reshape(shape)
-    params = ModelParams(**arrays)
     try:
+        with open(path, "rb") as fh:
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise CheckpointError("missing header line")
+            try:
+                header = json.loads(line.decode())
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise CheckpointError(f"unreadable header: {exc}") from exc
+            if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+                raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file")
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise CheckpointError(
+                    f"format version {header.get('version')} != {CHECKPOINT_VERSION}"
+                )
+            if header.get("dtype") != CHECKPOINT_DTYPE:
+                raise CheckpointError(f"unsupported payload dtype {header.get('dtype')!r}")
+            hyper = _header_hyper(header)
+            shapes = _header_shapes(header, hyper)
+
+            payload_bytes = os.fstat(fh.fileno()).st_size - len(line)
+            itemsize = np.dtype(CHECKPOINT_DTYPE).itemsize
+            expected_bytes = sum(math.prod(shape) for shape in shapes.values()) * itemsize
+            if payload_bytes != expected_bytes:
+                raise CheckpointError(
+                    f"payload is {payload_bytes} bytes, header promises {expected_bytes}"
+                )
+
+            arrays = {}
+            for name, shape in shapes.items():
+                count = math.prod(shape)
+                arr = np.fromfile(fh, dtype=CHECKPOINT_DTYPE, count=count)
+                if arr.size != count:
+                    raise CheckpointError(f"payload ends inside field {name!r}")
+                arrays[name] = arr.reshape(shape)
+        params = ModelParams(**arrays)
         params.check_finite()
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint {path}: {exc}") from None
+    except ValueError as exc:  # a CheckpointError, or a non-finite field
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     return params, hyper

@@ -85,6 +85,10 @@ def test_gradcheck_impossible_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def refuse_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
 def test_gradcheck_fails_on_a_nan_numeric_gradient(monkeypatch, tmp_path, capsys):
     def nan_grad(x, params, *args, **kwargs):
         return ModelParams(*[np.full_like(a, np.nan) for a in params.arrays()])
@@ -93,9 +97,11 @@ def test_gradcheck_fails_on_a_nan_numeric_gradient(monkeypatch, tmp_path, capsys
     out = tmp_path / "gc"
     assert run(["gradcheck", "--instances", 1, "--out", out]) == 2
     assert "FAIL" in capsys.readouterr().out
-    doc = json.loads((out / "gradcheck.json").read_text())
+    # strict JSON: a bare NaN or Infinity token would fail to parse
+    doc = json.loads((out / "gradcheck.json").read_text(), parse_constant=refuse_constant)
     assert doc["pass"] is False
-    assert doc["max_rel_err"] == np.inf
+    assert doc["max_rel_err"] is None
+    assert [row["max_rel_err"] for row in doc["instances"]] == [None, None]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -111,6 +117,28 @@ def test_summarize_names_a_checkpoint_holding_a_non_finite_value(value, corpus, 
     err = capsys.readouterr().err
     assert err == f"error: checkpoint {ckpt}: non-finite values in parameter 'w_q'\n"
     assert not out.exists()
+
+
+def test_summarize_names_a_checkpoint_it_refuses(corpus, tmp_path, capsys):
+    hyper = HyperParams(hidden=8, embed=4)
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(init_params(8, hyper, 0), good, hyper)
+    raw = good.read_bytes()
+    head, payload = raw.split(b"\n", 1)
+    header = json.loads(head)
+    header["version"] = 2
+    cases = [
+        (raw[:-8], "payload is 3296 bytes, header promises 3304"),
+        (head, "missing header line"),
+        (json.dumps(header).encode() + b"\n" + payload, "format version 2 != 1"),
+    ]
+    for k, (content, message) in enumerate(cases):
+        ckpt = tmp_path / f"bad{k}.ckpt"
+        ckpt.write_bytes(content)
+        out = tmp_path / f"sums{k}"
+        assert run(["summarize", "--manifest", corpus, "--checkpoint", ckpt, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: checkpoint {ckpt}: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [

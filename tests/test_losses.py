@@ -9,6 +9,7 @@ from gdasum.losses import (
     SIM_FLOOR,
     NumericalError,
     backward,
+    decayed_gradient,
     dpp_log_prob,
     finite_diff_grad,
     gradient_report,
@@ -22,7 +23,7 @@ from gdasum.losses import (
     weight_penalty,
 )
 from gdasum.losses import _similarity_and_kernel as similarity_and_kernel
-from gdasum.model import HyperParams, ModelParams, forward, init_params
+from gdasum.model import WEIGHT_FIELDS, HyperParams, ModelParams, forward, init_params
 
 SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.0)
 
@@ -380,8 +381,8 @@ def test_loss_and_grad_equals_total_loss_and_backward():
 
 
 def test_loss_and_grad_fields_are_fresh_arrays_shaped_like_the_parameters():
-    # each gradient field is the array its branch computed; weight decay
-    # then adds into it in place, so none may alias another array
+    # each gradient field is a fresh array: the one its branch computed, or
+    # the one weight decay was built in; none may alias another array
     hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.4, weight_decay=0.01)
     x, params, labels = _instance(8, n=9, hyper=hyper)
     trace = forward(x, params, hyper, mode="train", rng=np.random.default_rng(1))
@@ -482,33 +483,10 @@ def test_loss_and_grad_stops_on_non_finite_loss(monkeypatch):
     assert called == ["_supervised", "_unsupervised"]
 
 
-def test_loss_and_grad_refuses_an_out_it_could_not_write_through():
-    # weight decay adds through each field's flat view, which a field that
-    # is not C-contiguous would not write back to
-    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=0.1)
-    x, params, labels = _instance(11, hyper=hyper)
-    trace = forward(x, params, hyper, mode="eval")
-    want = backward(trace, x, params, hyper, "supervised", labels=labels)
-    out = params.zeros_like()
-    _, got = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels, out=out)
-    assert got is out
-    for (name, a), (_, b) in zip(got.items(), want.items()):
-        assert _bits_equal(a, b), name
-    bad_fields = {
-        "ff_w": np.asfortranarray(params.ff_w),
-        "reg_w1": np.zeros_like(params.reg_w1, dtype=np.float32),
-        "emb_b": np.zeros(params.emb_b.size + 1),
-        "w_q": np.zeros((params.w_q.shape[0], 2 * params.w_q.shape[1]))[:, ::2],
-    }
-    for name, bad in bad_fields.items():
-        out = params.zeros_like()
-        setattr(out, name, bad)
-        with pytest.raises(ValueError, match=f"out field '{name}' is not a C-contiguous"):
-            loss_and_grad(trace, x, params, hyper, "supervised", labels=labels, out=out)
-
-
 def test_loss_and_grad_keeps_weight_decay_for_fortran_ordered_parameters():
-    # a float32 working copy makes loss_and_grad allocate the float64 set
+    # the training split: a float32 working copy's gradient, made float64
+    # with its weight decay by decayed_gradient, which reads the master
+    # weights in any memory order
     hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=0.1)
     x, params, labels = _instance(11, hyper=hyper)
     fortran = ModelParams(*[np.asfortranarray(a) for a in params.arrays()])
@@ -516,12 +494,36 @@ def test_loss_and_grad_keeps_weight_decay_for_fortran_ordered_parameters():
     for p in (params, fortran):
         working = p.astype(np.float32)
         trace = forward(x, working, hyper, mode="eval")
-        results.append(
-            loss_and_grad(trace, x, p, hyper, "supervised", labels=labels, working=working)[1]
-        )
-    for (name, a), (_, b) in zip(*(r.items() for r in results)):
+        _, g = loss_and_grad(trace, x, p, hyper, "supervised", labels=labels, working=working)
+        results.append([
+            decayed_gradient(name, a, getattr(p, name), hyper.weight_decay)
+            for name, a in g.items()
+        ])
+    # backward's float64 gradient holds the decay term 0.2 * theta
+    want = backward(forward(x, params, hyper, mode="eval"), x, params, hyper, "supervised",
+                    labels=labels)
+    for (name, w), a, b in zip(want.items(), *results):
         np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-6, err_msg=name)
-        assert b.flags.c_contiguous, name
+        np.testing.assert_allclose(a, w, rtol=1e-5, atol=1e-5, err_msg=name)
+        assert a.dtype == b.dtype == np.float64 and b.flags.c_contiguous, name
+
+
+def test_decayed_gradient_adds_the_penalty_gradient_to_weight_fields_only():
+    hyper = HyperParams(hidden=8, embed=4, weight_decay=0.25)
+    params = init_params(200, hyper, seed=0)  # w_q spans two ADAM_BLOCK blocks
+    rng = np.random.default_rng(0)
+    for name, theta in params.items():
+        g32 = rng.standard_normal(theta.shape).astype(np.float32)
+        got = decayed_gradient(name, g32, theta, hyper.weight_decay)
+        want = g32.astype(np.float64)
+        if name in WEIGHT_FIELDS:
+            want += 0.5 * theta
+        assert got.dtype == np.float64 and got.shape == theta.shape, name
+        assert _bits_equal(got, want), name
+        g64 = g32.astype(np.float64)
+        # a float64 field that takes no decay is handed back as it is
+        assert decayed_gradient(name, g64, theta, 0.0) is g64, name
+        assert (decayed_gradient(name, g64, theta, 0.25) is g64) is (name not in WEIGHT_FIELDS)
 
 
 def test_backward_and_loss_given_params_as_the_benchmark_calls_them():
@@ -644,5 +646,7 @@ def test_float32_network_matches_float64_at_the_paper_width(mode):
     assert abs(b32.total - b64.total) <= FLOAT32_TOL * abs(b64.total)
     scale = max(np.abs(b).max() for b in g64.arrays())
     for (name, a), b in zip(g32.items(), g64.arrays()):
-        assert a.dtype == np.float64, name
+        assert a.dtype == np.float32, name
+        # the gradient the optimizer sees: float64, with the decay term
+        a = decayed_gradient(name, a, getattr(params, name), hyper.weight_decay)
         assert np.abs(a - b).max() <= FLOAT32_TOL * scale, name

@@ -495,12 +495,8 @@ def test_network_follows_the_parameters_dtype(dtype):
     assert score_frames(x, params, hyper).dtype == dtype
 
     grads = network_grad(trace, x, params, hyper, dy, dphi)
-    # out= takes each field as it is computed, cast to out's dtype
-    into = master.zeros_like()
-    assert network_grad(trace, x, params, hyper, dy, dphi, out=into) is into
-    for (name, g), upcast in zip(grads.items(), into.arrays()):
+    for name, g in grads.items():
         assert g.dtype == dtype and g.shape == getattr(params, name).shape, name
-        assert upcast.dtype == np.float64 and upcast.tobytes() == g.astype(np.float64).tobytes()
 
 
 def traced_peak(fn):

@@ -17,8 +17,8 @@ from gdasum.data import (
     SplitSpec,
     VideoRecord,
 )
-from gdasum.losses import LossBreakdown, NumericalError, loss_and_grad
-from gdasum.model import HyperParams, forward, init_params
+from gdasum.losses import LossBreakdown, NumericalError, decayed_gradient, loss_and_grad
+from gdasum.model import WEIGHT_FIELDS, HyperParams, ModelParams, forward, init_params
 from gdasum.synthetic import PlantedSpec, make_planted_dataset, write_planted_corpus
 from gdasum.train import (
     ADAM_BETA1,
@@ -264,6 +264,91 @@ def test_adam_step_takes_inline_clipped_gradients():
     assert np.array_equal(params.w_k, before.w_k)
 
 
+def reference_step(params, g32, state, lr, working, weight_decay, max_norm):
+    # the step as passes over a float64 gradient set: upcast, weight decay,
+    # clip_gradients, then the whole-field Adam update and the working copy
+    grads = ModelParams(*[g.astype(np.float64) for g in g32.arrays()])
+    for name in WEIGHT_FIELDS:
+        getattr(grads, name)[...] += 2.0 * weight_decay * getattr(params, name)
+    norm = clip_gradients(grads, max_norm)[1]
+    unblocked_adam_step(params, grads, state, lr)
+    for w, theta in zip(working.arrays(), params.arrays()):
+        np.copyto(w, theta)
+    return norm
+
+
+def float32_gradient(params, rng, scale):
+    return ModelParams(*[
+        (rng.standard_normal(a.shape) * scale).astype(np.float32) for a in params.arrays()
+    ])
+
+
+@pytest.mark.parametrize("max_norm", [np.inf, 30.0])
+def test_adam_step_on_a_float32_gradient_matches_the_float64_passes(max_norm):
+    params = init_params(BLOCKED_D, SMALL_HYPER, 0)
+    reference = params.copy()
+    working, ref_working = params.astype(np.float32), params.astype(np.float32)
+    state, ref_state = AdamState.zeros(params), AdamState.zeros(reference)
+    rng = np.random.default_rng(3)
+    clipped = []
+    # the gradient's scale moves its norm across max_norm from step to step
+    for lr, scale in ((1e-3, 1.0), (5e-4, 1e-3), (2e-3, 0.01), (1e-4, 1e-6)):
+        g32 = float32_gradient(params, rng, scale)
+        adam_step(params, g32, state, lr, working, 0.05, max_norm)
+        norm = reference_step(reference, g32, ref_state, lr, ref_working, 0.05, max_norm)
+        assert state.grad_norm == norm
+        clipped.append(norm > max_norm)
+    assert state.t == ref_state.t == 4
+    assert clipped == ([False] * 4 if max_norm == np.inf else [True, False, False, False])
+    pairs = ((params, reference), (state.m, ref_state.m), (state.v, ref_state.v),
+             (working, ref_working))
+    for got, want in pairs:
+        for (name, a), b in zip(got.items(), want.arrays()):
+            assert a.tobytes() == b.tobytes(), name
+
+
+def test_adam_step_refuses_a_bad_gradient_before_writing_anything():
+    params = init_params(BLOCKED_D, SMALL_HYPER, 0)
+    working = params.astype(np.float32)
+    state = AdamState.zeros(params)
+    rng = np.random.default_rng(0)
+    adam_step(params, float32_gradient(params, rng, 1.0), state, 1e-3, working, 0.05, 5.0)
+    cases = []
+    for name, bad in ((n, b) for n, _ in params.items() for b in (np.nan, np.inf)):
+        g32 = float32_gradient(params, rng, 1.0)
+        getattr(g32, name).reshape(-1)[-1] = bad
+        cases.append((params, g32, f"gradient: non-finite values in parameter '{name}'"))
+    # finite float32 entries whose squares overflow once decay adds 2 * 0.05 * 1e200
+    huge = params.copy()
+    huge.w_q[...] = 1e200
+    cases.append((huge, float32_gradient(params, rng, 1.0), "gradient norm overflowed"))
+    for theta, g32, message in cases:
+        before = [a.copy() for a in (*theta.arrays(), *state.m.arrays(), *state.v.arrays(),
+                                     *working.arrays())]
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            adam_step(theta, g32, state, 1e-3, working, 0.05, 5.0)
+        after = (*theta.arrays(), *state.m.arrays(), *state.v.arrays(), *working.arrays())
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after)), message
+        assert state.t == 1
+
+
+def test_adam_step_on_a_float32_gradient_allocates_one_field_and_three_blocks():
+    params = init_params(BLOCKED_D, SMALL_HYPER, 0)
+    working = params.astype(np.float32)
+    state = AdamState.zeros(params)
+    g32 = float32_gradient(params, np.random.default_rng(0), 1.0)
+    largest = max(a.nbytes for a in params.arrays())
+    param_bytes = sum(a.nbytes for a in params.arrays())
+    tracemalloc.start()
+    try:
+        adam_step(params, g32, state, 1e-3, working, 0.05, 1e-3)  # decays and clips
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.grad_norm > 1e-3
+    assert peak <= largest + 3 * ADAM_BLOCK * 8 < param_bytes
+
+
 def test_resolve_learning_rate_defaults():
     assert DEFAULT_LEARNING_RATES[SourceDataset.SUMME_LIKE] == 5e-5
     assert DEFAULT_LEARNING_RATES[SourceDataset.TVSUM_LIKE] == 1e-4
@@ -347,15 +432,18 @@ def test_train_same_seed_bit_identical(tmp_path):
 
 
 def test_train_keeps_float64_master_state_beside_a_float32_working_copy(monkeypatch):
-    # the network runs on the working copy; Adam, clipping and the
-    # checkpoint see float64, and the copy tracks the master every step
+    # the network runs on the working copy and hands adam_step its float32
+    # gradient; the master weights, the moments and the checkpoint are
+    # float64, and the copy tracks the master every step
     train_module = importlib.import_module("gdasum.train")
     steps = []
 
-    def checked_adam_step(params, grads, state, lr, working=None):
-        out = adam_step(params, grads, state, lr, working)
+    def checked_adam_step(params, grads, state, lr, working, weight_decay, max_norm):
+        out = adam_step(params, grads, state, lr, working, weight_decay, max_norm)
+        assert weight_decay == SMALL_HYPER.weight_decay and max_norm == 5.0
         for name, theta in params.items():
-            arrays = (theta, getattr(grads, name), getattr(state.m, name), getattr(state.v, name))
+            assert getattr(grads, name).dtype == np.float32, name
+            arrays = (theta, getattr(state.m, name), getattr(state.v, name))
             assert all(a.dtype == np.float64 for a in arrays), name
             assert getattr(working, name).tobytes() == theta.astype(np.float32).tobytes(), name
         steps.append(state.t)
@@ -511,7 +599,12 @@ def test_train_reports_gradient_norm_before_clipping():
     working = params.astype(WORKING_DTYPE)
     trace = forward(x, working, hyper, mode="train", rng=np.random.default_rng(0))
     _, grads = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels, working=working)
-    norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.arrays())))
+    # the norm is taken on the float64 gradient with its weight decay
+    norm = float(np.sqrt(sum(
+        float(np.vdot(d, d))
+        for d in (decayed_gradient(name, g, getattr(params, name), hyper.weight_decay)
+                  for name, g in grads.items())
+    )))
 
     for clip, fraction in [(norm / 2, 1.0), (2 * norm, 0.0), (0.0, 0.0)]:
         config = TrainConfig(epochs=1, learning_rate=1e-3, grad_clip=clip)
