@@ -64,16 +64,7 @@ class SegmentCostTable:
     """
 
     def __init__(self, x: np.ndarray, kernel: str):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ValueError("expected a nonempty (N, D) feature matrix")
-        if x.shape[0] > MAX_FRAMES:
-            raise ValueError(
-                f"segmentation of N={x.shape[0]} frames exceeds the cap of "
-                f"MAX_FRAMES={MAX_FRAMES}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise ValueError("features contain non-finite values")
+        x = _feature_matrix(x)
         if kernel not in KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}")
         self.n = x.shape[0]
@@ -123,6 +114,21 @@ class SegmentCostTable:
         return by_end.T
 
 
+def _feature_matrix(x) -> np.ndarray:
+    """x as float64, refused unless it is a finite (N, D) matrix with 1 <= N <= MAX_FRAMES."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError(f"expected a nonempty (N, D) feature matrix, got shape {x.shape}")
+    if x.shape[0] > MAX_FRAMES:
+        raise ValueError(
+            f"segmentation of N={x.shape[0]} frames exceeds the cap of "
+            f"MAX_FRAMES={MAX_FRAMES}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features contain non-finite values")
+    return x
+
+
 def segment_penalty(n_frames: int, n_segments: int, coeff: float) -> float:
     """BIC-style penalty coeff * m * (log(N / m) + 1) on m segments."""
     return coeff * n_segments * (math.log(n_frames / n_segments) + 1.0)
@@ -145,7 +151,7 @@ def kts_changepoints(
     starts that precede the block's last end: O(N^2) memory, and about
     max_segments * N^2 / 2 cell additions in all.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _feature_matrix(x)  # before N sets the default cap
     n = x.shape[0]
     if not (math.isfinite(penalty_coeff) and penalty_coeff >= 0):
         raise ValueError(f"penalty_coeff must be finite and non-negative, got {penalty_coeff}")

@@ -1,12 +1,13 @@
-"""Training objectives, DPP kernel, their y/phi gradients, finite-difference oracle.
+"""Training objectives, DPP kernel, their z/phi gradients, finite-difference oracle.
 
-Supervised mode combines a binary cross-entropy keyframe loss with a
-variation loss (the negative log-likelihood of the annotated keyframe
-subset under a determinantal point process whose kernel decomposes into
-per-frame quality times a Gaussian similarity of the embeddings; a
-similarity below ``SIM_FLOOR`` = 2^-200 is stored as 0, which moves the
-loss and gradient by at most about 2^-200 relative and keeps the linear
-algebra off subnormal floats).
+Supervised mode combines a binary cross-entropy keyframe loss, taken
+from the score logits, with a variation loss (the negative
+log-likelihood of the annotated keyframe subset under a determinantal
+point process whose kernel decomposes into per-frame quality times a
+Gaussian similarity of the embeddings before their bias; a similarity
+below ``SIM_FLOOR`` = 2^-200 is stored as 0, which moves the loss and
+gradient by at most about 2^-200 relative and keeps the linear algebra
+off subnormal floats).
 Unsupervised mode combines a summary-length regularizer with a
 repelling loss (mean pairwise cosine of the embeddings).  Both modes
 add an L2 penalty over the weight matrices so every differentiable
@@ -14,12 +15,12 @@ term is covered by the finite-difference check.
 
 Each mode is one function, ``_supervised`` or ``_unsupervised``, giving
 its two loss terms and a function for their gradients with respect to
-the scores y and embeddings phi, which reads the pairwise arrays the
-loss built.  ``loss_and_grad`` hands those gradients to
+the score logits z and embeddings phi, which reads the pairwise arrays
+the loss built.  ``loss_and_grad`` hands those gradients to
 ``model.network_grad``, the reverse pass through the network.  The
-loss terms, the DPP linear algebra and the y/phi gradients are float64
-whatever dtype the network ran in: a float32 trace's y and phi are
-upcast first, and ``decayed_gradient`` makes its parameter gradients float64.
+loss terms, the DPP linear algebra and the z/phi gradients are float64
+whatever dtype the network ran in: a float32 trace's arrays are upcast
+first, and ``decayed_gradient`` makes its parameter gradients float64.
 ``backward`` is the gradient half of ``loss_and_grad``.
 ``total_loss`` is the loss-only path behind ``loss_given_params``, and
 ``finite_diff_grad`` is the independent central-difference oracle the
@@ -41,6 +42,8 @@ from .model import (
     network_grad,
 )
 
+# No loss clips scores.  Only bench/checks.py imports this old clip
+# bound, where it merely shrinks a finite-difference step near it.
 SCORE_CLIP = 1e-7
 # defaults of the loss signatures, TrainConfig and the gradient check
 DEFAULT_SIGMA = 0.3  # summary-ratio target of the length loss
@@ -148,14 +151,20 @@ def _plus_identity(kernel: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def keyframe_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
-    """Binary cross entropy between scores and 0/1 keyframe labels, summed."""
-    y = np.asarray(y, dtype=np.float64)
+def keyframe_loss(z: np.ndarray, y_hat: np.ndarray) -> float:
+    """Binary cross entropy of scores sigmoid(z) against 0/1 keyframe labels, summed.
+
+    Taken from the logits z as softplus(z) - y_hat * z, which is
+    -log sigmoid(z) for a keyframe and -log(1 - sigmoid(z)) otherwise
+    without forming either score, so a frame saturated on the wrong side
+    costs about |z| and keeps its gradient sigmoid(z) - y_hat (Goodfellow,
+    Bengio and Courville, "Deep Learning", section 6.2.2.3).
+    """
+    z = np.asarray(z, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y.shape != y_hat.shape:
+    if z.shape != y_hat.shape:
         raise ValueError("scores and labels differ in length")
-    yc = np.clip(y, SCORE_CLIP, 1.0 - SCORE_CLIP)
-    return float(-(y_hat * np.log(yc) + (1.0 - y_hat) * np.log1p(-yc)).sum())
+    return float((np.logaddexp(0.0, z) - y_hat * z).sum())
 
 
 def length_loss(y: np.ndarray, sigma: float) -> float:
@@ -200,13 +209,14 @@ def weight_penalty(params: ModelParams, weight_decay: float) -> float:
     return weight_decay * total
 
 
-def _supervised(y, phi, labels, beta, variation_weight):
-    """(keyframe BCE, weighted DPP variation, grad), ``grad()`` giving (dy, dphi).
+def _supervised(z, y, phi, labels, beta, variation_weight):
+    """(keyframe BCE, weighted DPP variation, grad), ``grad()`` giving (dz, dphi).
 
-    ``grad`` reads the similarity and kernel the variation term built;
-    a zero ``variation_weight`` builds none.
+    z are the score logits and y = sigmoid(z) the scores.  ``grad``
+    reads the similarity and kernel the variation term built; a zero
+    ``variation_weight`` builds none.
     """
-    keyframe = keyframe_loss(y, labels)
+    keyframe = keyframe_loss(z, labels)
     variation, sim, kernel = 0.0, None, None
     subset = np.flatnonzero(labels > 0)
     if variation_weight != 0.0:
@@ -214,12 +224,9 @@ def _supervised(y, phi, labels, beta, variation_weight):
         variation = variation_weight * -dpp_log_prob(kernel, subset)
 
     def grad():
-        dy, dphi = np.zeros_like(y), np.zeros_like(phi)
-        yc = np.clip(y, SCORE_CLIP, 1.0 - SCORE_CLIP)
-        live = (y > SCORE_CLIP) & (y < 1.0 - SCORE_CLIP)
-        dy += live * (-labels / yc + (1.0 - labels) / (1.0 - yc))
+        dz, dphi = y - labels, np.zeros_like(phi)
         if kernel is None:
-            return dy, dphi
+            return dz, dphi
         # d(-log P)/dL = (L + I)^{-1} - scatter((L_sub)^{-1})
         try:
             g = np.linalg.inv(_plus_identity(kernel))
@@ -232,23 +239,24 @@ def _supervised(y, phi, labels, beta, variation_weight):
                 raise NumericalError("subset kernel is numerically singular") from err
             g[np.ix_(subset, subset)] -= sub_inv
         g *= variation_weight
-        # L_ij = y_i y_j sim_ij, so dy_k = 2 sum_j g_kj y_j sim_kj
+        # L_ij = y_i y_j sim_ij, so dy_k = 2 sum_j g_kj y_j sim_kj, and dy/dz = y (1 - y)
         work = g * sim
         work *= 2.0
-        dy += work @ y
+        dz += y * (1.0 - y) * (work @ y)
         del work
         # dphi_k = -4 beta sum_j g_kj L_kj (phi_k - phi_j), with g * L in g
         g *= kernel
         row = g.sum(axis=1)
         dphi += -4.0 * beta * (row[:, None] * phi - g @ phi)
-        return dy, dphi
+        return dz, dphi
 
     return keyframe, variation, grad
 
 
 def _unsupervised(y, phi, sigma):
-    """(length, repelling, grad), ``grad()`` giving (dy, dphi).
+    """(length, repelling, grad), ``grad()`` giving (dz, dphi).
 
+    The length term reaches the logits z through dy/dz = y (1 - y).
     ``grad`` reads the norms, unit rows and cosines the repelling term
     built.  A zero-norm embedding is a ``NumericalError``: dropout can
     zero a frame's embedding, a training fault, not bad input.
@@ -261,36 +269,41 @@ def _unsupervised(y, phi, sigma):
         repelling = _mean_off_diagonal(cosines[2])
 
     def grad():
-        dy, dphi = np.zeros_like(y), np.zeros_like(phi)
-        diff = y.mean() - sigma
-        if diff != 0.0:
-            dy += np.sign(diff) / n
+        dz = y * (1.0 - y) * (np.sign(y.mean() - sigma) / n)
+        dphi = np.zeros_like(phi)
         if cosines is None:
-            return dy, dphi
+            return dz, dphi
         norms, u, cos = cosines
         c = 1.0 / (n * (n - 1))
         # d/dphi_k of sum_{i != j} cos_ij = 2 sum_{j != k} (u_j - cos_kj u_k) / ||phi_k||
         u_sum = u.sum(axis=0)
         cos_row = cos.sum(axis=1)
         dphi += (2.0 * c / norms[:, None]) * ((u_sum - u) - (cos_row - 1.0)[:, None] * u)
-        return dy, dphi
+        return dz, dphi
 
     return length, repelling, grad
 
 
 def _objective(trace, params, hyper, mode, labels, sigma, variation_weight):
-    """The mode's LossBreakdown and (dy, dphi) function, on y and phi upcast to float64."""
+    """The mode's LossBreakdown and (dz, dphi) function, on the trace upcast to float64.
+
+    The DPP reads the embeddings before their bias, ``trace.emb_proj``:
+    distances ignore a shift shared by every row, so the loss is the same
+    as on phi, and in floating point it does not read ``emb_b`` at all.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown loss mode {mode!r}")
     if mode == "supervised" and labels is None:
         raise ValueError("supervised loss requires keyframe labels")
     y = np.asarray(trace.y, dtype=np.float64)
-    phi = np.asarray(trace.phi, dtype=np.float64)
     pen = weight_penalty(params, hyper.weight_decay)
     if mode == "supervised":
         labels = np.asarray(labels, dtype=np.float64)
-        key, var, grad = _supervised(y, phi, labels, hyper.beta, variation_weight)
+        z = np.asarray(trace.z, dtype=np.float64)
+        phi = np.asarray(trace.emb_proj, dtype=np.float64)
+        key, var, grad = _supervised(z, y, phi, labels, hyper.beta, variation_weight)
         return LossBreakdown(var, key, 0.0, 0.0, pen, key + var + pen), grad
+    phi = np.asarray(trace.phi, dtype=np.float64)
     length, rep, grad = _unsupervised(y, phi, sigma)
     return LossBreakdown(0.0, 0.0, length, rep, pen, length + rep + pen), grad
 
@@ -328,7 +341,7 @@ def loss_and_grad(
 
     The trace must come from ``forward`` on the same ``x`` and on
     ``working``, a copy of ``params`` in another dtype, or on ``params``
-    itself when ``working`` is None; the loss's y and phi gradients run
+    itself when ``working`` is None; the loss's z and phi gradients run
     back through ``model.network_grad`` on the same parameters, with the
     trace's dropout masks.  The weight penalty and its gradient read
     ``params``.  A non-finite total raises ``NumericalError`` before any
@@ -343,11 +356,11 @@ def loss_and_grad(
     breakdown, grad = _objective(trace, params, hyper, mode, labels, sigma, variation_weight)
     if not np.isfinite(breakdown.total):
         raise NumericalError("non-finite loss")
-    dy, dphi = grad()
+    dz, dphi = grad()
     del grad  # frees the pairwise arrays before the reverse pass allocates its own
     net = params if working is None else working
-    dy, dphi = dy.astype(net.dtype, copy=False), dphi.astype(net.dtype, copy=False)
-    grads = network_grad(trace, x, net, hyper, dy, dphi)
+    dz, dphi = dz.astype(net.dtype, copy=False), dphi.astype(net.dtype, copy=False)
+    grads = network_grad(trace, x, net, hyper, dz, dphi)
     if working is not None:
         return breakdown, grads
     for name, p in params.items():  # one field's old and new arrays alive at a time

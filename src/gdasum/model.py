@@ -22,10 +22,11 @@ intermediate the reverse pass reads, copying each one a later layer
 would overwrite, and adds the embedding head; it peaks at about two
 N x N arrays, alpha and the copy the diversity weights are computed in.
 ``network_grad``, the reverse pass, carries a loss's gradients with
-respect to y and phi back to every parameter.  It frees each
-intermediate after its last read and works in place, so a training step
-(``forward``, then ``losses.loss_and_grad``) peaks at about three N x N
-arrays (8 * N^2 bytes each) unsupervised and five supervised.
+respect to the score logits z and phi back to every parameter.  It
+frees each intermediate after its last read and works in place, so a
+training step (``forward``, then ``losses.loss_and_grad``) peaks at
+about three N x N arrays (8 * N^2 bytes each) unsupervised and five
+supervised.
 """
 
 from __future__ import annotations
@@ -212,18 +213,22 @@ class ForwardTrace:
 
     Public outputs: ``alpha`` (column-stochastic attention weights,
     N x N), ``d`` (diversity weights on the simplex), ``context``
-    (N x D), ``phi`` (N x E embeddings) and ``y`` (scores in (0, 1)).
-    The remaining tensors are cached intermediates ``network_grad``
-    reads; the dropout masks are None in eval mode, where
-    dropout is the identity.  The attention logits themselves are not
-    kept: ``_attention(q_proj, k_proj)`` recomputes them.
+    (N x D), ``phi`` (N x E embeddings), ``z`` (score logits) and ``y``
+    (scores in (0, 1), the sigmoid of z).  ``emb_proj`` is
+    P = ff_out @ emb_w^T, phi before its bias ``emb_b`` is added: the DPP
+    term reads it, so its loss does not depend on ``emb_b`` even in
+    rounding.  The remaining tensors are cached intermediates
+    ``network_grad`` reads; the dropout masks are None in eval mode,
+    where dropout is the identity.
     """
 
     alpha: np.ndarray
     d: np.ndarray
     context: np.ndarray
     phi: np.ndarray
+    z: np.ndarray
     y: np.ndarray
+    emb_proj: np.ndarray
     # cached intermediates
     q_proj: np.ndarray
     k_proj: np.ndarray
@@ -354,7 +359,7 @@ def _network(
     ff_mask: np.ndarray | None = None,
     head_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scores y of a checked (N, D) feature matrix, each layer applied in place.
+    """Score logits z of a checked (N, D) feature matrix, each layer applied in place.
 
     Given a ``cache`` dict, it also records every intermediate
     ``network_grad`` reads under its ``ForwardTrace`` name, and hands the
@@ -398,7 +403,7 @@ def _network(
     z += params.ln2_offset
     if head_mask is not None:
         z *= head_mask
-    return sigmoid((record("head_drop", z) @ params.reg_w2.T + params.reg_b2)[:, 0])
+    return (record("head_drop", z) @ params.reg_w2.T + params.reg_b2)[:, 0]
 
 
 def forward(
@@ -414,7 +419,8 @@ def forward(
     In ``train`` mode dropout masks are sampled from ``rng`` (or taken
     from ``masks``, which is how gradient checks freeze them); in
     ``eval`` mode dropout is the identity.  Beside the network's cached
-    intermediates it adds the embedding head phi.
+    intermediates and logits z it adds the scores y = sigmoid(z) and the
+    embedding head, P and phi = P + emb_b.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -431,10 +437,12 @@ def forward(
             ff_mask = _dropout_mask((n, d_feat), hyper.dropout_rate, rng, x.dtype)
             head_mask = _dropout_mask((n, h), hyper.dropout_rate, rng, x.dtype)
     cache = {}
-    y = _network(x, params, hyper, cache, ff_mask, head_mask)
-    phi = cache["ff_out"] @ params.emb_w.T
-    phi += params.emb_b
-    return ForwardTrace(phi=phi, y=y, ff_mask=ff_mask, head_mask=head_mask, **cache)
+    z = _network(x, params, hyper, cache, ff_mask, head_mask)
+    emb_proj = cache["ff_out"] @ params.emb_w.T
+    return ForwardTrace(
+        phi=emb_proj + params.emb_b, y=sigmoid(z), z=z, emb_proj=emb_proj,
+        ff_mask=ff_mask, head_mask=head_mask, **cache,
+    )
 
 
 def network_grad(
@@ -442,25 +450,24 @@ def network_grad(
     x: np.ndarray,
     params: ModelParams,
     hyper: HyperParams,
-    dy: np.ndarray,
+    dz: np.ndarray,
     dphi: np.ndarray,
 ) -> ModelParams:
-    """Gradient of <dy, y> + <dphi, phi> w.r.t. every parameter: the reverse pass.
+    """Gradient of <dz, z> + <dphi, phi> w.r.t. every parameter: the reverse pass.
 
     ``trace`` comes from ``forward`` on the same ``x`` and ``params``, and
-    its dropout masks are honored; ``dy`` and ``dphi`` are in the
-    parameters' dtype, and so is every gradient.  Each intermediate is
-    deleted after its last read and each elementwise step runs in place,
-    with the operands and order of the plain formulas, so few arrays are
-    alive at once.  A float32 pass gives a float32 gradient: the trainer's
+    its dropout masks are honored; ``dz``, the gradient with respect to
+    the logits, and ``dphi`` are in the parameters' dtype, and so is
+    every gradient.  Each intermediate is deleted after its last read
+    and each elementwise step runs in place, with the operands and order
+    of the plain formulas, so few arrays are alive at once.  A float32 pass gives a float32 gradient: the trainer's
     ``adam_step`` is where it becomes float64.
     """
     g = {}  # each field's gradient, the array its branch computed
-    # score head: sigmoid -> final linear -> dropout -> layer norm -> relu
-    dlogits = dy * trace.y * (1.0 - trace.y)
-    g["reg_w2"] = (dlogits[:, None] * trace.head_drop).sum(axis=0, keepdims=True)
-    g["reg_b2"] = dlogits.sum(keepdims=True)
-    d_ln2_out = dlogits[:, None] * params.reg_w2[0][None, :]
+    # score head: final linear -> dropout -> layer norm -> relu
+    g["reg_w2"] = (dz[:, None] * trace.head_drop).sum(axis=0, keepdims=True)
+    g["reg_b2"] = dz.sum(keepdims=True)
+    d_ln2_out = dz[:, None] * params.reg_w2[0][None, :]
     if trace.head_mask is not None:
         d_ln2_out *= trace.head_mask
     d_head_pre, g["ln2_scale"], g["ln2_offset"] = layernorm_backward(
@@ -539,4 +546,4 @@ def score_frames(x: np.ndarray, params: ModelParams, hyper: HyperParams) -> np.n
     8 * N^2 + O(N * D) bytes.  Refuses the inputs ``forward`` refuses,
     with the same errors.
     """
-    return _network(_check_features(x, params), params, hyper)
+    return sigmoid(_network(_check_features(x, params), params, hyper))

@@ -452,8 +452,11 @@ def test_summarize_refuses_a_ratio_outside_0_1_before_any_video_loads(
 
 
 def test_train_numerical_failure_exits_2_naming_video_and_epoch(tmp_path):
-    # the known singular subset kernel, reached in seconds at these shapes
-    manifest = write_planted_corpus(tmp_path, PlantedSpec(n_videos=5, n_frames=60, dim=8))
+    # the known singular subset kernel, reached in seconds at these shapes;
+    # planted centres at scale 4.0 (the default is 2.5) bring it on in epoch 1
+    manifest = write_planted_corpus(
+        tmp_path, PlantedSpec(n_videos=5, n_frames=60, dim=8, center_scale=4.0)
+    )
     proc = run_cli_process(
         "-m", "gdasum.cli", "train", "--manifest", str(manifest),
         "--fold", "0", "--epochs", "2", "--hidden", "8", "--embed", "4", "--lr", "1e-3",

@@ -353,3 +353,10 @@ def test_frame_cap_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # nothing N^2 (8 * N^2 bytes = 288 MB)
+
+
+@pytest.mark.parametrize("x", [np.zeros((0, 3)), np.float64(1.0)], ids=["no-frames", "0-d"])
+def test_kts_changepoints_refuses_a_matrix_without_frames_before_its_default_cap(x):
+    # the default cap ceil(N / 10) is derived from the checked matrix
+    with pytest.raises(ValueError, match=r"expected a nonempty \(N, D\) feature matrix, got shape"):
+        kts_changepoints(x)

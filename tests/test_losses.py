@@ -157,11 +157,13 @@ def test_dpp_log_prob_nonpositive():
 
 
 def test_keyframe_loss_hand_examples():
-    assert abs(keyframe_loss(np.array([0.9, 0.1]), np.array([1, 0])) - (-2 * np.log(0.9))) < 1e-12
-    assert abs(keyframe_loss(np.array([0.5]), np.array([1])) - np.log(2.0)) < 1e-12
-    # scores equal to the (clipped) labels sit at the minimum, about 2e-7 per frame
-    near_zero = keyframe_loss(np.array([1.0, 0.0, 1.0]), np.array([1, 0, 1]))
-    assert 0.0 <= near_zero < 1e-6
+    # logits log 9 and -log 9 are scores 0.9 and 0.1
+    logit = np.log(9.0)
+    assert abs(keyframe_loss(np.array([logit, -logit]), np.array([1, 0])) - (-2 * np.log(0.9))) < 1e-12
+    assert abs(keyframe_loss(np.array([0.0]), np.array([1])) - np.log(2.0)) < 1e-12
+    # logits far on the labels' side sit at the minimum, 0 to within rounding
+    near_zero = keyframe_loss(np.array([40.0, -40.0, 40.0]), np.array([1, 0, 1]))
+    assert 0.0 <= near_zero < 1e-15
 
 
 def test_keyframe_loss_length_mismatch():
@@ -215,10 +217,10 @@ def test_total_loss_mode_composition():
     assert abs(unsup.total - (unsup.length + unsup.repelling + pen)) < 1e-12
     assert sup.length == 0.0 and sup.repelling == 0.0
     assert unsup.keyframe == 0.0 and unsup.variation == 0.0
-    # components match the standalone ops
-    kernel = kernel_by_definition(trace.y, trace.phi, SMALL.beta)
+    # components match the standalone ops, the DPP on the embeddings before their bias
+    kernel = kernel_by_definition(trace.y, trace.emb_proj, SMALL.beta)
     assert abs(sup.variation + dpp_log_prob(kernel, np.flatnonzero(labels))) < 1e-12
-    assert abs(sup.keyframe - keyframe_loss(trace.y, labels)) < 1e-12
+    assert abs(sup.keyframe - keyframe_loss(trace.z, labels)) < 1e-12
 
 
 def test_total_loss_requires_labels():
@@ -365,7 +367,7 @@ def test_loss_and_grad_equals_total_loss_and_backward():
         x, params, labels = _instance(8, n=n, hyper=hyper)
         trace = forward(x, params, hyper, mode=fw_mode, rng=np.random.default_rng(1))
         # the kernel the variation term reads is L by its definition, bit for bit
-        kernel = kernel_by_definition(trace.y, trace.phi, hyper.beta)
+        kernel = kernel_by_definition(trace.y, trace.emb_proj, hyper.beta)
         log_p = dpp_log_prob(kernel, np.flatnonzero(labels))
         runs = [("unsupervised", None, 1.0)]
         runs += [("supervised", labels, w) for w in (1.0, 0.5, 0.0)]
@@ -378,6 +380,49 @@ def test_loss_and_grad_equals_total_loss_and_backward():
                 assert _bits_equal(a, b), (n, fw_mode, mode, w, name)
             if mode == "supervised":
                 assert breakdown.variation == w * -log_p, (n, fw_mode, w)
+
+
+@pytest.mark.parametrize("dtype, logit", [(np.float64, 40.0), (np.float32, 20.0)])
+def test_a_score_saturated_on_the_wrong_side_keeps_its_loss_and_gradient(dtype, logit):
+    # every logit is far on the keyframe side of frames labelled 0, so each
+    # score rounds to exactly 1; the loss is still about the logit per frame
+    # and the logit gradient sigmoid(z) - 0 is 1, which reaches reg_b2 as N
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0)
+    x, params, _ = _instance(12, hyper=hyper)
+    params.reg_w2[...] = 0.0
+    params.reg_b2[...] = logit
+    working = None if dtype == np.float64 else params.astype(dtype)
+    trace = forward(x, params if working is None else working, hyper, mode="eval")
+    assert trace.y.dtype == dtype and np.all(trace.y == 1.0)
+    n = len(x)
+    breakdown, grads = loss_and_grad(
+        trace, x, params, hyper, "supervised", labels=np.zeros(n), variation_weight=0.0,
+        working=working,
+    )
+    assert breakdown.keyframe == pytest.approx(n * logit, rel=1e-8)
+    assert grads.reg_b2[0] == pytest.approx(n, rel=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_the_supervised_loss_does_not_read_the_embedding_bias(dtype):
+    # the DPP reads the embeddings before their bias, so shifting emb_b moves
+    # no loss term and no other field's gradient, not even in rounding
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.4)
+    x, params, labels = _instance(13, n=9, hyper=hyper)
+    shifted = params.copy()
+    shifted.emb_b[...] = 3.0 * np.random.default_rng(13).standard_normal(shifted.emb_b.shape)
+    results = []
+    for p in (params, shifted):
+        working = None if dtype == np.float64 else p.astype(dtype)
+        trace = forward(x, p if working is None else working, hyper, mode="train",
+                        rng=np.random.default_rng(1))
+        results.append(loss_and_grad(trace, x, p, hyper, "supervised", labels=labels,
+                                     working=working))
+    (b0, g0), (b1, g1) = results
+    assert b0 == b1
+    for (name, a), (_, b) in zip(g0.items(), g1.items()):
+        if name != "emb_b":
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_loss_and_grad_fields_are_fresh_arrays_shaped_like_the_parameters():

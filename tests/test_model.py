@@ -375,10 +375,11 @@ def reference_forward(x, params, hyper, mode="eval", rng=None, masks=None):
     head_drop = params.ln2_scale * ln2_xhat + params.ln2_offset
     if head_mask is not None:
         head_drop = head_drop * head_mask
-    y = sigmoid((head_drop @ params.reg_w2.T + params.reg_b2)[:, 0])
-    phi = ff_out @ params.emb_w.T + params.emb_b
+    z = (head_drop @ params.reg_w2.T + params.reg_b2)[:, 0]
+    emb_proj = ff_out @ params.emb_w.T
     return ForwardTrace(
-        alpha=alpha, d=d, context=context, phi=phi, y=y,
+        alpha=alpha, d=d, context=context, phi=emb_proj + params.emb_b, z=z, y=sigmoid(z),
+        emb_proj=emb_proj,
         q_proj=q_proj, k_proj=k_proj, v_proj=v_proj, ff_mask=ff_mask,
         ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv_std, ff_out=ff_out, head_pre=head_pre,
         ln2_xhat=ln2_xhat, ln2_inv_std=ln2_inv_std, head_mask=head_mask, head_drop=head_drop,
@@ -443,24 +444,24 @@ def test_score_frames_refuses_what_forward_refuses(x):
 @pytest.mark.parametrize("mode", ["eval", "train"])
 def test_network_grad_matches_central_differences(mode):
     # the reverse pass alone, with no loss term: network_grad is the gradient
-    # of <dy, y> + <dphi, phi>, checked along a random direction per field
+    # of <dz, z> + <dphi, phi>, checked along a random direction per field
     n, d_feat = 9, 5
     hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.5)
     params = trained_like_params(d_feat, hyper, seed=3)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((n, d_feat))
-    dy, dphi = rng.standard_normal(n), rng.standard_normal((n, 4))
+    dz, dphi = rng.standard_normal(n), rng.standard_normal((n, 4))
     masks = None
     if mode == "train":
         masks = (_dropout_mask((n, d_feat), 0.5, rng), _dropout_mask((n, 8), 0.5, rng))
 
     def objective(p):
         trace = forward(x, p, hyper, mode=mode, masks=masks)
-        return float(dy @ trace.y + (dphi * trace.phi).sum())
+        return float(dz @ trace.z + (dphi * trace.phi).sum())
 
     trace = forward(x, params, hyper, mode=mode, masks=masks)
     step = 1e-5
-    for name, g in network_grad(trace, x, params, hyper, dy, dphi).items():
+    for name, g in network_grad(trace, x, params, hyper, dz, dphi).items():
         u = rng.standard_normal(g.shape)
         up, down = params.copy(), params.copy()
         getattr(up, name)[...] += step * u
@@ -479,7 +480,7 @@ def test_network_follows_the_parameters_dtype(dtype):
     params = master.astype(dtype)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((n, d_feat)).astype(np.float32)
-    dy, dphi = rng.standard_normal(n).astype(dtype), rng.standard_normal((n, 4)).astype(dtype)
+    dz, dphi = rng.standard_normal(n).astype(dtype), rng.standard_normal((n, 4)).astype(dtype)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
     trace = forward(x, params, hyper, mode="train", rng=got_rng)
     want = reference_forward(x.astype(np.float64), master, hyper, mode="train", rng=want_rng)
@@ -494,7 +495,7 @@ def test_network_follows_the_parameters_dtype(dtype):
     assert np.array_equal(trace.head_mask, want.head_mask.astype(dtype))
     assert score_frames(x, params, hyper).dtype == dtype
 
-    grads = network_grad(trace, x, params, hyper, dy, dphi)
+    grads = network_grad(trace, x, params, hyper, dz, dphi)
     for name, g in grads.items():
         assert g.dtype == dtype and g.shape == getattr(params, name).shape, name
 
