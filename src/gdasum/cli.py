@@ -236,10 +236,7 @@ def _eval_protocol(args: argparse.Namespace, records) -> EvalProtocol:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    summaries_dir = args.summaries or args.out
-    if not summaries_dir:
-        raise DatasetError("eval requires --summaries (or --out) naming the summary directory")
-    summaries_dir = Path(summaries_dir)
+    summaries_dir = Path(args.summaries)
     if not summaries_dir.is_dir():
         raise DatasetError(f"summary directory not found: {summaries_dir}")
 
@@ -436,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score summaries against annotations")
     add_common(p_eval)
     add_split(p_eval)
-    p_eval.add_argument("--summaries", help="directory of *.summary.json files")
+    p_eval.add_argument("--summaries", required=True, help="directory of *.summary.json files")
     p_eval.add_argument("--protocol", choices=[p.value for p in EvalProtocol],
                         help="per-user aggregation override")
     p_eval.add_argument("--zeta", action="store_true", help="include the diversity metric")

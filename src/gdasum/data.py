@@ -325,7 +325,8 @@ def make_splits(
         size = base + (1 if fold < extra else 0)
         test = order[pos : pos + size]
         pos += size
-        train = [v for v in order if v not in set(test)]
+        held_out = set(test)
+        train = [v for v in order if v not in held_out]
         if setting is SplitSetting.AUGMENTED:
             train = train + aux_ids
         splits.append(

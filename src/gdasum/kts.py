@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import pairwise_sq_dists
+
 # Largest frame count the segmentation accepts.  Its peak memory, measured
 # with tracemalloc, is 25 * N^2 bytes while the cost matrix is built (the
 # prefix-sum table, the matrix and one temporary, each (N+1)^2 float64):
@@ -51,7 +53,8 @@ class SegmentCostTable:
     """Within-segment cost of every [s, t), from Gram prefix sums.
 
     With K the Gram matrix of the kernel (K = X X^T for "linear",
-    K_ij = exp(-gamma ||x_i - x_j||^2) for "rbf", with gamma = 1/D),
+    K_ij = exp(-gamma ||x_i - x_j||^2) for "rbf", with gamma = 1/D and
+    the squared distances from ``losses.pairwise_sq_dists``),
     every segment cost is
 
         cost(s, t) = (diag[t] - diag[s]) - block(s, t) / (t - s)
@@ -68,17 +71,12 @@ class SegmentCostTable:
         if kernel not in KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}")
         self.n = x.shape[0]
-        gram = x @ x.T
         if kernel == "rbf":
-            gamma = 1.0 / x.shape[1]
-            sq = np.diag(gram).copy()
-            # exp(-gamma * max(||x_i||^2 + ||x_j||^2 - 2 x_i.x_j, 0)), in place
-            gram *= -2.0
-            gram += sq[:, None]
-            gram += sq[None, :]
-            np.maximum(gram, 0.0, out=gram)
-            gram *= -gamma
+            gram = pairwise_sq_dists(x)
+            gram *= -1.0 / x.shape[1]  # -gamma
             np.exp(gram, out=gram)
+        else:
+            gram = x @ x.T
         self._diag = np.concatenate([[0.0], np.cumsum(np.diag(gram))])
         block = np.zeros((self.n + 1, self.n + 1))
         # np.cumsum(gram, axis=0) row by row: the same additions, in

@@ -7,7 +7,8 @@ point process whose kernel decomposes into per-frame quality times a
 Gaussian similarity of the embeddings before their bias; a similarity
 below ``SIM_FLOOR`` = 2^-200 is stored as 0, which moves the loss and
 gradient by at most about 2^-200 relative and keeps the linear algebra
-off subnormal floats).
+off subnormal floats).  The similarity's squared distances come from
+``pairwise_sq_dists``, the package's one distance routine.
 Unsupervised mode combines a summary-length regularizer with a
 repelling loss (mean pairwise cosine of the embeddings).  Both modes
 add an L2 penalty over the weight matrices so every differentiable
@@ -69,28 +70,24 @@ class LossBreakdown:
     total: float
 
 
-def pairwise_sq_dists(phi: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances between rows, exact and bit-symmetric.
+def pairwise_sq_dists(a: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances between the rows of ``a``, in float64.
 
-    Each entry is the einsum sum of squares of the row difference, so
-    identical rows give exactly zero and the rounding error scales with
-    the distance, not with the row norms.  The faster Gram form
-    ||a||^2 + ||b||^2 - 2ab rounds relative to the norms, so shifting
-    every row (the embedding bias, whose exact supervised gradient is
-    zero) moves it by noise the finite-difference check picks up.  One
-    pass over the upper triangle reuses a single (N, E) buffer; the
-    diagonal is zero and the mirror copy makes out[i, j] and out[j, i]
-    the same float.
+    The one distance routine: the DPP kernel, the RBF segment costs and
+    the diversity metric all call it.  With G = a a^T and s = diag(G),
+    entry (i, j) is (s_i + s_j) - 2 G_ij clamped at 0.  NumPy forms
+    a @ a.T with BLAS syrk, which computes one triangle and mirrors it,
+    so the result is exactly symmetric, its diagonal is exactly 0 and no
+    entry is negative.  The Gram form rounds relative to the row norms,
+    not to the distance: an entry is within 4 E eps (s_i + s_j) of the
+    exact one for E columns (Higham's gamma_n bound on each dot product),
+    so rows close together far from the origin keep fewer digits.
     """
-    n = phi.shape[0]
-    out = np.zeros((n, n))
-    buf = np.empty(phi.shape)
-    for i in range(n - 1):
-        diff = buf[: n - i - 1]
-        np.subtract(phi[i + 1 :], phi[i], out=diff)
-        np.einsum("jk,jk->j", diff, diff, out=out[i, i + 1 :])
-    out += out.T
-    return out
+    a = np.ascontiguousarray(a, dtype=np.float64)  # so a @ a.T takes the syrk path
+    gram = a @ a.T
+    out = np.add.outer(np.diag(gram), np.diag(gram))  # before gram is doubled in place
+    out -= np.multiply(2.0, gram, out=gram)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _similarity_and_kernel(y, phi, beta):
@@ -289,7 +286,10 @@ def _objective(trace, params, hyper, mode, labels, sigma, variation_weight):
 
     The DPP reads the embeddings before their bias, ``trace.emb_proj``:
     distances ignore a shift shared by every row, so the loss is the same
-    as on phi, and in floating point it does not read ``emb_b`` at all.
+    as on phi.  In floating point it does not read ``emb_b`` at all, which
+    the Gram-form distances need: a shared bias raises the row norms, and
+    with them the rounding, and the finite-difference check would read
+    that noise as a gradient of ``emb_b``, whose exact value is zero.
     """
     if mode not in MODES:
         raise ValueError(f"unknown loss mode {mode!r}")

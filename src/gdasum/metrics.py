@@ -13,6 +13,8 @@ import enum
 
 import numpy as np
 
+from .losses import pairwise_sq_dists
+
 
 class EvalProtocol(enum.Enum):
     MAX_OVER_USERS = "max"
@@ -78,7 +80,8 @@ def diversity_zeta(videos: list[tuple[np.ndarray, list[int]]]) -> float:
     with the indices of the selected shots.  Every video contributes the
     mean over its own T shots, and ζ is the mean over videos.  A video
     with no selected shot has no nearest key shot and is left out; at
-    least one video must have a selected shot.
+    least one video must have a selected shot.  Distances are columns of
+    ``losses.pairwise_sq_dists`` over all T shots, whatever is selected.
     """
     if not videos:
         raise ValueError("need at least one video")
@@ -92,9 +95,7 @@ def diversity_zeta(videos: list[tuple[np.ndarray, list[int]]]) -> float:
             continue
         if sel[0] < 0 or sel[-1] >= feats.shape[0]:
             raise ValueError("selected shot index out of range")
-        diff = feats[:, None, :] - feats[None, sel, :]
-        dists = np.sqrt((diff * diff).sum(axis=2))
-        nearest = dists.min(axis=1)
+        nearest = np.sqrt(pairwise_sq_dists(feats)[:, sel].min(axis=1))
         per_video_means.append(float(nearest.mean()))
     if not per_video_means:
         raise ValueError("no video has a selected shot")

@@ -61,6 +61,7 @@ def test_missing_manifest_is_validation_error(capsys):
         (["segment"], "--manifest"),
         (["eval", "--summaries", "sums"], "--manifest"),
         (["summarize", "--manifest", "any.json"], "--checkpoint"),
+        (["eval", "--manifest", "any.json"], "--summaries"),
     ]:
         assert run(argv) == 1, argv
         err = capsys.readouterr().err

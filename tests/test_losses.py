@@ -50,16 +50,23 @@ def kernel_by_definition(y, phi, beta):
 
 def test_pairwise_sq_dists_matches_loops():
     rng = np.random.default_rng(0)
-    for n, e in [(7, 3), (40, 256)]:
-        phi = rng.standard_normal((n, e))
+    small, wide = rng.standard_normal((7, 3)), rng.standard_normal((40, 256))
+    scaled = 30.0 * rng.standard_normal((40, 256))
+    scaled[30:] = scaled[:10]  # a duplicated block far from the origin
+    for phi in (small, wide, scaled):
+        n, e = phi.shape
         got = pairwise_sq_dists(phi)
-        # exact: the per-pair difference, reduced in einsum's order
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 0.0)
+        assert np.all(got >= 0.0)
+        # reference: the per-pair difference, reduced by einsum; the Gram
+        # form is within Higham's gamma_n dot-product bound of it
+        sq = np.einsum("ij,ij->i", phi, phi)
+        bound = 4 * e * np.finfo(np.float64).eps * np.add.outer(sq, sq)
         for i in range(n):
             for j in range(n):
                 diff = phi[i] - phi[j]
-                assert got[i, j] == np.einsum("k,k->", diff, diff)
-        assert np.array_equal(got, got.T)
-        assert np.all(np.diag(got) == 0.0)
+                assert abs(got[i, j] - np.einsum("k,k->", diff, diff)) <= bound[i, j]
 
 
 def test_dpp_kernel_identical_embeddings_rank_one():

@@ -141,6 +141,33 @@ def test_zeta_monotone_in_selection():
         assert z_large <= z_small + 1e-12
 
 
+def broadcast_zeta(videos):
+    """ζ from the (T, |S|, D) difference broadcast, one video at a time."""
+    means = []
+    for feats, selected in videos:
+        diff = feats[:, None, :] - feats[None, sorted(set(selected)), :]
+        means.append(np.sqrt((diff * diff).sum(axis=2)).min(axis=1).mean())
+    return float(np.mean(means))
+
+
+def test_zeta_matches_the_broadcast_formula_on_near_duplicate_shots():
+    # shot means of norm 30, half of them within about 0.08 of another:
+    # the Gram-form distances round relative to the norms, 400 times the
+    # gap, and still agree with the broadcast to 1e-12 relative
+    rng = np.random.default_rng(5)
+    videos = []
+    for _ in range(20):
+        feats = rng.standard_normal((12, 64))
+        feats *= 30.0 / np.linalg.norm(feats, axis=1, keepdims=True)
+        feats[6:] = feats[:6] + 0.01 * rng.standard_normal((6, 64))
+        videos.append((feats, rng.choice(12, size=3, replace=False).tolist()))
+    for video in videos:
+        expected = broadcast_zeta([video])
+        assert abs(diversity_zeta([video]) - expected) <= 1e-12 * expected
+    expected = broadcast_zeta(videos)
+    assert abs(diversity_zeta(videos) - expected) <= 1e-12 * expected
+
+
 def test_zeta_validates_input():
     feats = np.zeros((3, 2))
     with pytest.raises(ValueError):
