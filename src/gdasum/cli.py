@@ -152,14 +152,17 @@ def _check_kts_flags(args: argparse.Namespace) -> None:
         raise DatasetError(f"--kts-max-segments must be at least 1, got {args.kts_max_segments}")
 
 
-def _kts_boundaries(args: argparse.Namespace, x: np.ndarray) -> list[int]:
+def _kts_boundaries(args: argparse.Namespace, rec) -> list[int]:
     """Shot boundaries of one video by KTS, under the command's --kts-* flags."""
-    return kts_changepoints(
-        x,
-        max_segments=args.kts_max_segments,
-        penalty_coeff=args.kts_penalty,
-        kernel=args.kts_kernel,
-    )
+    try:
+        return kts_changepoints(
+            rec.features.matrix,
+            max_segments=args.kts_max_segments,
+            penalty_coeff=args.kts_penalty,
+            kernel=args.kts_kernel,
+        )
+    except ValueError as exc:
+        raise ValueError(f"video {rec.id!r}: {exc}") from None
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
@@ -179,7 +182,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         x = rec.features.matrix
         cps = rec.annotations.change_points
         if cps is None:
-            cps = _kts_boundaries(args, x)
+            cps = _kts_boundaries(args, rec)
         return generate_summary(x, params, hyper, list(cps), ratio=args.ratio, video_id=rec.id)
 
     summaries = [summarize_one(rec) for rec in targets]
@@ -195,7 +198,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     records = load_manifest(args.manifest)
 
     def segment_one(rec):
-        boundaries = _kts_boundaries(args, rec.features.matrix)
+        boundaries = _kts_boundaries(args, rec)
         return {"video_id": rec.id, "boundaries": [int(b) for b in boundaries]}
 
     results = [segment_one(rec) for rec in records]

@@ -221,6 +221,9 @@ def load_manifest(path) -> list[VideoRecord]:
         for key, value in (("id", vid), ("features_file", features_file)):
             if not isinstance(value, str):
                 raise DatasetError(f"videos[{i}]: {key} must be a JSON string, got {value!r}")
+        # commands name their output files after the id
+        if vid in ("", ".", "..") or "/" in vid or "\0" in vid:
+            raise DatasetError(f"videos[{i}]: id {vid!r} cannot name a file")
         if vid in seen:
             raise DatasetError(f"duplicate video id {vid!r}")
         seen.add(vid)

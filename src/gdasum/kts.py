@@ -5,8 +5,8 @@ minimizing total within-segment scatter plus a BIC-style penalty on the
 number of segments.  Scatter is measured in the feature space of a
 kernel: the linear kernel (scatter around the segment mean, the
 default) or an RBF kernel.  Both are answered from prefix sums of one
-Gram matrix, and the DP reads every segment cost from one (N+1)^2
-matrix built up front.
+Gram matrix, from which the DP reads each block of end frames' segment
+costs as it reaches it.
 """
 
 from __future__ import annotations
@@ -19,17 +19,16 @@ import numpy as np
 from .losses import pairwise_sq_dists
 
 # Largest frame count the segmentation accepts.  Its peak memory, measured
-# with tracemalloc, is 25 * N^2 bytes while the cost matrix is built (the
-# prefix-sum table, the matrix and one temporary, each (N+1)^2 float64):
-# 0.9 GB at the cap.  The DP then holds the matrix, 8 * N^2 bytes, plus
-# its best and back tables, about 1.6 * N^2 bytes at the default
-# max_segments of N/10.
+# with tracemalloc, is 16 * N^2 bytes while the prefix-sum table is built
+# (the Gram matrix and the table, each (N+1)^2 float64): 0.58 GB at the
+# cap.  The DP then holds the table, 8 * N^2 bytes, plus its best and
+# back tables, about 1.6 * N^2 bytes at the default max_segments of N/10.
 MAX_FRAMES = 6000
 
 KERNELS = ("linear", "rbf")
 
-# End frames per block of the DP.  A block's rows of the cost matrix stay
-# in cache while every level runs over them; 32 to 128 time the same.
+# End frames per block of the DP.  A block's rows of segment costs stay in
+# cache while every level runs over them; 32 to 128 time the same.
 DP_BLOCK = 64
 
 
@@ -63,7 +62,8 @@ class SegmentCostTable:
     sum of K over [s, t) x [s, t), read from one 2-D prefix-sum table.
     For the linear kernel this is the scatter
     sum_{i in [s,t)} ||x_i - mean(x_{s:t})||^2.  The table takes
-    O(N^2) memory, so N is capped at MAX_FRAMES.
+    O(N^2) memory, so N is capped at MAX_FRAMES; costs are computed
+    only for the block of end frames asked for.
     """
 
     def __init__(self, x: np.ndarray, kernel: str):
@@ -88,28 +88,28 @@ class SegmentCostTable:
         np.cumsum(block[1:, 1:], axis=1, out=block[1:, 1:])
         self._block = block
 
-    def cost_matrix(self) -> np.ndarray:
-        """Every segment cost: C[s, t] = cost(s, t), +inf where s >= t.
+    def costs_by_end(self, t0: int, t1: int) -> np.ndarray:
+        """The costs of the segments ending at t0 <= t < t1, by start.
 
-        The (N+1)^2 result is Fortran-ordered, so C.T, whose row t holds
-        the costs of all segments ending at t, is C-contiguous.
+        Returns the C-contiguous (t1 - t0, t1) array C with
+        C[t - t0, s] = cost(s, t): +inf where s >= t, exactly 0 for
+        one-frame segments.  Each entry is computed on its own, so its
+        bits do not depend on the block it is asked for in.
         """
         blk = self._block
         corner = np.diagonal(blk)
-        by_end = np.empty_like(blk)  # by_end[t, s] = cost(s, t)
-        np.subtract(corner[:, None], blk.T, out=by_end)
-        by_end -= blk
-        by_end += corner[None, :]
-        idx = np.arange(self.n + 1, dtype=np.float64)
-        tmp = np.subtract.outer(idx, idx)  # segment lengths t - s
-        empty = tmp <= 0
+        out = np.empty((t1 - t0, t1))
+        np.subtract(corner[t0:t1, None], blk[:t1, t0:t1].T, out=out)
+        out -= blk[t0:t1, :t1]
+        out += corner[None, :t1]
+        lengths = np.subtract.outer(np.arange(t0, t1, dtype=np.float64), np.arange(t1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            by_end /= tmp
-        np.subtract.outer(self._diag, self._diag, out=tmp)
-        np.subtract(tmp, by_end, out=by_end)
-        by_end[empty] = np.inf
-        np.fill_diagonal(by_end[1:], 0.0)  # one-frame segments
-        return by_end.T
+            out /= lengths
+        np.subtract(np.subtract.outer(self._diag[t0:t1], self._diag[:t1]), out, out=out)
+        out[lengths <= 0] = np.inf
+        ends = np.arange(max(t0, 1), t1)
+        out[ends - t0, ends - 1] = 0.0  # one-frame segments
+        return out
 
 
 def _feature_matrix(x) -> np.ndarray:
@@ -145,8 +145,8 @@ def kts_changepoints(
     boundaries of the m minimizing total cost + penalty; ties prefer
     fewer segments.  An empty list means the video is a single shot.
     The DP walks the end frames in blocks of DP_BLOCK, running every
-    level over a block's rows of the cost matrix and reading only the
-    starts that precede the block's last end: O(N^2) memory, and about
+    level over that block's segment costs and reading only the starts
+    that precede the block's last end: O(N^2) memory, and about
     max_segments * N^2 / 2 cell additions in all.
     """
     x = _feature_matrix(x)  # before N sets the default cap
@@ -160,8 +160,7 @@ def kts_changepoints(
     if max_segments < 1:
         raise ValueError("max_segments must be at least 1")
     kmax = min(max_segments, n)
-    # cost_by_end[t, s] = cost(s, t); the table itself is freed here
-    cost_by_end = SegmentCostTable(x, kernel=kernel).cost_matrix().T
+    table = SegmentCostTable(x, kernel=kernel)
 
     # best[k][t]: minimal cost splitting frames [0, t) into exactly k segments
     best = np.full((kmax + 1, n + 1), np.inf)
@@ -176,12 +175,13 @@ def kts_changepoints(
     # the first minimum.
     for t0 in range(1, n + 1, DP_BLOCK):
         t1 = min(t0 + DP_BLOCK, n + 1)
+        costs = table.costs_by_end(t0, t1)  # costs[t - t0, s] = cost(s, t)
         for k in range(1, min(kmax, t1 - 1) + 1):
             # ends t in [lo, t1), starts s in [k - 1, t1 - 1): cand[t - lo, s - k + 1]
             lo = max(t0, k)
             rows, cols = t1 - lo, t1 - k
             cand = buf[: rows * cols].reshape(rows, cols)
-            np.add(cost_by_end[lo:t1, k - 1 : t1 - 1], best[k - 1, k - 1 : t1 - 1], out=cand)
+            np.add(costs[lo - t0 :, k - 1 : t1 - 1], best[k - 1, k - 1 : t1 - 1], out=cand)
             first = cand.argmin(axis=1)  # the first minimum: the smallest start
             back[k, lo:t1] = first + (k - 1)
             best[k, lo:t1] = cand[block_rows[:rows], first]

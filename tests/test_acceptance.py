@@ -125,7 +125,7 @@ def test_acceptance_kts_exact(capsys):
         n = int(rng.integers(8, 31))
         x = rng.standard_normal((n, 3)) * rng.uniform(0.5, 3.0)
         kmax = int(rng.integers(2, 5))
-        cost = SegmentCostTable(x, kernel="linear").cost_matrix()
+        cost = SegmentCostTable(x, kernel="linear").costs_by_end(0, n + 1).T
         boundaries = kts_changepoints(x, max_segments=kmax, penalty_coeff=0.0)
         edges = [0] + boundaries + [n]
         got = 0.0

@@ -10,7 +10,7 @@ import pytest
 
 from gdasum.cli import BLAS_THREAD_VARS, main
 from gdasum.data import load_manifest, write_features, write_manifest
-from gdasum.kts import kts_changepoints
+from gdasum.kts import MAX_FRAMES, kts_changepoints
 from gdasum.model import HyperParams, ModelParams, init_params
 from gdasum.summarize import generate_summary
 from gdasum.synthetic import PlantedSpec, write_planted_corpus
@@ -433,6 +433,27 @@ def test_kts_flags_refuse_values_that_segment_nothing(
         assert named in captured.err
         assert captured.out == ""
     assert not (tmp_path / "sums").exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "summarize"])
+def test_kts_refusal_names_the_video(command, tmp_path, capsys):
+    # one frame past the cap, at D=1: the cap refuses before any N^2 array
+    write_features(tmp_path / "long.f32", np.zeros((MAX_FRAMES + 1, 1), dtype=np.float32))
+    write_manifest(tmp_path / "manifest.json", [{
+        "id": "long", "n_frames": MAX_FRAMES + 1, "dim": 1, "features_file": "long.f32",
+    }])
+    args = [command, "--manifest", tmp_path / "manifest.json", "--out", tmp_path / "out"]
+    if command == "summarize":
+        hyper = HyperParams(hidden=8, embed=4)
+        save_checkpoint(init_params(1, hyper, 0), tmp_path / "one.ckpt", hyper)
+        args += ["--checkpoint", tmp_path / "one.ckpt"]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: video 'long': segmentation of N={MAX_FRAMES + 1} frames exceeds "
+        f"the cap of MAX_FRAMES={MAX_FRAMES}\n"
+    )
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("value", ["0", "nan", "1.5"])

@@ -162,6 +162,29 @@ def test_load_manifest_duplicate_ids(tmp_path):
         load_manifest(manifest)
 
 
+@pytest.mark.parametrize("vid", ["", ".", "..", "../escaped", "sub/inner", "/abs", "nul\0id"])
+def test_load_manifest_refuses_an_id_that_cannot_name_a_file(tmp_path, vid):
+    # summarize, segment and eval build <out>/<id>.*.json from the id
+    entries = []
+    add_video(tmp_path, entries, "ok")
+    add_video(tmp_path, entries, "ok", seed=1)
+    entries[1]["id"] = vid
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, entries)
+    with pytest.raises(DatasetError, match=re.escape(f"videos[1]: id {vid!r} cannot name a file")):
+        load_manifest(manifest)
+
+
+@pytest.mark.parametrize("vid", ["planted-000", "train-n300-00", "a.b", "..."])
+def test_load_manifest_accepts_ids_that_name_a_file(tmp_path, vid):
+    entries = []
+    add_video(tmp_path, entries, "ok")
+    entries[0]["id"] = vid
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, entries)
+    assert [r.id for r in load_manifest(manifest)] == [vid]
+
+
 def test_load_manifest_missing_key(tmp_path):
     manifest = tmp_path / "manifest.json"
     write_manifest(manifest, [{"id": "a", "n_frames": 4, "dim": 2}])

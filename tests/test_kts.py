@@ -14,6 +14,8 @@ from gdasum.kts import (
     segment_penalty,
     shots_from_changepoints,
 )
+from gdasum.model import HyperParams, init_params
+from gdasum.summarize import generate_summary
 from gdasum.synthetic import PlantedSpec, make_planted_dataset
 
 
@@ -34,16 +36,35 @@ def rbf_cost_oracle(x, a, b, gamma):
     return float(np.trace(gram) - gram.sum() / m)
 
 
-def costs(x, kernel="linear"):
-    """The segment cost matrix, checked for its layout and its lower triangle.
+def reference_costs_by_end(table):
+    """Every segment cost at once, by end: C[t, s] = cost(s, t), +inf where s >= t.
 
-    C[s, t] is +inf where s >= t, and C.T, whose row t holds the costs
-    of the segments ending at t, is C-contiguous.
+    The (N+1)^2 build the DP once read its costs from; ``costs_by_end``
+    must give its rows bit for bit.
     """
+    blk = table._block
+    corner = np.diagonal(blk)
+    by_end = np.empty_like(blk)  # by_end[t, s] = cost(s, t)
+    np.subtract(corner[:, None], blk.T, out=by_end)
+    by_end -= blk
+    by_end += corner[None, :]
+    idx = np.arange(table.n + 1, dtype=np.float64)
+    tmp = np.subtract.outer(idx, idx)  # segment lengths t - s
+    empty = tmp <= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_end /= tmp
+    np.subtract.outer(table._diag, table._diag, out=tmp)
+    np.subtract(tmp, by_end, out=by_end)
+    by_end[empty] = np.inf
+    np.fill_diagonal(by_end[1:], 0.0)  # one-frame segments
+    return by_end
+
+
+def costs(x, kernel="linear"):
+    """The segment cost matrix C[s, t] = cost(s, t), checked for its lower triangle."""
     n = x.shape[0]
-    matrix = SegmentCostTable(x, kernel=kernel).cost_matrix()
+    matrix = SegmentCostTable(x, kernel=kernel).costs_by_end(0, n + 1).T
     assert matrix.shape == (n + 1, n + 1)
-    assert matrix.T.flags.c_contiguous
     assert np.all(matrix[np.tril_indices(n + 1)] == np.inf)
     return matrix
 
@@ -96,6 +117,22 @@ def test_rbf_cost_matches_gram_oracle():
     for a in range(12):
         for b in range(a + 2, 13):
             assert abs(cost[a, b] - rbf_cost_oracle(x, a, b, 1.0 / 3)) < 1e-9
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+@pytest.mark.parametrize(
+    "n", [1, 2, DP_BLOCK - 1, DP_BLOCK, DP_BLOCK + 1, 2 * DP_BLOCK + 1]
+)
+def test_costs_by_end_equals_the_reference_rows_bit_for_bit(n, kernel):
+    # every block the DP asks for, and the whole table at once
+    x = np.random.default_rng(n).standard_normal((n, 16))
+    table = SegmentCostTable(x, kernel=kernel)
+    by_end = reference_costs_by_end(table)
+    blocks = [(t0, min(t0 + DP_BLOCK, n + 1)) for t0 in range(1, n + 1, DP_BLOCK)]
+    for t0, t1 in blocks + [(0, n + 1)]:
+        got = table.costs_by_end(t0, t1)
+        assert got.shape == (t1 - t0, t1) and got.flags.c_contiguous, (t0, t1)
+        assert got.tobytes() == np.ascontiguousarray(by_end[t0:t1, :t1]).tobytes(), (t0, t1)
 
 
 def test_cost_table_rejects_bad_input():
@@ -328,9 +365,10 @@ def test_prefix_sum_table_equals_numpy_cumsum(n):
 
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
-def test_segmentation_peak_memory_stays_within_26_n_squared_bytes(kernel):
-    # the cost-matrix build sets the peak (25.5 N^2 bytes measured); the
-    # DP adds a DP_BLOCK-row buffer, not a second N^2 one
+def test_segmentation_peak_memory_stays_within_17_n_squared_bytes(kernel):
+    # the prefix-sum build sets the peak (the Gram matrix and the table,
+    # 16.0 N^2 bytes measured, 16.4 for RBF); the DP adds one block of
+    # DP_BLOCK cost rows at a time, not an N^2 cost matrix
     n = 600
     x = np.random.default_rng(10).standard_normal((n, 16))
     tracemalloc.start()
@@ -339,7 +377,24 @@ def test_segmentation_peak_memory_stays_within_26_n_squared_bytes(kernel):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 26 * n * n
+    assert peak <= 17 * n * n
+
+
+def test_long_video_segment_and_summarize_peak_within_17_n_squared_bytes():
+    # a long video through KTS and then scoring and selection: the table
+    # is freed before score_frames holds its one N^2 attention array
+    n = 1500
+    x = np.random.default_rng(11).standard_normal((n, 8))
+    hyper = HyperParams(hidden=16, embed=4)
+    params = init_params(8, hyper, seed=0)
+    tracemalloc.start()
+    try:
+        summary = generate_summary(x, params, hyper, kts_changepoints(x))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary["shots"][-1][1] == n
+    assert peak <= 17 * n * n
 
 
 def test_frame_cap_raises_before_allocating():
