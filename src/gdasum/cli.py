@@ -11,6 +11,7 @@ codes: 0 on success, 1 on validation errors (bad inputs, files, flags),
 from __future__ import annotations
 
 import argparse
+import ctypes
 import inspect
 import json
 import math
@@ -461,7 +462,26 @@ COMMANDS = {
 }
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed blocks up to 32 MiB in the process for reuse.
+
+    By default glibc's mmap threshold rises to the largest mapped block
+    freed so far and its trim threshold, twice that, hands the freed top of the heap
+    back to the kernel, so each training step faults its activations,
+    gradients and Adam scratch in again.  Fixing both thresholds keeps those
+    pages mapped for the next step, fold or command.  Arrays over 32 MiB
+    are still mapped and unmapped on each use.  Does nothing where the C
+    library has no ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's 64-bit maximum
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:

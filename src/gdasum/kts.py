@@ -18,11 +18,14 @@ import numpy as np
 
 from .losses import pairwise_sq_dists
 
-# Largest frame count the segmentation accepts.  Its peak memory, measured
-# with tracemalloc, is 16 * N^2 bytes while the prefix-sum table is built
-# (the Gram matrix and the table, each (N+1)^2 float64): 0.58 GB at the
-# cap.  The DP then holds the table, 8 * N^2 bytes, plus its best and
-# back tables, about 1.6 * N^2 bytes at the default max_segments of N/10.
+# Largest frame count the segmentation accepts.  The prefix-sum table,
+# (N+1)^2 float64, is 8 * N^2 bytes; the linear Gram matrix is written into
+# it and summed in place.  The RBF distances are an N^2 array of their own,
+# so RBF peaks at 16 * N^2 bytes while the table is built (tracemalloc):
+# 0.58 GB at the cap.  The DP then holds the table plus its best and back
+# tables, about 1.6 * N^2 bytes at the default max_segments of N/10, and
+# DP_BLOCK rows of costs: linear KTS peaks near 9.6 * N^2 bytes for large
+# N, about 0.35 GB at the cap.
 MAX_FRAMES = 6000
 
 KERNELS = ("linear", "rbf")
@@ -72,20 +75,22 @@ class SegmentCostTable:
             raise ValueError(f"unknown kernel {kernel!r}")
         self.n = x.shape[0]
         if kernel == "rbf":
-            gram = pairwise_sq_dists(x)
-            gram *= -1.0 / x.shape[1]  # -gamma
-            np.exp(gram, out=gram)
-        else:
-            gram = x @ x.T
-        self._diag = np.concatenate([[0.0], np.cumsum(np.diag(gram))])
+            # before the table: pairwise_sq_dists holds two N^2 arrays
+            dists = pairwise_sq_dists(x)
+            dists *= -1.0 / x.shape[1]  # -gamma
         block = np.zeros((self.n + 1, self.n + 1))
+        gram = block[1:, 1:]  # the Gram matrix, summed in place below
+        if kernel == "rbf":
+            np.exp(dists, out=gram)
+            del dists
+        else:
+            np.matmul(x, x.T, out=gram)
+        self._diag = np.concatenate([[0.0], np.cumsum(np.diag(gram))])
         # np.cumsum(gram, axis=0) row by row: the same additions, in
         # contiguous rows instead of one strided walk per column
-        block[1, 1:] = gram[0]
         for t in range(1, self.n):
-            np.add(block[t, 1:], gram[t], out=block[t + 1, 1:])
-        del gram
-        np.cumsum(block[1:, 1:], axis=1, out=block[1:, 1:])
+            np.add(block[t, 1:], gram[t], out=gram[t])
+        np.cumsum(gram, axis=1, out=gram)
         self._block = block
 
     def costs_by_end(self, t0: int, t1: int) -> np.ndarray:

@@ -27,6 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from .data import SourceDataset, SplitSpec, VideoRecord, majority_source
 from .losses import (
     DEFAULT_SIGMA,
@@ -218,6 +223,11 @@ def _video_mode(config_mode: TrainMode, record: VideoRecord) -> str:
     )
 
 
+def _minor_faults() -> int | None:
+    """This process's minor page faults so far; None without ``resource``."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def train(
     records: list[VideoRecord],
     split: SplitSpec,
@@ -230,8 +240,9 @@ def train(
     object each line of the training report holds: the mean loss terms,
     wall time, the seconds spent in the forward pass, in
     ``loss_and_grad`` and in ``adam_step`` (weight decay, clipping and
-    Adam), the median and max global gradient norm before clipping, and
-    the share of steps that were clipped.
+    Adam), the minor page faults the process took in the epoch (null
+    without the ``resource`` module), the median and max global gradient
+    norm before clipping, and the share of steps that were clipped.
     """
     by_id = {r.id: r for r in records}
     missing = [vid for vid in split.train_ids if vid not in by_id]
@@ -269,6 +280,7 @@ def train(
 
     for epoch in range(config.epochs):
         started = time.perf_counter()
+        faults = _minor_faults()
         order = rng.permutation(len(train_records))
         sums = np.zeros(len(fields(LossBreakdown)))
         norms = []
@@ -309,6 +321,7 @@ def train(
             "loss": asdict(LossBreakdown(*(sums / len(train_records)))),
             "wall_seconds": time.perf_counter() - started,
             "stage_seconds": stage_seconds,
+            "minor_faults": None if faults is None else _minor_faults() - faults,
             "grad_norm": {"median": float(np.median(norms)), "max": max(norms)},
             "clipped_fraction": float(np.mean(np.array(norms) > clip)),
         })

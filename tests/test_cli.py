@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import re
@@ -764,7 +765,7 @@ def test_a_config_file_variable_changes_nothing(corpus, tmp_path, monkeypatch):
             assert run(argv) == 0
         report = [json.loads(line) for line in (out / "fold0.report.jsonl").read_text().splitlines()]
         for line in report[1:-1]:
-            del line["wall_seconds"], line["stage_seconds"]
+            del line["wall_seconds"], line["stage_seconds"], line["minor_faults"]
         files = {p.name: p.read_bytes() for p in [out / "fold0.ckpt", *sums.glob("*.json")]}
         return report, files
 
@@ -803,3 +804,52 @@ def test_console_script_entry_point():
     proc = run_cli_process("-m", "gdasum.cli", "gradcheck", "--instances", "1")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+HAS_MALLOPT = hasattr(ctypes.CDLL(None), "mallopt")
+
+# After main has run, freeing and reallocating arrays of up to 32 MiB
+# reuses the process's pages: rounds 2-5 print their minor fault counts.
+FAULT_ROUNDS = """
+import json, resource
+import numpy as np
+from gdasum.cli import main
+
+main(["--help"])
+big = np.ones(1 << 20)  # 8 MB: glibc's default would raise its mmap threshold to this
+del big
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+faults = []
+for _ in range(5):
+    before = minor_faults()
+    arrays = [np.ones(1 << 19) for _ in range(10)]  # ten touched 4 MB arrays
+    del arrays
+    faults.append(minor_faults() - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not HAS_MALLOPT, reason="the C library has no mallopt")
+def test_main_keeps_freed_arrays_for_reuse():
+    proc = run_cli_process("-c", FAULT_ROUNDS)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert all(f < 100 for f in faults[1:]), faults
+
+
+def test_segment_runs_where_the_c_library_has_no_mallopt(corpus, monkeypatch, capsys):
+    assert run(["segment", "--manifest", corpus]) == 0
+    expected = capsys.readouterr().out
+    opened = []
+
+    def c_library_without_mallopt(name, *args, **kwargs):
+        opened.append(name)
+        return object()
+
+    monkeypatch.setattr("ctypes.CDLL", c_library_without_mallopt)
+    assert run(["segment", "--manifest", corpus]) == 0
+    assert opened == [None]
+    assert capsys.readouterr().out == expected

@@ -364,11 +364,12 @@ def test_prefix_sum_table_equals_numpy_cumsum(n):
     assert not block[0].any() and not block[:, 0].any()
 
 
-@pytest.mark.parametrize("kernel", ["linear", "rbf"])
-def test_segmentation_peak_memory_stays_within_17_n_squared_bytes(kernel):
-    # the prefix-sum build sets the peak (the Gram matrix and the table,
-    # 16.0 N^2 bytes measured, 16.4 for RBF); the DP adds one block of
-    # DP_BLOCK cost rows at a time, not an N^2 cost matrix
+@pytest.mark.parametrize("kernel, bound", [("linear", 15), ("rbf", 17)], ids=["linear", "rbf"])
+def test_segmentation_peak_memory_stays_within_17_n_squared_bytes(kernel, bound):
+    # linear: the Gram matrix is summed in place in the table (8.06 N^2
+    # bytes), and the DP's table, best and back tables and DP_BLOCK cost
+    # rows set the peak (14.09 N^2 measured); rbf: the distances and the
+    # table are alive together while the table is built (16.35 N^2)
     n = 600
     x = np.random.default_rng(10).standard_normal((n, 16))
     tracemalloc.start()
@@ -377,12 +378,13 @@ def test_segmentation_peak_memory_stays_within_17_n_squared_bytes(kernel):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 17 * n * n
+    assert peak <= bound * n * n
 
 
-def test_long_video_segment_and_summarize_peak_within_17_n_squared_bytes():
-    # a long video through KTS and then scoring and selection: the table
-    # is freed before score_frames holds its one N^2 attention array
+def test_long_video_segment_and_summarize_peak_within_12_n_squared_bytes():
+    # a long video through KTS and then scoring and selection: the KTS DP
+    # sets the peak (11.35 N^2 bytes measured), and the table is freed
+    # before score_frames holds its one N^2 attention array (8.10 N^2)
     n = 1500
     x = np.random.default_rng(11).standard_normal((n, 8))
     hyper = HyperParams(hidden=16, embed=4)
@@ -394,7 +396,7 @@ def test_long_video_segment_and_summarize_peak_within_17_n_squared_bytes():
     finally:
         tracemalloc.stop()
     assert summary["shots"][-1][1] == n
-    assert peak <= 17 * n * n
+    assert peak <= 12 * n * n
 
 
 def test_frame_cap_raises_before_allocating():

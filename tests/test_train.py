@@ -632,7 +632,8 @@ def test_train_report_json_lines(tmp_path):
     assert list(lines[0]) == ["format_version", "run_config", "numerics"]
     for k, epoch in enumerate(lines[1:3]):
         assert list(epoch) == [
-            "epoch", "loss", "wall_seconds", "stage_seconds", "grad_norm", "clipped_fraction",
+            "epoch", "loss", "wall_seconds", "stage_seconds", "minor_faults", "grad_norm",
+            "clipped_fraction",
         ]
         assert epoch["epoch"] == k
         assert list(epoch["stage_seconds"]) == ["forward", "loss_and_grad", "optimizer"]
@@ -641,6 +642,19 @@ def test_train_report_json_lines(tmp_path):
         assert list(epoch["loss"]) == [f.name for f in dataclasses.fields(LossBreakdown)]
         assert list(epoch["grad_norm"]) == ["median", "max"]
     assert lines[-1] == {"checkpoint_path": str(out / "fold0.ckpt")}
+
+
+def test_epoch_record_counts_minor_faults(monkeypatch):
+    records, split = small_corpus()
+    config = TrainConfig(epochs=2, learning_rate=1e-3, seed=0)
+    _, epochs = train(records, split, config, SMALL_HYPER)
+    for epoch in epochs:
+        faults = epoch["minor_faults"]
+        assert type(faults) is int and faults >= 0
+    # without the resource module (Windows) the count is null
+    monkeypatch.setattr(importlib.import_module("gdasum.train"), "resource", None)
+    _, epochs = train(records, split, config, SMALL_HYPER)
+    assert [epoch["minor_faults"] for epoch in epochs] == [None, None]
 
 
 def reference_checkpoint(params, dtype, hyper=None):
