@@ -10,14 +10,16 @@ gradient by at most about 2^-200 relative and keeps the linear algebra
 off subnormal floats).  The similarity's squared distances come from
 ``pairwise_sq_dists``, the package's one distance routine.
 Unsupervised mode combines a summary-length regularizer with a
-repelling loss (mean pairwise cosine of the embeddings).  Both modes
+repelling loss, the mean cosine over ordered pairs of distinct embeddings:
+with unit rows u_i and u_sum = sum_i u_i it is (||u_sum||^2 - sum_i ||u_i||^2)
+/ (N (N - 1)), so no cosine matrix is built.  Both modes
 add an L2 penalty over the weight matrices so every differentiable
 term is covered by the finite-difference check.
 
 Each mode is one function, ``_supervised`` or ``_unsupervised``, giving
 its two loss terms and a function for their gradients with respect to
-the score logits z and embeddings phi, which reads the pairwise arrays
-the loss built.  ``loss_and_grad`` hands those gradients to
+the score logits z and embeddings phi, which reads the arrays the loss
+built.  ``loss_and_grad`` hands those gradients to
 ``model.network_grad``, the reverse pass through the network.  The
 loss terms, the DPP linear algebra and the z/phi gradients are float64
 whatever dtype the network ran in: a float32 trace's arrays are upcast
@@ -177,24 +179,22 @@ def repelling_loss(phi: np.ndarray) -> float:
     phi = np.asarray(phi, dtype=np.float64)
     if phi.shape[0] < 2:
         return 0.0
-    return _mean_off_diagonal(_cosines(phi)[2])
+    return _repelling(phi)[0]
 
 
-def _cosines(phi, error=ValueError):
-    """Row norms, unit rows and the cosine matrix of embeddings; a zero one raises ``error``."""
+def _repelling(phi, error=ValueError):
+    """(loss, norms, unit rows u, u_sum) of N >= 2 embeddings; a zero one raises ``error``."""
     norms = np.linalg.norm(phi, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise error(
             f"repelling loss undefined for zero-norm embeddings (frame {zero[0]})"
         )
+    n = phi.shape[0]
     u = phi / norms[:, None]
-    return norms, u, u @ u.T
-
-
-def _mean_off_diagonal(cos):
-    n = cos.shape[0]
-    return float((cos.sum() - np.trace(cos)) / (n * (n - 1)))
+    u_sum = u.sum(axis=0)
+    # the rounded u_i are not exactly unit, so their diagonal is computed, not taken as N
+    return float((u_sum @ u_sum - np.vdot(u, u)) / (n * (n - 1))), norms, u, u_sum
 
 
 def weight_penalty(params: ModelParams, weight_decay: float) -> float:
@@ -254,28 +254,27 @@ def _unsupervised(y, phi, sigma):
     """(length, repelling, grad), ``grad()`` giving (dz, dphi).
 
     The length term reaches the logits z through dy/dz = y (1 - y).
-    ``grad`` reads the norms, unit rows and cosines the repelling term
-    built.  A zero-norm embedding is a ``NumericalError``: dropout can
-    zero a frame's embedding, a training fault, not bad input.
+    The cosines of unit rows u sum to ||u_sum||^2, u_sum = sum_i u_i, and
+    ``grad`` reads the norms, u and u_sum: no N x N array.  A zero-norm
+    embedding is a ``NumericalError``: dropout can zero a frame's
+    embedding, a training fault, not bad input.
     """
     n = y.shape[0]
     length = length_loss(y, sigma)
-    repelling, cosines = 0.0, None
+    repelling, rows = 0.0, None
     if n >= 2:
-        cosines = _cosines(phi, NumericalError)
-        repelling = _mean_off_diagonal(cosines[2])
+        repelling, *rows = _repelling(phi, NumericalError)
 
     def grad():
         dz = y * (1.0 - y) * (np.sign(y.mean() - sigma) / n)
-        dphi = np.zeros_like(phi)
-        if cosines is None:
-            return dz, dphi
-        norms, u, cos = cosines
+        if rows is None:
+            return dz, np.zeros_like(phi)
+        norms, u, u_sum = rows
         c = 1.0 / (n * (n - 1))
-        # d/dphi_k of sum_{i != j} cos_ij = 2 sum_{j != k} (u_j - cos_kj u_k) / ||phi_k||
-        u_sum = u.sum(axis=0)
-        cos_row = cos.sum(axis=1)
-        dphi += (2.0 * c / norms[:, None]) * ((u_sum - u) - (cos_row - 1.0)[:, None] * u)
+        # d/dphi_k of sum_{i != j} cos_ij = 2 (u_sum - (u_k . u_sum) u_k) / ||phi_k||
+        dphi = np.multiply(-(u @ u_sum)[:, None], u)
+        dphi += u_sum
+        dphi *= (2.0 * c / norms)[:, None]
         return dz, dphi
 
     return length, repelling, grad

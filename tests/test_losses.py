@@ -23,6 +23,7 @@ from gdasum.losses import (
     weight_penalty,
 )
 from gdasum.losses import _similarity_and_kernel as similarity_and_kernel
+from gdasum.losses import _unsupervised as unsupervised
 from gdasum.model import WEIGHT_FIELDS, HyperParams, ModelParams, forward, init_params
 
 SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.0)
@@ -198,10 +199,31 @@ def test_repelling_loss_zero_norm_rejected():
         repelling_loss(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+def _repelling_by_pairs(phi):
+    """Mean cosine over ordered pairs i != j, one pair at a time."""
+    u = [row / np.linalg.norm(row) for row in phi]
+    n = len(u)
+    total = sum(float(u[i] @ u[j]) for i in range(n) for j in range(n) if i != j)
+    return total / (n * (n - 1))
+
+
 def test_repelling_loss_range():
+    rng = np.random.default_rng(0)
     for seed in range(10):
         phi = np.random.default_rng(seed).standard_normal((6, 3))
         assert -1.0 - 1e-12 <= repelling_loss(phi) <= 1.0 + 1e-12
+        assert abs(repelling_loss(phi) - _repelling_by_pairs(phi)) < 1e-14
+    # rows clustered far from the origin (loss near 1), and near-antipodal
+    # pairs whose unit rows sum to almost zero, so ||u_sum||^2 cancels
+    clustered = 1e3 * rng.standard_normal(8) + rng.standard_normal((40, 8))
+    half = rng.standard_normal((20, 8))
+    antipodal = np.vstack([half, -half + 1e-6 * rng.standard_normal((20, 8))])
+    for phi in (clustered, antipodal):
+        assert abs(repelling_loss(phi) - _repelling_by_pairs(phi)) < 1e-14
+    x, params, _ = _instance(3, n=7)
+    trace = forward(x, params, SMALL, mode="eval")
+    unsup = total_loss(trace, params, SMALL, "unsupervised")
+    assert unsup.repelling == repelling_loss(trace.phi)
 
 
 def test_weight_penalty_ignores_biases_and_norms():
@@ -508,6 +530,16 @@ def test_loss_and_grad_holds_few_n_by_d_arrays_beside_its_gradients(mode, bound)
     )
     held = sum(g.nbytes for g in grads.arrays())
     assert peak - held < bound * 8 * n * d
+
+
+def test_unsupervised_loss_and_grad_hold_few_n_by_e_arrays():
+    # the repelling term reads unit rows and their sum, never an N x N array
+    n, e = 2000, 8
+    rng = np.random.default_rng(0)
+    y, phi = rng.uniform(0.1, 0.9, n), rng.standard_normal((n, e))
+    peak, (dz, dphi) = _traced_peak(lambda: unsupervised(y, phi, 0.3)[2]())
+    assert dphi.shape == (n, e) and dz.shape == (n,)
+    assert peak < 8 * (8 * n * e)
 
 
 def test_loss_and_grad_stops_on_non_finite_loss(monkeypatch):
