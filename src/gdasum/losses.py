@@ -23,7 +23,8 @@ built.  ``loss_and_grad`` hands those gradients to
 ``model.network_grad``, the reverse pass through the network.  The
 loss terms, the DPP linear algebra and the z/phi gradients are float64
 whatever dtype the network ran in: a float32 trace's arrays are upcast
-first, and ``decayed_gradient`` makes its parameter gradients float64.
+first, and the z/phi gradients are cast back for the reverse pass, so
+the parameter gradients come out in the parameters' dtype.
 ``backward`` is the gradient half of ``loss_and_grad``.
 ``total_loss`` is the loss-only path behind ``loss_given_params``, and
 ``finite_diff_grad`` is the independent central-difference oracle the
@@ -43,6 +44,7 @@ from .model import (
     WEIGHT_FIELDS,
     forward,
     network_grad,
+    sum_of_squares,
 )
 
 # No loss clips scores.  Only bench/checks.py imports this old clip
@@ -198,12 +200,10 @@ def _repelling(phi, error=ValueError):
 
 
 def weight_penalty(params: ModelParams, weight_decay: float) -> float:
-    """L2 penalty over weight matrices only (no biases, no norm params)."""
+    """L2 penalty over weight matrices only (no biases, no norm params), summed in float64."""
     if weight_decay == 0.0:
         return 0.0
-    # vdot sums the squares without a field-sized temporary
-    total = sum(float(np.vdot(w, w)) for w in (getattr(params, f) for f in WEIGHT_FIELDS))
-    return weight_decay * total
+    return weight_decay * sum_of_squares((f, getattr(params, f)) for f in WEIGHT_FIELDS)
 
 
 def _supervised(z, y, phi, labels, beta, variation_weight):
@@ -334,20 +334,16 @@ def loss_and_grad(
     labels: np.ndarray | None = None,
     sigma: float = DEFAULT_SIGMA,
     variation_weight: float = DEFAULT_VARIATION_WEIGHT,
-    working: ModelParams | None = None,
 ) -> tuple[LossBreakdown, ModelParams]:
-    """``total_loss`` and its gradient w.r.t. every parameter.
+    """``total_loss`` and its gradient w.r.t. every parameter, in the parameters' dtype.
 
-    The trace must come from ``forward`` on the same ``x`` and on
-    ``working``, a copy of ``params`` in another dtype, or on ``params``
-    itself when ``working`` is None; the loss's z and phi gradients run
-    back through ``model.network_grad`` on the same parameters, with the
-    trace's dropout masks.  The weight penalty and its gradient read
-    ``params``.  A non-finite total raises ``NumericalError`` before any
-    gradient work.  Without ``working``, the gradient is float64 with the
-    penalty's term, and a NaN or inf in it raises ``NumericalError``.
-    With ``working``, as in training, it is the reverse pass's, in the
-    working dtype: the trainer's ``adam_step`` adds the term and checks it.
+    The trace must come from ``forward`` on the same ``x`` and ``params``;
+    the loss's z and phi gradients, cast to the parameters' dtype, run
+    back through ``model.network_grad`` with the trace's dropout masks,
+    and each weight field's gradient then takes the penalty's
+    ``2 * weight_decay * theta`` in place.  A non-finite total raises
+    ``NumericalError`` before any gradient work, and a NaN or inf in the
+    gradient raises it after.
     """
     if np.shape(x) != trace.context.shape:
         raise ValueError("trace does not match the given feature matrix")
@@ -357,45 +353,17 @@ def loss_and_grad(
         raise NumericalError("non-finite loss")
     dz, dphi = grad()
     del grad  # frees the pairwise arrays before the reverse pass allocates its own
-    net = params if working is None else working
-    dz, dphi = dz.astype(net.dtype, copy=False), dphi.astype(net.dtype, copy=False)
-    grads = network_grad(trace, x, net, hyper, dz, dphi)
-    if working is not None:
-        return breakdown, grads
-    for name, p in params.items():  # one field's old and new arrays alive at a time
-        setattr(grads, name, decayed_gradient(name, getattr(grads, name), p, hyper.weight_decay))
+    dz, dphi = dz.astype(params.dtype, copy=False), dphi.astype(params.dtype, copy=False)
+    grads = network_grad(trace, x, params, hyper, dz, dphi)
+    if hyper.weight_decay != 0.0:
+        for name in WEIGHT_FIELDS:  # one field-sized temporary at a time
+            g = getattr(grads, name)
+            g += 2.0 * hyper.weight_decay * getattr(params, name)
     try:
         grads.check_finite()
     except ValueError as exc:
         raise NumericalError(f"gradient: {exc}") from exc
     return breakdown, grads
-
-
-def decayed_gradient(
-    name: str,
-    grad: np.ndarray,
-    theta: np.ndarray,
-    weight_decay: float,
-    buf: np.ndarray | None = None,
-) -> np.ndarray:
-    """Float64 gradient of ``total_loss`` on elements of parameter field ``name``.
-
-    ``grad``, in any dtype, is the reverse pass's gradient there and
-    ``theta`` the parameters; a weight field adds the penalty's
-    ``2 * weight_decay * theta``.  ``grad`` itself is returned when it is
-    float64 and takes no decay; otherwise the result is built in
-    ``buf[:grad.size]``, or in a new array when ``buf`` is None.
-    """
-    decays = weight_decay != 0.0 and name in WEIGHT_FIELDS
-    if grad.dtype == np.float64 and not decays:
-        return grad
-    out = (np.empty(grad.size) if buf is None else buf[: grad.size]).reshape(grad.shape)
-    if decays:
-        np.multiply(2.0 * weight_decay, theta, out=out)
-        out += grad  # IEEE addition commutes: the same floats as grad + decay
-    else:
-        np.copyto(out, grad)
-    return out
 
 
 def backward(

@@ -10,9 +10,9 @@ two-layer score-regression head and a linear embedding head.
 The network computes in the dtype of the parameters it is given:
 float64 parameters (a checkpoint, the gradient check) run every
 product and elementwise step in float64, and float32 ones (the
-trainer's working copy) run them in float32, at about twice the
-matrix rate.  There is no positional encoding, so the whole
-evaluation-mode pass is equivariant under frame permutation.
+trainer's) run them in float32, at about twice the matrix rate.
+There is no positional encoding, so the whole evaluation-mode pass is
+equivariant under frame permutation.
 
 The network is written once, as a chain that applies every layer in
 place.  ``score_frames``, the scorer summaries use, runs it alone and
@@ -40,9 +40,10 @@ LAYERNORM_EPS = 1e-5
 
 # Fields holding weight matrices: Xavier-initialized and subject to L2 decay.
 WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "ff_w", "reg_w1", "reg_w2", "emb_w")
-# Adam's update walks each parameter field in blocks of this many elements:
-# the six float64 blocks it touches (parameter, gradient, two moments, two
-# scratch buffers) take 6 x 256 KB, which stays in one core's L2 cache
+# Adam's update and sum_of_squares walk each field in blocks of this many
+# elements: the six float32 blocks an update touches (parameter, gradient,
+# two moments, two scratch buffers) take 6 x 128 KB, and the float64 block
+# a float32 field's sum is taken in 256 KB; both fit one core's L2 cache
 ADAM_BLOCK = 1 << 15
 
 
@@ -167,16 +168,28 @@ class ModelParams:
 
 
 def sum_of_squares(named_arrays) -> float:
-    """Sum of squares over (name, array) pairs by ``np.vdot`` (no temporary); inf on overflow.
+    """Sum of squares over (name, array) pairs, accumulated in float64; inf on overflow.
 
-    An array holding NaN or inf is a ValueError naming it; ``np.isfinite``
-    runs only on an array whose sum is not finite.  Each array is read
-    before the next pair is taken, so a generator may refill one buffer.
+    A float64 array is summed by ``np.vdot``, which builds no temporary.
+    Any other is copied ADAM_BLOCK elements at a time into one float64
+    block and summed there: a float32 ``vdot`` accumulates in float32,
+    which overflows once the norm passes about 1e19.  An array holding
+    NaN or inf is a ValueError naming it; ``np.isfinite`` runs only on an
+    array whose sum is not finite.
     """
-    total = 0.0
+    total, wide = 0.0, np.empty(0)
     with np.errstate(over="ignore"):
         for name, a in named_arrays:
-            sq = float(np.vdot(a, a))
+            if a.dtype == np.float64:
+                sq = float(np.vdot(a, a))
+            else:
+                flat, sq = a.reshape(-1), 0.0
+                if wide.size < min(ADAM_BLOCK, flat.size):
+                    wide = np.empty(min(ADAM_BLOCK, flat.size))
+                for start in range(0, flat.size, ADAM_BLOCK):
+                    block = wide[: min(ADAM_BLOCK, flat.size - start)]
+                    np.copyto(block, flat[start : start + block.size])
+                    sq += float(np.vdot(block, block))
             if not math.isfinite(sq) and not np.all(np.isfinite(a)):
                 raise ValueError(f"non-finite values in parameter {name!r}")
             total += sq
@@ -460,8 +473,7 @@ def network_grad(
     the logits, and ``dphi`` are in the parameters' dtype, and so is
     every gradient.  Each intermediate is deleted after its last read
     and each elementwise step runs in place, with the operands and order
-    of the plain formulas, so few arrays are alive at once.  A float32 pass gives a float32 gradient: the trainer's
-    ``adam_step`` is where it becomes float64.
+    of the plain formulas, so few arrays are alive at once.
     """
     g = {}  # each field's gradient, the array its branch computed
     # score head: final linear -> dropout -> layer norm -> relu

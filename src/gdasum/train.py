@@ -8,11 +8,12 @@ unlabeled videos (length + repelling loss) in the same stream.
 Gradients are clipped by global norm before each update to guard the
 log-det term; each epoch record reports that norm before clipping.
 
-The network's matrix products run in float32: ``train`` keeps a float32
-working copy of the parameters, which ``forward`` and the reverse pass
-run on and ``adam_step`` refreshes as it updates.  ``adam_step`` makes
-the float32 gradient float64 a field or a block at a time.  The master
-parameters, the Adam moments, the loss and the checkpoint stay float64.
+A training step runs in one dtype: ``train`` casts the initial
+parameters to float32 once, and ``forward``, the reverse pass, the
+gradient and the Adam moments are all float32, with no second copy of
+the parameters.  The loss terms and the gradient norm are float64, and
+``train`` returns the parameters upcast to float64, exactly, as the
+checkpoint stores them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .losses import (
     DEFAULT_VARIATION_WEIGHT,
     LossBreakdown,
     NumericalError,
-    decayed_gradient,
     loss_and_grad,
 )
 from .model import ADAM_BLOCK, HyperParams, ModelParams, forward, init_params, sum_of_squares
@@ -55,8 +55,6 @@ DEFAULT_LEARNING_RATES = {
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# dtype of the working copy the network runs on in training
-WORKING_DTYPE = np.float32
 
 
 class CheckpointError(ValueError):
@@ -128,50 +126,46 @@ def adam_step(
     grads: ModelParams,
     state: AdamState,
     lr: float,
-    working: ModelParams | None = None,
-    weight_decay: float = 0.0,
     max_norm: float = math.inf,
 ) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update of ``params`` and ``state`` in place; returns both.
 
-    ``grads``, in any dtype, becomes float64 only here, by ``decayed_gradient``
-    with ``weight_decay``.  Pass 1 builds one field at a time in one buffer
-    and sums its squares; a NaN, inf or overflowing norm raises
-    ``NumericalError`` before anything is written.  Pass 2 builds each block
-    of ADAM_BLOCK elements again, scales it by max_norm/norm if the norm
-    (kept as ``state.grad_norm``) exceeds ``max_norm``, and updates the
-    moments, the parameters and ``working``, a copy of them in another
-    dtype; all must be C-contiguous.  Every operation is elementwise, so
-    the result is the same bit for bit as whole-field passes.
+    ``grads``, ``params`` and the moments share one dtype, and all but
+    ``grads`` must be C-contiguous.  The joint norm of ``grads`` (kept as
+    ``state.grad_norm``) is summed in float64.  A NaN, an inf, an
+    overflowing norm, or a norm after clipping whose square overflows the
+    moments' dtype (above about 1.8e19 in float32, where one squared entry
+    could make v infinite and freeze its weight) raises ``NumericalError``
+    before anything is written.  Each field is then updated in blocks of
+    ADAM_BLOCK elements: the block's gradient is scaled by max_norm/norm if
+    the norm exceeds ``max_norm``, then the moments and the parameters are
+    updated in place.  Every operation is elementwise, so the result is the
+    same bit for bit as whole-field passes.
     """
-    arrays = {}  # name -> (gradient, parameter, moments, working copy)
+    arrays = {}  # name -> (gradient, parameter, moments)
     for name, theta in params.items():
         written = (theta, getattr(state.m, name), getattr(state.v, name))
-        if working is not None:
-            written += (getattr(working, name),)
         if not all(arr.flags.c_contiguous for arr in written):
             raise ValueError(f"adam_step: field {name!r} is not C-contiguous")
         arrays[name] = (getattr(grads, name), *written)
-    largest = max(theta.size for theta in params.arrays())
-    builds = weight_decay != 0.0 or any(g.dtype != np.float64 for g in grads.arrays())
-    buf = np.empty(largest) if builds else None
-    buf_a, buf_b = np.empty(min(ADAM_BLOCK, largest)), np.empty(min(ADAM_BLOCK, largest))
-    norm = _gradient_norm(
-        (name, decayed_gradient(name, g, theta, weight_decay, buf))
-        for name, (g, theta, *_) in arrays.items()
-    )
+        if any(arr.dtype != theta.dtype for arr in arrays[name]):
+            raise ValueError(f"adam_step: field {name!r} mixes dtypes")
+    norm = _gradient_norm(grads.items())
+    if min(norm, max_norm) > math.sqrt(np.finfo(params.dtype).max):
+        raise NumericalError(f"gradient norm {norm:.3g} overflows {params.dtype} moments")
     scale = max_norm / norm if norm > max_norm else None
     state.t += 1
     state.grad_norm = norm
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for name, field in arrays.items():
+    size = min(ADAM_BLOCK, max(theta.size for theta in params.arrays()))
+    buf_a, buf_b = np.empty(size, params.dtype), np.empty(size, params.dtype)
+    for field in arrays.values():
         # reshape(-1) of a C-contiguous array is a view, so blocks write through
         flat = [arr.reshape(-1) for arr in field]
         for start in range(0, flat[1].size, ADAM_BLOCK):
-            g, th, m, v, *refresh = (arr[start : start + ADAM_BLOCK] for arr in flat)
+            g, th, m, v = (arr[start : start + ADAM_BLOCK] for arr in flat)
             a, b = buf_a[: th.size], buf_b[: th.size]
-            g = decayed_gradient(name, g, th, weight_decay, b)  # b is free until g's last read
             if scale is not None:
                 g = np.multiply(g, scale, out=b)
             m *= ADAM_BETA1
@@ -181,13 +175,11 @@ def adam_step(
             np.multiply(lr, np.divide(m, bc1, out=a), out=a)
             np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
             th -= np.divide(a, b, out=a)
-            for w in refresh:
-                np.copyto(w, th)
     return params, state
 
 
 def _gradient_norm(named_fields) -> float:
-    """Joint L2 norm of float64 (name, gradient) pairs; NaN or inf would poison clipping."""
+    """Joint L2 norm of (name, gradient) pairs; NaN or inf would poison clipping."""
     try:
         total_sq = sum_of_squares(named_fields)
     except ValueError as exc:
@@ -198,10 +190,11 @@ def _gradient_norm(named_fields) -> float:
 
 
 def clip_gradients(grads: ModelParams, max_norm: float) -> tuple[ModelParams, float]:
-    """Scale the float64 ``grads`` in place so their joint L2 norm is at most max_norm.
+    """Scale ``grads`` in place so their joint L2 norm is at most max_norm.
 
-    Returns ``grads`` itself and its norm before clipping, taken and
-    refused as ``adam_step`` takes and refuses it, before any scaling.
+    Returns ``grads`` itself and its norm before clipping, taken as
+    ``adam_step`` takes it; a NaN, inf or overflowing norm is refused
+    before any scaling.
     """
     norm = _gradient_norm(grads.items())
     if norm > max_norm:
@@ -236,13 +229,14 @@ def train(
 ) -> tuple[ModelParams, list[dict]]:
     """Run the full training loop on one split.
 
-    Returns the final parameters and one record per epoch, the JSON
-    object each line of the training report holds: the mean loss terms,
-    wall time, the seconds spent in the forward pass, in
-    ``loss_and_grad`` and in ``adam_step`` (weight decay, clipping and
-    Adam), the minor page faults the process took in the epoch (null
-    without the ``resource`` module), the median and max global gradient
-    norm before clipping, and the share of steps that were clipped.
+    Returns the final parameters, upcast to float64, and one record per
+    epoch, the JSON object each line of the training report holds: the
+    mean loss terms, wall time, the seconds spent in the forward pass, in
+    ``loss_and_grad`` (with the weight decay) and in ``adam_step``
+    (clipping and Adam), the minor page faults the process took in the
+    epoch (null without the ``resource`` module), the median and max
+    global gradient norm before clipping, and the share of steps that
+    were clipped.
     """
     by_id = {r.id: r for r in records}
     missing = [vid for vid in split.train_ids if vid not in by_id]
@@ -272,8 +266,7 @@ def train(
     lr = resolve_learning_rate(config, test_records)
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(feature_dim, hyper, config.seed)
-    working = params.astype(WORKING_DTYPE)
+    params = init_params(feature_dim, hyper, config.seed).astype(np.float32)
     state = AdamState.zeros(params)
     epochs = []
     clip = config.grad_clip or np.inf
@@ -291,7 +284,7 @@ def train(
             x = rec.features.matrix
             try:
                 t0 = time.perf_counter()
-                trace = forward(x, working, hyper, mode="train", rng=rng)
+                trace = forward(x, params, hyper, mode="train", rng=rng)
                 t1 = time.perf_counter()
                 breakdown, grads = loss_and_grad(
                     trace,
@@ -302,12 +295,11 @@ def train(
                     labels=rec.annotations.keyframe_labels,
                     sigma=config.sigma,
                     variation_weight=config.variation_weight,
-                    working=working,
                 )
                 # free the activations before the next forward allocates its own
                 del trace
                 t2 = time.perf_counter()
-                adam_step(params, grads, state, lr, working, hyper.weight_decay, clip)
+                adam_step(params, grads, state, lr, clip)
                 del grads
                 stage_seconds["forward"] += t1 - t0
                 stage_seconds["loss_and_grad"] += t2 - t1
@@ -325,7 +317,8 @@ def train(
             "grad_norm": {"median": float(np.median(norms)), "max": max(norms)},
             "clipped_fraction": float(np.mean(np.array(norms) > clip)),
         })
-    return params, epochs
+    del state  # its moments are freed before the float64 copy is made
+    return params.astype(np.float64), epochs
 
 
 def save_checkpoint(

@@ -105,6 +105,13 @@ for mode in ("supervised", "unsupervised"):
 print(json.dumps(fails))
 """
 
+# Times every stage of bench/stages.py once at a small planted length,
+# through the library calls the stage table makes, and prints the times.
+STAGES_SCRIPT = PRELUDE + """
+import json
+print(json.dumps(stages.stage_times(60, 0, 1)))
+"""
+
 # Layers PER_LAYER still names although gdasum no longer has them; each
 # reads 0 until the benchmark drops it.
 STALE_LAYERS = {"losses.dpp_kernel"}
@@ -139,3 +146,9 @@ def test_summaries_and_metrics_pass_the_benchmark_output_check(tmp_path):
 def test_training_passes_the_benchmark_training_check(tmp_path):
     out = run_script(CHECK_TRAINING_SCRIPT, root=str(tmp_path))
     assert json.loads(out.splitlines()[-1]) == {"supervised": [], "unsupervised": []}
+
+
+def test_stage_timings_run_at_a_small_planted_length():
+    times = json.loads(run_script(STAGES_SCRIPT).splitlines()[-1])
+    assert "clip+Adam" in times and "supervised backward" in times
+    assert all(0.0 < t < 60.0 for t in times.values()), times

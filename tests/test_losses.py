@@ -9,7 +9,6 @@ from gdasum.losses import (
     SIM_FLOOR,
     NumericalError,
     backward,
-    decayed_gradient,
     dpp_log_prob,
     finite_diff_grad,
     gradient_report,
@@ -420,13 +419,12 @@ def test_a_score_saturated_on_the_wrong_side_keeps_its_loss_and_gradient(dtype, 
     x, params, _ = _instance(12, hyper=hyper)
     params.reg_w2[...] = 0.0
     params.reg_b2[...] = logit
-    working = None if dtype == np.float64 else params.astype(dtype)
-    trace = forward(x, params if working is None else working, hyper, mode="eval")
+    params = params.astype(dtype)
+    trace = forward(x, params, hyper, mode="eval")
     assert trace.y.dtype == dtype and np.all(trace.y == 1.0)
     n = len(x)
     breakdown, grads = loss_and_grad(
-        trace, x, params, hyper, "supervised", labels=np.zeros(n), variation_weight=0.0,
-        working=working,
+        trace, x, params, hyper, "supervised", labels=np.zeros(n), variation_weight=0.0
     )
     assert breakdown.keyframe == pytest.approx(n * logit, rel=1e-8)
     assert grads.reg_b2[0] == pytest.approx(n, rel=1e-6)
@@ -441,12 +439,9 @@ def test_the_supervised_loss_does_not_read_the_embedding_bias(dtype):
     shifted = params.copy()
     shifted.emb_b[...] = 3.0 * np.random.default_rng(13).standard_normal(shifted.emb_b.shape)
     results = []
-    for p in (params, shifted):
-        working = None if dtype == np.float64 else p.astype(dtype)
-        trace = forward(x, p if working is None else working, hyper, mode="train",
-                        rng=np.random.default_rng(1))
-        results.append(loss_and_grad(trace, x, p, hyper, "supervised", labels=labels,
-                                     working=working))
+    for p in (params.astype(dtype), shifted.astype(dtype)):
+        trace = forward(x, p, hyper, mode="train", rng=np.random.default_rng(1))
+        results.append(loss_and_grad(trace, x, p, hyper, "supervised", labels=labels))
     (b0, g0), (b1, g1) = results
     assert b0 == b1
     for (name, a), (_, b) in zip(g0.items(), g1.items()):
@@ -568,46 +563,37 @@ def test_loss_and_grad_stops_on_non_finite_loss(monkeypatch):
 
 
 def test_loss_and_grad_keeps_weight_decay_for_fortran_ordered_parameters():
-    # the training split: a float32 working copy's gradient, made float64
-    # with its weight decay by decayed_gradient, which reads the master
-    # weights in any memory order
+    # the decay term reads the weights in any memory order, and the gradient
+    # fields stay C-contiguous in the parameters' dtype
     hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=0.1)
     x, params, labels = _instance(11, hyper=hyper)
-    fortran = ModelParams(*[np.asfortranarray(a) for a in params.arrays()])
-    results = []
-    for p in (params, fortran):
-        working = p.astype(np.float32)
-        trace = forward(x, working, hyper, mode="eval")
-        _, g = loss_and_grad(trace, x, p, hyper, "supervised", labels=labels, working=working)
-        results.append([
-            decayed_gradient(name, a, getattr(p, name), hyper.weight_decay)
-            for name, a in g.items()
-        ])
-    # backward's float64 gradient holds the decay term 0.2 * theta
-    want = backward(forward(x, params, hyper, mode="eval"), x, params, hyper, "supervised",
-                    labels=labels)
-    for (name, w), a, b in zip(want.items(), *results):
-        np.testing.assert_allclose(b, a, rtol=1e-5, atol=1e-6, err_msg=name)
-        np.testing.assert_allclose(a, w, rtol=1e-5, atol=1e-5, err_msg=name)
-        assert a.dtype == b.dtype == np.float64 and b.flags.c_contiguous, name
+    for dtype in (np.float64, np.float32):
+        c_order = params.astype(dtype)
+        fortran = ModelParams(*[np.asfortranarray(a) for a in c_order.arrays()])
+        results = []
+        for p in (c_order, fortran):
+            trace = forward(x, p, hyper, mode="eval")
+            results.append(loss_and_grad(trace, x, p, hyper, "supervised", labels=labels)[1])
+        for (name, a), b in zip(results[0].items(), results[1].arrays()):
+            assert a.tobytes() == b.tobytes(), (dtype, name)
+            assert a.dtype == b.dtype == dtype and b.flags.c_contiguous, (dtype, name)
 
 
-def test_decayed_gradient_adds_the_penalty_gradient_to_weight_fields_only():
-    hyper = HyperParams(hidden=8, embed=4, weight_decay=0.25)
-    params = init_params(200, hyper, seed=0)  # w_q spans two ADAM_BLOCK blocks
-    rng = np.random.default_rng(0)
-    for name, theta in params.items():
-        g32 = rng.standard_normal(theta.shape).astype(np.float32)
-        got = decayed_gradient(name, g32, theta, hyper.weight_decay)
-        want = g32.astype(np.float64)
-        if name in WEIGHT_FIELDS:
-            want += 0.5 * theta
-        assert got.dtype == np.float64 and got.shape == theta.shape, name
-        assert _bits_equal(got, want), name
-        g64 = g32.astype(np.float64)
-        # a float64 field that takes no decay is handed back as it is
-        assert decayed_gradient(name, g64, theta, 0.0) is g64, name
-        assert (decayed_gradient(name, g64, theta, 0.25) is g64) is (name not in WEIGHT_FIELDS)
+def test_loss_and_grad_adds_the_penalty_gradient_to_weight_fields_only():
+    # the reverse pass does not read the decay, so each weight field's gradient
+    # is the undecayed one plus 2 * weight_decay * theta, rounded once
+    x, params, labels = _instance(14, n=9)
+    for dtype in (np.float64, np.float32):
+        p = params.astype(dtype)
+        trace = forward(x, p, SMALL, mode="eval")
+        grads = {}
+        for decay in (0.0, 0.25):
+            hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=decay)
+            grads[decay] = loss_and_grad(trace, x, p, hyper, "supervised", labels=labels)[1]
+        for name, theta in p.items():
+            bare, decayed = getattr(grads[0.0], name), getattr(grads[0.25], name)
+            want = bare + 0.5 * theta if name in WEIGHT_FIELDS else bare
+            assert decayed.dtype == dtype and decayed.tobytes() == want.tobytes(), (dtype, name)
 
 
 def test_backward_and_loss_given_params_as_the_benchmark_calls_them():
@@ -709,7 +695,7 @@ FLOAT32_TOL = 8 * PAPER_D * float(np.finfo(np.float32).eps)
 
 @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
 def test_float32_network_matches_float64_at_the_paper_width(mode):
-    # the training step's split: a float32 network under float64 loss terms.
+    # the training step: float32 parameters under float64 loss terms.
     # The bound is relative to the terms' magnitudes, so each field's error
     # is measured against the step's largest gradient entry: a field whose
     # exact gradient cancels to nearly 0 (emb_b in supervised mode; w_q and
@@ -717,20 +703,20 @@ def test_float32_network_matches_float64_at_the_paper_width(mode):
     # diversity weights' scale) keeps an error of the terms' size
     n, hyper = 300, HyperParams(hidden=64, embed=16)
     params = init_params(PAPER_D, hyper, seed=0)
-    working = params.astype(np.float32)
+    p32 = params.astype(np.float32)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, PAPER_D)).astype(np.float32)
     labels = np.zeros(n, dtype=np.int8)
     labels[rng.choice(n, size=30, replace=False)] = 1
-    t32 = forward(x, working, hyper, mode="train", rng=np.random.default_rng(1))
+    t32 = forward(x, p32, hyper, mode="train", rng=np.random.default_rng(1))
     t64 = forward(x, params, hyper, mode="train", rng=np.random.default_rng(1))
-    b32, g32 = loss_and_grad(t32, x, params, hyper, mode, labels=labels, working=working)
+    b32, g32 = loss_and_grad(t32, x, p32, hyper, mode, labels=labels)
     b64, g64 = loss_and_grad(t64, x, params, hyper, mode, labels=labels)
-    assert b32.weight_penalty == b64.weight_penalty  # from the float64 master weights
+    # the penalty sums the float32 weights in float64: rounding them moves it by <= eps
+    assert abs(b32.weight_penalty - b64.weight_penalty) <= np.finfo(np.float32).eps * b64.weight_penalty
     assert abs(b32.total - b64.total) <= FLOAT32_TOL * abs(b64.total)
     scale = max(np.abs(b).max() for b in g64.arrays())
     for (name, a), b in zip(g32.items(), g64.arrays()):
+        # the gradient the optimizer sees, with the decay term
         assert a.dtype == np.float32, name
-        # the gradient the optimizer sees: float64, with the decay term
-        a = decayed_gradient(name, a, getattr(params, name), hyper.weight_decay)
         assert np.abs(a - b).max() <= FLOAT32_TOL * scale, name

@@ -16,9 +16,11 @@ from gdasum.data import (
     SourceDataset,
     SplitSpec,
     VideoRecord,
+    load_manifest,
+    make_splits,
 )
-from gdasum.losses import LossBreakdown, NumericalError, decayed_gradient, loss_and_grad
-from gdasum.model import WEIGHT_FIELDS, HyperParams, ModelParams, forward, init_params
+from gdasum.losses import LossBreakdown, NumericalError, loss_and_grad
+from gdasum.model import HyperParams, ModelParams, forward, init_params
 from gdasum.synthetic import PlantedSpec, make_planted_dataset, write_planted_corpus
 from gdasum.train import (
     ADAM_BETA1,
@@ -26,7 +28,6 @@ from gdasum.train import (
     ADAM_BLOCK,
     ADAM_EPS,
     DEFAULT_LEARNING_RATES,
-    WORKING_DTYPE,
     AdamState,
     CheckpointError,
     TrainConfig,
@@ -264,19 +265,6 @@ def test_adam_step_takes_inline_clipped_gradients():
     assert np.array_equal(params.w_k, before.w_k)
 
 
-def reference_step(params, g32, state, lr, working, weight_decay, max_norm):
-    # the step as passes over a float64 gradient set: upcast, weight decay,
-    # clip_gradients, then the whole-field Adam update and the working copy
-    grads = ModelParams(*[g.astype(np.float64) for g in g32.arrays()])
-    for name in WEIGHT_FIELDS:
-        getattr(grads, name)[...] += 2.0 * weight_decay * getattr(params, name)
-    norm = clip_gradients(grads, max_norm)[1]
-    unblocked_adam_step(params, grads, state, lr)
-    for w, theta in zip(working.arrays(), params.arrays()):
-        np.copyto(w, theta)
-    return norm
-
-
 def float32_gradient(params, rng, scale):
     return ModelParams(*[
         (rng.standard_normal(a.shape) * scale).astype(np.float32) for a in params.arrays()
@@ -284,69 +272,93 @@ def float32_gradient(params, rng, scale):
 
 
 @pytest.mark.parametrize("max_norm", [np.inf, 30.0])
-def test_adam_step_on_a_float32_gradient_matches_the_float64_passes(max_norm):
-    params = init_params(BLOCKED_D, SMALL_HYPER, 0)
+def test_adam_step_on_a_float32_gradient_matches_clipping_and_whole_field_passes(max_norm):
+    # float32 parameters, moments and gradient, as train runs them: the
+    # blocked step equals clip_gradients and then the whole-field update
+    params = init_params(BLOCKED_D, SMALL_HYPER, 0).astype(np.float32)
     reference = params.copy()
-    working, ref_working = params.astype(np.float32), params.astype(np.float32)
     state, ref_state = AdamState.zeros(params), AdamState.zeros(reference)
     rng = np.random.default_rng(3)
     clipped = []
     # the gradient's scale moves its norm across max_norm from step to step
     for lr, scale in ((1e-3, 1.0), (5e-4, 1e-3), (2e-3, 0.01), (1e-4, 1e-6)):
         g32 = float32_gradient(params, rng, scale)
-        adam_step(params, g32, state, lr, working, 0.05, max_norm)
-        norm = reference_step(reference, g32, ref_state, lr, ref_working, 0.05, max_norm)
+        adam_step(params, g32, state, lr, max_norm)
+        norm = clip_gradients(g32, max_norm)[1]
+        unblocked_adam_step(reference, g32, ref_state, lr)
         assert state.grad_norm == norm
         clipped.append(norm > max_norm)
     assert state.t == ref_state.t == 4
     assert clipped == ([False] * 4 if max_norm == np.inf else [True, False, False, False])
-    pairs = ((params, reference), (state.m, ref_state.m), (state.v, ref_state.v),
-             (working, ref_working))
-    for got, want in pairs:
+    for got, want in ((params, reference), (state.m, ref_state.m), (state.v, ref_state.v)):
         for (name, a), b in zip(got.items(), want.arrays()):
-            assert a.tobytes() == b.tobytes(), name
+            assert a.dtype == np.float32 and a.tobytes() == b.tobytes(), name
+
+
+def test_adam_step_clips_a_float32_gradient_whose_float32_sum_of_squares_overflows():
+    # four entries of 5e19 have norm 1e20; their squares sum past float32's
+    # 3.4e38, so the norm must be summed in float64 to be clipped, not refused
+    params = init_params(4, SMALL_HYPER, 0).astype(np.float32)
+    state = AdamState.zeros(params)
+    grads = params.zeros_like()
+    grads.w_q[0] = 5e19  # one row of D = 4
+    adam_step(params, grads, state, 1e-3, 5.0)
+    assert state.grad_norm == pytest.approx(1e20, rel=1e-6)
+    # the first moment holds (1 - beta1) times the clipped gradient, of norm 5
+    m = state.m.w_q.astype(np.float64)
+    assert np.sqrt(np.vdot(m, m)) / (1.0 - ADAM_BETA1) == pytest.approx(5.0, rel=1e-6)
+    assert all(np.all(np.isfinite(a)) for a in (*params.arrays(), *state.v.arrays()))
 
 
 def test_adam_step_refuses_a_bad_gradient_before_writing_anything():
-    params = init_params(BLOCKED_D, SMALL_HYPER, 0)
-    working = params.astype(np.float32)
+    params = init_params(BLOCKED_D, SMALL_HYPER, 0).astype(np.float32)
     state = AdamState.zeros(params)
     rng = np.random.default_rng(0)
-    adam_step(params, float32_gradient(params, rng, 1.0), state, 1e-3, working, 0.05, 5.0)
+    adam_step(params, float32_gradient(params, rng, 1.0), state, 1e-3, 5.0)
     cases = []
     for name, bad in ((n, b) for n, _ in params.items() for b in (np.nan, np.inf)):
         g32 = float32_gradient(params, rng, 1.0)
         getattr(g32, name).reshape(-1)[-1] = bad
-        cases.append((params, g32, f"gradient: non-finite values in parameter '{name}'"))
-    # finite float32 entries whose squares overflow once decay adds 2 * 0.05 * 1e200
-    huge = params.copy()
+        cases.append((params, g32, state, 5.0, NumericalError,
+                      f"gradient: non-finite values in parameter '{name}'"))
+    # finite float64 entries whose squares overflow
+    wide = params.astype(np.float64)
+    huge = wide.zeros_like()
     huge.w_q[...] = 1e200
-    cases.append((huge, float32_gradient(params, rng, 1.0), "gradient norm overflowed"))
-    for theta, g32, message in cases:
-        before = [a.copy() for a in (*theta.arrays(), *state.m.arrays(), *state.v.arrays(),
-                                     *working.arrays())]
-        with pytest.raises(NumericalError, match=re.escape(message)):
-            adam_step(theta, g32, state, 1e-3, working, 0.05, 5.0)
-        after = (*theta.arrays(), *state.m.arrays(), *state.v.arrays(), *working.arrays())
+    cases.append((wide, huge, AdamState.zeros(wide), 5.0, NumericalError,
+                  "gradient norm overflowed"))
+    # unclipped, a float32 entry of 2e19 would square to inf in v
+    g32 = float32_gradient(params, rng, 1.0)
+    g32.w_q[0, 0] = 2e19
+    cases.append((params, g32, state, np.inf, NumericalError,
+                  "gradient norm 2e+19 overflows float32 moments"))
+    # a float64 gradient for float32 parameters is refused, not mixed in
+    cases.append((params, float32_gradient(params, rng, 1.0).astype(np.float64), state, 5.0,
+                  ValueError, "adam_step: field 'w_q' mixes dtypes"))
+    for theta, grads, st, max_norm, error, message in cases:
+        before = [a.copy() for a in (*theta.arrays(), *st.m.arrays(), *st.v.arrays())]
+        t = st.t
+        with pytest.raises(error, match=re.escape(message)):
+            adam_step(theta, grads, st, 1e-3, max_norm)
+        after = (*theta.arrays(), *st.m.arrays(), *st.v.arrays())
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after)), message
-        assert state.t == 1
+        assert st.t == t
 
 
-def test_adam_step_on_a_float32_gradient_allocates_one_field_and_three_blocks():
-    params = init_params(BLOCKED_D, SMALL_HYPER, 0)
-    working = params.astype(np.float32)
+def test_adam_step_on_a_float32_gradient_allocates_two_blocks():
+    # two float32 scratch blocks for the update, and before them one
+    # float64 block for the norm
+    params = init_params(BLOCKED_D, SMALL_HYPER, 0).astype(np.float32)
     state = AdamState.zeros(params)
     g32 = float32_gradient(params, np.random.default_rng(0), 1.0)
-    largest = max(a.nbytes for a in params.arrays())
-    param_bytes = sum(a.nbytes for a in params.arrays())
     tracemalloc.start()
     try:
-        adam_step(params, g32, state, 1e-3, working, 0.05, 1e-3)  # decays and clips
+        adam_step(params, g32, state, 1e-3, 1e-3)  # clips
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert state.grad_norm > 1e-3
-    assert peak <= largest + 3 * ADAM_BLOCK * 8 < param_bytes
+    assert peak <= 2 * ADAM_BLOCK * 4 + 16384
 
 
 def test_resolve_learning_rate_defaults():
@@ -400,10 +412,11 @@ def test_train_zero_epochs_returns_initialization():
     records, split = small_corpus()
     config = TrainConfig(epochs=0, seed=5)
     params, epochs = train(records, split, config, SMALL_HYPER)
-    reference = init_params(16, SMALL_HYPER, 5)
+    # training runs on the float32-rounded initialization and returns it upcast
+    reference = init_params(16, SMALL_HYPER, 5).astype(np.float32)
     assert epochs == []
     for a, b in zip(params.arrays(), reference.arrays()):
-        assert np.array_equal(a, b)
+        assert a.dtype == np.float64 and np.array_equal(a, b)
 
 
 def test_train_loss_decreases():
@@ -425,38 +438,53 @@ def test_train_same_seed_bit_identical(tmp_path):
     save_checkpoint(params_a, tmp_path / "a.ckpt", hyper=SMALL_HYPER)
     save_checkpoint(params_b, tmp_path / "b.ckpt", hyper=SMALL_HYPER)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
-    # the checkpoint holds the float64 master, not the float32 working copy
+    # the checkpoint holds the returned float64 parameters bit for bit
     loaded, _ = load_checkpoint(tmp_path / "a.ckpt")
     for a, b in zip(loaded.arrays(), params_a.arrays()):
         assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
-def test_train_keeps_float64_master_state_beside_a_float32_working_copy(monkeypatch):
-    # the network runs on the working copy and hands adam_step its float32
-    # gradient; the master weights, the moments and the checkpoint are
-    # float64, and the copy tracks the master every step
+def test_train_keeps_parameters_moments_and_gradients_in_float32(monkeypatch):
+    # one parameter set: the network, the gradient and the Adam moments are
+    # float32 at every step, and train hands back its exact float64 upcast
     train_module = importlib.import_module("gdasum.train")
     steps = []
 
-    def checked_adam_step(params, grads, state, lr, working, weight_decay, max_norm):
-        out = adam_step(params, grads, state, lr, working, weight_decay, max_norm)
-        assert weight_decay == SMALL_HYPER.weight_decay and max_norm == 5.0
+    def checked_adam_step(params, grads, state, lr, max_norm):
+        assert max_norm == 5.0
         for name, theta in params.items():
-            assert getattr(grads, name).dtype == np.float32, name
-            arrays = (theta, getattr(state.m, name), getattr(state.v, name))
-            assert all(a.dtype == np.float64 for a in arrays), name
-            assert getattr(working, name).tobytes() == theta.astype(np.float32).tobytes(), name
-        steps.append(state.t)
-        return out
+            arrays = (theta, getattr(grads, name), getattr(state.m, name), getattr(state.v, name))
+            assert all(a.dtype == np.float32 for a in arrays), name
+        steps.append(state.t + 1)
+        return adam_step(params, grads, state, lr, max_norm)
 
     monkeypatch.setattr(train_module, "adam_step", checked_adam_step)
     records, split = small_corpus()
     config = TrainConfig(epochs=2, learning_rate=1e-3, seed=7)
     params, _ = train(records, split, config, SMALL_HYPER)
     assert steps == list(range(1, 9))
-    assert all(a.dtype == np.float64 for a in params.arrays())
-    # the master keeps digits the float32 copy rounds away
-    assert any(not np.array_equal(a, a.astype(np.float32)) for a in params.arrays())
+    for a in params.arrays():
+        assert a.dtype == np.float64 and np.array_equal(a, a.astype(np.float32))
+
+
+def test_train_returns_the_parameters_gdasum_train_checkpoints(tmp_path):
+    # the library and the command line train the same float32 parameters,
+    # and the checkpoint reloads to the float64 ones train returns
+    manifest = write_planted_corpus(tmp_path, PlantedSpec(n_videos=6, n_frames=60, dim=8, seed=2))
+    out = tmp_path / "run"
+    assert main([
+        "train", "--manifest", str(manifest), "--setting", "canonical", "--fold", "0",
+        "--seed", "0", "--epochs", "2", "--hidden", "8", "--embed", "4", "--lr", "1e-3",
+        "--out", str(out),
+    ]) == 0
+    records = load_manifest(manifest)
+    split = make_splits(records, "canonical", 0)[0]
+    config = TrainConfig(epochs=2, learning_rate=1e-3, seed=0)
+    params, _ = train(records, split, config, HyperParams(hidden=8, embed=4))
+    loaded, _ = load_checkpoint(out / "fold0.ckpt")
+    for (name, a), b in zip(params.items(), loaded.arrays()):
+        assert a.dtype == np.float64 and np.array_equal(a, a.astype(np.float32)), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_train_unsupervised_ignores_missing_labels():
@@ -594,22 +622,19 @@ def test_train_reports_gradient_norm_before_clipping():
     hyper = HyperParams(hidden=16, embed=8, dropout_rate=0.0)
     x = rec.features.matrix
     labels = rec.annotations.keyframe_labels
-    params = init_params(x.shape[1], hyper, 0)
-    # the step train takes: the network runs on a float32 working copy
-    working = params.astype(WORKING_DTYPE)
-    trace = forward(x, working, hyper, mode="train", rng=np.random.default_rng(0))
-    _, grads = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels, working=working)
-    # the norm is taken on the float64 gradient with its weight decay
-    norm = float(np.sqrt(sum(
-        float(np.vdot(d, d))
-        for d in (decayed_gradient(name, g, getattr(params, name), hyper.weight_decay)
-                  for name, g in grads.items())
-    )))
+    # the step train takes, on float32 parameters
+    params = init_params(x.shape[1], hyper, 0).astype(np.float32)
+    trace = forward(x, params, hyper, mode="train", rng=np.random.default_rng(0))
+    _, grads = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels)
+    # the norm of the float32 gradient with its weight decay, summed in float64
+    # (in another order than adam_step's blocks, so equal to rounding)
+    norm = float(np.sqrt(sum(float(np.vdot(d, d)) for d in grads.astype(np.float64).arrays())))
 
     for clip, fraction in [(norm / 2, 1.0), (2 * norm, 0.0), (0.0, 0.0)]:
         config = TrainConfig(epochs=1, learning_rate=1e-3, grad_clip=clip)
         _, (epoch,) = train([rec], split_of(["v0"]), config, hyper)
-        assert epoch["grad_norm"] == {"median": norm, "max": norm}
+        assert epoch["grad_norm"]["median"] == epoch["grad_norm"]["max"]
+        assert epoch["grad_norm"]["max"] == pytest.approx(norm, rel=1e-12)
         assert epoch["clipped_fraction"] == fraction
 
     records, split = small_corpus()
