@@ -32,7 +32,7 @@ from .data import (
     majority_source,
     make_splits,
 )
-from .kts import KERNELS, kts_changepoints
+from .kts import KERNELS, check_kts_settings, kts_changepoints
 from .losses import DEFAULT_FD_STEP, NumericalError, backward, finite_diff_grad, gradient_report
 from .metrics import (
     PROTOCOL_BY_SOURCE,
@@ -56,6 +56,8 @@ FORMAT_VERSION = "1"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # (frames, feature dim, hidden width, embedding width) of each gradcheck instance
 GRADCHECK_SHAPE = (6, 5, 8, 4)
+# how segment and summarize name the KTS settings they check before any video loads
+KTS_FLAGS = ("--kts-penalty", "--kts-max-segments")
 
 
 class _UsageError(Exception):
@@ -145,14 +147,6 @@ def _records_to_summarize(args: argparse.Namespace, records):
     return [by_id[vid] for vid in splits[0].test_ids]  # fold 0 unless --fold names one
 
 
-def _check_kts_flags(args: argparse.Namespace) -> None:
-    """Refuse --kts-* values that would segment nothing, before any video loads."""
-    if not (math.isfinite(args.kts_penalty) and args.kts_penalty >= 0):
-        raise DatasetError(f"--kts-penalty must be finite and non-negative, got {args.kts_penalty}")
-    if args.kts_max_segments is not None and args.kts_max_segments < 1:
-        raise DatasetError(f"--kts-max-segments must be at least 1, got {args.kts_max_segments}")
-
-
 def _kts_boundaries(args: argparse.Namespace, rec) -> list[int]:
     """Shot boundaries of one video by KTS, under the command's --kts-* flags."""
     try:
@@ -167,7 +161,7 @@ def _kts_boundaries(args: argparse.Namespace, rec) -> list[int]:
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
-    _check_kts_flags(args)
+    check_kts_settings(args.kts_penalty, args.kts_max_segments, KTS_FLAGS)
     check_ratio(args.ratio, "--ratio")
     records = load_manifest(args.manifest)
     params, hyper = load_checkpoint(args.checkpoint)
@@ -195,7 +189,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    _check_kts_flags(args)
+    check_kts_settings(args.kts_penalty, args.kts_max_segments, KTS_FLAGS)
     records = load_manifest(args.manifest)
 
     def segment_one(rec):

@@ -137,6 +137,18 @@ def segment_penalty(n_frames: int, n_segments: int, coeff: float) -> float:
     return coeff * n_segments * (math.log(n_frames / n_segments) + 1.0)
 
 
+def check_kts_settings(penalty_coeff, max_segments, names=("penalty_coeff", "max_segments")):
+    """Raise a ValueError naming, as in ``names``, a setting ``kts_changepoints`` refuses."""
+    if not (math.isfinite(penalty_coeff) and penalty_coeff >= 0):
+        raise ValueError(f"{names[0]} must be finite and non-negative, got {penalty_coeff}")
+    if max_segments is None:  # N/10 rounded up
+        return
+    if isinstance(max_segments, bool) or not isinstance(max_segments, (int, np.integer)):
+        raise ValueError(f"{names[1]} must be an integer, got {max_segments!r}")
+    if max_segments < 1:
+        raise ValueError(f"{names[1]} must be at least 1, got {max_segments}")
+
+
 def kts_changepoints(
     x: np.ndarray,
     max_segments: int | None = None,
@@ -156,15 +168,8 @@ def kts_changepoints(
     """
     x = _feature_matrix(x)  # before N sets the default cap
     n = x.shape[0]
-    if not (math.isfinite(penalty_coeff) and penalty_coeff >= 0):
-        raise ValueError(f"penalty_coeff must be finite and non-negative, got {penalty_coeff}")
-    if max_segments is None:
-        max_segments = math.ceil(n / 10)
-    if isinstance(max_segments, bool) or not isinstance(max_segments, (int, np.integer)):
-        raise ValueError(f"max_segments must be an integer, got {max_segments!r}")
-    if max_segments < 1:
-        raise ValueError("max_segments must be at least 1")
-    kmax = min(max_segments, n)
+    check_kts_settings(penalty_coeff, max_segments)
+    kmax = min(math.ceil(n / 10) if max_segments is None else max_segments, n)
     table = SegmentCostTable(x, kernel=kernel)
 
     # best[k][t]: minimal cost splitting frames [0, t) into exactly k segments

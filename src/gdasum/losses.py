@@ -25,7 +25,7 @@ loss terms, the DPP linear algebra and the z/phi gradients are float64
 whatever dtype the network ran in: a float32 trace's arrays are upcast
 first, and the z/phi gradients are cast back for the reverse pass, so
 the parameter gradients come out in the parameters' dtype.
-``backward`` is the gradient half of ``loss_and_grad``.
+``backward`` is the checked gradient; ``train`` leaves the check to ``adam_step``.
 ``total_loss`` is the loss-only path behind ``loss_given_params``, and
 ``finite_diff_grad`` is the independent central-difference oracle the
 gradient is verified against.
@@ -342,8 +342,8 @@ def loss_and_grad(
     back through ``model.network_grad`` with the trace's dropout masks,
     and each weight field's gradient then takes the penalty's
     ``2 * weight_decay * theta`` in place.  A non-finite total raises
-    ``NumericalError`` before any gradient work, and a NaN or inf in the
-    gradient raises it after.
+    ``NumericalError`` before any gradient work; a NaN or inf in the
+    gradient is left to ``backward`` or ``train.adam_step`` to refuse.
     """
     if np.shape(x) != trace.context.shape:
         raise ValueError("trace does not match the given feature matrix")
@@ -359,10 +359,6 @@ def loss_and_grad(
         for name in WEIGHT_FIELDS:  # one field-sized temporary at a time
             g = getattr(grads, name)
             g += 2.0 * hyper.weight_decay * getattr(params, name)
-    try:
-        grads.check_finite()
-    except ValueError as exc:
-        raise NumericalError(f"gradient: {exc}") from exc
     return breakdown, grads
 
 
@@ -376,8 +372,13 @@ def backward(
     sigma: float = DEFAULT_SIGMA,
     variation_weight: float = DEFAULT_VARIATION_WEIGHT,
 ) -> ModelParams:
-    """Exact gradient of ``total_loss``: the gradient half of ``loss_and_grad``."""
-    return loss_and_grad(trace, x, params, hyper, mode, labels, sigma, variation_weight)[1]
+    """Exact gradient of ``total_loss``; a NaN or inf in it raises ``NumericalError``."""
+    grads = loss_and_grad(trace, x, params, hyper, mode, labels, sigma, variation_weight)[1]
+    try:
+        grads.check_finite()
+    except ValueError as exc:
+        raise NumericalError(f"gradient: {exc}") from exc
+    return grads
 
 
 # ---------------------------------------------------------------------------

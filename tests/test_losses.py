@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gdasum.cli import main
 from gdasum.losses import (
     SIM_FLOOR,
     NumericalError,
@@ -560,6 +562,39 @@ def test_loss_and_grad_stops_on_non_finite_loss(monkeypatch):
         with pytest.raises(NumericalError, match="non-finite loss"):
             loss_and_grad(trace, x, params, SMALL, mode, labels=lab)
     assert called == ["_supervised", "_unsupervised"]
+
+
+def test_backward_refuses_the_non_finite_gradient_that_loss_and_grad_returns(
+    monkeypatch, capsys
+):
+    # the check of a gradient is backward's (and, in train, adam_step's), not loss_and_grad's
+    x, params, labels = _instance(10)
+    hyper = dataclasses.replace(SMALL, weight_decay=0.1)  # the NaN field also takes the decay
+    trace = forward(x, params, hyper, mode="eval")
+    clean = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels)[1]
+    losses_module = importlib.import_module("gdasum.losses")
+    network_grad = losses_module.network_grad
+
+    def nan_in_ff_w(*args):
+        grads = network_grad(*args)
+        grads.ff_w[1, 2] = np.nan
+        return grads
+
+    monkeypatch.setattr(losses_module, "network_grad", nan_in_ff_w)
+    with pytest.raises(
+        NumericalError, match=r"^gradient: non-finite values in parameter 'ff_w'$"
+    ):
+        backward(trace, x, params, hyper, "supervised", labels=labels)
+    _, grads = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels)
+    clean.ff_w[1, 2] = np.nan
+    for name, g in grads.items():
+        assert np.array_equal(g, getattr(clean, name), equal_nan=True), name
+
+    capsys.readouterr()
+    assert main(["gradcheck", "--instances", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: gradient: non-finite values in parameter 'ff_w'\n"
+    assert captured.out == ""
 
 
 def test_loss_and_grad_keeps_weight_decay_for_fortran_ordered_parameters():

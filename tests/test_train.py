@@ -617,6 +617,35 @@ def test_train_step_computes_distances_once(monkeypatch):
     assert len(calls) == len(split.train_ids)
 
 
+def test_train_step_sums_its_gradient_once(monkeypatch):
+    # every float64 sum of a gradient goes through model.sum_of_squares: the
+    # finiteness check's (ModelParams.check_finite) and adam_step's norm alike
+    records, split = small_corpus()
+    losses_module = importlib.import_module("gdasum.losses")
+    model_module = importlib.import_module("gdasum.model")
+    train_module = importlib.import_module("gdasum.train")
+    network_grad, original = losses_module.network_grad, model_module.sum_of_squares
+    gradients, sums = [], []
+
+    def kept(*args):
+        gradients.append(network_grad(*args))
+        return gradients[-1]
+
+    def counting(named_arrays):
+        named_arrays = list(named_arrays)
+        for step, grads in enumerate(gradients):
+            if all(a is getattr(grads, name) for name, a in named_arrays):
+                sums.append(step)
+        return original(named_arrays)
+
+    monkeypatch.setattr(losses_module, "network_grad", kept)
+    monkeypatch.setattr(model_module, "sum_of_squares", counting)
+    monkeypatch.setattr(train_module, "sum_of_squares", counting)
+    train(records, split, TrainConfig(epochs=1, learning_rate=1e-3), SMALL_HYPER)
+    assert len(gradients) == len(split.train_ids)
+    assert sums == list(range(len(split.train_ids)))
+
+
 def test_train_reports_gradient_norm_before_clipping():
     rec = record("v0")
     hyper = HyperParams(hidden=16, embed=8, dropout_rate=0.0)
