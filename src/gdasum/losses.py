@@ -3,12 +3,12 @@
 Supervised mode combines a binary cross-entropy keyframe loss, taken
 from the score logits, with a variation loss (the negative
 log-likelihood of the annotated keyframe subset under a determinantal
-point process whose kernel decomposes into per-frame quality times a
-Gaussian similarity of the embeddings before their bias; a similarity
-below ``SIM_FLOOR`` = 2^-200 is stored as 0, which moves the loss and
-gradient by at most about 2^-200 relative and keeps the linear algebra
-off subnormal floats).  The similarity's squared distances come from
-``pairwise_sq_dists``, the package's one distance routine.
+point process whose kernel, built by ``dpp_kernel``, decomposes into
+per-frame quality times a Gaussian similarity of the embeddings before
+their bias; a similarity below ``SIM_FLOOR`` = 2^-200 is stored as 0,
+which moves the loss and gradient by at most about 2^-200 relative and
+keeps the linear algebra off subnormal floats).  Its squared distances
+come from ``pairwise_sq_dists``, the package's one distance routine.
 Unsupervised mode combines a summary-length regularizer with a
 repelling loss, the mean cosine over ordered pairs of distinct embeddings:
 with unit rows u_i and u_sum = sum_i u_i it is (||u_sum||^2 - sum_i ||u_i||^2)
@@ -19,7 +19,8 @@ term is covered by the finite-difference check.
 Each mode is one function, ``_supervised`` or ``_unsupervised``, giving
 its two loss terms and a function for their gradients with respect to
 the score logits z and embeddings phi, which reads the arrays the loss
-built.  ``loss_and_grad`` hands those gradients to
+built; the supervised one takes both from the row sums of G * L, with
+G = d(-log P)/dL.  ``loss_and_grad`` hands those gradients to
 ``model.network_grad``, the reverse pass through the network.  The
 loss terms, the DPP linear algebra and the z/phi gradients are float64
 whatever dtype the network ran in: a float32 trace's arrays are upcast
@@ -54,7 +55,7 @@ SCORE_CLIP = 1e-7
 DEFAULT_SIGMA = 0.3  # summary-ratio target of the length loss
 DEFAULT_VARIATION_WEIGHT = 1.0
 DEFAULT_FD_STEP = 1e-5  # central-difference step of finite_diff_grad
-# DPP similarities below this are exactly 0: see _similarity_and_kernel
+# DPP similarities below this are exactly 0: see dpp_kernel
 SIM_FLOOR = 2.0**-200
 
 MODES = ("supervised", "unsupervised")
@@ -94,8 +95,8 @@ def pairwise_sq_dists(a: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _similarity_and_kernel(y, phi, beta):
-    """exp(-beta D^2) and the quality-diversity kernel L = y y^T * exp(-beta D^2).
+def dpp_kernel(y: np.ndarray, phi: np.ndarray, beta: float) -> np.ndarray:
+    """The quality-diversity kernel L = y y^T * S, S = exp(-beta D^2), in float64.
 
     Similarities below ``SIM_FLOOR`` are stored as exactly 0.  Since
     S_ii = 1, S_ij is the pair's normalised correlation in L, so dropping
@@ -107,22 +108,24 @@ def _similarity_and_kernel(y, phi, beta):
     flooring at the subnormal boundary alone is not enough, because the
     factorizations multiply small entries down into subnormals.
     """
-    sim = pairwise_sq_dists(phi)
-    np.multiply(-beta, sim, out=sim)
-    np.exp(sim, out=sim)
-    sim[sim < SIM_FLOOR] = 0.0
-    kernel = np.multiply(y[:, None], y[None, :])
-    kernel *= sim
-    return sim, kernel
+    kernel = pairwise_sq_dists(phi)
+    np.multiply(-beta, kernel, out=kernel)
+    np.exp(kernel, out=kernel)
+    kernel[kernel < SIM_FLOOR] = 0.0
+    kernel *= np.multiply.outer(y, y)
+    return kernel
 
 
 def dpp_log_prob(kernel: np.ndarray, subset) -> float:
     """log P(subset) = log det(L_subset) - log det(L + I).
 
     The normalizer uses a Cholesky factorization (L + I is positive
-    definite for any PSD L); the empty submatrix has determinant one.
+    definite for any PSD L), which reads one triangle only, so L must be
+    symmetric; the empty submatrix has determinant one.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
+    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
+        raise ValueError(f"kernel must be a square matrix, got shape {kernel.shape}")
     n = kernel.shape[0]
     subset = np.asarray(sorted(subset), dtype=int)
     if subset.size and (subset.min() < 0 or subset.max() >= n):
@@ -209,15 +212,15 @@ def weight_penalty(params: ModelParams, weight_decay: float) -> float:
 def _supervised(z, y, phi, labels, beta, variation_weight):
     """(keyframe BCE, weighted DPP variation, grad), ``grad()`` giving (dz, dphi).
 
-    z are the score logits and y = sigmoid(z) the scores.  ``grad``
-    reads the similarity and kernel the variation term built; a zero
-    ``variation_weight`` builds none.
+    z are the score logits and y = sigmoid(z) the scores.  ``grad`` reads
+    the kernel L the variation term built (a zero ``variation_weight``
+    builds none) and holds one more N x N array, G = d(-log P)/dL.
     """
     keyframe = keyframe_loss(z, labels)
-    variation, sim, kernel = 0.0, None, None
+    variation, kernel = 0.0, None
     subset = np.flatnonzero(labels > 0)
     if variation_weight != 0.0:
-        sim, kernel = _similarity_and_kernel(y, phi, beta)
+        kernel = dpp_kernel(y, phi, beta)
         variation = variation_weight * -dpp_log_prob(kernel, subset)
 
     def grad():
@@ -236,14 +239,11 @@ def _supervised(z, y, phi, labels, beta, variation_weight):
                 raise NumericalError("subset kernel is numerically singular") from err
             g[np.ix_(subset, subset)] -= sub_inv
         g *= variation_weight
-        # L_ij = y_i y_j sim_ij, so dy_k = 2 sum_j g_kj y_j sim_kj, and dy/dz = y (1 - y)
-        work = g * sim
-        work *= 2.0
-        dz += y * (1.0 - y) * (work @ y)
-        del work
-        # dphi_k = -4 beta sum_j g_kj L_kj (phi_k - phi_j), with g * L in g
+        # g * L in place, row sums r: as L_ij = y_i y_j S_ij, y_k dy_k = 2 r_k, so
+        # dz_k = 2 (1 - y_k) r_k; dphi_k = -4 beta sum_j g_kj L_kj (phi_k - phi_j)
         g *= kernel
         row = g.sum(axis=1)
+        dz += 2.0 * (1.0 - y) * row
         dphi += -4.0 * beta * (row[:, None] * phi - g @ phi)
         return dz, dphi
 

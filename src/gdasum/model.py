@@ -25,7 +25,7 @@ N x N arrays, alpha and the copy the diversity weights are computed in.
 respect to the score logits z and phi back to every parameter.  It
 frees each intermediate after its last read and works in place, so a
 training step (``forward``, then ``losses.loss_and_grad``) peaks at
-about three N x N arrays (8 * N^2 bytes each) unsupervised and five
+about three N x N arrays (8 * N^2 bytes each) unsupervised and four
 supervised.
 """
 

@@ -112,11 +112,6 @@ import json
 print(json.dumps(stages.stage_times(60, 0, 1)))
 """
 
-# Layers PER_LAYER still names although gdasum no longer has them; each
-# reads 0 until the benchmark drops it.
-STALE_LAYERS = {"losses.dpp_kernel"}
-
-
 def run_script(script, **fields):
     proc = subprocess.run(
         [sys.executable, "-c", script.format(bench=str(BENCH), **fields)],
@@ -135,7 +130,7 @@ def test_bench_modules_import_and_tracer_installs():
 def test_every_timed_layer_is_traced():
     layers = json.loads(run_script(LAYERS_SCRIPT))
     assert layers["timed"]
-    assert set(layers["timed"]) - set(layers["wrapped"]) <= STALE_LAYERS
+    assert set(layers["timed"]) <= set(layers["wrapped"])
 
 
 def test_summaries_and_metrics_pass_the_benchmark_output_check(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from gdasum.losses import (
     SIM_FLOOR,
     NumericalError,
     backward,
+    dpp_kernel,
     dpp_log_prob,
     finite_diff_grad,
     gradient_report,
@@ -23,7 +25,7 @@ from gdasum.losses import (
     total_loss,
     weight_penalty,
 )
-from gdasum.losses import _similarity_and_kernel as similarity_and_kernel
+from gdasum.losses import _supervised as supervised
 from gdasum.losses import _unsupervised as unsupervised
 from gdasum.model import WEIGHT_FIELDS, HyperParams, ModelParams, forward, init_params
 
@@ -74,21 +76,21 @@ def test_pairwise_sq_dists_matches_loops():
 def test_dpp_kernel_identical_embeddings_rank_one():
     y = np.array([0.3, 0.6, 0.9])
     phi = np.ones((3, 4))
-    kernel = similarity_and_kernel(y, phi, 1.0)[1]
+    kernel = dpp_kernel(y, phi, 1.0)
     assert np.allclose(kernel, np.outer(y, y), atol=1e-15)
 
 
 def test_dpp_kernel_large_beta_diagonal():
     y = np.array([0.4, 0.7])
     phi = np.array([[0.0], [1.0]])
-    kernel = similarity_and_kernel(y, phi, 500.0)[1]
+    kernel = dpp_kernel(y, phi, 500.0)
     assert np.allclose(kernel, np.diag(y**2), atol=1e-12)
 
 
 def test_dpp_kernel_hand_example():
     y = np.array([0.8, 0.5])
     phi = np.array([[0.0], [1.0]])
-    kernel = similarity_and_kernel(y, phi, 1.0)[1]
+    kernel = dpp_kernel(y, phi, 1.0)
     want = np.array([[0.64, 0.4 * np.exp(-1.0)], [0.4 * np.exp(-1.0), 0.25]])
     assert np.abs(kernel - want).max() < 1e-12
 
@@ -132,6 +134,10 @@ def test_dpp_log_prob_rejects_bad_subsets():
         dpp_log_prob(kernel, [3])
     with pytest.raises(ValueError):
         dpp_log_prob(kernel, [0, 0])
+    # a kernel that is not a square matrix is bad input, not a numerical failure
+    for bad in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {bad.shape}")):
+            dpp_log_prob(bad, [0])
 
 
 def test_dpp_log_prob_non_psd_raises():
@@ -490,8 +496,8 @@ def _traced_peak(fn):
 
 # A training step at N=1500, D=8 in units of one N x N array.  forward peaks at 2
 # and leaves alpha; the backward then needs two more N x N arrays, and the DPP
-# path holds S, L, (L + I)^-1 and one work array.
-@pytest.mark.parametrize("mode, bound", [("unsupervised", 3.5), ("supervised", 5.5)])
+# path holds L and G = d(-log P)/dL, with L + I and inv's workspace while G is made.
+@pytest.mark.parametrize("mode, bound", [("unsupervised", 3.5), ("supervised", 4.5)])
 def test_training_step_peak_in_n_by_n_arrays(mode, bound):
     n = 1500
     hyper = HyperParams(hidden=16, embed=4, dropout_rate=0.0)
@@ -691,11 +697,11 @@ def test_similarity_floor_stores_tiny_entries_as_exact_zeros():
     hyper, _, _, _, trace, _ = next(_floored_cases())
     raw = _assert_reaches_floored_band(trace, hyper.beta)
     assert np.any((raw > 0.0) & (raw < np.finfo(np.float64).tiny))  # a subnormal
-    sim, kernel = similarity_and_kernel(trace.y, trace.phi, hyper.beta)
-    assert not np.any((sim > 0.0) & (sim < SIM_FLOOR))
-    assert np.array_equal(sim, np.where(raw < SIM_FLOOR, 0.0, raw))
+    kernel = dpp_kernel(trace.y, trace.phi, hyper.beta)
+    floored = np.where(raw < SIM_FLOOR, 0.0, raw)
+    assert _bits_equal(kernel, np.outer(trace.y, trace.y) * floored)
     assert not np.any((kernel != 0.0) & (np.abs(kernel) < np.finfo(np.float64).tiny))
-    assert np.array_equal(kernel == 0.0, sim == 0.0)
+    assert np.array_equal(kernel == 0.0, floored == 0.0)
 
 
 def test_similarity_floor_leaves_loss_and_gradient_bit_identical(monkeypatch):
@@ -717,6 +723,61 @@ def test_gradients_match_finite_differences_below_the_similarity_floor():
             x, params, hyper, "supervised", labels=labels, masks=masks
         )
         assert gradient_report(analytic, numeric)["max"] <= 1e-4
+
+
+def _textbook_supervised_gradients(trace, labels, beta, w):
+    """(dz, dphi, dphi's scale) of keyframe BCE + w * -log P(labels), one formula each.
+
+    With S and L = y y^T * S from ``kernel_by_definition`` and
+    G = w ((L + I)^-1 - scatter((L_labels)^-1)), the derivative of the DPP
+    term in L: dz = y - labels + y (1 - y) 2 (G * S) y, and
+    dphi_k = -4 beta sum_j G_kj L_kj (phi_k - phi_j).  The scale is that
+    sum with every term's magnitude, 4 beta sum_j |G_kj L_kj| (|phi_k| + |phi_j|).
+    """
+    y, phi = trace.y, trace.emb_proj
+    n, subset = len(y), np.flatnonzero(labels)
+    sim = kernel_by_definition(np.ones(n), phi, beta)
+    kernel = kernel_by_definition(y, phi, beta)
+    g = np.linalg.inv(kernel + np.eye(n))
+    g[np.ix_(subset, subset)] -= np.linalg.inv(kernel[np.ix_(subset, subset)])
+    g *= w
+    dz = y - labels + y * (1.0 - y) * 2.0 * ((g * sim) @ y)
+    gl = g * kernel
+    dphi = np.array([sum(gl[k, j] * (phi[k] - phi[j]) for j in range(n)) for k in range(n)])
+    scale = np.abs(gl).sum(axis=1)[:, None] * np.abs(phi) + np.abs(gl) @ np.abs(phi)
+    return dz, -4.0 * beta * dphi, 4.0 * beta * scale
+
+
+def _supervised_cases():
+    """Small well-conditioned instances, eval and dropout traces, then ``_floored_cases``."""
+    dropout = HyperParams(hidden=8, embed=4, dropout_rate=0.4)
+    for (n, size), (hyper, fw_mode) in itertools.product(
+        ((1, 1), (4, 0), (6, 2), (9, 3)), ((SMALL, "eval"), (dropout, "train"))
+    ):
+        x, params, _ = _instance(3, n=n, hyper=hyper)
+        labels = np.zeros(n)
+        labels[np.random.default_rng(n).choice(n, size=size, replace=False)] = 1.0
+        trace = forward(x, params, hyper, mode=fw_mode, rng=np.random.default_rng(1))
+        yield hyper, labels, trace
+    for hyper, _, _, labels, trace, _ in _floored_cases():
+        yield hyper, labels.astype(np.float64), trace
+
+
+def test_supervised_gradient_matches_the_textbook_formulas():
+    # the logit gradient comes from the row sums of G * L, not from (G * S) y.
+    # dphi's terms have both signs and its diagonal ones cancel exactly, so its
+    # error is relative to its terms' magnitudes: in the floored eval case,
+    # where no similarity exceeds 4e-14, the textbook dphi is ~1e-29 and
+    # grad()'s rounds to exactly 0
+    for hyper, labels, trace in _supervised_cases():
+        for w in (1.0, 0.5):
+            _, _, grad = supervised(trace.z, trace.y, trace.emb_proj, labels, hyper.beta, w)
+            dz, dphi = grad()
+            want_dz, want_dphi, scale = _textbook_supervised_gradients(
+                trace, labels, hyper.beta, w
+            )
+            np.testing.assert_allclose(dz, want_dz, rtol=1e-12, atol=0)
+            assert np.all(np.abs(dphi - want_dphi) <= 1e-12 * scale)
 
 
 # A float32 dot product of length D is exact to about D * u relative to
