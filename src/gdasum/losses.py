@@ -345,7 +345,7 @@ def loss_and_grad(
     ``NumericalError`` before any gradient work; a NaN or inf in the
     gradient is left to ``backward`` or ``train.adam_step`` to refuse.
     """
-    if np.shape(x) != trace.context.shape:
+    if np.shape(x) != trace.v_proj.shape:
         raise ValueError("trace does not match the given feature matrix")
 
     breakdown, grad = _objective(trace, params, hyper, mode, labels, sigma, variation_weight)

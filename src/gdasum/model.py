@@ -225,8 +225,8 @@ class ForwardTrace:
     """Everything one forward pass produced.
 
     Public outputs: ``alpha`` (column-stochastic attention weights,
-    N x N), ``d`` (diversity weights on the simplex), ``context``
-    (N x D), ``phi`` (N x E embeddings), ``z`` (score logits) and ``y``
+    N x N), ``d`` (diversity weights on the simplex), ``phi`` (N x E
+    embeddings), ``z`` (score logits) and ``y``
     (scores in (0, 1), the sigmoid of z).  ``emb_proj`` is
     P = ff_out @ emb_w^T, phi before its bias ``emb_b`` is added: the DPP
     term reads it, so its loss does not depend on ``emb_b`` even in
@@ -237,7 +237,6 @@ class ForwardTrace:
 
     alpha: np.ndarray
     d: np.ndarray
-    context: np.ndarray
     phi: np.ndarray
     z: np.ndarray
     y: np.ndarray
@@ -398,7 +397,7 @@ def _network(
     del a
     z = record_copy("v_proj", x @ params.w_v.T)
     z *= d[:, None]
-    z = record("context", z) @ params.ff_w.T
+    z = z @ params.ff_w.T
     z += params.ff_b
     if ff_mask is not None:
         z *= ff_mask
@@ -504,7 +503,8 @@ def network_grad(
     del d_ff_out
     if trace.ff_mask is not None:
         dz1 *= trace.ff_mask
-    g["ff_w"] = dz1.T @ trace.context
+    # the context d_i * v_i, formed again as forward formed it
+    g["ff_w"] = dz1.T @ (trace.v_proj * trace.d[:, None])
     g["ff_b"] = dz1.sum(axis=0)
     d_context = dz1 @ params.ff_w
     del dz1

@@ -378,7 +378,7 @@ def reference_forward(x, params, hyper, mode="eval", rng=None, masks=None):
     z = (head_drop @ params.reg_w2.T + params.reg_b2)[:, 0]
     emb_proj = ff_out @ params.emb_w.T
     return ForwardTrace(
-        alpha=alpha, d=d, context=context, phi=emb_proj + params.emb_b, z=z, y=sigmoid(z),
+        alpha=alpha, d=d, phi=emb_proj + params.emb_b, z=z, y=sigmoid(z),
         emb_proj=emb_proj,
         q_proj=q_proj, k_proj=k_proj, v_proj=v_proj, ff_mask=ff_mask,
         ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv_std, ff_out=ff_out, head_pre=head_pre,
