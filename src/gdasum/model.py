@@ -41,8 +41,8 @@ LAYERNORM_EPS = 1e-5
 # Fields holding weight matrices: Xavier-initialized and subject to L2 decay.
 WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "ff_w", "reg_w1", "reg_w2", "emb_w")
 # Adam's update and sum_of_squares walk each field in blocks of this many
-# elements: the six float32 blocks an update touches (parameter, gradient,
-# two moments, two scratch buffers) take 6 x 128 KB, and the float64 block
+# elements: the five float32 blocks an update touches (parameter, gradient,
+# two moments, one scratch buffer) take 5 x 128 KB, and the float64 block
 # a float32 field's sum is taken in 256 KB; both fit one core's L2 cache
 ADAM_BLOCK = 1 << 15
 
@@ -503,8 +503,7 @@ def network_grad(
     del d_ff_out
     if trace.ff_mask is not None:
         dz1 *= trace.ff_mask
-    # the context d_i * v_i, formed again as forward formed it
-    g["ff_w"] = dz1.T @ (trace.v_proj * trace.d[:, None])
+    g["ff_w"] = dz1.T @ (trace.v_proj * trace.d[:, None])  # the context, as forward forms it
     g["ff_b"] = dz1.sum(axis=0)
     d_context = dz1 @ params.ff_w
     del dz1

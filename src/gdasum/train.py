@@ -136,10 +136,14 @@ def adam_step(
     overflowing norm, or a norm after clipping whose square overflows the
     moments' dtype (above about 1.8e19 in float32, where one squared entry
     could make v infinite and freeze its weight) raises ``NumericalError``
-    before anything is written.  Each field is then updated in blocks of
-    ADAM_BLOCK elements: the block's gradient is scaled by max_norm/norm if
-    the norm exceeds ``max_norm``, then the moments and the parameters are
-    updated in place.  Every operation is elementwise, so the result is the
+    before anything is written.  The clip c = min(1, max_norm/norm) and the
+    bias corrections bc1, bc2 are folded into per-step scalars (Kingma and
+    Ba, "Adam", 2015, sec. 2): m <- beta1 m + (1 - beta1) c g,
+    v <- beta2 v + (sqrt(1 - beta2) c g)^2 and
+    theta <- theta - lr sqrt(bc2)/bc1 m / (sqrt(v) + eps sqrt(bc2)).  g is
+    scaled before it is squared, so a clipped float32 entry cannot overflow
+    v.  Each field is updated in blocks of ADAM_BLOCK elements through one
+    scratch block; every operation is elementwise, so the result is the
     same bit for bit as whole-field passes.
     """
     arrays = {}  # name -> (gradient, parameter, moments)
@@ -153,28 +157,24 @@ def adam_step(
     norm = _gradient_norm(grads.items())
     if min(norm, max_norm) > math.sqrt(np.finfo(params.dtype).max):
         raise NumericalError(f"gradient norm {norm:.3g} overflows {params.dtype} moments")
-    scale = max_norm / norm if norm > max_norm else None
-    state.t += 1
-    state.grad_norm = norm
-    bc1 = 1.0 - ADAM_BETA1**state.t
-    bc2 = 1.0 - ADAM_BETA2**state.t
-    size = min(ADAM_BLOCK, max(theta.size for theta in params.arrays()))
-    buf_a, buf_b = np.empty(size, params.dtype), np.empty(size, params.dtype)
+    c = max_norm / norm if norm > max_norm else 1.0
+    state.t, state.grad_norm = state.t + 1, norm
+    k1, k2 = (1.0 - ADAM_BETA1) * c, math.sqrt(1.0 - ADAM_BETA2) * c
+    root_bc2 = math.sqrt(1.0 - ADAM_BETA2**state.t)
+    rate, eps_hat = lr * root_bc2 / (1.0 - ADAM_BETA1**state.t), ADAM_EPS * root_bc2
+    buf = np.empty(min(ADAM_BLOCK, max(theta.size for theta in params.arrays())), params.dtype)
     for field in arrays.values():
         # reshape(-1) of a C-contiguous array is a view, so blocks write through
         flat = [arr.reshape(-1) for arr in field]
         for start in range(0, flat[1].size, ADAM_BLOCK):
             g, th, m, v = (arr[start : start + ADAM_BLOCK] for arr in flat)
-            a, b = buf_a[: th.size], buf_b[: th.size]
-            if scale is not None:
-                g = np.multiply(g, scale, out=b)
+            a = buf[: th.size]
             m *= ADAM_BETA1
-            m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+            m += np.multiply(g, k1, out=a)
             v *= ADAM_BETA2
-            v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=a), out=a)
-            np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
-            th -= np.divide(a, b, out=a)
+            v += np.square(np.multiply(g, k2, out=a), out=a)
+            np.add(np.sqrt(v, out=a), eps_hat, out=a)
+            th -= np.multiply(np.divide(m, a, out=a), rate, out=a)
     return params, state
 
 
