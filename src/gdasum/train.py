@@ -158,7 +158,8 @@ def adam_step(
     if min(norm, max_norm) > math.sqrt(np.finfo(params.dtype).max):
         raise NumericalError(f"gradient norm {norm:.3g} overflows {params.dtype} moments")
     c = max_norm / norm if norm > max_norm else 1.0
-    state.t, state.grad_norm = state.t + 1, norm
+    state.t += 1
+    state.grad_norm = norm
     k1, k2 = (1.0 - ADAM_BETA1) * c, math.sqrt(1.0 - ADAM_BETA2) * c
     root_bc2 = math.sqrt(1.0 - ADAM_BETA2**state.t)
     rate, eps_hat = lr * root_bc2 / (1.0 - ADAM_BETA1**state.t), ADAM_EPS * root_bc2
