@@ -103,6 +103,8 @@ def _requested_splits(args: argparse.Namespace, records) -> list | None:
     if args.setting is None:
         if args.fold is not None:
             raise DatasetError("--fold needs --setting")
+        if args.target is not None:
+            raise DatasetError("--target needs --setting")
         return None
     splits = make_splits(records, args.setting, args.seed, target=args.target)
     if args.fold is None:

@@ -17,13 +17,14 @@ equivariant under frame permutation.
 The network is written once, as a chain that applies every layer in
 place.  ``score_frames``, the scorer summaries use, runs it alone and
 holds one N x N array, the attention: 8 * N^2 + O(N * D) bytes.
-``forward``, the training pass, runs it with a cache of every
-intermediate the reverse pass reads, copying each one a later layer
-would overwrite, and adds the embedding head; it peaks at about two
-N x N arrays, alpha and the copy the diversity weights are computed in.
-``network_grad``, the reverse pass, carries a loss's gradients with
-respect to the score logits z and phi back to every parameter.  It
-frees each intermediate after its last read and works in place, so a
+``forward``, the training pass, runs it with a cache of what the
+reverse pass reads and cannot form again, copying each one a later
+layer would overwrite, and adds the embedding head; it peaks at about
+two N x N arrays, alpha and the copy the diversity weights are computed
+in.  ``network_grad``, the reverse pass, carries a loss's gradients
+with respect to the score logits z and phi back to every parameter.
+It forms the feed-forward and head outputs again from the cache, frees
+each intermediate after its last read and works in place, so a
 training step (``forward``, then ``losses.loss_and_grad``) peaks at
 about three N x N arrays (8 * N^2 bytes each) unsupervised and four
 supervised.
@@ -222,7 +223,7 @@ def init_params(feature_dim: int, hyper: HyperParams, seed: int) -> ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything one forward pass produced.
+    """What one forward pass produced that the reverse pass cannot form again.
 
     Public outputs: ``alpha`` (column-stochastic attention weights,
     N x N), ``d`` (diversity weights on the simplex), ``phi`` (N x E
@@ -232,7 +233,10 @@ class ForwardTrace:
     term reads it, so its loss does not depend on ``emb_b`` even in
     rounding.  The remaining tensors are cached intermediates
     ``network_grad`` reads; the dropout masks are None in eval mode,
-    where dropout is the identity.
+    where dropout is the identity.  The two layer outputs are not kept:
+    ``network_grad`` forms ff_out = ln1_xhat * ln1_scale + ln1_offset
+    and head_drop = (ln2_xhat * ln2_scale + ln2_offset) * head_mask
+    again with forward's operations, and so with forward's bits.
     """
 
     alpha: np.ndarray
@@ -248,12 +252,10 @@ class ForwardTrace:
     ff_mask: np.ndarray | None
     ln1_xhat: np.ndarray
     ln1_inv_std: np.ndarray
-    ff_out: np.ndarray
     head_pre: np.ndarray
     ln2_xhat: np.ndarray
     ln2_inv_std: np.ndarray
     head_mask: np.ndarray | None
-    head_drop: np.ndarray
 
 
 def _simplex(log_w: np.ndarray) -> np.ndarray:
@@ -373,9 +375,9 @@ def _network(
 ) -> np.ndarray:
     """Score logits z of a checked (N, D) feature matrix, each layer applied in place.
 
-    Given a ``cache`` dict, it also records every intermediate
-    ``network_grad`` reads under its ``ForwardTrace`` name, and hands the
-    next layer a copy wherever that layer would overwrite one.  The
+    Given a ``cache`` dict, it also records each intermediate a
+    ``ForwardTrace`` keeps under its field name, and ``ff_out``, and hands
+    the next layer a copy wherever that layer would overwrite one.  The
     dropout masks multiply the feed-forward pre-activation and the head
     output; None is the identity.
     """
@@ -415,7 +417,7 @@ def _network(
     z += params.ln2_offset
     if head_mask is not None:
         z *= head_mask
-    return (record("head_drop", z) @ params.reg_w2.T + params.reg_b2)[:, 0]
+    return (z @ params.reg_w2.T + params.reg_b2)[:, 0]
 
 
 def forward(
@@ -450,7 +452,7 @@ def forward(
             head_mask = _dropout_mask((n, h), hyper.dropout_rate, rng, x.dtype)
     cache = {}
     z = _network(x, params, hyper, cache, ff_mask, head_mask)
-    emb_proj = cache["ff_out"] @ params.emb_w.T
+    emb_proj = cache.pop("ff_out") @ params.emb_w.T
     return ForwardTrace(
         phi=emb_proj + params.emb_b, y=sigmoid(z), z=z, emb_proj=emb_proj,
         ff_mask=ff_mask, head_mask=head_mask, **cache,
@@ -476,7 +478,13 @@ def network_grad(
     """
     g = {}  # each field's gradient, the array its branch computed
     # score head: final linear -> dropout -> layer norm -> relu
-    g["reg_w2"] = (dz[:, None] * trace.head_drop).sum(axis=0, keepdims=True)
+    head_drop = trace.ln2_xhat * params.ln2_scale  # the head output, as forward forms it
+    head_drop += params.ln2_offset
+    if trace.head_mask is not None:
+        head_drop *= trace.head_mask
+    head_drop *= dz[:, None]
+    g["reg_w2"] = head_drop.sum(axis=0, keepdims=True)
+    del head_drop
     g["reg_b2"] = dz.sum(keepdims=True)
     d_ln2_out = dz[:, None] * params.reg_w2[0][None, :]
     if trace.head_mask is not None:
@@ -486,13 +494,16 @@ def network_grad(
     )
     del d_ln2_out
     d_head_pre *= trace.head_pre > 0.0
-    g["reg_w1"] = d_head_pre.T @ trace.ff_out
+    ff_out = trace.ln1_xhat * params.ln1_scale  # the feed-forward output, as forward forms it
+    ff_out += params.ln1_offset
+    g["reg_w1"] = d_head_pre.T @ ff_out
     g["reg_b1"] = d_head_pre.sum(axis=0)
     d_ff_out = d_head_pre @ params.reg_w1
     del d_head_pre
 
     # embedding head
-    g["emb_w"] = dphi.T @ trace.ff_out
+    g["emb_w"] = dphi.T @ ff_out
+    del ff_out
     g["emb_b"] = dphi.sum(axis=0)
     d_ff_out += dphi @ params.emb_w
 

@@ -359,8 +359,9 @@ def test_fold_needs_setting(corpus, init_summaries, tmp_path, capsys):
         ["summarize", "--checkpoint", ckpt, "--out", tmp_path / "sums"],
         ["eval", "--summaries", sums],
     ):
-        assert run([*args, "--manifest", corpus, "--fold", 9]) == 1
-        assert "--fold needs --setting" in capsys.readouterr().err
+        for flag, value in (("--fold", 9), ("--target", "tvsum-like")):
+            assert run([*args, "--manifest", corpus, flag, value]) == 1
+            assert f"{flag} needs --setting" in capsys.readouterr().err
     assert not (tmp_path / "sums").exists()
 
 

@@ -295,7 +295,7 @@ def test_eval_trace_without_masks_matches_ones_masks_bit_for_bit():
     bare = forward(x, params, hyper, mode="eval")
     ones = forward(x, params, hyper, mode="train", masks=(np.ones((n, d)), np.ones((n, h))))
     assert bare.ff_mask is None and bare.head_mask is None
-    for name in ("y", "phi", "ff_out"):
+    for name in ("y", "phi", "ln1_xhat", "ln2_xhat"):
         assert np.array_equal(getattr(bare, name), getattr(ones, name))
     for mode, lab in (("supervised", labels), ("unsupervised", None)):
         got = backward(bare, x, params, hyper, mode, labels=lab)

@@ -381,8 +381,8 @@ def reference_forward(x, params, hyper, mode="eval", rng=None, masks=None):
         alpha=alpha, d=d, phi=emb_proj + params.emb_b, z=z, y=sigmoid(z),
         emb_proj=emb_proj,
         q_proj=q_proj, k_proj=k_proj, v_proj=v_proj, ff_mask=ff_mask,
-        ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv_std, ff_out=ff_out, head_pre=head_pre,
-        ln2_xhat=ln2_xhat, ln2_inv_std=ln2_inv_std, head_mask=head_mask, head_drop=head_drop,
+        ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv_std, head_pre=head_pre,
+        ln2_xhat=ln2_xhat, ln2_inv_std=ln2_inv_std, head_mask=head_mask,
     )
 
 
@@ -500,6 +500,30 @@ def test_network_follows_the_parameters_dtype(dtype):
         assert g.dtype == dtype and g.shape == getattr(params, name).shape, name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_network_grad_forms_the_layer_outputs_with_forwards_bits(mode, dtype):
+    # the trace keeps neither ff_out nor the masked head output; the gradients
+    # that read them equal the products with both formed out of place
+    n, d_feat, hidden, embed = 40, 24, 32, 8
+    hyper = HyperParams(hidden=hidden, embed=embed, dropout_rate=0.5)
+    params = trained_like_params(d_feat, hyper, seed=4).astype(dtype)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((n, d_feat))
+    dz, dphi = rng.standard_normal(n).astype(dtype), rng.standard_normal((n, embed)).astype(dtype)
+    masks = None
+    if mode == "train":
+        masks = tuple(_dropout_mask((n, w), 0.5, rng, dtype) for w in (d_feat, hidden))
+    trace = forward(x, params, hyper, mode=mode, masks=masks)
+    grads = network_grad(trace, x, params, hyper, dz, dphi)
+    ff_out = params.ln1_scale * trace.ln1_xhat + params.ln1_offset
+    head_out = params.ln2_scale * trace.ln2_xhat + params.ln2_offset
+    if masks is not None:
+        head_out = head_out * trace.head_mask
+    assert grads.emb_w.tobytes() == (dphi.T @ ff_out).tobytes()
+    assert grads.reg_w2.tobytes() == (dz[:, None] * head_out).sum(axis=0, keepdims=True).tobytes()
+
+
 def traced_peak(fn):
     tracemalloc.start()
     try:
@@ -528,6 +552,24 @@ def test_forward_holds_two_n_by_n_arrays(mode):
     rng = np.random.default_rng(0)
     peak = traced_peak(lambda: forward(x, params, hyper, mode=mode, rng=rng))
     assert peak < 2.25 * 8 * n * n + 1_000_000
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_trace_holds_only_what_the_reverse_pass_cannot_form_again(mode, dtype):
+    # alpha; q, k, v, ln1_xhat and in train mode ff_mask (N x D); head_pre,
+    # ln2_xhat and in train mode head_mask (N x H); phi and P (N x E);
+    # d, z, y and the two inverse standard deviations (N)
+    n, d_feat, hidden, embed = 50, 48, 64, 16
+    hyper = HyperParams(hidden=hidden, embed=embed)
+    params = init_params(d_feat, hyper, seed=0).astype(dtype)
+    x = np.random.default_rng(0).standard_normal((n, d_feat))
+    trace = forward(x, params, hyper, mode=mode, rng=np.random.default_rng(0))
+    m = mode == "train"
+    held = sum(a.nbytes for a in vars(trace).values() if a is not None)
+    assert held == np.dtype(dtype).itemsize * (
+        n * n + (4 + m) * n * d_feat + (2 + m) * n * hidden + 2 * n * embed + 5 * n
+    )
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
