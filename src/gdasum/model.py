@@ -14,20 +14,18 @@ trainer's) run them in float32, at about twice the matrix rate.
 There is no positional encoding, so the whole evaluation-mode pass is
 equivariant under frame permutation.
 
-The network is written once, as a chain that applies every layer in
-place.  ``score_frames``, the scorer summaries use, runs it alone and
-holds one N x N array, the attention: 8 * N^2 + O(N * D) bytes.
+The network is written once, as one chain of operations.
+``score_frames``, the scorer summaries use, runs it alone, and
 ``forward``, the training pass, runs it with a cache of what the
-reverse pass reads and cannot form again, copying each one a later
-layer would overwrite, and adds the embedding head; it peaks at about
-two N x N arrays, alpha and the copy the diversity weights are computed
-in.  ``network_grad``, the reverse pass, carries a loss's gradients
-with respect to the score logits z and phi back to every parameter.
-It forms the feed-forward and head outputs again from the cache, frees
-each intermediate after its last read and works in place, so a
-training step (``forward``, then ``losses.loss_and_grad``) peaks at
-about three N x N arrays (8 * N^2 bytes each) unsupervised and four
-supervised.
+reverse pass reads and cannot form again and adds the embedding head.
+Both hold one N x N array, the attention: 8 * N^2 + O(N * D) bytes.
+``network_grad``, the reverse pass, carries a loss's gradients with
+respect to the score logits z and phi back to every parameter.  It
+forms the feed-forward and head outputs again from the cache, frees
+each intermediate after its last read and works in place, adding one
+N x N array, dA.  So a training step (``forward``, then
+``losses.loss_and_grad``) peaks at about two N x N arrays (8 * N^2
+bytes each) unsupervised and four supervised.
 """
 
 from __future__ import annotations
@@ -44,8 +42,11 @@ WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "ff_w", "reg_w1", "reg_w2", "emb_w")
 # Adam's update and sum_of_squares walk each field in blocks of this many
 # elements: the five float32 blocks an update touches (parameter, gradient,
 # two moments, one scratch buffer) take 5 x 128 KB, and the float64 block
-# a float32 field's sum is taken in 256 KB; both fit one core's L2 cache
+# a float32 field's sum is taken in 256 KB; both fit one core's L2 cache,
+# as does the block of whole attention rows the diversity weights' terms use
 ADAM_BLOCK = 1 << 15
+# ln 2^-100: the column softmax clamps A - max here before the exp
+LOG_ALPHA_FLOOR = math.log(2.0**-100)
 
 
 @dataclass
@@ -268,26 +269,40 @@ def _softmax_columns(a: np.ndarray) -> np.ndarray:
     """Column-wise softmax of a float array, computed in place; returns a.
 
     alpha[i, j] = exp(A[i, j]) / sum_r exp(A[r, j]), stabilized by
-    subtracting each column's max, so every column sums to one.
+    subtracting each column's max, so every column sums to one.  A - max
+    is clamped at LOG_ALPHA_FLOOR first, so every weight is at least
+    2^-100 / N: a normal float32 for any N below 2^25, where an unclamped
+    saturated column holds subnormals that slow the reverse pass's
+    products about tenfold.  The clamp changes only weights below 2^-100,
+    far below ``alpha_clip``, through which alone d reads alpha; each
+    column sum is at least 1 and moves by at most N * 2^-100, under half
+    an ulp.  So d, z, y and phi keep their bits, and a floored entry's
+    term in dA moves by at most 2^-100 of its column's largest.
     """
     a -= a.max(axis=0)
+    np.maximum(a, LOG_ALPHA_FLOOR, out=a)
     np.exp(a, out=a)
     a /= a.sum(axis=0)
     return a
 
 
 def _log_keep_sums(alpha: np.ndarray, eps: float) -> np.ndarray:
-    """Row sums of log(1 - clip(alpha, eps, 1 - eps)); overwrites alpha.
+    """Row sums of log(1 - clip(alpha, eps, 1 - eps)); alpha is only read.
 
     The diversity weights are these row products of (1 - alpha) on the
     simplex.  Log space keeps a long video's product of N factors from
     underflowing, and the clip keeps a weight of one from zeroing a row;
-    for N = 1 the weights are [1].
+    for N = 1 the weights are [1].  The terms are formed a block of rows
+    at a time, and each row is summed as ``alpha.sum(axis=1)`` sums it.
     """
-    np.clip(alpha, eps, 1.0 - eps, out=alpha)
-    np.negative(alpha, out=alpha)
-    np.log1p(alpha, out=alpha)
-    return alpha.sum(axis=1)
+    rows = max(1, ADAM_BLOCK // len(alpha))
+    block, sums = np.empty_like(alpha[:rows]), np.empty(len(alpha), alpha.dtype)
+    for start in range(0, len(alpha), rows):
+        part = alpha[start : start + rows]
+        terms = np.clip(part, eps, 1.0 - eps, out=block[: len(part)])
+        np.log1p(np.negative(terms, out=terms), out=terms)
+        terms.sum(axis=1, out=sums[start : start + len(part)])
+    return sums
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
@@ -373,13 +388,14 @@ def _network(
     ff_mask: np.ndarray | None = None,
     head_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score logits z of a checked (N, D) feature matrix, each layer applied in place.
+    """Score logits z of a checked (N, D) feature matrix, in one N x N array.
 
-    Given a ``cache`` dict, it also records each intermediate a
-    ``ForwardTrace`` keeps under its field name, and ``ff_out``, and hands
-    the next layer a copy wherever that layer would overwrite one.  The
-    dropout masks multiply the feed-forward pre-activation and the head
-    output; None is the identity.
+    Given a ``cache`` dict, the same operations also record each
+    intermediate a ``ForwardTrace`` keeps under its field name, and
+    ``ff_out``: a layer whose input may be recorded runs out of place, any
+    other in place, and the N x N array is the attention.  The dropout
+    masks multiply the feed-forward pre-activation and the head output;
+    None is the identity.
     """
 
     def record(name, a):
@@ -387,33 +403,25 @@ def _network(
             cache[name] = a
         return a
 
-    def record_copy(name, a):
-        return a if cache is None else record(name, a).copy()
-
     q_proj = record("q_proj", x @ params.w_q.T)
     k_proj = record("k_proj", x @ params.w_k.T)
-    a = _attention(q_proj, k_proj)
+    alpha = record("alpha", _softmax_columns(_attention(q_proj, k_proj)))
     del q_proj, k_proj
-    _softmax_columns(a)
-    d = record("d", _simplex(_log_keep_sums(record_copy("alpha", a), hyper.alpha_clip)))
-    del a
-    z = record_copy("v_proj", x @ params.w_v.T)
-    z *= d[:, None]
+    d = record("d", _simplex(_log_keep_sums(alpha, hyper.alpha_clip)))
+    del alpha
+    z = record("v_proj", x @ params.w_v.T) * d[:, None]
     z = z @ params.ff_w.T
     z += params.ff_b
     if ff_mask is not None:
         z *= ff_mask
     record("ln1_inv_std", _standardize(z))
-    z = record_copy("ln1_xhat", z)
-    z *= params.ln1_scale
+    z = record("ln1_xhat", z) * params.ln1_scale
     z += params.ln1_offset
     z = record("ff_out", z) @ params.reg_w1.T
     z += params.reg_b1
-    z = record_copy("head_pre", z)
-    np.maximum(z, 0.0, out=z)
+    z = np.maximum(record("head_pre", z), 0.0)
     record("ln2_inv_std", _standardize(z))
-    z = record_copy("ln2_xhat", z)
-    z *= params.ln2_scale
+    z = record("ln2_xhat", z) * params.ln2_scale
     z += params.ln2_offset
     if head_mask is not None:
         z *= head_mask
@@ -541,9 +549,8 @@ def network_grad(
     da *= inside  # d(loss)/d(alpha)
     del inside
 
-    # column softmax, with the column sums taken in a second N x N array
-    colsum = np.multiply(alpha, da).sum(axis=0, keepdims=True)
-    da -= colsum
+    # column softmax; einsum sums each column without forming alpha * da
+    da -= np.einsum("ij,ij->j", alpha, da)
     np.multiply(alpha, da, out=da)  # d(loss)/dA
 
     scale = 1.0 / math.sqrt(x.shape[1])

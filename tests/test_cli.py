@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from gdasum.cli import BLAS_THREAD_VARS, main
-from gdasum.data import load_manifest, write_features, write_manifest
+from gdasum.data import load_manifest, make_splits, write_features, write_manifest
 from gdasum.kts import MAX_FRAMES, kts_changepoints
 from gdasum.model import HyperParams, ModelParams, init_params
 from gdasum.summarize import generate_summary
 from gdasum.synthetic import PlantedSpec, write_planted_corpus
-from gdasum.train import load_checkpoint, save_checkpoint
+from gdasum.train import TrainConfig, load_checkpoint, save_checkpoint
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -324,6 +324,16 @@ def test_eval_fold_out_of_range(corpus, tmp_path, capsys):
             "--setting", "canonical", "--fold", fold,
         ]) == 1
         assert f"fold {fold} out of range" in capsys.readouterr().err
+    # a fold whose test videos have no summary scores nothing
+    splits = make_splits(load_manifest(corpus), "canonical", TrainConfig.seed)
+    (video,) = splits[1].test_ids
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    (lone / f"{video}.summary.json").write_bytes((sums / f"{video}.summary.json").read_bytes())
+    assert run([
+        "eval", "--manifest", corpus, "--summaries", lone, "--setting", "canonical", "--fold", 0,
+    ]) == 1
+    assert "no summarized videos fall in the requested fold(s)" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -513,7 +523,7 @@ def test_train_refuses_non_finite_hyperparameters(corpus, flag, value, named, tm
     assert not (tmp_path / "run").exists()
 
 
-def write_solo_manifest(tmp_path, source="summe-like"):
+def write_solo_manifest(tmp_path, source="summe-like", annotations=None):
     rng = np.random.default_rng(1)
     matrix = rng.standard_normal((4, 2)).astype(np.float32)
     write_features(tmp_path / "solo.f32", matrix)
@@ -525,7 +535,7 @@ def write_solo_manifest(tmp_path, source="summe-like"):
             "dim": 2,
             "features_file": "solo.f32",
             "source_dataset": source,
-            "annotations": {"user_summaries": [[[0, 2]]]},
+            "annotations": {"user_summaries": [[[0, 2]]]} if annotations is None else annotations,
         }],
     )
     return tmp_path / "manifest.json"
@@ -547,12 +557,14 @@ def write_solo_summary(tmp_path, frame_mask, shots=([0, 2], [2, 4]), selected=(0
 
 
 def test_eval_perfect_match_scores_100(tmp_path, capsys):
-    manifest = write_solo_manifest(tmp_path)
     sums = write_solo_summary(tmp_path, [1, 1, 0, 0])
-    assert run(["eval", "--manifest", manifest, "--summaries", sums]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["protocol"] == "max"  # inferred from summe-like
-    assert doc["mean_fscore"] == 100.0
+    # keyframe labels stand in as the one user when a video has no user summaries
+    for annotations in (None, {"keyframe_labels": [1, 1, 0, 0]}):
+        manifest = write_solo_manifest(tmp_path, annotations=annotations)
+        assert run(["eval", "--manifest", manifest, "--summaries", sums]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["protocol"] == "max"  # inferred from summe-like
+        assert doc["mean_fscore"] == 100.0
 
 
 def test_metrics_report_serialization(tmp_path, capsys):
@@ -671,9 +683,22 @@ def test_eval_names_an_unreadable_summary(tmp_path, capsys):
 def test_eval_requires_summaries(tmp_path, capsys):
     manifest = write_solo_manifest(tmp_path)
     assert run(["eval", "--manifest", manifest]) == 1
+    capsys.readouterr()
+    missing = tmp_path / "missing"
+    assert run(["eval", "--manifest", manifest, "--summaries", missing]) == 1
+    assert capsys.readouterr().err == f"error: summary directory not found: {missing}\n"
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run(["eval", "--manifest", manifest, "--summaries", empty]) == 1
+
+
+def test_eval_requires_user_summaries_or_keyframe_labels(tmp_path, capsys):
+    manifest = write_solo_manifest(tmp_path, annotations={})
+    sums = write_solo_summary(tmp_path, [1, 1, 0, 0])
+    assert run(["eval", "--manifest", manifest, "--summaries", sums]) == 1
+    assert capsys.readouterr().err == (
+        "error: video 'solo' has no user summaries or keyframe labels\n"
+    )
 
 
 def test_eval_zeta_leaves_out_video_without_selected_shot(tmp_path, capsys):
