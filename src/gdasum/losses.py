@@ -280,10 +280,11 @@ def _unsupervised(y, phi, sigma):
     return length, repelling, grad
 
 
-def _objective(trace, params, hyper, mode, labels, sigma, variation_weight):
-    """The mode's LossBreakdown and (dz, dphi) function, on the trace upcast to float64.
+def _objective(fields, params, hyper, mode, labels, sigma, variation_weight):
+    """The mode's LossBreakdown and (dz, dphi) function, on a trace's fields upcast to float64.
 
-    The DPP reads the embeddings before their bias, ``trace.emb_proj``:
+    ``fields`` is a dict of ``ForwardTrace`` fields, which is only read.
+    The DPP reads the embeddings before their bias, ``emb_proj``:
     distances ignore a shift shared by every row, so the loss is the same
     as on phi.  In floating point it does not read ``emb_b`` at all, which
     the Gram-form distances need: a shared bias raises the row norms, and
@@ -294,15 +295,15 @@ def _objective(trace, params, hyper, mode, labels, sigma, variation_weight):
         raise ValueError(f"unknown loss mode {mode!r}")
     if mode == "supervised" and labels is None:
         raise ValueError("supervised loss requires keyframe labels")
-    y = np.asarray(trace.y, dtype=np.float64)
+    y = np.asarray(fields["y"], dtype=np.float64)
     pen = weight_penalty(params, hyper.weight_decay)
     if mode == "supervised":
         labels = np.asarray(labels, dtype=np.float64)
-        z = np.asarray(trace.z, dtype=np.float64)
-        phi = np.asarray(trace.emb_proj, dtype=np.float64)
+        z = np.asarray(fields["z"], dtype=np.float64)
+        phi = np.asarray(fields["emb_proj"], dtype=np.float64)
         key, var, grad = _supervised(z, y, phi, labels, hyper.beta, variation_weight)
         return LossBreakdown(var, key, 0.0, 0.0, pen, key + var + pen), grad
-    phi = np.asarray(trace.phi, dtype=np.float64)
+    phi = np.asarray(fields["phi"], dtype=np.float64)
     length, rep, grad = _unsupervised(y, phi, sigma)
     return LossBreakdown(0.0, 0.0, length, rep, pen, length + rep + pen), grad
 
@@ -322,11 +323,11 @@ def total_loss(
     unsupervised: length regularizer + repelling (labels are ignored)
     ``variation_weight`` scales the variation term; 0 is the keyframe-only ablation.
     """
-    return _objective(trace, params, hyper, mode, labels, sigma, variation_weight)[0]
+    return _objective(vars(trace), params, hyper, mode, labels, sigma, variation_weight)[0]
 
 
 def loss_and_grad(
-    trace: ForwardTrace,
+    trace: ForwardTrace | dict,
     x: np.ndarray,
     params: ModelParams,
     hyper: HyperParams,
@@ -341,20 +342,25 @@ def loss_and_grad(
     the loss's z and phi gradients, cast to the parameters' dtype, run
     back through ``model.network_grad`` with the trace's dropout masks,
     and each weight field's gradient then takes the penalty's
-    ``2 * weight_decay * theta`` in place.  A non-finite total raises
+    ``2 * weight_decay * theta`` in place.  A ``ForwardTrace`` is left
+    whole, and the reverse pass empties a shallow copy of its fields.  A
+    dict of its fields, such as ``vars(forward(...))``, which is how
+    ``train`` hands over its step's trace, is itself emptied, so each
+    cached array is freed at its last read.  A non-finite total raises
     ``NumericalError`` before any gradient work; a NaN or inf in the
     gradient is left to ``backward`` or ``train.adam_step`` to refuse.
     """
-    if np.shape(x) != trace.v_proj.shape:
+    fields = trace if isinstance(trace, dict) else dict(vars(trace))
+    if np.shape(x) != fields["v_proj"].shape:
         raise ValueError("trace does not match the given feature matrix")
 
-    breakdown, grad = _objective(trace, params, hyper, mode, labels, sigma, variation_weight)
+    breakdown, grad = _objective(fields, params, hyper, mode, labels, sigma, variation_weight)
     if not np.isfinite(breakdown.total):
         raise NumericalError("non-finite loss")
     dz, dphi = grad()
     del grad  # frees the pairwise arrays before the reverse pass allocates its own
     dz, dphi = dz.astype(params.dtype, copy=False), dphi.astype(params.dtype, copy=False)
-    grads = network_grad(trace, x, params, hyper, dz, dphi)
+    grads = network_grad(fields, x, params, hyper, dz, dphi)
     if hyper.weight_decay != 0.0:
         for name in WEIGHT_FIELDS:  # one field-sized temporary at a time
             g = getattr(grads, name)

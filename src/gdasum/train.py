@@ -285,10 +285,12 @@ def train(
             x = rec.features.matrix
             try:
                 t0 = time.perf_counter()
-                trace = forward(x, params, hyper, mode="train", rng=rng)
+                # the step keeps only the dict of the trace's fields, which the
+                # reverse pass empties: each activation is freed at its last read
+                trace_fields = vars(forward(x, params, hyper, mode="train", rng=rng))
                 t1 = time.perf_counter()
                 breakdown, grads = loss_and_grad(
-                    trace,
+                    trace_fields,
                     x,
                     params,
                     hyper,
@@ -297,8 +299,6 @@ def train(
                     sigma=config.sigma,
                     variation_weight=config.variation_weight,
                 )
-                # free the activations before the next forward allocates its own
-                del trace
                 t2 = time.perf_counter()
                 adam_step(params, grads, state, lr, clip)
                 del grads

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib
 import itertools
 import re
@@ -27,7 +28,14 @@ from gdasum.losses import (
 )
 from gdasum.losses import _supervised as supervised
 from gdasum.losses import _unsupervised as unsupervised
-from gdasum.model import WEIGHT_FIELDS, HyperParams, ModelParams, forward, init_params
+from gdasum.model import (
+    WEIGHT_FIELDS,
+    HyperParams,
+    ModelParams,
+    forward,
+    init_params,
+    network_grad,
+)
 
 SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.0)
 
@@ -474,15 +482,28 @@ def test_loss_and_grad_fields_are_fresh_arrays_shaped_like_the_parameters():
 
 
 def test_loss_and_grad_leaves_its_inputs_intact():
-    # the backward runs in place only on arrays it made itself
+    # the backward runs in place only on arrays it made itself, and a caller's
+    # trace keeps every field: bench/stages.py times backward on one trace
+    # again and again
     hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.4, weight_decay=0.01)
     x, params, labels = _instance(12, n=9, hyper=hyper)
     trace = forward(x, params, hyper, mode="train", rng=np.random.default_rng(1))
-    inputs = [x, *params.arrays(), *(a for a in vars(trace).values() if isinstance(a, np.ndarray))]
+    fields = dict(vars(trace))
+    inputs = [x, *params.arrays(), *(a for a in fields.values() if isinstance(a, np.ndarray))]
     before = [a.tobytes() for a in inputs]
+    rng = np.random.default_rng(2)
+    dz, dphi = rng.standard_normal(9), rng.standard_normal((9, 4))
+    calls = {"network_grad": functools.partial(network_grad, trace, x, params, hyper, dz, dphi)}
     for mode, lab in (("supervised", labels), ("unsupervised", None)):
-        loss_and_grad(trace, x, params, hyper, mode, labels=lab)
-        assert [a.tobytes() for a in inputs] == before, mode
+        for fn in (loss_and_grad, backward):
+            calls[f"{fn.__name__}, {mode}"] = functools.partial(
+                fn, trace, x, params, hyper, mode, labels=lab
+            )
+    for call, run in calls.items():
+        run()
+        assert vars(trace).keys() == fields.keys(), call
+        assert all(getattr(trace, name) is a for name, a in fields.items()), call
+        assert [a.tobytes() for a in inputs] == before, call
 
 
 def _traced_peak(fn):

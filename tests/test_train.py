@@ -6,6 +6,7 @@ import os
 import re
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -692,6 +693,39 @@ def test_train_step_sums_its_gradient_once(monkeypatch):
     train(records, split, TrainConfig(epochs=1, learning_rate=1e-3), SMALL_HYPER)
     assert len(gradients) == len(split.train_ids)
     assert sums == list(range(len(split.train_ids)))
+
+
+# the arrays a ForwardTrace caches for the reverse pass
+CACHED = (
+    "head_pre", "ln2_xhat", "head_mask", "ln1_xhat", "ff_mask",
+    "v_proj", "k_proj", "q_proj", "alpha",
+)
+
+
+@pytest.mark.parametrize("mode", [TrainMode.SUPERVISED, TrainMode.UNSUPERVISED])
+def test_train_step_frees_each_cached_array_in_the_reverse_pass(monkeypatch, mode):
+    # train hands the reverse pass its trace's own fields, so no cached
+    # array outlives network_grad: the gradients are built as they die
+    records, split = small_corpus()
+    losses_module = importlib.import_module("gdasum.losses")
+    train_module = importlib.import_module("gdasum.train")
+    real_forward, real_network_grad = train_module.forward, losses_module.network_grad
+    refs, alive = [], []
+
+    def watched_forward(*args, **kwargs):
+        trace = real_forward(*args, **kwargs)
+        refs.append({name: weakref.ref(getattr(trace, name)) for name in CACHED})
+        return trace
+
+    def watched_network_grad(*args):
+        grads = real_network_grad(*args)
+        alive.append([name for name, ref in refs[-1].items() if ref() is not None])
+        return grads
+
+    monkeypatch.setattr(train_module, "forward", watched_forward)
+    monkeypatch.setattr(losses_module, "network_grad", watched_network_grad)
+    train(records, split, TrainConfig(mode=mode, epochs=1, learning_rate=1e-3), SMALL_HYPER)
+    assert alive == [[]] * len(split.train_ids)
 
 
 def test_train_reports_gradient_norm_before_clipping():
