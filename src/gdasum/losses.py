@@ -343,10 +343,11 @@ def loss_and_grad(
     back through ``model.network_grad`` with the trace's dropout masks,
     and each weight field's gradient then takes the penalty's
     ``2 * weight_decay * theta`` in place.  A ``ForwardTrace`` is left
-    whole, and the reverse pass empties a shallow copy of its fields.  A
-    dict of its fields, such as ``vars(forward(...))``, which is how
-    ``train`` hands over its step's trace, is itself emptied, so each
-    cached array is freed at its last read.  A non-finite total raises
+    whole: this is the one place a trace is copied, and the reverse pass
+    empties a shallow copy of its fields.  A dict of its fields, such as
+    ``vars(forward(...))``, which is how ``train`` hands over its step's
+    trace, is itself emptied, so each cached array is freed at its last
+    read.  A non-finite total raises
     ``NumericalError`` before any gradient work; a NaN or inf in the
     gradient is left to ``backward`` or ``train.adam_step`` to refuse.
     """

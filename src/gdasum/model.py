@@ -25,11 +25,11 @@ forms the feed-forward and head outputs again from the cache, frees
 each intermediate after its last read and works in place, adding one
 N x N array, dA.  So a training step (``forward``, then
 ``losses.loss_and_grad``) peaks at about two N x N arrays (8 * N^2
-bytes each) unsupervised and four supervised.  Given the dict of the
-trace's fields, as ``train`` hands it over, the reverse pass also frees
-each cached array at its last read: at D = 1024 with the default
-widths, a float32 step then peaks at 27 MB unsupervised and 34 MB
-supervised at N = 600, against 49 MB with the trace held throughout.
+bytes each) unsupervised and four supervised.  The reverse pass takes
+the dict of the trace's fields and frees each cached array at its last
+read: at D = 1024 with the default widths, a float32 step of ``train``,
+which holds no other reference to its trace, peaks at 27 MB
+unsupervised and 34 MB supervised at N = 600.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ LAYERNORM_EPS = 1e-5
 
 # Fields holding weight matrices: Xavier-initialized and subject to L2 decay.
 WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "ff_w", "reg_w1", "reg_w2", "emb_w")
-# Adam's update and sum_of_squares walk each field in blocks of this many
-# elements: the five float32 blocks an update touches (parameter, gradient,
-# two moments, one scratch buffer) take 5 x 128 KB, and the float64 block
-# a float32 field's sum is taken in 256 KB; both fit one core's L2 cache,
-# as does the block of whole attention rows the diversity weights' terms use
+# Adam's update walks each field in blocks of this many elements: the five
+# float32 blocks an update touches (parameter, gradient, two moments, one
+# scratch buffer) take 5 x 128 KB, which fits one core's L2 cache, as does
+# the block of whole attention rows the diversity weights' terms use
 ADAM_BLOCK = 1 << 15
 # ln 2^-100: the column softmax clamps A - max here before the exp
 LOG_ALPHA_FLOOR = math.log(2.0**-100)
@@ -176,26 +175,18 @@ class ModelParams:
 def sum_of_squares(named_arrays) -> float:
     """Sum of squares over (name, array) pairs, accumulated in float64; inf on overflow.
 
-    A float64 array is summed by ``np.vdot``, which builds no temporary.
-    Any other is copied ADAM_BLOCK elements at a time into one float64
-    block and summed there: a float32 ``vdot`` accumulates in float32,
-    which overflows once the norm passes about 1e19.  An array holding
-    NaN or inf is a ValueError naming it; ``np.isfinite`` runs only on an
-    array whose sum is not finite.
+    Each array is summed by one ``einsum`` with a float64 accumulator,
+    whatever its dtype: NumPy casts a float32 array through a fixed
+    buffer of about 128 KB, so no float64 copy of it is made, and its sum
+    cannot overflow as a float32 accumulator would past about 1e19.  An
+    array holding NaN or inf is a ValueError naming it; ``np.isfinite``
+    runs only on an array whose sum is not finite.
     """
-    total, wide = 0.0, np.empty(0)
+    total = 0.0
     with np.errstate(over="ignore"):
         for name, a in named_arrays:
-            if a.dtype == np.float64:
-                sq = float(np.vdot(a, a))
-            else:
-                flat, sq = a.reshape(-1), 0.0
-                if wide.size < min(ADAM_BLOCK, flat.size):
-                    wide = np.empty(min(ADAM_BLOCK, flat.size))
-                for start in range(0, flat.size, ADAM_BLOCK):
-                    block = wide[: min(ADAM_BLOCK, flat.size - start)]
-                    np.copyto(block, flat[start : start + block.size])
-                    sq += float(np.vdot(block, block))
+            flat = a.reshape(-1)
+            sq = float(np.einsum("i,i->", flat, flat, dtype=np.float64))
             if not math.isfinite(sq) and not np.all(np.isfinite(a)):
                 raise ValueError(f"non-finite values in parameter {name!r}")
             total += sq
@@ -242,10 +233,9 @@ class ForwardTrace:
     ``network_grad`` forms ff_out = ln1_xhat * ln1_scale + ln1_offset
     and head_drop = (ln2_xhat * ln2_scale + ln2_offset) * head_mask
     again with forward's operations, and so with forward's bits.
-    ``network_grad`` and ``losses.loss_and_grad`` leave a trace whole;
-    given the dict of its fields, ``vars(trace)``, they empty it, so each
-    cached array is freed at its last read: that is how ``train`` hands
-    over its step's trace.
+    ``network_grad`` takes the dict of a trace's fields and empties it,
+    so each cached array is freed at its last read; ``losses.loss_and_grad``
+    hands it a shallow copy when given the trace itself.
     """
 
     alpha: np.ndarray
@@ -476,7 +466,7 @@ def forward(
 
 
 def network_grad(
-    trace: ForwardTrace | dict,
+    fields: dict,
     x: np.ndarray,
     params: ModelParams,
     hyper: HyperParams,
@@ -485,24 +475,23 @@ def network_grad(
 ) -> ModelParams:
     """Gradient of <dz, z> + <dphi, phi> w.r.t. every parameter: the reverse pass.
 
-    ``trace`` comes from ``forward`` on the same ``x`` and ``params``, and
-    its dropout masks are honored; ``dz``, the gradient with respect to
-    the logits, and ``dphi`` are in the parameters' dtype, and so is
-    every gradient.  A ``ForwardTrace`` is left whole: the pass works on
-    a shallow copy of its fields.  A dict of its fields, such as
-    ``vars(forward(...))``, is emptied, each cached array popped at its
-    last read (or into a local deleted after it), so a caller that holds
-    no other reference has the activations freed as the gradients are
-    built.  Every other intermediate is deleted after its last read and
-    each elementwise step runs in place, with the operands and order of
-    the plain formulas, so few arrays are alive at once.
+    ``fields`` is the dict of the fields of a ``ForwardTrace`` from
+    ``forward`` on the same ``x`` and ``params``, and its dropout masks
+    are honored; ``dz``, the gradient with respect to the logits, and
+    ``dphi`` are in the parameters' dtype, and so is every gradient.  The
+    dict is emptied, each cached array popped at its last read (or into a
+    local deleted after it), so a caller that holds no other reference
+    has the activations freed as the gradients are built.  Every other
+    intermediate is deleted after its last read and each elementwise step
+    runs in place, with the operands and order of the plain formulas, so
+    few arrays are alive at once.
     """
-    t = trace if isinstance(trace, dict) else dict(vars(trace))
-    del t["y"], t["z"], t["phi"], t["emb_proj"]  # the loss's inputs, not read here
+    # the loss's inputs, not read here
+    del fields["y"], fields["z"], fields["phi"], fields["emb_proj"]
     g = {}  # each field's gradient, the array its branch computed
     # score head: final linear -> dropout -> layer norm -> relu
-    head_mask = t.pop("head_mask")
-    head_drop = t["ln2_xhat"] * params.ln2_scale  # the head output, as forward forms it
+    head_mask = fields.pop("head_mask")
+    head_drop = fields["ln2_xhat"] * params.ln2_scale  # the head output, as forward forms it
     head_drop += params.ln2_offset
     if head_mask is not None:
         head_drop *= head_mask
@@ -515,11 +504,11 @@ def network_grad(
         d_ln2_out *= head_mask
     del head_mask
     d_head_pre, g["ln2_scale"], g["ln2_offset"] = layernorm_backward(
-        d_ln2_out, t.pop("ln2_xhat"), t.pop("ln2_inv_std"), params.ln2_scale
+        d_ln2_out, fields.pop("ln2_xhat"), fields.pop("ln2_inv_std"), params.ln2_scale
     )
     del d_ln2_out
-    d_head_pre *= t.pop("head_pre") > 0.0
-    ff_out = t["ln1_xhat"] * params.ln1_scale  # the feed-forward output, as forward forms it
+    d_head_pre *= fields.pop("head_pre") > 0.0
+    ff_out = fields["ln1_xhat"] * params.ln1_scale  # the feed-forward output, as forward forms it
     ff_out += params.ln1_offset
     g["reg_w1"] = d_head_pre.T @ ff_out
     g["reg_b1"] = d_head_pre.sum(axis=0)
@@ -534,15 +523,15 @@ def network_grad(
 
     # feed-forward layer: layer norm -> dropout -> linear
     dz1, g["ln1_scale"], g["ln1_offset"] = layernorm_backward(
-        d_ff_out, t.pop("ln1_xhat"), t.pop("ln1_inv_std"), params.ln1_scale
+        d_ff_out, fields.pop("ln1_xhat"), fields.pop("ln1_inv_std"), params.ln1_scale
     )
     del d_ff_out
-    ff_mask = t.pop("ff_mask")
+    ff_mask = fields.pop("ff_mask")
     if ff_mask is not None:
         dz1 *= ff_mask
     del ff_mask
-    d = t.pop("d")
-    g["ff_w"] = dz1.T @ (t["v_proj"] * d[:, None])  # the context, as forward forms it
+    d = fields.pop("d")
+    g["ff_w"] = dz1.T @ (fields["v_proj"] * d[:, None])  # the context, as forward forms it
     g["ff_b"] = dz1.sum(axis=0)
     d_context = dz1 @ params.ff_w
     del dz1
@@ -550,7 +539,7 @@ def network_grad(
     # context c_i = d_i * v_i; x is converted only now, so a converted copy
     # is not alive during the heads' reverse pass
     x = np.asarray(x, dtype=params.dtype)
-    dd = (d_context * t.pop("v_proj")).sum(axis=1)
+    dd = (d_context * fields.pop("v_proj")).sum(axis=1)
     dv = d_context
     dv *= d[:, None]
     del d_context
@@ -559,7 +548,7 @@ def network_grad(
 
     # d = softmax over row sums of log(1 - clipped alpha), in one N x N array
     dlog = d * (dd - float(dd @ d))
-    alpha, lo, hi = t.pop("alpha"), hyper.alpha_clip, 1.0 - hyper.alpha_clip
+    alpha, lo, hi = fields.pop("alpha"), hyper.alpha_clip, 1.0 - hyper.alpha_clip
     da = np.clip(alpha, lo, hi)
     np.subtract(1.0, da, out=da)
     np.divide(-1.0, da, out=da)
@@ -575,11 +564,11 @@ def network_grad(
     del alpha
 
     scale = 1.0 / math.sqrt(x.shape[1])
-    dq = da @ t.pop("k_proj")
+    dq = da @ fields.pop("k_proj")
     dq *= scale
     g["w_q"] = dq.T @ x
     del dq
-    dk = da.T @ t.pop("q_proj")
+    dk = da.T @ fields.pop("q_proj")
     del da
     dk *= scale
     g["w_k"] = dk.T @ x

@@ -206,15 +206,9 @@ def clip_gradients(grads: ModelParams, max_norm: float) -> tuple[ModelParams, fl
 
 
 def _video_mode(config_mode: TrainMode, record: VideoRecord) -> str:
-    if config_mode is TrainMode.SUPERVISED:
-        return "supervised"
-    if config_mode is TrainMode.UNSUPERVISED:
-        return "unsupervised"
-    return (
-        "supervised"
-        if record.annotations.keyframe_labels is not None
-        else "unsupervised"
-    )
+    if config_mode is not TrainMode.SEMI:
+        return config_mode.value
+    return "unsupervised" if record.annotations.keyframe_labels is None else "supervised"
 
 
 def _minor_faults() -> int | None:

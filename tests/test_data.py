@@ -70,6 +70,12 @@ def test_read_features_missing_file(tmp_path):
         read_features(tmp_path / "absent.f32", 4, 4)
 
 
+def test_write_features_refuses_a_matrix_that_is_not_2d(tmp_path):
+    with pytest.raises(DatasetError, match="feature matrix must be 2-D"):
+        write_features(tmp_path / "x.f32", np.zeros(6))
+    assert not (tmp_path / "x.f32").exists()
+
+
 def test_frame_features_validation():
     with pytest.raises(DatasetError):
         FrameFeatures(np.zeros((3, 2)))  # float64
@@ -183,6 +189,22 @@ def test_load_manifest_accepts_ids_that_name_a_file(tmp_path, vid):
     manifest = tmp_path / "manifest.json"
     write_manifest(manifest, entries)
     assert [r.id for r in load_manifest(manifest)] == [vid]
+
+
+def test_load_manifest_missing_file(tmp_path):
+    with pytest.raises(DatasetError, match="manifest not found: "):
+        load_manifest(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("key", ["n_frames", "dim"])
+def test_load_manifest_refuses_a_size_below_one(tmp_path, key):
+    entries = []
+    add_video(tmp_path, entries, "a")
+    entries[0][key] = 0
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, entries)
+    with pytest.raises(DatasetError, match="video 'a': n_frames and dim must be positive"):
+        load_manifest(manifest)
 
 
 def test_load_manifest_missing_key(tmp_path):
@@ -362,6 +384,9 @@ def test_make_splits_transfer_single_fold(tmp_path):
     assert len(splits) == 1
     assert set(splits[0].train_ids) == {"x-0", "x-1", "x-2"}
     assert set(splits[0].test_ids) == {f"t-{i}" for i in range(6)}
+    targets_only = [r for r in records if r.source_dataset is SourceDataset.SUMME_LIKE]
+    with pytest.raises(DatasetError, match="transfer setting needs auxiliary records"):
+        make_splits(targets_only, "transfer", seed=0, target="summe-like")
 
 
 def test_make_splits_requires_target_when_mixed(tmp_path):

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +243,8 @@ def test_shots_reject_bad_boundaries():
         shots_from_changepoints([0], 10)
     with pytest.raises(ValueError):
         shots_from_changepoints([10], 10)
+    with pytest.raises(ValueError, match="n_frames must be positive"):
+        shots_from_changepoints([], 0)
     with pytest.raises(ValueError):
         Shot(4, 4)
 
@@ -365,23 +366,18 @@ def test_prefix_sum_table_equals_numpy_cumsum(n):
 
 
 @pytest.mark.parametrize("kernel, bound", [("linear", 15), ("rbf", 17)], ids=["linear", "rbf"])
-def test_segmentation_peak_memory_stays_within_17_n_squared_bytes(kernel, bound):
+def test_segmentation_peak_memory_stays_within_17_n_squared_bytes(kernel, bound, traced_peak):
     # linear: the Gram matrix is summed in place in the table (8.06 N^2
     # bytes), and the DP's table, best and back tables and DP_BLOCK cost
     # rows set the peak (14.09 N^2 measured); rbf: the distances and the
     # table are alive together while the table is built (16.35 N^2)
     n = 600
     x = np.random.default_rng(10).standard_normal((n, 16))
-    tracemalloc.start()
-    try:
-        kts_changepoints(x, kernel=kernel)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: kts_changepoints(x, kernel=kernel))
     assert peak <= bound * n * n
 
 
-def test_long_video_segment_and_summarize_peak_within_12_n_squared_bytes():
+def test_long_video_segment_and_summarize_peak_within_12_n_squared_bytes(traced_peak):
     # a long video through KTS and then scoring and selection: the KTS DP
     # sets the peak (11.35 N^2 bytes measured), and the table is freed
     # before score_frames holds its one N^2 attention array (8.10 N^2)
@@ -389,26 +385,20 @@ def test_long_video_segment_and_summarize_peak_within_12_n_squared_bytes():
     x = np.random.default_rng(11).standard_normal((n, 8))
     hyper = HyperParams(hidden=16, embed=4)
     params = init_params(8, hyper, seed=0)
-    tracemalloc.start()
-    try:
-        summary = generate_summary(x, params, hyper, kts_changepoints(x))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, summary = traced_peak(lambda: generate_summary(x, params, hyper, kts_changepoints(x)))
     assert summary["shots"][-1][1] == n
     assert peak <= 12 * n * n
 
 
-def test_frame_cap_raises_before_allocating():
+def test_frame_cap_raises_before_allocating(traced_peak):
     x = np.zeros((MAX_FRAMES + 1, 1))
-    tracemalloc.start()
-    try:
+
+    def build_both():
         for build in (SegmentCostTable, kts_changepoints):
             with pytest.raises(ValueError, match=f"N={MAX_FRAMES + 1}.*{MAX_FRAMES}"):
                 build(x, kernel="linear")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    peak, _ = traced_peak(build_both)
     assert peak < 1_000_000  # nothing N^2 (8 * N^2 bytes = 288 MB)
 
 

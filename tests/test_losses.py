@@ -3,7 +3,6 @@ import functools
 import importlib
 import itertools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +273,15 @@ def test_total_loss_requires_labels():
         total_loss(trace, params, SMALL, "supervised", labels=None)
 
 
+def test_loss_and_grad_refuses_an_unknown_mode_and_a_trace_of_other_features():
+    x, params, labels = _instance(1)
+    trace = forward(x, params, SMALL, mode="eval")
+    with pytest.raises(ValueError, match="unknown loss mode 'semi'"):
+        loss_and_grad(trace, x, params, SMALL, "semi", labels=labels)
+    with pytest.raises(ValueError, match="trace does not match the given feature matrix"):
+        loss_and_grad(trace, x[:-1], params, SMALL, "supervised", labels=labels)
+
+
 def test_total_loss_unsupervised_ignores_labels():
     x, params, labels = _instance(2)
     trace = forward(x, params, SMALL, mode="eval")
@@ -493,7 +501,8 @@ def test_loss_and_grad_leaves_its_inputs_intact():
     before = [a.tobytes() for a in inputs]
     rng = np.random.default_rng(2)
     dz, dphi = rng.standard_normal(9), rng.standard_normal((9, 4))
-    calls = {"network_grad": functools.partial(network_grad, trace, x, params, hyper, dz, dphi)}
+    handed = dict(vars(trace))
+    calls = {"network_grad": functools.partial(network_grad, handed, x, params, hyper, dz, dphi)}
     for mode, lab in (("supervised", labels), ("unsupervised", None)):
         for fn in (loss_and_grad, backward):
             calls[f"{fn.__name__}, {mode}"] = functools.partial(
@@ -504,15 +513,8 @@ def test_loss_and_grad_leaves_its_inputs_intact():
         assert vars(trace).keys() == fields.keys(), call
         assert all(getattr(trace, name) is a for name, a in fields.items()), call
         assert [a.tobytes() for a in inputs] == before, call
-
-
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
+    # network_grad empties the dict it was handed, and the trace kept every field above
+    assert handed == {}
 
 
 # A training step at N=1500, D=8 in units of one N x N array.  forward holds
@@ -520,7 +522,7 @@ def _traced_peak(fn):
 # more, dA, and the DPP path holds L and G = d(-log P)/dL, with L + I and
 # inv's workspace while G is made.
 @pytest.mark.parametrize("mode, bound", [("unsupervised", 2.5), ("supervised", 4.5)])
-def test_training_step_peak_in_n_by_n_arrays(mode, bound):
+def test_training_step_peak_in_n_by_n_arrays(mode, bound, traced_peak):
     n = 1500
     hyper = HyperParams(hidden=16, embed=4, dropout_rate=0.0)
     params = init_params(8, hyper, seed=0)
@@ -532,7 +534,7 @@ def test_training_step_peak_in_n_by_n_arrays(mode, bound):
         trace = forward(x, params, hyper, mode="train", rng=np.random.default_rng(0))
         return loss_and_grad(trace, x, params, hyper, mode, labels=labels)
 
-    peak, _ = _traced_peak(step)
+    peak, _ = traced_peak(step)
     assert peak < bound * 8 * n * n
 
 
@@ -541,7 +543,7 @@ def test_training_step_peak_in_n_by_n_arrays(mode, bound):
 # remains is the float64 copy of x, one (N, D) gradient and one N x N array,
 # plus in supervised mode the DPP path's N x N arrays (N x N is N x D here).
 @pytest.mark.parametrize("mode, bound", [("unsupervised", 3.0), ("supervised", 5.0)])
-def test_loss_and_grad_holds_few_n_by_d_arrays_beside_its_gradients(mode, bound):
+def test_loss_and_grad_holds_few_n_by_d_arrays_beside_its_gradients(mode, bound, traced_peak):
     n = d = 256
     hyper = HyperParams(hidden=d, embed=64)
     params = init_params(d, hyper, seed=0)
@@ -550,19 +552,19 @@ def test_loss_and_grad_holds_few_n_by_d_arrays_beside_its_gradients(mode, bound)
     labels = np.zeros(n)
     labels[::9] = 1.0
     trace = forward(x, params, hyper, mode="train", rng=rng)
-    peak, (_, grads) = _traced_peak(
+    peak, (_, grads) = traced_peak(
         lambda: loss_and_grad(trace, x, params, hyper, mode, labels=labels)
     )
     held = sum(g.nbytes for g in grads.arrays())
     assert peak - held < bound * 8 * n * d
 
 
-def test_unsupervised_loss_and_grad_hold_few_n_by_e_arrays():
+def test_unsupervised_loss_and_grad_hold_few_n_by_e_arrays(traced_peak):
     # the repelling term reads unit rows and their sum, never an N x N array
     n, e = 2000, 8
     rng = np.random.default_rng(0)
     y, phi = rng.uniform(0.1, 0.9, n), rng.standard_normal((n, e))
-    peak, (dz, dphi) = _traced_peak(lambda: unsupervised(y, phi, 0.3)[2]())
+    peak, (dz, dphi) = traced_peak(lambda: unsupervised(y, phi, 0.3)[2]())
     assert dphi.shape == (n, e) and dz.shape == (n,)
     assert peak < 8 * (8 * n * e)
 

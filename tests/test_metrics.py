@@ -176,6 +176,9 @@ def test_zeta_validates_input():
         diversity_zeta([(feats, [])])
     with pytest.raises(ValueError):
         diversity_zeta([(feats, [3])])
+    for bad in (np.zeros((0, 2)), np.zeros(3)):
+        with pytest.raises(ValueError, match="shot features must form a nonempty"):
+            diversity_zeta([(bad, [0])])
 
 
 def test_zeta_leaves_out_videos_without_selection():

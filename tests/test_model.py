@@ -1,6 +1,6 @@
 import dataclasses
 import math
-import tracemalloc
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from gdasum.model import (
     network_grad,
     score_frames,
     sigmoid,
+    sum_of_squares,
 )
 
 SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.5)
@@ -313,6 +314,13 @@ def test_hyperparams_validation():
         HyperParams(hidden=8, embed=4, weight_decay=-1e-3)
     with pytest.raises(ValueError):
         HyperParams(hidden=8, embed=4, beta=0.0)
+    with pytest.raises(ValueError, match=re.escape("alpha_clip must lie in (0, 0.5)")):
+        HyperParams(hidden=8, embed=4, alpha_clip=0.5)
+
+
+def test_init_params_refuses_a_feature_dim_below_one():
+    with pytest.raises(ValueError, match="feature_dim must be positive"):
+        init_params(0, SMALL, 0)
 
 
 @pytest.mark.parametrize("widths", [
@@ -463,7 +471,7 @@ def test_network_grad_matches_central_differences(mode):
 
     trace = forward(x, params, hyper, mode=mode, masks=masks)
     step = 1e-5
-    for name, g in network_grad(trace, x, params, hyper, dz, dphi).items():
+    for name, g in network_grad(dict(vars(trace)), x, params, hyper, dz, dphi).items():
         u = rng.standard_normal(g.shape)
         up, down = params.copy(), params.copy()
         getattr(up, name)[...] += step * u
@@ -497,7 +505,7 @@ def test_network_follows_the_parameters_dtype(dtype):
     assert np.array_equal(trace.head_mask, want.head_mask.astype(dtype))
     assert score_frames(x, params, hyper).dtype == dtype
 
-    grads = network_grad(trace, x, params, hyper, dz, dphi)
+    grads = network_grad(dict(vars(trace)), x, params, hyper, dz, dphi)
     for name, g in grads.items():
         assert g.dtype == dtype and g.shape == getattr(params, name).shape, name
 
@@ -517,7 +525,7 @@ def test_network_grad_forms_the_layer_outputs_with_forwards_bits(mode, dtype):
     if mode == "train":
         masks = tuple(_dropout_mask((n, w), 0.5, rng, dtype) for w in (d_feat, hidden))
     trace = forward(x, params, hyper, mode=mode, masks=masks)
-    grads = network_grad(trace, x, params, hyper, dz, dphi)
+    grads = network_grad(dict(vars(trace)), x, params, hyper, dz, dphi)
     ff_out = params.ln1_scale * trace.ln1_xhat + params.ln1_offset
     head_out = params.ln2_scale * trace.ln2_xhat + params.ln2_offset
     if masks is not None:
@@ -569,39 +577,30 @@ def test_attention_grads_equal_the_out_of_place_softmax_backward(mode, dtype):
     trace = forward(x, params, hyper, mode=mode, masks=masks)
     assert np.any(trace.alpha < hyper.alpha_clip)
     assert np.any(trace.alpha < np.exp(LOG_ALPHA_FLOOR) * 1.0001)
-    grads = network_grad(trace, x, params, hyper, dz, dphi)
+    grads = network_grad(dict(vars(trace)), x, params, hyper, dz, dphi)
     want_q, want_k = reference_attention_grads(trace, x, params, hyper, dz, dphi)
     assert grads.w_q.tobytes() == want_q.tobytes()
     assert grads.w_k.tobytes() == want_k.tobytes()
 
 
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_score_frames_holds_one_n_by_n_array():
+def test_score_frames_holds_one_n_by_n_array(traced_peak):
     # the attention is 8 * N^2 bytes, and score_frames holds nothing else that size
     n = 1500
     hyper = HyperParams(hidden=16, embed=4)
     params = init_params(8, hyper, seed=0)
     x = np.random.default_rng(0).standard_normal((n, 8))
-    assert traced_peak(lambda: score_frames(x, params, hyper)) < 1.05 * 8 * n * n + 1_000_000
+    assert traced_peak(lambda: score_frames(x, params, hyper))[0] < 1.05 * 8 * n * n + 1_000_000
 
 
 @pytest.mark.parametrize("mode", ["eval", "train"])
-def test_forward_holds_one_n_by_n_array(mode):
+def test_forward_holds_one_n_by_n_array(mode, traced_peak):
     # alpha: the diversity weights read it a block of rows at a time
     n = 1500
     hyper = HyperParams(hidden=16, embed=4)
     params = init_params(8, hyper, seed=0)
     x = np.random.default_rng(0).standard_normal((n, 8))
     rng = np.random.default_rng(0)
-    peak = traced_peak(lambda: forward(x, params, hyper, mode=mode, rng=rng))
+    peak, _ = traced_peak(lambda: forward(x, params, hyper, mode=mode, rng=rng))
     assert peak < 1.25 * 8 * n * n + 1_000_000
 
 
@@ -624,10 +623,17 @@ def test_trace_holds_only_what_the_reverse_pass_cannot_form_again(mode, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_check_finite_returns_the_sum_of_squares(dtype):
+def test_check_finite_returns_the_sum_of_squares(dtype, traced_peak):
     params = init_params(4, SMALL, 0).astype(dtype)
     want = sum(float(np.sum(a.astype(np.float64) ** 2)) for a in params.arrays())
     assert params.check_finite() == pytest.approx(want, rel=1e-6)
+    # a 1024 x 1024 field is summed in float64 with no float64 copy (8 MB):
+    # a float32 one casts through NumPy's fixed buffer of about 128 KB
+    field = np.random.default_rng(0).standard_normal((1024, 1024)).astype(dtype)
+    peak, got = traced_peak(lambda: sum_of_squares([("w_q", field)]))
+    want = math.fsum(v * v for v in field.astype(np.float64).ravel().tolist())
+    assert abs(got - want) <= 1e-13 * want
+    assert peak < 160_000
     zeros = params.zeros_like()
     assert zeros.check_finite() == 0.0
     assert all(a.flags.c_contiguous and a.dtype == dtype for a in zeros.arrays())

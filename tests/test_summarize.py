@@ -62,6 +62,8 @@ def test_shot_scores_requires_tiling():
         shot_scores(frame_scores, [Shot(0, 4), Shot(4, 9)])
     with pytest.raises(ValueError):
         shot_scores(frame_scores, [])
+    with pytest.raises(ValueError, match="frame_scores must be a 1-D array"):
+        shot_scores(np.zeros((10, 1)), [Shot(0, 10)])
 
 
 def test_knapsack_worked_example():
@@ -141,6 +143,8 @@ def test_knapsack_validates_input():
         knapsack_select(np.array([1.0, 2.0]), np.array([1]), 3)
     with pytest.raises(ValueError):
         knapsack_select(np.array([np.nan]), np.array([1]), 3)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        knapsack_select(np.array([1.0]), np.array([1]), -1)
 
 
 def test_summary_budget_is_floor_of_ratio():
