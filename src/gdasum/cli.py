@@ -130,12 +130,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     for split in splits:
         k = split.fold_index
-        params, epochs = train(records, split, config, hyper)
-        ckpt_path = out / f"fold{k}.ckpt"
-        save_checkpoint(params, ckpt_path, hyper, extra_header=_provenance(args))
         report_path = out / f"fold{k}.report.jsonl"
-        lines = [_provenance(args), *epochs, {"checkpoint_path": str(ckpt_path)}]
-        report_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        # one line per epoch as it ends, so a run that aborts leaves its record
+        with report_path.open("w") as report:
+
+            def write(line):
+                report.write(json.dumps(line) + "\n")
+                report.flush()
+
+            write(_provenance(args))
+            params, epochs = train(records, split, config, hyper, on_record=write)
+            ckpt_path = out / f"fold{k}.ckpt"
+            save_checkpoint(params, ckpt_path, hyper, extra_header=_provenance(args))
+            write({"checkpoint_path": str(ckpt_path)})
         final = epochs[-1]["loss"]["total"] if epochs else float("nan")
         print(f"fold {k}: checkpoint {ckpt_path} report {report_path} final-loss {final:.6f}")
     return 0

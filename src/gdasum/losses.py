@@ -14,7 +14,9 @@ repelling loss, the mean cosine over ordered pairs of distinct embeddings:
 with unit rows u_i and u_sum = sum_i u_i it is (||u_sum||^2 - sum_i ||u_i||^2)
 / (N (N - 1)), so no cosine matrix is built.  Both modes
 add an L2 penalty over the weight matrices so every differentiable
-term is covered by the finite-difference check.
+term is covered by the finite-difference check.  ``weight_penalty``
+sums it and, given the gradient, adds the penalty's gradient to it, in
+one blocked sweep over the weights.
 
 Each mode is one function, ``_supervised`` or ``_unsupervised``, giving
 its two loss terms and a function for their gradients with respect to
@@ -34,18 +36,21 @@ gradient is verified against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import (
+    SUM_BLOCK,
     ForwardTrace,
     HyperParams,
     ModelParams,
     WEIGHT_FIELDS,
+    block_sum_of_squares,
     forward,
     network_grad,
-    sum_of_squares,
+    sum_scratch,
 )
 
 # No loss clips scores.  Only bench/checks.py imports this old clip
@@ -202,11 +207,38 @@ def _repelling(phi, error=ValueError):
     return float((u_sum @ u_sum - np.vdot(u, u)) / (n * (n - 1))), norms, u, u_sum
 
 
-def weight_penalty(params: ModelParams, weight_decay: float) -> float:
-    """L2 penalty over weight matrices only (no biases, no norm params), summed in float64."""
+def weight_penalty(
+    params: ModelParams, weight_decay: float, grads: ModelParams | None = None
+) -> float:
+    """L2 penalty over weight matrices only (no biases, no norm params), summed in float64.
+
+    One sweep reads each weight field SUM_BLOCK elements at a time, so the
+    penalty is weight_decay times ``sum_of_squares`` of the weights, bit
+    for bit.  Given ``grads``, it also adds 2 * weight_decay * theta to
+    each weight gradient block in place through one scratch block: the
+    bits of ``g += 2.0 * weight_decay * theta``, with no field-sized
+    temporary.  The penalty is finite for finite float32 parameters;
+    float64 entries above about 1e154 can overflow it.
+    """
     if weight_decay == 0.0:
         return 0.0
-    return weight_decay * sum_of_squares((f, getattr(params, f)) for f in WEIGHT_FIELDS)
+    weights = [getattr(params, name) for name in WEIGHT_FIELDS]
+    wide, narrow = sum_scratch(weights), sum_scratch(weights, params.dtype)
+    total = 0.0
+    with np.errstate(over="ignore"):  # an overflowing float64 sum is inf, as in sum_of_squares
+        for name, theta in zip(WEIGHT_FIELDS, weights):
+            theta = theta.reshape(-1)
+            # a view, or a ValueError: the decay must land in the gradient itself
+            g = None if grads is None else getattr(grads, name).reshape(-1, copy=False)
+            sq = 0.0
+            for start in range(0, theta.size, SUM_BLOCK):
+                block = theta[start : start + SUM_BLOCK]
+                sq += block_sum_of_squares(block, wide)
+                if g is not None:
+                    decay = np.multiply(block, 2.0 * weight_decay, out=narrow[: block.size])
+                    g[start : start + SUM_BLOCK] += decay
+            total += sq
+    return weight_decay * total
 
 
 def _supervised(z, y, phi, labels, beta, variation_weight):
@@ -280,9 +312,10 @@ def _unsupervised(y, phi, sigma):
     return length, repelling, grad
 
 
-def _objective(fields, params, hyper, mode, labels, sigma, variation_weight):
-    """The mode's LossBreakdown and (dz, dphi) function, on a trace's fields upcast to float64.
+def _objective(fields, hyper, mode, labels, sigma, variation_weight):
+    """The mode's data terms and (dz, dphi) function, on a trace's fields upcast to float64.
 
+    The LossBreakdown holds no weight penalty yet: ``_penalized`` adds it.
     ``fields`` is a dict of ``ForwardTrace`` fields, which is only read.
     The DPP reads the embeddings before their bias, ``emb_proj``:
     distances ignore a shift shared by every row, so the loss is the same
@@ -296,16 +329,20 @@ def _objective(fields, params, hyper, mode, labels, sigma, variation_weight):
     if mode == "supervised" and labels is None:
         raise ValueError("supervised loss requires keyframe labels")
     y = np.asarray(fields["y"], dtype=np.float64)
-    pen = weight_penalty(params, hyper.weight_decay)
     if mode == "supervised":
         labels = np.asarray(labels, dtype=np.float64)
         z = np.asarray(fields["z"], dtype=np.float64)
         phi = np.asarray(fields["emb_proj"], dtype=np.float64)
         key, var, grad = _supervised(z, y, phi, labels, hyper.beta, variation_weight)
-        return LossBreakdown(var, key, 0.0, 0.0, pen, key + var + pen), grad
+        return LossBreakdown(var, key, 0.0, 0.0, 0.0, key + var), grad
     phi = np.asarray(fields["phi"], dtype=np.float64)
     length, rep, grad = _unsupervised(y, phi, sigma)
-    return LossBreakdown(0.0, 0.0, length, rep, pen, length + rep + pen), grad
+    return LossBreakdown(0.0, 0.0, length, rep, 0.0, length + rep), grad
+
+
+def _penalized(breakdown: LossBreakdown, penalty: float) -> LossBreakdown:
+    """``breakdown`` of the data terms with the weight penalty added to its total."""
+    return replace(breakdown, weight_penalty=penalty, total=breakdown.total + penalty)
 
 
 def total_loss(
@@ -322,8 +359,10 @@ def total_loss(
     supervised:   keyframe BCE + variation (needs ``labels``)
     unsupervised: length regularizer + repelling (labels are ignored)
     ``variation_weight`` scales the variation term; 0 is the keyframe-only ablation.
+    The penalty is ``weight_penalty``'s, the same bits ``loss_and_grad`` reports.
     """
-    return _objective(vars(trace), params, hyper, mode, labels, sigma, variation_weight)[0]
+    breakdown = _objective(vars(trace), hyper, mode, labels, sigma, variation_weight)[0]
+    return _penalized(breakdown, weight_penalty(params, hyper.weight_decay))
 
 
 def loss_and_grad(
@@ -340,32 +379,33 @@ def loss_and_grad(
 
     The trace must come from ``forward`` on the same ``x`` and ``params``;
     the loss's z and phi gradients, cast to the parameters' dtype, run
-    back through ``model.network_grad`` with the trace's dropout masks,
-    and each weight field's gradient then takes the penalty's
-    ``2 * weight_decay * theta`` in place.  A ``ForwardTrace`` is left
+    back through ``model.network_grad`` with the trace's dropout masks.
+    Then one ``weight_penalty`` sweep over the weight fields gives the
+    penalty and adds its gradient ``2 * weight_decay * theta`` to theirs
+    in place.  A ``ForwardTrace`` is left
     whole: this is the one place a trace is copied, and the reverse pass
     empties a shallow copy of its fields.  A dict of its fields, such as
     ``vars(forward(...))``, which is how ``train`` hands over its step's
     trace, is itself emptied, so each cached array is freed at its last
-    read.  A non-finite total raises
-    ``NumericalError`` before any gradient work; a NaN or inf in the
-    gradient is left to ``backward`` or ``train.adam_step`` to refuse.
+    read.  A non-finite total raises ``NumericalError``: a non-finite data
+    term before any gradient work, a non-finite penalty (see
+    ``weight_penalty``) after its sweep.  A NaN or inf in the gradient is
+    left to ``backward`` or ``train.adam_step`` to refuse.
     """
     fields = trace if isinstance(trace, dict) else dict(vars(trace))
     if np.shape(x) != fields["v_proj"].shape:
         raise ValueError("trace does not match the given feature matrix")
 
-    breakdown, grad = _objective(fields, params, hyper, mode, labels, sigma, variation_weight)
-    if not np.isfinite(breakdown.total):
+    breakdown, grad = _objective(fields, hyper, mode, labels, sigma, variation_weight)
+    if not math.isfinite(breakdown.total):
         raise NumericalError("non-finite loss")
     dz, dphi = grad()
     del grad  # frees the pairwise arrays before the reverse pass allocates its own
     dz, dphi = dz.astype(params.dtype, copy=False), dphi.astype(params.dtype, copy=False)
     grads = network_grad(fields, x, params, hyper, dz, dphi)
-    if hyper.weight_decay != 0.0:
-        for name in WEIGHT_FIELDS:  # one field-sized temporary at a time
-            g = getattr(grads, name)
-            g += 2.0 * hyper.weight_decay * getattr(params, name)
+    breakdown = _penalized(breakdown, weight_penalty(params, hyper.weight_decay, grads))
+    if not math.isfinite(breakdown.total):
+        raise NumericalError("non-finite loss")
     return breakdown, grads
 
 

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -221,6 +222,7 @@ def train(
     split: SplitSpec,
     config: TrainConfig,
     hyper: HyperParams,
+    on_record: Callable[[dict], None] | None = None,
 ) -> tuple[ModelParams, list[dict]]:
     """Run the full training loop on one split.
 
@@ -231,7 +233,10 @@ def train(
     (clipping and Adam), the minor page faults the process took in the
     epoch (null without the ``resource`` module), the median and max
     global gradient norm before clipping, and the share of steps that
-    were clipped.
+    were clipped.  ``on_record``, if given, receives each epoch's record
+    as the epoch ends; when a step raises ``NumericalError`` it receives
+    one last record, ``{"error", "video", "epoch"}``, before the error
+    propagates with the video and epoch in its message.
     """
     by_id = {r.id: r for r in records}
     missing = [vid for vid in split.train_ids if vid not in by_id]
@@ -300,6 +305,8 @@ def train(
                 stage_seconds["loss_and_grad"] += t2 - t1
                 stage_seconds["optimizer"] += time.perf_counter() - t2
             except NumericalError as err:
+                if on_record is not None:
+                    on_record({"error": str(err), "video": rec.id, "epoch": epoch})
                 raise NumericalError(f"{err} on video {rec.id!r} at epoch {epoch}") from err
             norms.append(state.grad_norm)
             sums += astuple(breakdown)
@@ -312,6 +319,8 @@ def train(
             "grad_norm": {"median": float(np.median(norms)), "max": max(norms)},
             "clipped_fraction": float(np.mean(np.array(norms) > clip)),
         })
+        if on_record is not None:
+            on_record(epochs[-1])
     del state  # its moments are freed before the float64 copy is made
     return params.astype(np.float64), epochs
 

@@ -501,6 +501,17 @@ def test_train_numerical_failure_exits_2_naming_video_and_epoch(tmp_path):
         "numerical failure: subset kernel is numerically singular on video "
         "'planted-001' at epoch 1\n"
     )
+    # the aborted fold leaves its report: provenance, the finished epoch and
+    # a last line naming the failure, but no checkpoint
+    run = tmp_path / "run"
+    assert not (run / "fold0.ckpt").exists()
+    lines = [json.loads(line) for line in (run / "fold0.report.jsonl").read_text().splitlines()]
+    assert len(lines) == 3
+    assert lines[0]["run_config"]["epochs"] == 2 and "numerics" in lines[0]
+    assert lines[1]["epoch"] == 0 and set(lines[1]["loss"]) >= {"variation", "total"}
+    assert lines[2] == {
+        "error": "subset kernel is numerically singular", "video": "planted-001", "epoch": 1,
+    }
 
 
 @pytest.mark.parametrize("flag, value, named", [

@@ -28,12 +28,14 @@ from gdasum.losses import (
 from gdasum.losses import _supervised as supervised
 from gdasum.losses import _unsupervised as unsupervised
 from gdasum.model import (
+    SUM_BLOCK,
     WEIGHT_FIELDS,
     HyperParams,
     ModelParams,
     forward,
     init_params,
     network_grad,
+    sum_of_squares,
 )
 
 SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.0)
@@ -659,6 +661,60 @@ def test_loss_and_grad_adds_the_penalty_gradient_to_weight_fields_only():
             bare, decayed = getattr(grads[0.0], name), getattr(grads[0.25], name)
             want = bare + 0.5 * theta if name in WEIGHT_FIELDS else bare
             assert decayed.dtype == dtype and decayed.tobytes() == want.tobytes(), (dtype, name)
+
+
+# weight fields of one full SUM_BLOCK block and a partial one (w_q, w_k, w_v,
+# ff_w: 100 x 100; reg_w1: 96 x 100)
+SWEPT = HyperParams(hidden=96, embed=4, dropout_rate=0.0, weight_decay=0.25)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weight_penalty_sweep_decays_each_block_as_the_whole_field_formula(dtype):
+    # the sweep adds 2 * weight_decay * theta one block at a time through a
+    # scratch block: the float operations, so the bits, of g + 2.0 * λ * θ
+    x, params, _ = _instance(15, n=12, d=100, hyper=SWEPT)
+    p = params.astype(dtype)
+    assert SUM_BLOCK < p.w_q.size < 2 * SUM_BLOCK and SUM_BLOCK < p.reg_w1.size
+    trace = forward(x, p, SWEPT, mode="eval")
+    undecayed = dataclasses.replace(SWEPT, weight_decay=0.0)
+    bare_loss, bare = loss_and_grad(trace, x, p, undecayed, "unsupervised")
+    breakdown, decayed = loss_and_grad(trace, x, p, SWEPT, "unsupervised")
+    for name, theta in p.items():
+        g = getattr(bare, name)
+        want = g + 2.0 * SWEPT.weight_decay * theta if name in WEIGHT_FIELDS else g
+        assert getattr(decayed, name).dtype == dtype
+        assert getattr(decayed, name).tobytes() == want.tobytes(), name
+    # one penalty, whichever path reports it: weight_decay times sum_of_squares
+    loss_only = total_loss(trace, p, SWEPT, "unsupervised")
+    assert loss_only.weight_penalty == breakdown.weight_penalty
+    assert loss_only.total == breakdown.total == bare_loss.total + breakdown.weight_penalty
+    want = SWEPT.weight_decay * sum_of_squares((f, getattr(p, f)) for f in WEIGHT_FIELDS)
+    assert breakdown.weight_penalty == want
+
+
+def test_weight_penalty_refuses_a_gradient_it_cannot_write_in_place():
+    # a Fortran-ordered gradient field has no flat view: the decay would land
+    # in a copy, so the sweep refuses it
+    params = init_params(5, SMALL, 0)
+    grads = params.zeros_like()
+    grads.w_q = np.asfortranarray(grads.w_q)
+    with pytest.raises(ValueError):
+        weight_penalty(params, 0.1, grads)
+
+
+def test_loss_and_grad_decays_with_no_field_sized_temporary(traced_peak):
+    # at D = 512 a D x D float32 field is 1 MB; the decay's sweep adds its
+    # two scratch blocks (64 + 32 KB) to the step's traced peak, where a
+    # whole-field g += 2 * weight_decay * theta adds a field's 1 MB
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=1e-3)
+    x, params, _ = _instance(16, n=16, d=512, hyper=hyper)
+    p, x = params.astype(np.float32), x.astype(np.float32)
+    trace = forward(x, p, hyper, mode="eval")
+    peaks = []
+    for decay in (0.0, hyper.weight_decay):
+        h = dataclasses.replace(hyper, weight_decay=decay)
+        peaks.append(traced_peak(lambda: loss_and_grad(trace, x, p, h, "unsupervised"))[0])
+    assert peaks[1] - peaks[0] < p.ff_w.nbytes // 4
 
 
 def test_backward_and_loss_given_params_as_the_benchmark_calls_them():

@@ -21,7 +21,7 @@ from gdasum.data import (
     make_splits,
 )
 from gdasum.losses import LossBreakdown, NumericalError, loss_and_grad
-from gdasum.model import HyperParams, ModelParams, forward, init_params
+from gdasum.model import WEIGHT_FIELDS, HyperParams, ModelParams, forward, init_params
 from gdasum.synthetic import PlantedSpec, make_planted_dataset, write_planted_corpus
 from gdasum.train import (
     ADAM_BETA1,
@@ -384,16 +384,38 @@ def test_adam_step_refuses_a_bad_gradient_before_writing_anything():
 
 
 def test_adam_step_on_a_float32_gradient_allocates_one_block(traced_peak):
-    # one float32 scratch block for the update (128 KB), and before it the
-    # norm's float64 sums, which cast through NumPy's fixed buffer of about
-    # the same size and make no float64 copy of a field: 134.5-137.5 KB
-    # measured, so the 16 KB slack leaves about 10 KB of margin
+    # one float32 scratch block for the update (128 KB); the norm's float64
+    # block sums copy through a 64 KB scratch block, freed before the
+    # update's block is made, and make no float64 copy of a field
     params = init_params(BLOCKED_D, SMALL_HYPER, 0).astype(np.float32)
     state = AdamState.zeros(params)
     g32 = float32_gradient(params, np.random.default_rng(0), 1.0)
     peak, _ = traced_peak(lambda: adam_step(params, g32, state, 1e-3, 1e-3))  # clips
     assert state.grad_norm > 1e-3
     assert peak <= ADAM_BLOCK * 4 + 16384
+
+
+def test_train_step_sums_are_within_1e_13_of_exact_sums_at_paper_width():
+    # the float64 block sums of the step train runs, float32 at D = 1024 with
+    # the default widths: the penalty of loss_and_grad's sweep and the
+    # gradient norm of adam_step.  A float32 square is exact in float64, so
+    # fsum over the squares gives the exact sums to within a few roundings.
+    hyper = HyperParams()
+    params = init_params(1024, hyper, 0).astype(np.float32)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((32, 1024)).astype(np.float32)
+    fields = vars(forward(x, params, hyper, mode="train", rng=rng))
+    breakdown, grads = loss_and_grad(fields, x, params, hyper, "unsupervised")
+
+    def exact(arrays):
+        return math.fsum(math.fsum(np.square(a, dtype=np.float64).ravel().tolist()) for a in arrays)
+
+    penalty = hyper.weight_decay * exact(getattr(params, name) for name in WEIGHT_FIELDS)
+    norm = math.sqrt(exact(grads.arrays()))
+    state = AdamState.zeros(params)
+    adam_step(params, grads, state, 1e-3)
+    assert abs(breakdown.weight_penalty - penalty) <= 1e-13 * penalty
+    assert abs(state.grad_norm - norm) <= 1e-13 * norm
 
 
 def test_resolve_learning_rate_defaults():
