@@ -47,10 +47,9 @@ from .model import (
     HyperParams,
     ModelParams,
     WEIGHT_FIELDS,
-    block_sum_of_squares,
     forward,
     network_grad,
-    sum_scratch,
+    sum_of_squares,
 )
 
 # No loss clips scores.  Only bench/checks.py imports this old clip
@@ -212,33 +211,33 @@ def weight_penalty(
 ) -> float:
     """L2 penalty over weight matrices only (no biases, no norm params), summed in float64.
 
-    One sweep reads each weight field SUM_BLOCK elements at a time, so the
-    penalty is weight_decay times ``sum_of_squares`` of the weights, bit
-    for bit.  Given ``grads``, it also adds 2 * weight_decay * theta to
-    each weight gradient block in place through one scratch block: the
-    bits of ``g += 2.0 * weight_decay * theta``, with no field-sized
-    temporary.  The penalty is finite for finite float32 parameters;
-    float64 entries above about 1e154 can overflow it.
+    It is weight_decay times ``sum_of_squares`` of the weight fields, so
+    a NaN or inf weight is a ValueError naming its field.  The penalty is
+    finite for finite float32 parameters; float64 entries above about
+    1e154 can overflow it to inf.  Given ``grads``, whose weight fields
+    must be C-contiguous, the same sweep adds 2 * weight_decay * theta to
+    each gradient block in place as it sums that block, through one
+    scratch block: the bits of ``g += 2.0 * weight_decay * theta``, with
+    no field-sized temporary.
     """
     if weight_decay == 0.0:
         return 0.0
-    weights = [getattr(params, name) for name in WEIGHT_FIELDS]
-    wide, narrow = sum_scratch(weights), sum_scratch(weights, params.dtype)
-    total = 0.0
-    with np.errstate(over="ignore"):  # an overflowing float64 sum is inf, as in sum_of_squares
-        for name, theta in zip(WEIGHT_FIELDS, weights):
-            theta = theta.reshape(-1)
-            # a view, or a ValueError: the decay must land in the gradient itself
-            g = None if grads is None else getattr(grads, name).reshape(-1, copy=False)
-            sq = 0.0
-            for start in range(0, theta.size, SUM_BLOCK):
-                block = theta[start : start + SUM_BLOCK]
-                sq += block_sum_of_squares(block, wide)
-                if g is not None:
-                    decay = np.multiply(block, 2.0 * weight_decay, out=narrow[: block.size])
-                    g[start : start + SUM_BLOCK] += decay
-            total += sq
-    return weight_decay * total
+    weights = [(name, getattr(params, name)) for name in WEIGHT_FIELDS]
+    decay = None
+    if grads is not None:
+        flat_grads = {}
+        for name in WEIGHT_FIELDS:
+            g = getattr(grads, name)
+            if not g.flags.c_contiguous:  # its reshape would be a copy, and lose the decay
+                raise ValueError(f"gradient field {name!r} is not C-contiguous")
+            flat_grads[name] = g.reshape(-1)
+        scratch = np.empty(min(SUM_BLOCK, max(a.size for _, a in weights)), params.dtype)
+
+        def decay(name, start, block):
+            step = np.multiply(block, 2.0 * weight_decay, out=scratch[: block.size])
+            flat_grads[name][start : start + block.size] += step
+
+    return weight_decay * sum_of_squares(weights, decay)
 
 
 def _supervised(z, y, phi, labels, beta, variation_weight):
@@ -388,8 +387,9 @@ def loss_and_grad(
     ``vars(forward(...))``, which is how ``train`` hands over its step's
     trace, is itself emptied, so each cached array is freed at its last
     read.  A non-finite total raises ``NumericalError``: a non-finite data
-    term before any gradient work, a non-finite penalty (see
-    ``weight_penalty``) after its sweep.  A NaN or inf in the gradient is
+    term before any gradient work, an overflowing penalty (see
+    ``weight_penalty``) after its sweep.  A NaN or inf weight is the
+    sweep's ValueError naming the field.  A NaN or inf in the gradient is
     left to ``backward`` or ``train.adam_step`` to refuse.
     """
     fields = trace if isinstance(trace, dict) else dict(vars(trace))

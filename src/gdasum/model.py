@@ -32,8 +32,8 @@ which holds no other reference to its trace, peaks at 27 MB
 unsupervised and 34 MB supervised at N = 600.
 
 Every float64 sum of squares (the finiteness check, the gradient norm,
-the weight penalty) is ``block_sum_of_squares`` over SUM_BLOCK-element
-blocks, copied through one float64 scratch block whatever the dtype.
+the weight penalty) is ``sum_of_squares``, one dot product per block
+of SUM_BLOCK elements.
 """
 
 from __future__ import annotations
@@ -52,12 +52,11 @@ WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "ff_w", "reg_w1", "reg_w2", "emb_w")
 # scratch buffer) take 5 x 128 KB, which fits one core's L2 cache, as does
 # the block of whole attention rows the diversity weights' terms use
 ADAM_BLOCK = 1 << 15
-# sum_of_squares copies an array into a float64 scratch this many elements at
-# a time and takes one dot product per block.  OpenBLAS spreads a dot product
-# of more than 10,000 elements over its threads, which at this size costs
-# more than it gains: on 2 BLAS threads the 5.5M float32 parameters at
-# D = 1024 took 6.3 ms in blocks of 2^14 and 4.2 ms in blocks of 2^13, which
-# stay on one thread (medians of 40 sums)
+# sum_of_squares takes one float64 dot product per block of this many
+# elements.  OpenBLAS spreads a dot product of more than 10,000 elements over
+# its threads, which at this size costs more than it gains: on 2 BLAS threads
+# the 5.5M float32 parameters at D = 1024 took 6.3 ms in blocks of 2^14 and
+# 4.2 ms in blocks of 2^13, which stay on one thread (medians of 40 sums)
 SUM_BLOCK = 1 << 13
 # ln 2^-100: the column softmax clamps A - max here before the exp
 LOG_ALPHA_FLOOR = math.log(2.0**-100)
@@ -183,46 +182,41 @@ class ModelParams:
         return sum_of_squares(self.items())
 
 
-def sum_of_squares(named_arrays) -> float:
+def sum_of_squares(named_arrays, on_block=None) -> float:
     """Sum of squares over (name, array) pairs, accumulated in float64; inf on overflow.
 
-    One path for every dtype: each array is summed by
-    ``block_sum_of_squares``, SUM_BLOCK elements at a time, through one
-    float64 scratch block of at most 64 KB.  A float32 entry's square is
-    exact in float64, so a float32 sum cannot overflow as a float32
-    accumulator would past about 1e19.  An array holding NaN or inf is a
-    ValueError naming it; ``np.isfinite`` runs only on an array whose sum
-    is not finite.
+    One path for every dtype: each array is summed SUM_BLOCK elements at
+    a time, one dot product per block, which runs on one BLAS thread.  A
+    float64 block is summed where it lies; a narrower one is first copied
+    into one float64 scratch block of at most 64 KB.  A float32 entry's
+    square is exact in float64, so a float32 sum cannot overflow as a
+    float32 accumulator would past about 1e19.  ``on_block(name, start,
+    block)``, if given, is called after each block's sum with the block, a
+    view of the flattened array from element ``start``.  An array holding
+    NaN or inf is a ValueError naming it, raised once its blocks are
+    summed; ``np.isfinite`` runs only on an array whose sum is not finite.
     """
-    named_arrays = list(named_arrays)
-    wide = sum_scratch([a for _, a in named_arrays])
+    named_arrays = [(name, a.reshape(-1)) for name, a in named_arrays]
+    narrow = [a.size for _, a in named_arrays if a.dtype != np.float64]
+    wide = np.empty(min(SUM_BLOCK, max(narrow, default=0)))
     total = 0.0
     with np.errstate(over="ignore"):
-        for name, a in named_arrays:
-            flat = a.reshape(-1)
+        for name, flat in named_arrays:
             sq = 0.0
             for start in range(0, flat.size, SUM_BLOCK):
-                sq += block_sum_of_squares(flat[start : start + SUM_BLOCK], wide)
-            if not math.isfinite(sq) and not np.all(np.isfinite(a)):
+                block = flat[start : start + SUM_BLOCK]
+                if block.dtype == np.float64:
+                    sq += float(np.dot(block, block))
+                else:
+                    w = wide[: block.size]
+                    w[...] = block
+                    sq += float(np.dot(w, w))
+                if on_block is not None:
+                    on_block(name, start, block)
+            if not math.isfinite(sq) and not np.all(np.isfinite(flat)):
                 raise ValueError(f"non-finite values in parameter {name!r}")
             total += sq
     return total
-
-
-def sum_scratch(arrays, dtype=np.float64) -> np.ndarray:
-    """One scratch block for a blocked pass over ``arrays``: SUM_BLOCK elements, or fewer."""
-    return np.empty(min(SUM_BLOCK, max((a.size for a in arrays), default=0)), dtype)
-
-
-def block_sum_of_squares(block: np.ndarray, wide: np.ndarray) -> float:
-    """Sum of squares of a 1-D ``block`` of at most SUM_BLOCK elements, in float64.
-
-    ``block`` is copied into the float64 scratch ``wide`` (at least as
-    long), whose dot product with itself runs on one BLAS thread.
-    """
-    wide = wide[: block.size]
-    wide[...] = block
-    return float(np.dot(wide, wide))
 
 
 def init_params(feature_dim: int, hyper: HyperParams, seed: int) -> ModelParams:

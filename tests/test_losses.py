@@ -698,8 +698,22 @@ def test_weight_penalty_refuses_a_gradient_it_cannot_write_in_place():
     params = init_params(5, SMALL, 0)
     grads = params.zeros_like()
     grads.w_q = np.asfortranarray(grads.w_q)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'w_q' is not C-contiguous"):
         weight_penalty(params, 0.1, grads)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_weight_penalty_names_a_non_finite_weight_with_or_without_the_decay(bad):
+    # the penalty is sum_of_squares of the weights, whose refusal names the
+    # field, whether total_loss sums it alone or the sweep also decays
+    hyper = dataclasses.replace(SMALL, weight_decay=0.1)
+    x, params, _ = _instance(17, hyper=hyper)
+    trace = forward(x, params, hyper, mode="eval")
+    params.reg_w1[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite values in parameter 'reg_w1'"):
+        total_loss(trace, params, hyper, "unsupervised")
+    with pytest.raises(ValueError, match="non-finite values in parameter 'reg_w1'"):
+        weight_penalty(params, hyper.weight_decay, params.zeros_like())
 
 
 def test_loss_and_grad_decays_with_no_field_sized_temporary(traced_peak):
