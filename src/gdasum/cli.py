@@ -452,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--tolerance", type=float, default=1e-4,
                         help="max relative error (default %(default)s)")
     p_grad.add_argument("--fd-step", type=float, default=_default(run_gradcheck_instance, "step"),
-                        help="finite difference step (default %(default)s)")
+                        help="first finite-difference step; a scalar whose steps would cross"
+                             " a kink takes a tenth, then a hundredth (default %(default)s)")
     return parser
 
 

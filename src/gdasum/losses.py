@@ -58,7 +58,7 @@ SCORE_CLIP = 1e-7
 # defaults of the loss signatures, TrainConfig and the gradient check
 DEFAULT_SIGMA = 0.3  # summary-ratio target of the length loss
 DEFAULT_VARIATION_WEIGHT = 1.0
-DEFAULT_FD_STEP = 1e-5  # central-difference step of finite_diff_grad
+DEFAULT_FD_STEP = 1e-5  # the first central-difference step finite_diff_grad tries
 # DPP similarities below this are exactly 0: see dpp_kernel
 SIM_FLOOR = 2.0**-200
 
@@ -447,9 +447,25 @@ def loss_given_params(
     With ``masks`` the forward pass runs in train mode with exactly
     those dropout masks; otherwise dropout is off (eval mode).
     """
-    mode_fw = "eval" if masks is None else "train"
-    trace = forward(x, params, hyper, mode=mode_fw, masks=masks)
-    return total_loss(trace, params, hyper, mode, labels, sigma, variation_weight).total
+    return _loss_and_kinks(x, params, hyper, mode, labels, sigma, variation_weight, masks)[0]
+
+
+def _loss_and_kinks(x, params, hyper, mode, labels, sigma, variation_weight, masks):
+    """(``loss_given_params``, which side of each kink of the loss it sits on).
+
+    The loss is smooth only between kinks: the sign of each head ReLU's
+    input, whether each attention weight lies inside the clip band, and
+    the sign of the length loss's mean score minus sigma.
+    """
+    trace = forward(x, params, hyper, mode="eval" if masks is None else "train", masks=masks)
+    total = total_loss(trace, params, hyper, mode, labels, sigma, variation_weight).total
+    lo, hi = hyper.alpha_clip, 1.0 - hyper.alpha_clip
+    kinks = np.concatenate([
+        trace.head_pre.ravel(),
+        ((trace.alpha > lo) & (trace.alpha < hi)).ravel(),
+        [np.asarray(trace.y, dtype=np.float64).mean() > sigma],
+    ])
+    return total, kinks
 
 
 def finite_diff_grad(
@@ -463,21 +479,42 @@ def finite_diff_grad(
     step: float = DEFAULT_FD_STEP,
     masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ModelParams:
-    """Central differences (f(p + h) - f(p - h)) / 2h per scalar parameter."""
+    """Richardson-extrapolated central differences per scalar parameter, clear of kinks.
+
+    With D(h) = (f(p + h) - f(p - h)) / 2h, the estimate is
+    (4 D(h/2) - D(h)) / 3, whose truncation error is O(h^4) where D's is
+    O(h^2): a steep layer norm (a row of small variance) makes D(h) at
+    h = 1e-5 off by about 1%, far beyond the check's tolerance.  h is the
+    first of ``step``, ``step / 10`` and ``step / 100`` at which none of
+    the four points p +- h, p +- h/2 moves a kink of the loss (see
+    ``_loss_and_kinks``): a difference across a kink averages two slopes.
+    A scalar every step crosses a kink for gets NaN, which
+    ``gradient_report`` fails.
+    """
+    def at(point):
+        return _loss_and_kinks(x, point, hyper, mode, labels, sigma, variation_weight, masks)
+
+    base = at(params)[1]
     p = params.copy()
     grads = params.zeros_like()
     for name, arr in p.items():
         garr = getattr(grads, name)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + step
-            up = loss_given_params(x, p, hyper, mode, labels, sigma, variation_weight, masks)
-            arr[idx] = orig - step
-            down = loss_given_params(x, p, hyper, mode, labels, sigma, variation_weight, masks)
+        for idx in np.ndindex(arr.shape):
+            orig, garr[idx] = arr[idx], np.nan
+            for h in (step, step / 10.0, step / 100.0):
+                totals = []
+                for offset in (h, -h, h / 2.0, -h / 2.0):
+                    arr[idx] = orig + offset
+                    total, kinks = at(p)
+                    if not np.array_equal(kinks, base):
+                        break
+                    totals.append(total)
+                else:
+                    up, down, half_up, half_down = totals
+                    coarse, fine = (up - down) / (2.0 * h), (half_up - half_down) / h
+                    garr[idx] = (4.0 * fine - coarse) / 3.0
+                    break
             arr[idx] = orig
-            garr[idx] = (up - down) / (2.0 * step)
     return grads
 
 

@@ -2,10 +2,15 @@
 
 Maps a sequence of per-frame feature vectors to per-frame importance
 scores in (0, 1) and per-frame embedding vectors.  The pipeline is:
-pairwise attention -> column softmax -> per-frame diversity weights
-(products of one minus attention, computed in log space) -> weighted
-context -> feed-forward layer with dropout and layer norm -> a
-two-layer score-regression head and a linear embedding head.
+pairwise attention A = x w_att x^T / sqrt(D) -> column softmax ->
+per-frame diversity weights d (products of one minus attention,
+computed in log space) -> feed-forward layer d * (x w_ctx^T) + ff_b
+with dropout and layer norm -> a two-layer score-regression head and a
+linear embedding head.  Each of w_att and w_ctx is one D x D field
+where the usual form has two composed with nothing between them:
+w_att = w_q^T w_k and w_ctx = ff_w w_v give the same function, in two
+N x D^2 products fewer forward, and three N x D^2 and one N^2 x D
+fewer in reverse.
 
 The network computes in the dtype of the parameters it is given:
 float64 parameters (a checkpoint, the gradient check) run every
@@ -28,8 +33,8 @@ N x N array, dA.  So a training step (``forward``, then
 bytes each) unsupervised and four supervised.  The reverse pass takes
 the dict of the trace's fields and frees each cached array at its last
 read: at D = 1024 with the default widths, a float32 step of ``train``,
-which holds no other reference to its trace, peaks at 27 MB
-unsupervised and 34 MB supervised at N = 600.
+which holds no other reference to its trace, peaks at 22 MB
+unsupervised and 27 MB supervised at N = 600 (by tracemalloc).
 
 Every float64 sum of squares (the finiteness check, the gradient norm,
 the weight penalty) is ``sum_of_squares``, one dot product per block
@@ -46,7 +51,7 @@ import numpy as np
 LAYERNORM_EPS = 1e-5
 
 # Fields holding weight matrices: Xavier-initialized and subject to L2 decay.
-WEIGHT_FIELDS = ("w_q", "w_k", "w_v", "ff_w", "reg_w1", "reg_w2", "emb_w")
+WEIGHT_FIELDS = ("w_att", "w_ctx", "reg_w1", "reg_w2", "emb_w")
 # Adam's update walks each field in blocks of this many elements: the five
 # float32 blocks an update touches (parameter, gradient, two moments, one
 # scratch buffer) take 5 x 128 KB, which fits one core's L2 cache, as does
@@ -55,8 +60,9 @@ ADAM_BLOCK = 1 << 15
 # sum_of_squares takes one float64 dot product per block of this many
 # elements.  OpenBLAS spreads a dot product of more than 10,000 elements over
 # its threads, which at this size costs more than it gains: on 2 BLAS threads
-# the 5.5M float32 parameters at D = 1024 took 6.3 ms in blocks of 2^14 and
-# 4.2 ms in blocks of 2^13, which stay on one thread (medians of 40 sums)
+# 5.5M float32 parameters (D = 1024, four D x D fields) took 6.3 ms in blocks
+# of 2^14 and 4.2 ms in blocks of 2^13, which stay on one thread (medians of
+# 40 sums)
 SUM_BLOCK = 1 << 13
 # ln 2^-100: the column softmax clamps A - max here before the exp
 LOG_ALPHA_FLOOR = math.log(2.0**-100)
@@ -104,8 +110,8 @@ class ModelParams:
     is reused for gradients and optimizer moments.  Shapes, with D the
     feature dim, H the hidden width and E the embedding width:
 
-    w_q, w_k, w_v : (D, D)   attention / value projections
-    ff_w, ff_b    : (D, D), (D,)   feed-forward layer
+    w_att         : (D, D)   attention form, A = x w_att x^T / sqrt(D)
+    w_ctx, ff_b   : (D, D), (D,)   feed-forward layer on the weighted frames
     ln1_*         : (D,)     feed-forward layer norm
     reg_w1, reg_b1: (H, D), (H,)   first regression layer
     ln2_*         : (H,)     regression-head layer norm
@@ -113,10 +119,8 @@ class ModelParams:
     emb_w, emb_b  : (E, D), (E,)   linear embedding head
     """
 
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    ff_w: np.ndarray
+    w_att: np.ndarray
+    w_ctx: np.ndarray
     ff_b: np.ndarray
     ln1_scale: np.ndarray
     ln1_offset: np.ndarray
@@ -133,10 +137,8 @@ class ModelParams:
     def shapes(d: int, h: int, e: int) -> dict[str, tuple[int, ...]]:
         """Every field's shape, in field order, for given D, H and E."""
         return {
-            "w_q": (d, d),
-            "w_k": (d, d),
-            "w_v": (d, d),
-            "ff_w": (d, d),
+            "w_att": (d, d),
+            "w_ctx": (d, d),
             "ff_b": (d,),
             "ln1_scale": (d,),
             "ln1_offset": (d,),
@@ -153,12 +155,12 @@ class ModelParams:
     @property
     def dims(self) -> tuple[int, int, int]:
         """(feature dim D, hidden width H, embedding width E)."""
-        return self.w_q.shape[1], self.reg_w1.shape[0], self.emb_w.shape[0]
+        return self.w_att.shape[1], self.reg_w1.shape[0], self.emb_w.shape[0]
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype the network computes in with these parameters."""
-        return self.w_q.dtype
+        return self.w_att.dtype
 
     def arrays(self) -> list[np.ndarray]:
         return [getattr(self, f.name) for f in fields(self)]
@@ -224,7 +226,11 @@ def init_params(feature_dim: int, hyper: HyperParams, seed: int) -> ModelParams:
 
     Each weight matrix of shape (fan_out, fan_in) is drawn i.i.d. from
     uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)); deterministic
-    for a given seed.
+    for a given seed.  w_att and w_ctx are drawn so too: their entry
+    variance, 1 / D, is that of a product of two such D x D factors,
+    though the distribution differs.  Drawing each as such a product
+    would start from the four-field network's initial function, but its
+    two D^3 products took init_params from 27-31 to 94-100 ms at D = 1024.
     """
     if feature_dim < 1:
         raise ValueError("feature_dim must be positive")
@@ -254,7 +260,8 @@ class ForwardTrace:
     P = ff_out @ emb_w^T, phi before its bias ``emb_b`` is added: the DPP
     term reads it, so its loss does not depend on ``emb_b`` even in
     rounding.  The remaining tensors are cached intermediates
-    ``network_grad`` reads; the dropout masks are None in eval mode,
+    ``network_grad`` reads; ``head_pre`` is the bool mask of the head
+    ReLU's positive inputs, and the dropout masks are None in eval mode,
     where dropout is the identity.  The two layer outputs are not kept:
     ``network_grad`` forms ff_out = ln1_xhat * ln1_scale + ln1_offset
     and head_drop = (ln2_xhat * ln2_scale + ln2_offset) * head_mask
@@ -271,8 +278,6 @@ class ForwardTrace:
     y: np.ndarray
     emb_proj: np.ndarray
     # cached intermediates
-    q_proj: np.ndarray
-    k_proj: np.ndarray
     v_proj: np.ndarray
     ff_mask: np.ndarray | None
     ln1_xhat: np.ndarray
@@ -393,11 +398,10 @@ def _check_features(x, params: ModelParams) -> np.ndarray:
     return x
 
 
-def _attention(q_proj: np.ndarray, k_proj: np.ndarray) -> np.ndarray:
-    """A = q k^T / sqrt(D), refused if any entry overflowed."""
-    d_feat = q_proj.shape[1]
-    a = q_proj @ k_proj.T
-    a /= math.sqrt(d_feat)
+def _attention(x: np.ndarray, w_att: np.ndarray) -> np.ndarray:
+    """A = (x w_att) x^T / sqrt(D), refused if any entry overflowed."""
+    a = (x @ w_att) @ x.T
+    a /= math.sqrt(x.shape[1])
     # max and min propagate NaN, and unlike isfinite build no N x N mask
     if not (math.isfinite(a.max()) and math.isfinite(a.min())):
         raise FloatingPointError("attention matrix overflowed; check input scale")
@@ -417,7 +421,8 @@ def _network(
     Given a ``cache`` dict, the same operations also record each
     intermediate a ``ForwardTrace`` keeps under its field name, and
     ``ff_out``: a layer whose input may be recorded runs out of place, any
-    other in place, and the N x N array is the attention.  The dropout
+    other in place (the head ReLU too, once its sign mask is recorded),
+    and the N x N array is the attention.  The dropout
     masks multiply the feed-forward pre-activation and the head output;
     None is the identity.
     """
@@ -427,14 +432,10 @@ def _network(
             cache[name] = a
         return a
 
-    q_proj = record("q_proj", x @ params.w_q.T)
-    k_proj = record("k_proj", x @ params.w_k.T)
-    alpha = record("alpha", _softmax_columns(_attention(q_proj, k_proj)))
-    del q_proj, k_proj
+    alpha = record("alpha", _softmax_columns(_attention(x, params.w_att)))
     d = record("d", _simplex(_log_keep_sums(alpha, hyper.alpha_clip)))
     del alpha
-    z = record("v_proj", x @ params.w_v.T) * d[:, None]
-    z = z @ params.ff_w.T
+    z = record("v_proj", x @ params.w_ctx.T) * d[:, None]
     z += params.ff_b
     if ff_mask is not None:
         z *= ff_mask
@@ -443,7 +444,9 @@ def _network(
     z += params.ln1_offset
     z = record("ff_out", z) @ params.reg_w1.T
     z += params.reg_b1
-    z = np.maximum(record("head_pre", z), 0.0)
+    if cache is not None:
+        cache["head_pre"] = z > 0.0
+    np.maximum(z, 0.0, out=z)
     record("ln2_inv_std", _standardize(z))
     z = record("ln2_xhat", z) * params.ln2_scale
     z += params.ln2_offset
@@ -533,7 +536,7 @@ def network_grad(
         d_ln2_out, fields.pop("ln2_xhat"), fields.pop("ln2_inv_std"), params.ln2_scale
     )
     del d_ln2_out
-    d_head_pre *= fields.pop("head_pre") > 0.0
+    d_head_pre *= fields.pop("head_pre")
     ff_out = fields["ln1_xhat"] * params.ln1_scale  # the feed-forward output, as forward forms it
     ff_out += params.ln1_offset
     g["reg_w1"] = d_head_pre.T @ ff_out
@@ -557,20 +560,16 @@ def network_grad(
         dz1 *= ff_mask
     del ff_mask
     d = fields.pop("d")
-    g["ff_w"] = dz1.T @ (fields["v_proj"] * d[:, None])  # the context, as forward forms it
     g["ff_b"] = dz1.sum(axis=0)
-    d_context = dz1 @ params.ff_w
-    del dz1
-
-    # context c_i = d_i * v_i; x is converted only now, so a converted copy
-    # is not alive during the heads' reverse pass
+    # pre-activation d_i * v_i + ff_b with v = x w_ctx^T; einsum takes each
+    # row's dot product without forming dz1 * v
+    dd = np.einsum("ij,ij->i", dz1, fields.pop("v_proj"))
+    dz1 *= d[:, None]
+    # x is converted only now, so a converted copy is not alive during the
+    # heads' reverse pass
     x = np.asarray(x, dtype=params.dtype)
-    dd = (d_context * fields.pop("v_proj")).sum(axis=1)
-    dv = d_context
-    dv *= d[:, None]
-    del d_context
-    g["w_v"] = dv.T @ x
-    del dv
+    g["w_ctx"] = dz1.T @ x
+    del dz1
 
     # d = softmax over row sums of log(1 - clipped alpha), in one N x N array
     dlog = d * (dd - float(dd @ d))
@@ -589,16 +588,12 @@ def network_grad(
     np.multiply(alpha, da, out=da)  # d(loss)/dA
     del alpha
 
-    scale = 1.0 / math.sqrt(x.shape[1])
-    dq = da @ fields.pop("k_proj")
-    dq *= scale
-    g["w_q"] = dq.T @ x
-    del dq
-    dk = da.T @ fields.pop("q_proj")
+    # A = x w_att x^T / sqrt(D): d(loss)/d(w_att) = x^T (dA x) / sqrt(D)
+    dax = da @ x
     del da
-    dk *= scale
-    g["w_k"] = dk.T @ x
-    del dk
+    dax *= 1.0 / math.sqrt(x.shape[1])
+    g["w_att"] = x.T @ dax
+    del dax
 
     return ModelParams(**g)
 

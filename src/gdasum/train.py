@@ -45,7 +45,8 @@ from .losses import (
 from .model import ADAM_BLOCK, HyperParams, ModelParams, forward, init_params, sum_of_squares
 
 CHECKPOINT_FORMAT = "gdasum-checkpoint"
-CHECKPOINT_VERSION = 1
+# version 2: the merged w_att and w_ctx replace version 1's w_q, w_k, w_v and ff_w
+CHECKPOINT_VERSION = 2
 # little-endian float64: the payload round-trips the parameters bit-exactly
 CHECKPOINT_DTYPE = "<f8"
 DEFAULT_LEARNING_RATES = {
@@ -362,18 +363,18 @@ def save_checkpoint(
 
 
 def _header_shapes(header: dict, hyper: HyperParams) -> dict:
-    """The header's shape table, which must be the one D (from w_q) and hyper imply."""
+    """The header's shape table, which must be the one D (from w_att) and hyper imply."""
     shapes = header.get("shapes")
     try:
-        d = shapes["w_q"][1]
+        d = shapes["w_att"][1]
     except (TypeError, KeyError, IndexError):
-        raise CheckpointError("header shape table has no two-axis w_q entry") from None
+        raise CheckpointError("header shape table has no two-axis w_att entry") from None
     if type(d) is not int or d < 0:
-        raise CheckpointError(f"header shape table gives w_q an invalid D={d!r}")
+        raise CheckpointError(f"header shape table gives w_att an invalid D={d!r}")
     implied = ModelParams.shapes(d, hyper.hidden, hyper.embed)
     if shapes != {name: list(shape) for name, shape in implied.items()}:
         raise CheckpointError(
-            f"header shape table is not the one D={d} (from w_q), "
+            f"header shape table is not the one D={d} (from w_att), "
             f"H={hyper.hidden} and E={hyper.embed} (from hyper) imply"
         )
     return shapes

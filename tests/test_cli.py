@@ -1,4 +1,5 @@
 import ctypes
+import importlib
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 from gdasum.cli import BLAS_THREAD_VARS, main
 from gdasum.data import load_manifest, make_splits, write_features, write_manifest
 from gdasum.kts import MAX_FRAMES, kts_changepoints
+from gdasum.losses import NumericalError
 from gdasum.model import HyperParams, ModelParams, init_params
 from gdasum.summarize import generate_summary
 from gdasum.synthetic import PlantedSpec, write_planted_corpus
@@ -112,12 +114,12 @@ def test_summarize_names_a_checkpoint_holding_a_non_finite_value(value, corpus, 
     ckpt = tmp_path / "bad.ckpt"
     save_checkpoint(init_params(8, hyper, 0), ckpt, hyper)
     raw = ckpt.read_bytes()
-    payload = raw.index(b"\n") + 1  # the first payload float is w_q[0, 0]
+    payload = raw.index(b"\n") + 1  # the first payload float is w_att[0, 0]
     ckpt.write_bytes(raw[:payload] + np.array([value], "<f8").tobytes() + raw[payload + 8 :])
     out = tmp_path / "sums"
     assert run(["summarize", "--manifest", corpus, "--checkpoint", ckpt, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: checkpoint {ckpt}: non-finite values in parameter 'w_q'\n"
+    assert err == f"error: checkpoint {ckpt}: non-finite values in parameter 'w_att'\n"
     assert not out.exists()
 
 
@@ -128,11 +130,11 @@ def test_summarize_names_a_checkpoint_it_refuses(corpus, tmp_path, capsys):
     raw = good.read_bytes()
     head, payload = raw.split(b"\n", 1)
     header = json.loads(head)
-    header["version"] = 2
+    header["version"] = 3
     cases = [
-        (raw[:-8], "payload is 3296 bytes, header promises 3304"),
+        (raw[:-8], "payload is 2272 bytes, header promises 2280"),
         (head, "missing header line"),
-        (json.dumps(header).encode() + b"\n" + payload, "format version 2 != 1"),
+        (json.dumps(header).encode() + b"\n" + payload, "format version 3 != 2"),
     ]
     for k, (content, message) in enumerate(cases):
         ckpt = tmp_path / f"bad{k}.ckpt"
@@ -486,32 +488,57 @@ def test_summarize_refuses_a_ratio_outside_0_1_before_any_video_loads(
 
 
 def test_train_numerical_failure_exits_2_naming_video_and_epoch(tmp_path):
-    # the known singular subset kernel, reached in seconds at these shapes;
-    # planted centres at scale 4.0 (the default is 2.5) bring it on in epoch 1
-    manifest = write_planted_corpus(
-        tmp_path, PlantedSpec(n_videos=5, n_frames=60, dim=8, center_scale=4.0)
-    )
+    # the known singular subset kernel, by construction: with dropout off, a
+    # video of all-zero features gives every frame the same embedding and
+    # score whatever the parameters, so S_S is all ones and singular on the
+    # first step that visits it
+    manifest = write_planted_corpus(tmp_path, PlantedSpec(n_videos=5, n_frames=60, dim=8))
+    write_features(tmp_path / "planted-003.f32", np.zeros((60, 8), np.float32))
     proc = run_cli_process(
         "-m", "gdasum.cli", "train", "--manifest", str(manifest),
         "--fold", "0", "--epochs", "2", "--hidden", "8", "--embed", "4", "--lr", "1e-3",
-        "--out", str(tmp_path / "run"),
+        "--dropout-rate", "0", "--out", str(tmp_path / "run"),
     )
     assert proc.returncode == 2
     assert proc.stderr == (
         "numerical failure: subset kernel is numerically singular on video "
-        "'planted-001' at epoch 1\n"
+        "'planted-003' at epoch 0\n"
     )
-    # the aborted fold leaves its report: provenance, the finished epoch and
-    # a last line naming the failure, but no checkpoint
+    # the aborted fold leaves its report, provenance and a last line naming
+    # the failure, but no checkpoint
     run = tmp_path / "run"
     assert not (run / "fold0.ckpt").exists()
     lines = [json.loads(line) for line in (run / "fold0.report.jsonl").read_text().splitlines()]
-    assert len(lines) == 3
+    assert len(lines) == 2
     assert lines[0]["run_config"]["epochs"] == 2 and "numerics" in lines[0]
-    assert lines[1]["epoch"] == 0 and set(lines[1]["loss"]) >= {"variation", "total"}
-    assert lines[2] == {
-        "error": "subset kernel is numerically singular", "video": "planted-001", "epoch": 1,
+    assert lines[1] == {
+        "error": "subset kernel is numerically singular", "video": "planted-003", "epoch": 0,
     }
+
+
+def test_train_failure_report_keeps_each_finished_epoch(corpus, tmp_path, monkeypatch, capsys):
+    # a fault planted in the first step of epoch 1: epoch 0's line stays in
+    # the report, before the one naming the failure
+    train_module = importlib.import_module("gdasum.train")
+    steps = len(make_splits(load_manifest(corpus), "canonical", 0)[0].train_ids)
+    real, calls = train_module.loss_and_grad, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > steps:
+            raise NumericalError("planted fault")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "loss_and_grad", failing)
+    out = tmp_path / "run"
+    assert run(["train", "--manifest", corpus, "--fold", "0", "--epochs", "3", "--hidden", "8",
+                "--embed", "4", "--lr", "1e-3", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: planted fault on video ")
+    assert not (out / "fold0.ckpt").exists()
+    lines = [json.loads(line) for line in (out / "fold0.report.jsonl").read_text().splitlines()]
+    assert len(lines) == 3
+    assert lines[1]["epoch"] == 0 and set(lines[1]["loss"]) >= {"variation", "total"}
+    assert lines[2]["error"] == "planted fault" and lines[2]["epoch"] == 1
 
 
 @pytest.mark.parametrize("flag, value, named", [

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import importlib
 import itertools
+import math
 import re
 
 import numpy as np
@@ -364,7 +365,7 @@ def test_gradient_report_fails_a_non_finite_gradient(side, poison):
     _, params, _ = _instance(5)
     clean = params.copy()
     bad = params.copy()
-    for value, name in zip([np.nan, np.inf], ["w_q", "reg_b2"]):
+    for value, name in zip([np.nan, np.inf], ["w_att", "reg_b2"]):
         field = getattr(bad, name)
         if poison == "all":
             field.fill(value)
@@ -372,8 +373,8 @@ def test_gradient_report_fails_a_non_finite_gradient(side, poison):
             field.flat[0] = value
     pair = (bad, clean) if side == "analytic" else (clean, bad)
     report = gradient_report(*pair)
-    assert report["w_q"] == report["reg_b2"] == report["max"] == np.inf
-    assert report["w_k"] == 0.0
+    assert report["w_att"] == report["reg_b2"] == report["max"] == np.inf
+    assert report["w_ctx"] == 0.0
 
 
 def test_finite_diff_on_quadratic():
@@ -383,8 +384,11 @@ def test_finite_diff_on_quadratic():
     assert abs(got - 6.0) < 1e-8
 
 
-def test_finite_diff_halving_step_quarters_error():
+def test_finite_diff_halving_step_cuts_error_sixteenfold():
+    # Richardson's estimate is O(h^4) between kinks; with every head ReLU's
+    # input raised far above 0, no step here crosses one
     x, params, labels = _instance(6)
+    params.reg_b1 += 10.0
     trace = forward(x, params, SMALL, mode="eval")
     analytic = backward(trace, x, params, SMALL, "supervised", labels=labels)
 
@@ -399,7 +403,69 @@ def test_finite_diff_halving_step_quarters_error():
 
     coarse = max_err(4e-3)
     fine = max_err(2e-3)
-    assert fine < coarse * 0.4  # O(h^2): expect about 0.25
+    assert fine < coarse * 0.1  # O(h^4): expect about 1/16
+
+
+def _kink_at(x, params, offset):
+    """A copy of params whose head ReLU input nearest above 0 is moved to -offset.
+
+    The unit's bias reg_b1[j] moves it, so a step of reg_b1[j] by more than
+    offset flips that ReLU.  Returns (params, j).
+    """
+    trace = forward(x, params, SMALL, mode="eval")
+    ff_out = trace.ln1_xhat * params.ln1_scale + params.ln1_offset
+    pre = ff_out @ params.reg_w1.T + params.reg_b1
+    i, j = np.unravel_index(np.argmin(np.where(pre > 0.0, pre, np.inf)), pre.shape)
+    moved = params.copy()
+    moved.reg_b1[j] -= pre[i, j] + offset
+    return moved, j
+
+
+@pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+def test_finite_diff_steps_past_a_kink_a_central_difference_straddles(mode):
+    # a head ReLU input 3e-6 below 0: the default step of reg_b1[j], 1e-5,
+    # flips it and averages two slopes, which the next step, 1e-6, does not
+    x, params, labels = _instance(0)
+    labels = labels if mode == "supervised" else None
+    params, j = _kink_at(x, params, 3e-6)
+    trace = forward(x, params, SMALL, mode="eval")
+    analytic = backward(trace, x, params, SMALL, mode, labels=labels)
+    up, down = params.copy(), params.copy()
+    up.reg_b1[j] += 1e-5
+    down.reg_b1[j] -= 1e-5
+    straddling = (
+        loss_given_params(x, up, SMALL, mode, labels) - loss_given_params(x, down, SMALL, mode, labels)
+    ) / 2e-5
+    assert abs(straddling - analytic.reg_b1[j]) > 1e-2 * np.abs(analytic.reg_b1).max()
+    numeric = finite_diff_grad(x, params, SMALL, mode, labels=labels)
+    assert gradient_report(analytic, numeric)["max"] <= 1e-4
+
+
+def test_finite_diff_fails_a_scalar_every_step_crosses_a_kink_for():
+    # 3e-8 below 0 is within half of the smallest step, 1e-7
+    x, params, labels = _instance(0)
+    params, j = _kink_at(x, params, 3e-8)
+    trace = forward(x, params, SMALL, mode="eval")
+    analytic = backward(trace, x, params, SMALL, "supervised", labels=labels)
+    numeric = finite_diff_grad(x, params, SMALL, "supervised", labels=labels)
+    assert np.isnan(numeric.reg_b1[j])
+    assert gradient_report(analytic, numeric)["reg_b1"] == np.inf
+
+
+def test_finite_diff_fails_any_field_whose_gradient_is_off_by_a_thousandth():
+    # the check resolves far below the tolerance: each field's gradient,
+    # scaled by 1.001, is an error of 1e-3 relative to that field
+    for mode in ("supervised", "unsupervised"):
+        x, params, labels = _instance(2)
+        labels = labels if mode == "supervised" else None
+        trace = forward(x, params, SMALL, mode="eval")
+        analytic = backward(trace, x, params, SMALL, mode, labels=labels)
+        numeric = finite_diff_grad(x, params, SMALL, mode, labels=labels)
+        assert gradient_report(analytic, numeric)["max"] <= 1e-4
+        for name in WEIGHT_FIELDS:
+            scaled = analytic.copy()
+            getattr(scaled, name)[...] *= 1.001
+            assert gradient_report(scaled, numeric)[name] > 1e-4, (mode, name)
 
 
 def test_loss_given_params_matches_total():
@@ -607,25 +673,25 @@ def test_backward_refuses_the_non_finite_gradient_that_loss_and_grad_returns(
     losses_module = importlib.import_module("gdasum.losses")
     network_grad = losses_module.network_grad
 
-    def nan_in_ff_w(*args):
+    def nan_in_w_ctx(*args):
         grads = network_grad(*args)
-        grads.ff_w[1, 2] = np.nan
+        grads.w_ctx[1, 2] = np.nan
         return grads
 
-    monkeypatch.setattr(losses_module, "network_grad", nan_in_ff_w)
+    monkeypatch.setattr(losses_module, "network_grad", nan_in_w_ctx)
     with pytest.raises(
-        NumericalError, match=r"^gradient: non-finite values in parameter 'ff_w'$"
+        NumericalError, match=r"^gradient: non-finite values in parameter 'w_ctx'$"
     ):
         backward(trace, x, params, hyper, "supervised", labels=labels)
     _, grads = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels)
-    clean.ff_w[1, 2] = np.nan
+    clean.w_ctx[1, 2] = np.nan
     for name, g in grads.items():
         assert np.array_equal(g, getattr(clean, name), equal_nan=True), name
 
     capsys.readouterr()
     assert main(["gradcheck", "--instances", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "numerical failure: gradient: non-finite values in parameter 'ff_w'\n"
+    assert captured.err == "numerical failure: gradient: non-finite values in parameter 'w_ctx'\n"
     assert captured.out == ""
 
 
@@ -663,8 +729,8 @@ def test_loss_and_grad_adds_the_penalty_gradient_to_weight_fields_only():
             assert decayed.dtype == dtype and decayed.tobytes() == want.tobytes(), (dtype, name)
 
 
-# weight fields of one full SUM_BLOCK block and a partial one (w_q, w_k, w_v,
-# ff_w: 100 x 100; reg_w1: 96 x 100)
+# weight fields of one full SUM_BLOCK block and a partial one (w_att and w_ctx:
+# 100 x 100; reg_w1: 96 x 100)
 SWEPT = HyperParams(hidden=96, embed=4, dropout_rate=0.0, weight_decay=0.25)
 
 
@@ -674,7 +740,7 @@ def test_weight_penalty_sweep_decays_each_block_as_the_whole_field_formula(dtype
     # scratch block: the float operations, so the bits, of g + 2.0 * λ * θ
     x, params, _ = _instance(15, n=12, d=100, hyper=SWEPT)
     p = params.astype(dtype)
-    assert SUM_BLOCK < p.w_q.size < 2 * SUM_BLOCK and SUM_BLOCK < p.reg_w1.size
+    assert SUM_BLOCK < p.w_att.size < 2 * SUM_BLOCK and SUM_BLOCK < p.reg_w1.size
     trace = forward(x, p, SWEPT, mode="eval")
     undecayed = dataclasses.replace(SWEPT, weight_decay=0.0)
     bare_loss, bare = loss_and_grad(trace, x, p, undecayed, "unsupervised")
@@ -697,8 +763,8 @@ def test_weight_penalty_refuses_a_gradient_it_cannot_write_in_place():
     # in a copy, so the sweep refuses it
     params = init_params(5, SMALL, 0)
     grads = params.zeros_like()
-    grads.w_q = np.asfortranarray(grads.w_q)
-    with pytest.raises(ValueError, match="'w_q' is not C-contiguous"):
+    grads.w_att = np.asfortranarray(grads.w_att)
+    with pytest.raises(ValueError, match="'w_att' is not C-contiguous"):
         weight_penalty(params, 0.1, grads)
 
 
@@ -728,7 +794,7 @@ def test_loss_and_grad_decays_with_no_field_sized_temporary(traced_peak):
     for decay in (0.0, hyper.weight_decay):
         h = dataclasses.replace(hyper, weight_decay=decay)
         peaks.append(traced_peak(lambda: loss_and_grad(trace, x, p, h, "unsupervised"))[0])
-    assert peaks[1] - peaks[0] < p.ff_w.nbytes // 4
+    assert peaks[1] - peaks[0] < p.w_ctx.nbytes // 4
 
 
 def test_backward_and_loss_given_params_as_the_benchmark_calls_them():
@@ -762,10 +828,10 @@ def test_backward_and_loss_given_params_as_the_benchmark_calls_them():
 def _floored_cases():
     """Supervised instances whose similarities reach below ``SIM_FLOOR``.
 
-    With emb_w scaled tenfold, beta ||phi_i - phi_j||^2 runs from about 31
-    to 3353 in eval mode: four pairs stay below 200 ln 2 (similarity above
-    the floor), most fall between 200 ln 2 and 708 (normal floats below
-    the floor), and one, near 726, is subnormal.  Yields (hyper, x,
+    With emb_w scaled tenfold, beta ||phi_i - phi_j||^2 runs from about 85
+    to 1418 in eval mode: two pairs stay below 200 ln 2 (similarity above
+    the floor), 16 fall between 200 ln 2 and 708 (normal floats below the
+    floor), and the other 10 underflow to 0.  Yields (hyper, x,
     params, labels, trace, masks) for an eval trace and for a trace with
     recorded dropout masks.
     """
@@ -775,12 +841,12 @@ def _floored_cases():
         params.emb_w *= 10.0
         trace = forward(x, params, hyper, mode=fw_mode, rng=np.random.default_rng(2))
         masks = None if fw_mode == "eval" else (trace.ff_mask, trace.head_mask)
-        _assert_reaches_floored_band(trace, hyper.beta)
+        _assert_reaches_floored_band(trace.phi, hyper.beta)
         yield hyper, x, params, labels, trace, masks
 
 
-def _assert_reaches_floored_band(trace, beta):
-    raw = np.exp(-beta * pairwise_sq_dists(trace.phi))
+def _assert_reaches_floored_band(phi, beta):
+    raw = np.exp(-beta * pairwise_sq_dists(phi))
     off_diagonal = raw[~np.eye(len(raw), dtype=bool)]
     assert np.any((off_diagonal >= SIM_FLOOR) & (off_diagonal < 1.0))
     assert np.any((raw > 0.0) & (raw < SIM_FLOOR))
@@ -788,12 +854,19 @@ def _assert_reaches_floored_band(trace, beta):
 
 
 def test_similarity_floor_stores_tiny_entries_as_exact_zeros():
-    hyper, _, _, _, trace, _ = next(_floored_cases())
-    raw = _assert_reaches_floored_band(trace, hyper.beta)
+    # embeddings on a line, so beta ||phi_i - phi_j||^2 reaches every band:
+    # below 200 ln 2 (kept), between 200 ln 2 and 708 (a normal float below
+    # the floor) and 726, between the first and last rows (a subnormal one)
+    beta = 1.0
+    phi = np.zeros((6, 4))
+    phi[:, 0] = [0.0, 3.0, 8.0, 15.0, 22.0, math.sqrt(726.0)]
+    phi[:, 1] = 0.5  # shared by every row: distances ignore it
+    y = np.linspace(0.2, 0.9, 6)
+    raw = _assert_reaches_floored_band(phi, beta)
     assert np.any((raw > 0.0) & (raw < np.finfo(np.float64).tiny))  # a subnormal
-    kernel = dpp_kernel(trace.y, trace.phi, hyper.beta)
+    kernel = dpp_kernel(y, phi, beta)
     floored = np.where(raw < SIM_FLOOR, 0.0, raw)
-    assert _bits_equal(kernel, np.outer(trace.y, trace.y) * floored)
+    assert _bits_equal(kernel, np.outer(y, y) * floored)
     assert not np.any((kernel != 0.0) & (np.abs(kernel) < np.finfo(np.float64).tiny))
     assert np.array_equal(kernel == 0.0, floored == 0.0)
 
@@ -888,8 +961,8 @@ def test_float32_network_matches_float64_at_the_paper_width(mode):
     # the training step: float32 parameters under float64 loss terms.
     # The bound is relative to the terms' magnitudes, so each field's error
     # is measured against the step's largest gradient entry: a field whose
-    # exact gradient cancels to nearly 0 (emb_b in supervised mode; w_q and
-    # w_k at initialisation, where ff_b = 0 lets layer norm remove the
+    # exact gradient cancels to nearly 0 (emb_b in supervised mode; w_att
+    # at initialisation, where ff_b = 0 lets layer norm remove the
     # diversity weights' scale) keeps an error of the terms' size
     n, hyper = 300, HyperParams(hidden=64, embed=16)
     params = init_params(PAPER_D, hyper, seed=0)

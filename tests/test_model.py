@@ -29,8 +29,8 @@ SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.5)
 CLIP = HyperParams().alpha_clip
 
 
-def attention_of(trace):
-    return _attention(trace.q_proj, trace.k_proj)
+def attention_of(x, params):
+    return _attention(np.asarray(x, dtype=params.dtype), params.w_att)
 
 
 def softmax_columns(a):
@@ -46,8 +46,8 @@ def diversity(alpha):
 def test_init_xavier_bounds():
     params = init_params(4, SMALL, seed=0)
     bound = np.sqrt(6.0 / (4 + 4))
-    assert np.abs(params.w_q).max() <= bound
-    assert np.abs(params.w_k).max() <= bound
+    assert np.abs(params.w_att).max() <= bound
+    assert np.abs(params.w_ctx).max() <= bound
     # biases zero, norm layers at identity
     assert np.all(params.ff_b == 0.0)
     assert np.all(params.reg_b1 == 0.0)
@@ -61,13 +61,13 @@ def test_init_deterministic():
     for x, y in zip(a.arrays(), b.arrays()):
         assert np.array_equal(x, y)
     c = init_params(5, SMALL, seed=43)
-    assert not np.array_equal(a.w_q, c.w_q)
+    assert not np.array_equal(a.w_att, c.w_att)
 
 
 def test_init_xavier_variance():
     # 1e6 draws: sample variance within 5% of 2/(fan_in + fan_out)
     params = init_params(1000, HyperParams(hidden=4, embed=4), seed=1)
-    sample_var = params.w_q.var()
+    sample_var = params.w_att.var()
     expected = 2.0 / (1000 + 1000)
     assert abs(sample_var - expected) / expected < 0.05
 
@@ -75,16 +75,15 @@ def test_init_xavier_variance():
 def test_attention_orthonormal_identity():
     d = 4
     params = init_params(d, SMALL, seed=0)
-    params.w_q = np.eye(d)
-    params.w_k = np.eye(d)
-    a = attention_of(forward(np.eye(d), params, SMALL))
+    params.w_att = np.eye(d)
+    a = attention_of(np.eye(d), params)
     assert np.allclose(a, np.eye(d) / np.sqrt(d), atol=1e-12)
 
 
 def test_attention_zero_projection():
     params = init_params(3, SMALL, seed=0)
-    params.w_q = np.zeros((3, 3))
-    a = attention_of(forward(np.random.default_rng(0).standard_normal((5, 3)), params, SMALL))
+    params.w_att = np.zeros((3, 3))
+    a = attention_of(np.random.default_rng(0).standard_normal((5, 3)), params)
     assert np.all(a == 0.0)
 
 
@@ -92,13 +91,11 @@ def test_attention_matches_triple_loop():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 2))
     params = init_params(2, SMALL, seed=7)
-    a = attention_of(forward(x, params, SMALL))
-    q = 2
+    a = attention_of(x, params)
+    d = 2
     for i in range(3):
         for j in range(3):
-            qi = params.w_q @ x[i]
-            kj = params.w_k @ x[j]
-            want = float(qi @ kj) / np.sqrt(q)
+            want = float(x[i] @ params.w_att @ x[j]) / np.sqrt(d)
             assert abs(a[i, j] - want) < 1e-12
 
 
@@ -186,7 +183,8 @@ def test_forward_permutation_equivariance():
         assert np.abs(moved.y - base.y[perm]).max() < 1e-9
         assert np.abs(moved.d - base.d[perm]).max() < 1e-9
         assert np.abs(moved.phi - base.phi[perm]).max() < 1e-9
-        assert np.abs(attention_of(moved) - attention_of(base)[np.ix_(perm, perm)]).max() < 1e-9
+        want = attention_of(x, params)[np.ix_(perm, perm)]
+        assert np.abs(attention_of(x[perm], params) - want).max() < 1e-9
 
 
 def test_forward_train_deterministic_given_rng():
@@ -358,16 +356,13 @@ def reference_standardize(z):
 def reference_forward(x, params, hyper, mode="eval", rng=None, masks=None):
     """The scoring network as out-of-place formulas, each intermediate a new array."""
     n, d_feat = x.shape
-    q_proj = x @ params.w_q.T
-    k_proj = x @ params.w_k.T
-    a = q_proj @ k_proj.T / np.sqrt(d_feat)
+    a = x @ params.w_att @ x.T / np.sqrt(d_feat)
     e = np.exp(np.maximum(a - a.max(axis=0), LOG_ALPHA_FLOOR))
     alpha = e / e.sum(axis=0)
     log_keep = np.log1p(-np.clip(alpha, hyper.alpha_clip, 1.0 - hyper.alpha_clip)).sum(axis=1)
     w = np.exp(log_keep - log_keep.max())
     d = w / w.sum()
-    v_proj = x @ params.w_v.T
-    context = d[:, None] * v_proj
+    v_proj = x @ params.w_ctx.T
     ff_mask = head_mask = None
     if mode == "train":
         if masks is not None:
@@ -375,7 +370,7 @@ def reference_forward(x, params, hyper, mode="eval", rng=None, masks=None):
         else:
             ff_mask = reference_dropout_mask((n, d_feat), hyper.dropout_rate, rng)
             head_mask = reference_dropout_mask((n, hyper.hidden), hyper.dropout_rate, rng)
-    pre = context @ params.ff_w.T + params.ff_b
+    pre = d[:, None] * v_proj + params.ff_b
     if ff_mask is not None:
         pre = pre * ff_mask
     ln1_xhat, ln1_inv_std = reference_standardize(pre)
@@ -390,8 +385,8 @@ def reference_forward(x, params, hyper, mode="eval", rng=None, masks=None):
     return ForwardTrace(
         alpha=alpha, d=d, phi=emb_proj + params.emb_b, z=z, y=sigmoid(z),
         emb_proj=emb_proj,
-        q_proj=q_proj, k_proj=k_proj, v_proj=v_proj, ff_mask=ff_mask,
-        ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv_std, head_pre=head_pre,
+        v_proj=v_proj, ff_mask=ff_mask,
+        ln1_xhat=ln1_xhat, ln1_inv_std=ln1_inv_std, head_pre=head_pre > 0.0,
         ln2_xhat=ln2_xhat, ln2_inv_std=ln2_inv_std, head_mask=head_mask,
     )
 
@@ -430,6 +425,53 @@ def test_forward_and_score_frames_equal_the_out_of_place_network(n, d_feat, hidd
     if 40.0 in scales:
         # at the largest scale some attention weights lie outside the clip band
         assert np.any((want.alpha < hyper.alpha_clip) | (want.alpha > 1.0 - hyper.alpha_clip))
+
+
+def four_factor_network(x, w_q, w_k, w_v, ff_w, params, hyper, masks=None):
+    """(z, d) of the network with separate query, key, value and feed-forward weights.
+
+    A = (x w_q^T)(x w_k^T)^T / sqrt(D), and the feed-forward
+    pre-activation is (d * x w_v^T) ff_w^T + ff_b; ``params`` gives every
+    other field.  This is the network before the two pairs were merged.
+    """
+    q, k = x @ w_q.T, x @ w_k.T
+    a = q @ k.T / np.sqrt(x.shape[1])
+    e = np.exp(np.maximum(a - a.max(axis=0), LOG_ALPHA_FLOOR))
+    alpha = e / e.sum(axis=0)
+    log_keep = np.log1p(-np.clip(alpha, hyper.alpha_clip, 1.0 - hyper.alpha_clip)).sum(axis=1)
+    w = np.exp(log_keep - log_keep.max())
+    d = w / w.sum()
+    pre = (d[:, None] * (x @ w_v.T)) @ ff_w.T + params.ff_b
+    if masks is not None:
+        pre = pre * masks[0]
+    ff_out = params.ln1_scale * reference_standardize(pre)[0] + params.ln1_offset
+    head = np.maximum(ff_out @ params.reg_w1.T + params.reg_b1, 0.0)
+    head = params.ln2_scale * reference_standardize(head)[0] + params.ln2_offset
+    if masks is not None:
+        head = head * masks[1]
+    return (head @ params.reg_w2.T + params.reg_b2)[:, 0], d
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_merged_weights_compute_the_four_factor_network(mode):
+    # w_att = w_q^T w_k and w_ctx = ff_w w_v give the same function, in float64
+    # to within rounding: 1e-12 absolute on z, whose entries reach 0.6 in eval
+    # mode and 3.4 in train mode, and relative on d; under 1e-15 was observed
+    n, d_feat, hidden, embed = 40, 16, 24, 8
+    hyper = HyperParams(hidden=hidden, embed=embed, dropout_rate=0.5)
+    params = trained_like_params(d_feat, hyper, seed=8)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((n, d_feat))
+    w_q, w_k, w_v, ff_w = (rng.uniform(-0.6, 0.6, (d_feat, d_feat)) for _ in range(4))
+    params.w_att, params.w_ctx = w_q.T @ w_k, ff_w @ w_v
+    masks = None
+    if mode == "train":
+        masks = (_dropout_mask((n, d_feat), 0.5, rng), _dropout_mask((n, hidden), 0.5, rng))
+    trace = forward(x, params, hyper, mode=mode, masks=masks)
+    want_z, want_d = four_factor_network(x, w_q, w_k, w_v, ff_w, params, hyper, masks)
+    assert np.abs(want_z).max() > 0.5 and np.ptp(want_d) > 0.1 * want_d.max()
+    assert np.abs(trace.z - want_z).max() <= 1e-12
+    assert np.abs(trace.d - want_d).max() <= 1e-12 * want_d.max()
 
 
 @pytest.mark.parametrize("x", [
@@ -498,7 +540,7 @@ def test_network_follows_the_parameters_dtype(dtype):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     for field in dataclasses.fields(ForwardTrace):
         got = getattr(trace, field.name)
-        assert got.dtype == dtype, field.name
+        assert got.dtype == (bool if field.name == "head_pre" else dtype), field.name
         if dtype == np.float64:
             assert got.tobytes() == getattr(want, field.name).tobytes(), field.name
     assert np.array_equal(trace.ff_mask, want.ff_mask.astype(dtype))
@@ -535,20 +577,20 @@ def test_network_grad_forms_the_layer_outputs_with_forwards_bits(mode, dtype):
 
 
 def reference_attention_grads(trace, x, params, hyper, dz, dphi):
-    """The w_q and w_k gradients as out-of-place formulas, in network_grad's order."""
+    """The w_att and w_ctx gradients as out-of-place formulas, in network_grad's order."""
     d_ln2_out = dz[:, None] * params.reg_w2[0][None, :]
     if trace.head_mask is not None:
         d_ln2_out = d_ln2_out * trace.head_mask
     d_head_pre = reference_layernorm_backward(
         d_ln2_out, trace.ln2_xhat, trace.ln2_inv_std, params.ln2_scale
-    )[0] * (trace.head_pre > 0.0)
+    )[0] * trace.head_pre
     d_ff_out = d_head_pre @ params.reg_w1 + dphi @ params.emb_w
     dz1 = reference_layernorm_backward(
         d_ff_out, trace.ln1_xhat, trace.ln1_inv_std, params.ln1_scale
     )[0]
     if trace.ff_mask is not None:
         dz1 = dz1 * trace.ff_mask
-    dd = ((dz1 @ params.ff_w) * trace.v_proj).sum(axis=1)
+    dd = np.einsum("ij,ij->i", dz1, trace.v_proj)  # network_grad's row sums
     dlog = trace.d * (dd - float(dd @ trace.d))
     alpha, lo, hi = trace.alpha, hyper.alpha_clip, 1.0 - hyper.alpha_clip
     inside = (alpha > lo) & (alpha < hi)
@@ -556,7 +598,7 @@ def reference_attention_grads(trace, x, params, hyper, dz, dphi):
     d_attention = alpha * (da - (alpha * da).sum(axis=0))
     x = x.astype(params.dtype)
     scale = 1.0 / math.sqrt(x.shape[1])
-    return (d_attention @ trace.k_proj * scale).T @ x, (d_attention.T @ trace.q_proj * scale).T @ x
+    return x.T @ (d_attention @ x * scale), (dz1 * trace.d[:, None]).T @ x
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -578,9 +620,9 @@ def test_attention_grads_equal_the_out_of_place_softmax_backward(mode, dtype):
     assert np.any(trace.alpha < hyper.alpha_clip)
     assert np.any(trace.alpha < np.exp(LOG_ALPHA_FLOOR) * 1.0001)
     grads = network_grad(dict(vars(trace)), x, params, hyper, dz, dphi)
-    want_q, want_k = reference_attention_grads(trace, x, params, hyper, dz, dphi)
-    assert grads.w_q.tobytes() == want_q.tobytes()
-    assert grads.w_k.tobytes() == want_k.tobytes()
+    want_att, want_ctx = reference_attention_grads(trace, x, params, hyper, dz, dphi)
+    assert grads.w_att.tobytes() == want_att.tobytes()
+    assert grads.w_ctx.tobytes() == want_ctx.tobytes()
 
 
 def test_score_frames_holds_one_n_by_n_array(traced_peak):
@@ -607,9 +649,9 @@ def test_forward_holds_one_n_by_n_array(mode, traced_peak):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", ["eval", "train"])
 def test_trace_holds_only_what_the_reverse_pass_cannot_form_again(mode, dtype):
-    # alpha; q, k, v, ln1_xhat and in train mode ff_mask (N x D); head_pre,
-    # ln2_xhat and in train mode head_mask (N x H); phi and P (N x E);
-    # d, z, y and the two inverse standard deviations (N)
+    # alpha; v, ln1_xhat and in train mode ff_mask (N x D); ln2_xhat and in
+    # train mode head_mask (N x H); phi and P (N x E); d, z, y and the two
+    # inverse standard deviations (N); and head_pre's sign mask, one byte each
     n, d_feat, hidden, embed = 50, 48, 64, 16
     hyper = HyperParams(hidden=hidden, embed=embed)
     params = init_params(d_feat, hyper, seed=0).astype(dtype)
@@ -618,8 +660,8 @@ def test_trace_holds_only_what_the_reverse_pass_cannot_form_again(mode, dtype):
     m = mode == "train"
     held = sum(a.nbytes for a in vars(trace).values() if a is not None)
     assert held == np.dtype(dtype).itemsize * (
-        n * n + (4 + m) * n * d_feat + (2 + m) * n * hidden + 2 * n * embed + 5 * n
-    )
+        n * n + (2 + m) * n * d_feat + (1 + m) * n * hidden + 2 * n * embed + 5 * n
+    ) + n * hidden
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -630,7 +672,7 @@ def test_check_finite_returns_the_sum_of_squares(dtype, traced_peak):
     # a 1024 x 1024 field is summed in float64 with no float64 copy (8 MB):
     # a float32 one casts through NumPy's fixed buffer of about 128 KB
     field = np.random.default_rng(0).standard_normal((1024, 1024)).astype(dtype)
-    peak, got = traced_peak(lambda: sum_of_squares([("w_q", field)]))
+    peak, got = traced_peak(lambda: sum_of_squares([("w_att", field)]))
     want = math.fsum(v * v for v in field.astype(np.float64).ravel().tolist())
     assert abs(got - want) <= 1e-13 * want
     assert peak < 160_000
@@ -642,7 +684,7 @@ def test_check_finite_returns_the_sum_of_squares(dtype, traced_peak):
 def test_check_finite_names_the_first_non_finite_field_past_an_overflow():
     params = init_params(4, SMALL, 0)
     # finite, but the squares overflow: the total is inf, nothing is refused
-    params.w_q[...] = 1e200
+    params.w_att[...] = 1e200
     assert params.check_finite() == np.inf
     for bad in (np.nan, np.inf, -np.inf):
         broken = params.copy()

@@ -91,31 +91,31 @@ def test_adam_first_step_moves_by_lr():
     for arr in params.arrays():
         arr[:] = 0.0
     grads = params.zeros_like()
-    grads.w_q[0, 0] = 1.0
+    grads.w_att[0, 0] = 1.0
     state = AdamState.zeros(params)
     before = params.copy()
     new_params, _ = adam_step(params, grads, state, lr=0.1)
-    assert abs(new_params.w_q[0, 0] + 0.1) < 1e-8
-    assert new_params.w_q[0, 1] == 0.0
-    assert np.array_equal(new_params.w_k, before.w_k)
+    assert abs(new_params.w_att[0, 0] + 0.1) < 1e-8
+    assert new_params.w_att[0, 1] == 0.0
+    assert np.array_equal(new_params.w_ctx, before.w_ctx)
 
 
 def test_adam_moves_against_gradient_sign():
     params = init_params(4, SMALL_HYPER, 1)
     grads = params.zeros_like()
-    grads.ff_w[:] = 1.0
+    grads.w_ctx[:] = 1.0
     grads.reg_b2[:] = -1.0
     state = AdamState.zeros(params)
     before = params.copy()
     new_params, _ = adam_step(params, grads, state, lr=0.01)
-    assert (new_params.ff_w < before.ff_w).all()
+    assert (new_params.w_ctx < before.w_ctx).all()
     assert (new_params.reg_b2 > before.reg_b2).all()
 
 
 def test_adam_rejects_non_finite_gradients():
     params = init_params(3, SMALL_HYPER, 0)
     grads = params.zeros_like()
-    grads.w_v[0, 0] = np.nan
+    grads.w_ctx[0, 0] = np.nan
     with pytest.raises(NumericalError):
         adam_step(params, grads, AdamState.zeros(params), lr=0.1)
 
@@ -125,28 +125,28 @@ def test_adam_drives_quadratic_to_zero():
     params = init_params(3, SMALL_HYPER, 0)
     for arr in params.arrays():
         arr[:] = 0.0
-    params.w_q[0, 0] = 1.0
+    params.w_att[0, 0] = 1.0
     state = AdamState.zeros(params)
     for _ in range(300):
         grads = params.zeros_like()
-        grads.w_q[0, 0] = params.w_q[0, 0]
+        grads.w_att[0, 0] = params.w_att[0, 0]
         params, state = adam_step(params, grads, state, lr=0.02)
-    assert abs(params.w_q[0, 0]) < 0.05
+    assert abs(params.w_att[0, 0]) < 0.05
 
 
 def test_clip_gradients_scales_to_max_norm():
     params = init_params(2, HyperParams(hidden=2, embed=2), 0)
     grads = params.zeros_like()
-    grads.w_q[:] = 3.0  # (2, 2): 4 entries, sq sum 36
-    grads.w_k[:] = 4.0  # 4 entries, sq sum 64
+    grads.w_att[:] = 3.0  # (2, 2): 4 entries, sq sum 36
+    grads.w_ctx[:] = 4.0  # 4 entries, sq sum 64
     original = grads.copy()
     clipped, norm = clip_gradients(grads, max_norm=5.0)
     assert abs(norm - 10.0) < 1e-12
-    assert np.allclose(clipped.w_q, 1.5)
-    assert np.allclose(clipped.w_k, 2.0)
+    assert np.allclose(clipped.w_att, 1.5)
+    assert np.allclose(clipped.w_ctx, 2.0)
     untouched, norm2 = clip_gradients(original.copy(), max_norm=20.0)
     assert norm2 == norm
-    assert np.array_equal(untouched.w_q, original.w_q)
+    assert np.array_equal(untouched.w_att, original.w_att)
 
 
 def test_adam_step_allocates_less_than_one_parameter_set(traced_peak):
@@ -202,7 +202,7 @@ BLOCKED_D = 200
 
 def test_adam_step_in_blocks_matches_the_whole_field_update():
     params = init_params(BLOCKED_D, SMALL_HYPER, 0)
-    assert params.w_q.size == ADAM_BLOCK + 7232 and params.ff_b.size < ADAM_BLOCK
+    assert params.w_att.size == ADAM_BLOCK + 7232 and params.ff_b.size < ADAM_BLOCK
     reference = params.copy()
     state, ref_state = AdamState.zeros(params), AdamState.zeros(reference)
     rng = np.random.default_rng(3)
@@ -230,8 +230,8 @@ def test_adam_step_allocates_one_block(traced_peak):
 def test_adam_step_refuses_non_contiguous_parameters():
     params = init_params(4, SMALL_HYPER, 0)
     state = AdamState.zeros(params)
-    params.w_q = np.asfortranarray(params.w_q + np.eye(4))
-    with pytest.raises(ValueError, match="'w_q' is not C-contiguous"):
+    params.w_att = np.asfortranarray(params.w_att + np.eye(4))
+    with pytest.raises(ValueError, match="'w_att' is not C-contiguous"):
         adam_step(params, params.zeros_like(), state, lr=0.1)
 
 
@@ -241,7 +241,7 @@ def test_clip_gradients_refuses_an_overflowing_norm():
     params = init_params(3, SMALL_HYPER, 0)
     for max_norm in (5.0, np.inf):
         grads = params.copy()
-        grads.w_q[...] = 1e200
+        grads.w_att[...] = 1e200
         before = grads.copy()
         with pytest.raises(NumericalError, match="gradient norm overflowed"):
             clip_gradients(grads, max_norm)
@@ -269,12 +269,12 @@ def test_adam_step_takes_inline_clipped_gradients():
     params = init_params(4, SMALL_HYPER, 0)
     before = params.copy()
     grads = params.zeros_like()
-    grads.w_q[:] = 10.0
+    grads.w_att[:] = 10.0
     state = AdamState.zeros(params)
     adam_step(params, clip_gradients(grads, 5.0)[0], state, 5e-4)
     assert state.t == 1
-    assert (params.w_q < before.w_q).all()
-    assert np.array_equal(params.w_k, before.w_k)
+    assert (params.w_att < before.w_att).all()
+    assert np.array_equal(params.w_ctx, before.w_ctx)
 
 
 def float32_gradient(params, rng, scale):
@@ -339,11 +339,11 @@ def test_adam_step_clips_a_float32_gradient_whose_float32_sum_of_squares_overflo
     params = init_params(4, SMALL_HYPER, 0).astype(np.float32)
     state = AdamState.zeros(params)
     grads = params.zeros_like()
-    grads.w_q[0] = 5e19  # one row of D = 4
+    grads.w_att[0] = 5e19  # one row of D = 4
     adam_step(params, grads, state, 1e-3, 5.0)
     assert state.grad_norm == pytest.approx(1e20, rel=1e-6)
     # the first moment holds (1 - beta1) times the clipped gradient, of norm 5
-    m = state.m.w_q.astype(np.float64)
+    m = state.m.w_att.astype(np.float64)
     assert np.sqrt(np.vdot(m, m)) / (1.0 - ADAM_BETA1) == pytest.approx(5.0, rel=1e-6)
     assert all(np.all(np.isfinite(a)) for a in (*params.arrays(), *state.v.arrays()))
 
@@ -362,17 +362,17 @@ def test_adam_step_refuses_a_bad_gradient_before_writing_anything():
     # finite float64 entries whose squares overflow
     wide = params.astype(np.float64)
     huge = wide.zeros_like()
-    huge.w_q[...] = 1e200
+    huge.w_att[...] = 1e200
     cases.append((wide, huge, AdamState.zeros(wide), 5.0, NumericalError,
                   "gradient norm overflowed"))
     # unclipped, a float32 entry of 2e19 would square to inf in v
     g32 = float32_gradient(params, rng, 1.0)
-    g32.w_q[0, 0] = 2e19
+    g32.w_att[0, 0] = 2e19
     cases.append((params, g32, state, np.inf, NumericalError,
                   "gradient norm 2e+19 overflows float32 moments"))
     # a float64 gradient for float32 parameters is refused, not mixed in
     cases.append((params, float32_gradient(params, rng, 1.0).astype(np.float64), state, 5.0,
-                  ValueError, "adam_step: field 'w_q' mixes dtypes"))
+                  ValueError, "adam_step: field 'w_att' mixes dtypes"))
     for theta, grads, st, max_norm, error, message in cases:
         before = [a.copy() for a in (*theta.arrays(), *st.m.arrays(), *st.v.arrays())]
         t = st.t
@@ -711,7 +711,7 @@ def test_train_step_sums_its_gradient_once(monkeypatch):
 # the arrays a ForwardTrace caches for the reverse pass
 CACHED = (
     "head_pre", "ln2_xhat", "head_mask", "ln1_xhat", "ff_mask",
-    "v_proj", "k_proj", "q_proj", "alpha",
+    "v_proj", "alpha",
 )
 
 
@@ -810,7 +810,7 @@ def reference_checkpoint(params, dtype, hyper=None):
     # the file format assembled independently of save_checkpoint
     header = {
         "format": "gdasum-checkpoint",
-        "version": 1,
+        "version": 2,
         "dtype": dtype,
         "shapes": {name: list(arr.shape) for name, arr in params.items()},
     }
@@ -922,20 +922,20 @@ def test_checkpoint_error_taxonomy(tmp_path):
 
     future = tmp_path / "future.ckpt"
     future.write_bytes(path.read_bytes())
-    corrupt(future, lambda h: h.update(version=2))
+    corrupt(future, lambda h: h.update(version=3))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(future)
 
     missing_shape = tmp_path / "shapes.ckpt"
     missing_shape.write_bytes(path.read_bytes())
-    corrupt(missing_shape, lambda h: h["shapes"].pop("w_q"))
+    corrupt(missing_shape, lambda h: h["shapes"].pop("w_att"))
     with pytest.raises(CheckpointError, match="shape table"):
         load_checkpoint(missing_shape)
 
     negative_d = tmp_path / "negative_d.ckpt"
     negative_d.write_bytes(path.read_bytes())
-    corrupt(negative_d, lambda h: h["shapes"].update(w_q=[4, -1]))
-    with pytest.raises(CheckpointError, match="shape table gives w_q an invalid D=-1"):
+    corrupt(negative_d, lambda h: h["shapes"].update(w_att=[4, -1]))
+    with pytest.raises(CheckpointError, match="shape table gives w_att an invalid D=-1"):
         load_checkpoint(negative_d)
 
     negative_shape = tmp_path / "negative.ckpt"
@@ -949,7 +949,7 @@ def test_checkpoint_error_taxonomy(tmp_path):
     with pytest.raises(CheckpointError, match="not a"):
         load_checkpoint(not_an_object)
 
-    # D=6 from w_q, yet ff_b says 7 and ln1_scale 5: the byte total still matches
+    # D=6 from w_att, yet ff_b says 7 and ln1_scale 5: the byte total still matches
     inconsistent = tmp_path / "inconsistent.ckpt"
     save_checkpoint(init_params(6, SMALL_HYPER, 0), inconsistent, SMALL_HYPER)
     corrupt(inconsistent, lambda h: h["shapes"].update(ff_b=[7], ln1_scale=[5]))
@@ -958,7 +958,7 @@ def test_checkpoint_error_taxonomy(tmp_path):
 
     low_rank = tmp_path / "low_rank.ckpt"
     low_rank.write_bytes(path.read_bytes())
-    corrupt(low_rank, lambda h: h["shapes"].update(w_q=[16]))
+    corrupt(low_rank, lambda h: h["shapes"].update(w_att=[16]))
     with pytest.raises(CheckpointError, match="shape table"):
         load_checkpoint(low_rank)
 
@@ -968,6 +968,30 @@ def test_checkpoint_error_taxonomy(tmp_path):
     corrupt(wide, lambda h: h["hyper"].update(hidden=1024, embed=256))
     with pytest.raises(CheckpointError, match="shape table"):
         load_checkpoint(wide)
+
+
+def test_checkpoint_refuses_a_version_1_file_by_its_version(tmp_path, monkeypatch):
+    # version 1 stored separate w_q, w_k, w_v and ff_w where version 2 stores
+    # w_att and w_ctx: such a file is refused, named, before any field is read
+    d, (h, e) = 4, (SMALL_HYPER.hidden, SMALL_HYPER.embed)
+    shapes = {"w_q": (d, d), "w_k": (d, d), "w_v": (d, d), "ff_w": (d, d)}
+    shapes.update((k, v) for k, v in ModelParams.shapes(d, h, e).items() if k not in ("w_att", "w_ctx"))
+    header = {
+        "format": "gdasum-checkpoint", "version": 1, "dtype": "<f8",
+        "shapes": {name: list(shape) for name, shape in shapes.items()},
+        "hyper": dataclasses.asdict(SMALL_HYPER),
+    }
+    payload = np.zeros(sum(math.prod(shape) for shape in shapes.values())).tobytes()
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a field was read")
+
+    monkeypatch.setattr(np, "fromfile", no_read)
+    with pytest.raises(CheckpointError) as refused:
+        load_checkpoint(path)
+    assert str(refused.value) == f"checkpoint {path}: format version 1 != 2"
 
 
 def test_checkpoint_short_read_is_an_error(tmp_path, monkeypatch):
