@@ -12,7 +12,7 @@ Run:  python3 demos/gradient_verification.py
 import numpy as np
 
 from gdasum.losses import backward, finite_diff_grad, gradient_report
-from gdasum.model import HyperParams, forward, init_params
+from gdasum.model import WEIGHT_FIELDS, HyperParams, forward, init_params
 
 
 def check(mode: str, seed: int = 0):
@@ -21,6 +21,11 @@ def check(mode: str, seed: int = 0):
     x = rng.standard_normal((n, d))
     hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0)
     params = init_params(d, hyper, seed)
+    # off init, as `gdasum gradcheck` does: at init ff_b = 0 and layer norm
+    # removes the diversity weights' scale, so w_att's gradient is nearly 0
+    for name, arr in params.items():
+        if name not in WEIGHT_FIELDS:
+            arr += 0.5 * rng.standard_normal(arr.shape)
     labels = None
     if mode == "supervised":
         labels = np.zeros(n, dtype=np.int8)

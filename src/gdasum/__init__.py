@@ -73,7 +73,6 @@ from .train import (
     adam_step,
     load_checkpoint,
     save_checkpoint,
-    train,
 )
 
 __version__ = "0.1.0"
@@ -128,7 +127,6 @@ __all__ = [
     "shots_from_changepoints",
     "summary_from_scores",
     "total_loss",
-    "train",
     "video_fscore",
     "write_features",
     "write_manifest",

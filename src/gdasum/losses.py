@@ -12,11 +12,10 @@ come from ``pairwise_sq_dists``, the package's one distance routine.
 Unsupervised mode combines a summary-length regularizer with a
 repelling loss, the mean cosine over ordered pairs of distinct embeddings:
 with unit rows u_i and u_sum = sum_i u_i it is (||u_sum||^2 - sum_i ||u_i||^2)
-/ (N (N - 1)), so no cosine matrix is built.  Both modes
-add an L2 penalty over the weight matrices so every differentiable
-term is covered by the finite-difference check.  ``weight_penalty``
-sums it and, given the gradient, adds the penalty's gradient to it, in
-one blocked sweep over the weights.
+/ (N (N - 1)), so no cosine matrix is built.  Neither mode holds a
+weight penalty: ``train.adam_step`` decays the weights as it updates
+them, so the objective, its gradient and the finite-difference check
+are the data terms alone.
 
 Each mode is one function, ``_supervised`` or ``_unsupervised``, giving
 its two loss terms and a function for their gradients with respect to
@@ -37,20 +36,11 @@ gradient is verified against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    SUM_BLOCK,
-    ForwardTrace,
-    HyperParams,
-    ModelParams,
-    WEIGHT_FIELDS,
-    forward,
-    network_grad,
-    sum_of_squares,
-)
+from .model import ForwardTrace, HyperParams, ModelParams, forward, network_grad
 
 # No loss clips scores.  Only bench/checks.py imports this old clip
 # bound, where it merely shrinks a finite-difference step near it.
@@ -75,7 +65,6 @@ class LossBreakdown:
     keyframe: float
     length: float
     repelling: float
-    weight_penalty: float
     total: float
 
 
@@ -206,40 +195,6 @@ def _repelling(phi, error=ValueError):
     return float((u_sum @ u_sum - np.vdot(u, u)) / (n * (n - 1))), norms, u, u_sum
 
 
-def weight_penalty(
-    params: ModelParams, weight_decay: float, grads: ModelParams | None = None
-) -> float:
-    """L2 penalty over weight matrices only (no biases, no norm params), summed in float64.
-
-    It is weight_decay times ``sum_of_squares`` of the weight fields, so
-    a NaN or inf weight is a ValueError naming its field.  The penalty is
-    finite for finite float32 parameters; float64 entries above about
-    1e154 can overflow it to inf.  Given ``grads``, whose weight fields
-    must be C-contiguous, the same sweep adds 2 * weight_decay * theta to
-    each gradient block in place as it sums that block, through one
-    scratch block: the bits of ``g += 2.0 * weight_decay * theta``, with
-    no field-sized temporary.
-    """
-    if weight_decay == 0.0:
-        return 0.0
-    weights = [(name, getattr(params, name)) for name in WEIGHT_FIELDS]
-    decay = None
-    if grads is not None:
-        flat_grads = {}
-        for name in WEIGHT_FIELDS:
-            g = getattr(grads, name)
-            if not g.flags.c_contiguous:  # its reshape would be a copy, and lose the decay
-                raise ValueError(f"gradient field {name!r} is not C-contiguous")
-            flat_grads[name] = g.reshape(-1)
-        scratch = np.empty(min(SUM_BLOCK, max(a.size for _, a in weights)), params.dtype)
-
-        def decay(name, start, block):
-            step = np.multiply(block, 2.0 * weight_decay, out=scratch[: block.size])
-            flat_grads[name][start : start + block.size] += step
-
-    return weight_decay * sum_of_squares(weights, decay)
-
-
 def _supervised(z, y, phi, labels, beta, variation_weight):
     """(keyframe BCE, weighted DPP variation, grad), ``grad()`` giving (dz, dphi).
 
@@ -314,7 +269,6 @@ def _unsupervised(y, phi, sigma):
 def _objective(fields, hyper, mode, labels, sigma, variation_weight):
     """The mode's data terms and (dz, dphi) function, on a trace's fields upcast to float64.
 
-    The LossBreakdown holds no weight penalty yet: ``_penalized`` adds it.
     ``fields`` is a dict of ``ForwardTrace`` fields, which is only read.
     The DPP reads the embeddings before their bias, ``emb_proj``:
     distances ignore a shift shared by every row, so the loss is the same
@@ -333,15 +287,10 @@ def _objective(fields, hyper, mode, labels, sigma, variation_weight):
         z = np.asarray(fields["z"], dtype=np.float64)
         phi = np.asarray(fields["emb_proj"], dtype=np.float64)
         key, var, grad = _supervised(z, y, phi, labels, hyper.beta, variation_weight)
-        return LossBreakdown(var, key, 0.0, 0.0, 0.0, key + var), grad
+        return LossBreakdown(var, key, 0.0, 0.0, key + var), grad
     phi = np.asarray(fields["phi"], dtype=np.float64)
     length, rep, grad = _unsupervised(y, phi, sigma)
-    return LossBreakdown(0.0, 0.0, length, rep, 0.0, length + rep), grad
-
-
-def _penalized(breakdown: LossBreakdown, penalty: float) -> LossBreakdown:
-    """``breakdown`` of the data terms with the weight penalty added to its total."""
-    return replace(breakdown, weight_penalty=penalty, total=breakdown.total + penalty)
+    return LossBreakdown(0.0, 0.0, length, rep, length + rep), grad
 
 
 def total_loss(
@@ -353,15 +302,15 @@ def total_loss(
     sigma: float = DEFAULT_SIGMA,
     variation_weight: float = DEFAULT_VARIATION_WEIGHT,
 ) -> LossBreakdown:
-    """Mode-appropriate training loss plus the L2 weight penalty.
+    """Mode-appropriate training loss.
 
     supervised:   keyframe BCE + variation (needs ``labels``)
     unsupervised: length regularizer + repelling (labels are ignored)
     ``variation_weight`` scales the variation term; 0 is the keyframe-only ablation.
-    The penalty is ``weight_penalty``'s, the same bits ``loss_and_grad`` reports.
+    ``params`` is not read: the loss is a function of the trace, and
+    weight decay is the optimizer's (``train.adam_step``).
     """
-    breakdown = _objective(vars(trace), hyper, mode, labels, sigma, variation_weight)[0]
-    return _penalized(breakdown, weight_penalty(params, hyper.weight_decay))
+    return _objective(vars(trace), hyper, mode, labels, sigma, variation_weight)[0]
 
 
 def loss_and_grad(
@@ -379,18 +328,14 @@ def loss_and_grad(
     The trace must come from ``forward`` on the same ``x`` and ``params``;
     the loss's z and phi gradients, cast to the parameters' dtype, run
     back through ``model.network_grad`` with the trace's dropout masks.
-    Then one ``weight_penalty`` sweep over the weight fields gives the
-    penalty and adds its gradient ``2 * weight_decay * theta`` to theirs
-    in place.  A ``ForwardTrace`` is left
-    whole: this is the one place a trace is copied, and the reverse pass
-    empties a shallow copy of its fields.  A dict of its fields, such as
-    ``vars(forward(...))``, which is how ``train`` hands over its step's
-    trace, is itself emptied, so each cached array is freed at its last
-    read.  A non-finite total raises ``NumericalError``: a non-finite data
-    term before any gradient work, an overflowing penalty (see
-    ``weight_penalty``) after its sweep.  A NaN or inf weight is the
-    sweep's ValueError naming the field.  A NaN or inf in the gradient is
-    left to ``backward`` or ``train.adam_step`` to refuse.
+    A ``ForwardTrace`` is left whole: this is the one place a trace is
+    copied, and the reverse pass empties a shallow copy of its fields.  A
+    dict of its fields, such as ``vars(forward(...))``, which is how
+    ``train`` hands over its step's trace, is itself emptied, so each
+    cached array is freed at its last read.  A non-finite total raises
+    ``NumericalError`` before any gradient work; a NaN or inf weight the
+    loss reads gives one.  A NaN or inf in the gradient is left to
+    ``backward`` or ``train.adam_step`` to refuse.
     """
     fields = trace if isinstance(trace, dict) else dict(vars(trace))
     if np.shape(x) != fields["v_proj"].shape:
@@ -402,11 +347,7 @@ def loss_and_grad(
     dz, dphi = grad()
     del grad  # frees the pairwise arrays before the reverse pass allocates its own
     dz, dphi = dz.astype(params.dtype, copy=False), dphi.astype(params.dtype, copy=False)
-    grads = network_grad(fields, x, params, hyper, dz, dphi)
-    breakdown = _penalized(breakdown, weight_penalty(params, hyper.weight_decay, grads))
-    if not math.isfinite(breakdown.total):
-        raise NumericalError("non-finite loss")
-    return breakdown, grads
+    return breakdown, network_grad(fields, x, params, hyper, dz, dphi)
 
 
 def backward(

@@ -36,9 +36,8 @@ read: at D = 1024 with the default widths, a float32 step of ``train``,
 which holds no other reference to its trace, peaks at 22 MB
 unsupervised and 27 MB supervised at N = 600 (by tracemalloc).
 
-Every float64 sum of squares (the finiteness check, the gradient norm,
-the weight penalty) is ``sum_of_squares``, one dot product per block
-of SUM_BLOCK elements.
+Every float64 sum of squares (the finiteness check, the gradient norm)
+is ``sum_of_squares``, one dot product per block of SUM_BLOCK elements.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 
 LAYERNORM_EPS = 1e-5
 
-# Fields holding weight matrices: Xavier-initialized and subject to L2 decay.
+# Fields holding weight matrices: Xavier-initialized and decayed by train.adam_step.
 WEIGHT_FIELDS = ("w_att", "w_ctx", "reg_w1", "reg_w2", "emb_w")
 # Adam's update walks each field in blocks of this many elements: the five
 # float32 blocks an update touches (parameter, gradient, two moments, one
@@ -60,9 +59,9 @@ ADAM_BLOCK = 1 << 15
 # sum_of_squares takes one float64 dot product per block of this many
 # elements.  OpenBLAS spreads a dot product of more than 10,000 elements over
 # its threads, which at this size costs more than it gains: on 2 BLAS threads
-# 5.5M float32 parameters (D = 1024, four D x D fields) took 6.3 ms in blocks
-# of 2^14 and 4.2 ms in blocks of 2^13, which stay on one thread (medians of
-# 40 sums)
+# the 3.4M float32 parameters at D = 1024 took 5.7-6.3 ms in blocks of 2^14
+# and 3.3-5.2 ms in blocks of 2^13, which stay on one thread (medians of 40
+# sums, three per size in each of two processes)
 SUM_BLOCK = 1 << 13
 # ln 2^-100: the column softmax clamps A - max here before the exp
 LOG_ALPHA_FLOOR = math.log(2.0**-100)
@@ -184,7 +183,7 @@ class ModelParams:
         return sum_of_squares(self.items())
 
 
-def sum_of_squares(named_arrays, on_block=None) -> float:
+def sum_of_squares(named_arrays) -> float:
     """Sum of squares over (name, array) pairs, accumulated in float64; inf on overflow.
 
     One path for every dtype: each array is summed SUM_BLOCK elements at
@@ -192,9 +191,7 @@ def sum_of_squares(named_arrays, on_block=None) -> float:
     float64 block is summed where it lies; a narrower one is first copied
     into one float64 scratch block of at most 64 KB.  A float32 entry's
     square is exact in float64, so a float32 sum cannot overflow as a
-    float32 accumulator would past about 1e19.  ``on_block(name, start,
-    block)``, if given, is called after each block's sum with the block, a
-    view of the flattened array from element ``start``.  An array holding
+    float32 accumulator would past about 1e19.  An array holding
     NaN or inf is a ValueError naming it, raised once its blocks are
     summed; ``np.isfinite`` runs only on an array whose sum is not finite.
     """
@@ -213,8 +210,6 @@ def sum_of_squares(named_arrays, on_block=None) -> float:
                     w = wide[: block.size]
                     w[...] = block
                     sq += float(np.dot(w, w))
-                if on_block is not None:
-                    on_block(name, start, block)
             if not math.isfinite(sq) and not np.all(np.isfinite(flat)):
                 raise ValueError(f"non-finite values in parameter {name!r}")
             total += sq
@@ -230,7 +225,8 @@ def init_params(feature_dim: int, hyper: HyperParams, seed: int) -> ModelParams:
     variance, 1 / D, is that of a product of two such D x D factors,
     though the distribution differs.  Drawing each as such a product
     would start from the four-field network's initial function, but its
-    two D^3 products took init_params from 27-31 to 94-100 ms at D = 1024.
+    two D^3 products took init_params from 31 to 101 ms at D = 1024
+    (medians of 9 calls).
     """
     if feature_dim < 1:
         raise ValueError("feature_dim must be positive")

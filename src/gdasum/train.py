@@ -42,7 +42,9 @@ from .losses import (
     NumericalError,
     loss_and_grad,
 )
-from .model import ADAM_BLOCK, HyperParams, ModelParams, forward, init_params, sum_of_squares
+from .model import (
+    ADAM_BLOCK, WEIGHT_FIELDS, HyperParams, ModelParams, forward, init_params, sum_of_squares
+)
 
 CHECKPOINT_FORMAT = "gdasum-checkpoint"
 # version 2: the merged w_att and w_ctx replace version 1's w_q, w_k, w_v and ff_w
@@ -129,8 +131,9 @@ def adam_step(
     state: AdamState,
     lr: float,
     max_norm: float = math.inf,
+    weight_decay: float = 0.0,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update of ``params`` and ``state`` in place; returns both.
+    """One bias-corrected Adam update with decoupled weight decay, in place; returns both.
 
     ``grads``, ``params`` and the moments share one dtype, and all but
     ``grads`` must be C-contiguous.  The joint norm of ``grads`` (kept as
@@ -144,9 +147,13 @@ def adam_step(
     v <- beta2 v + (sqrt(1 - beta2) c g)^2 and
     theta <- theta - lr sqrt(bc2)/bc1 m / (sqrt(v) + eps sqrt(bc2)).  g is
     scaled before it is squared, so a clipped float32 entry cannot overflow
-    v.  Each field is updated in blocks of ADAM_BLOCK elements through one
-    scratch block; every operation is elementwise, so the result is the
-    same bit for bit as whole-field passes.
+    v.  The WEIGHT_FIELDS also decay, outside the moments and the clip
+    (Loshchilov and Hutter, "Decoupled Weight Decay Regularization", 2019):
+    their step gains 2 lr weight_decay theta, the step plain gradient
+    descent takes on weight_decay ||theta||^2.  Each field is updated in
+    blocks of ADAM_BLOCK elements through one scratch block, and a nonzero
+    weight_decay takes one more; every operation is elementwise, so the
+    result is the same bit for bit as whole-field passes.
     """
     arrays = {}  # name -> (gradient, parameter, moments)
     for name, theta in params.items():
@@ -165,8 +172,12 @@ def adam_step(
     k1, k2 = (1.0 - ADAM_BETA1) * c, math.sqrt(1.0 - ADAM_BETA2) * c
     root_bc2 = math.sqrt(1.0 - ADAM_BETA2**state.t)
     rate, eps_hat = lr * root_bc2 / (1.0 - ADAM_BETA1**state.t), ADAM_EPS * root_bc2
-    buf = np.empty(min(ADAM_BLOCK, max(theta.size for theta in params.arrays())), params.dtype)
-    for field in arrays.values():
+    decay = 2.0 * lr * weight_decay
+    size = min(ADAM_BLOCK, max(theta.size for theta in params.arrays()))
+    buf = np.empty(size, params.dtype)
+    shrink = np.empty(size, params.dtype) if decay else None
+    for name, field in arrays.items():
+        c_decay = decay if name in WEIGHT_FIELDS else 0.0
         # reshape(-1) of a C-contiguous array is a view, so blocks write through
         flat = [arr.reshape(-1) for arr in field]
         for start in range(0, flat[1].size, ADAM_BLOCK):
@@ -177,7 +188,10 @@ def adam_step(
             v *= ADAM_BETA2
             v += np.square(np.multiply(g, k2, out=a), out=a)
             np.add(np.sqrt(v, out=a), eps_hat, out=a)
-            th -= np.multiply(np.divide(m, a, out=a), rate, out=a)
+            np.multiply(np.divide(m, a, out=a), rate, out=a)
+            if c_decay:
+                a += np.multiply(th, c_decay, out=shrink[: th.size])
+            th -= a
     return params, state
 
 
@@ -230,8 +244,8 @@ def train(
     Returns the final parameters, upcast to float64, and one record per
     epoch, the JSON object each line of the training report holds: the
     mean loss terms, wall time, the seconds spent in the forward pass, in
-    ``loss_and_grad`` (with the weight decay) and in ``adam_step``
-    (clipping and Adam), the minor page faults the process took in the
+    ``loss_and_grad`` and in ``adam_step`` (clipping, Adam and the weight
+    decay), the minor page faults the process took in the
     epoch (null without the ``resource`` module), the median and max
     global gradient norm before clipping, and the share of steps that
     were clipped.  ``on_record``, if given, receives each epoch's record
@@ -265,6 +279,12 @@ def train(
 
     test_records = [by_id[vid] for vid in split.test_ids if vid in by_id]
     lr = resolve_learning_rate(config, test_records)
+    if 2.0 * lr * hyper.weight_decay >= 1.0:
+        raise ValueError(
+            f"weight_decay {hyper.weight_decay:g} at learning rate {lr:g} gives "
+            f"2 * lr * weight_decay = {2.0 * lr * hyper.weight_decay:g} >= 1: "
+            "one step would flip or zero every weight"
+        )
 
     rng = np.random.default_rng(config.seed)
     params = init_params(feature_dim, hyper, config.seed).astype(np.float32)
@@ -300,7 +320,7 @@ def train(
                     variation_weight=config.variation_weight,
                 )
                 t2 = time.perf_counter()
-                adam_step(params, grads, state, lr, clip)
+                adam_step(params, grads, state, lr, clip, hyper.weight_decay)
                 del grads
                 stage_seconds["forward"] += t1 - t0
                 stage_seconds["loss_and_grad"] += t2 - t1

@@ -1,5 +1,4 @@
 import ctypes
-import importlib
 import json
 import os
 import re
@@ -10,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gdasum.train as train_module
 from gdasum.cli import BLAS_THREAD_VARS, main
 from gdasum.data import load_manifest, make_splits, write_features, write_manifest
 from gdasum.kts import MAX_FRAMES, kts_changepoints
@@ -519,7 +519,6 @@ def test_train_numerical_failure_exits_2_naming_video_and_epoch(tmp_path):
 def test_train_failure_report_keeps_each_finished_epoch(corpus, tmp_path, monkeypatch, capsys):
     # a fault planted in the first step of epoch 1: epoch 0's line stays in
     # the report, before the one naming the failure
-    train_module = importlib.import_module("gdasum.train")
     steps = len(make_splits(load_manifest(corpus), "canonical", 0)[0].train_ids)
     real, calls = train_module.loss_and_grad, []
 
@@ -559,6 +558,21 @@ def test_train_refuses_non_finite_hyperparameters(corpus, flag, value, named, tm
     assert proc.returncode == 1
     assert proc.stderr == f"error: {named}\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("weight_decay, lr", [("500", "1e-3"), ("5000", "1e-3"), ("1", "0.5")])
+def test_train_refuses_a_weight_decay_that_overshoots(corpus, weight_decay, lr, tmp_path, capsys):
+    # at 2 * lr * weight_decay >= 1 one decoupled decay step would flip or
+    # zero every weight: refused before any step, and no checkpoint is written
+    out = tmp_path / "run"
+    assert run(["train", "--manifest", corpus, "--fold", "0", "--epochs", "1", "--hidden", "8",
+                "--embed", "4", "--lr", lr, "--weight-decay", weight_decay, "--out", out]) == 1
+    product = 2 * float(lr) * float(weight_decay)
+    assert capsys.readouterr().err == (
+        f"error: weight_decay {float(weight_decay):g} at learning rate {float(lr):g} gives "
+        f"2 * lr * weight_decay = {product:g} >= 1: one step would flip or zero every weight\n"
+    )
+    assert not (out / "fold0.ckpt").exists()
 
 
 def write_solo_manifest(tmp_path, source="summe-like", annotations=None):

@@ -24,28 +24,31 @@ from gdasum.losses import (
     pairwise_sq_dists,
     repelling_loss,
     total_loss,
-    weight_penalty,
 )
 from gdasum.losses import _supervised as supervised
 from gdasum.losses import _unsupervised as unsupervised
 from gdasum.model import (
-    SUM_BLOCK,
     WEIGHT_FIELDS,
     HyperParams,
     ModelParams,
     forward,
     init_params,
     network_grad,
-    sum_of_squares,
 )
 
 SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.0)
 
 
-def _instance(seed, n=6, d=5, hyper=SMALL):
+def _instance(seed, n=6, d=5, hyper=SMALL, off_init=False):
+    # off_init gives the gradient check's point (cli.run_gradcheck_instance):
+    # every field but the weights is moved off its init value, where layer
+    # norm 1 removes the diversity weights' scale and w_att's gradient is ~0
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     params = init_params(d, hyper, seed)
+    for name, arr in params.items():
+        if off_init and name not in WEIGHT_FIELDS:
+            arr += 0.5 * rng.standard_normal(arr.shape)
     labels = np.zeros(n, dtype=np.int8)
     labels[rng.choice(n, size=min(2, n), replace=False)] = 1
     return x, params, labels
@@ -243,24 +246,15 @@ def test_repelling_loss_range():
     assert unsup.repelling == repelling_loss(trace.phi)
 
 
-def test_weight_penalty_ignores_biases_and_norms():
-    params = init_params(3, SMALL, seed=0)
-    base = weight_penalty(params, 1e-3)
-    params.ff_b += 100.0
-    params.ln1_scale += 100.0
-    params.reg_b2 += 100.0
-    assert weight_penalty(params, 1e-3) == base
-    assert weight_penalty(params, 0.0) == 0.0
-
-
 def test_total_loss_mode_composition():
     x, params, labels = _instance(0)
     trace = forward(x, params, SMALL, mode="eval")
     sup = total_loss(trace, params, SMALL, "supervised", labels=labels)
     unsup = total_loss(trace, params, SMALL, "unsupervised")
-    pen = weight_penalty(params, SMALL.weight_decay)
-    assert abs(sup.total - (sup.keyframe + sup.variation + pen)) < 1e-12
-    assert abs(unsup.total - (unsup.length + unsup.repelling + pen)) < 1e-12
+    assert sup.total == sup.keyframe + sup.variation
+    assert unsup.total == unsup.length + unsup.repelling
+    # the loss is the trace's alone: no weight penalty reads the parameters
+    assert total_loss(trace, params.zeros_like(), SMALL, "supervised", labels=labels) == sup
     assert sup.length == 0.0 and sup.repelling == 0.0
     assert unsup.keyframe == 0.0 and unsup.variation == 0.0
     # components match the standalone ops, the DPP on the embeddings before their bias
@@ -297,7 +291,7 @@ def test_gradients_match_finite_differences_eval():
     # 0.5 checks the variation weight's scaling of the DPP gradient
     runs = (("supervised", 1.0), ("supervised", 0.5), ("unsupervised", 1.0))
     for seed in range(3):
-        x, params, labels = _instance(seed)
+        x, params, labels = _instance(seed, off_init=True)
         trace = forward(x, params, SMALL, mode="eval")
         for mode, w in runs:
             args = dict(labels=labels if mode == "supervised" else None, variation_weight=w)
@@ -325,7 +319,7 @@ def test_eval_trace_without_masks_matches_ones_masks_bit_for_bit():
 
 def test_gradients_match_finite_differences_with_dropout_masks():
     hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.4)
-    x, params, labels = _instance(3, hyper=hyper)
+    x, params, labels = _instance(3, hyper=hyper, off_init=True)
     rng = np.random.default_rng(0)
     trace = forward(x, params, hyper, mode="train", rng=rng)
     masks = (trace.ff_mask, trace.head_mask)
@@ -350,7 +344,7 @@ def test_unused_embedding_head_gets_zero_gradient():
 
 
 def test_gradient_report_catches_sign_flip():
-    x, params, labels = _instance(5)
+    x, params, labels = _instance(5, off_init=True)
     trace = forward(x, params, SMALL, mode="eval")
     analytic = backward(trace, x, params, SMALL, "supervised", labels=labels)
     mutated = analytic.copy()
@@ -387,7 +381,7 @@ def test_finite_diff_on_quadratic():
 def test_finite_diff_halving_step_cuts_error_sixteenfold():
     # Richardson's estimate is O(h^4) between kinks; with every head ReLU's
     # input raised far above 0, no step here crosses one
-    x, params, labels = _instance(6)
+    x, params, labels = _instance(6, off_init=True)
     params.reg_b1 += 10.0
     trace = forward(x, params, SMALL, mode="eval")
     analytic = backward(trace, x, params, SMALL, "supervised", labels=labels)
@@ -425,7 +419,7 @@ def _kink_at(x, params, offset):
 def test_finite_diff_steps_past_a_kink_a_central_difference_straddles(mode):
     # a head ReLU input 3e-6 below 0: the default step of reg_b1[j], 1e-5,
     # flips it and averages two slopes, which the next step, 1e-6, does not
-    x, params, labels = _instance(0)
+    x, params, labels = _instance(0, off_init=True)
     labels = labels if mode == "supervised" else None
     params, j = _kink_at(x, params, 3e-6)
     trace = forward(x, params, SMALL, mode="eval")
@@ -443,7 +437,7 @@ def test_finite_diff_steps_past_a_kink_a_central_difference_straddles(mode):
 
 def test_finite_diff_fails_a_scalar_every_step_crosses_a_kink_for():
     # 3e-8 below 0 is within half of the smallest step, 1e-7
-    x, params, labels = _instance(0)
+    x, params, labels = _instance(0, off_init=True)
     params, j = _kink_at(x, params, 3e-8)
     trace = forward(x, params, SMALL, mode="eval")
     analytic = backward(trace, x, params, SMALL, "supervised", labels=labels)
@@ -456,7 +450,7 @@ def test_finite_diff_fails_any_field_whose_gradient_is_off_by_a_thousandth():
     # the check resolves far below the tolerance: each field's gradient,
     # scaled by 1.001, is an error of 1e-3 relative to that field
     for mode in ("supervised", "unsupervised"):
-        x, params, labels = _instance(2)
+        x, params, labels = _instance(2, off_init=True)
         labels = labels if mode == "supervised" else None
         trace = forward(x, params, SMALL, mode="eval")
         analytic = backward(trace, x, params, SMALL, mode, labels=labels)
@@ -542,8 +536,8 @@ def test_the_supervised_loss_does_not_read_the_embedding_bias(dtype):
 
 
 def test_loss_and_grad_fields_are_fresh_arrays_shaped_like_the_parameters():
-    # each gradient field is a fresh array: the one its branch computed, or
-    # the one weight decay was built in; none may alias another array
+    # each gradient field is a fresh array, the one its branch computed;
+    # none may alias another array
     hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.4, weight_decay=0.01)
     x, params, labels = _instance(8, n=9, hyper=hyper)
     trace = forward(x, params, hyper, mode="train", rng=np.random.default_rng(1))
@@ -667,9 +661,8 @@ def test_backward_refuses_the_non_finite_gradient_that_loss_and_grad_returns(
 ):
     # the check of a gradient is backward's (and, in train, adam_step's), not loss_and_grad's
     x, params, labels = _instance(10)
-    hyper = dataclasses.replace(SMALL, weight_decay=0.1)  # the NaN field also takes the decay
-    trace = forward(x, params, hyper, mode="eval")
-    clean = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels)[1]
+    trace = forward(x, params, SMALL, mode="eval")
+    clean = loss_and_grad(trace, x, params, SMALL, "supervised", labels=labels)[1]
     losses_module = importlib.import_module("gdasum.losses")
     network_grad = losses_module.network_grad
 
@@ -682,8 +675,8 @@ def test_backward_refuses_the_non_finite_gradient_that_loss_and_grad_returns(
     with pytest.raises(
         NumericalError, match=r"^gradient: non-finite values in parameter 'w_ctx'$"
     ):
-        backward(trace, x, params, hyper, "supervised", labels=labels)
-    _, grads = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels)
+        backward(trace, x, params, SMALL, "supervised", labels=labels)
+    _, grads = loss_and_grad(trace, x, params, SMALL, "supervised", labels=labels)
     clean.w_ctx[1, 2] = np.nan
     for name, g in grads.items():
         assert np.array_equal(g, getattr(clean, name), equal_nan=True), name
@@ -695,106 +688,33 @@ def test_backward_refuses_the_non_finite_gradient_that_loss_and_grad_returns(
     assert captured.out == ""
 
 
-def test_loss_and_grad_keeps_weight_decay_for_fortran_ordered_parameters():
-    # the decay term reads the weights in any memory order, and the gradient
-    # fields stay C-contiguous in the parameters' dtype
-    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=0.1)
-    x, params, labels = _instance(11, hyper=hyper)
+def test_loss_and_grad_keeps_its_gradient_for_fortran_ordered_parameters():
+    # the reverse pass reads the parameters in any memory order, and the
+    # gradient fields stay C-contiguous in the parameters' dtype
+    x, params, labels = _instance(11)
     for dtype in (np.float64, np.float32):
         c_order = params.astype(dtype)
         fortran = ModelParams(*[np.asfortranarray(a) for a in c_order.arrays()])
         results = []
         for p in (c_order, fortran):
-            trace = forward(x, p, hyper, mode="eval")
-            results.append(loss_and_grad(trace, x, p, hyper, "supervised", labels=labels)[1])
+            trace = forward(x, p, SMALL, mode="eval")
+            results.append(loss_and_grad(trace, x, p, SMALL, "supervised", labels=labels)[1])
         for (name, a), b in zip(results[0].items(), results[1].arrays()):
             assert a.tobytes() == b.tobytes(), (dtype, name)
             assert a.dtype == b.dtype == dtype and b.flags.c_contiguous, (dtype, name)
 
 
-def test_loss_and_grad_adds_the_penalty_gradient_to_weight_fields_only():
-    # the reverse pass does not read the decay, so each weight field's gradient
-    # is the undecayed one plus 2 * weight_decay * theta, rounded once
-    x, params, labels = _instance(14, n=9)
-    for dtype in (np.float64, np.float32):
-        p = params.astype(dtype)
-        trace = forward(x, p, SMALL, mode="eval")
-        grads = {}
-        for decay in (0.0, 0.25):
-            hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=decay)
-            grads[decay] = loss_and_grad(trace, x, p, hyper, "supervised", labels=labels)[1]
-        for name, theta in p.items():
-            bare, decayed = getattr(grads[0.0], name), getattr(grads[0.25], name)
-            want = bare + 0.5 * theta if name in WEIGHT_FIELDS else bare
-            assert decayed.dtype == dtype and decayed.tobytes() == want.tobytes(), (dtype, name)
-
-
-# weight fields of one full SUM_BLOCK block and a partial one (w_att and w_ctx:
-# 100 x 100; reg_w1: 96 x 100)
-SWEPT = HyperParams(hidden=96, embed=4, dropout_rate=0.0, weight_decay=0.25)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_weight_penalty_sweep_decays_each_block_as_the_whole_field_formula(dtype):
-    # the sweep adds 2 * weight_decay * theta one block at a time through a
-    # scratch block: the float operations, so the bits, of g + 2.0 * λ * θ
-    x, params, _ = _instance(15, n=12, d=100, hyper=SWEPT)
-    p = params.astype(dtype)
-    assert SUM_BLOCK < p.w_att.size < 2 * SUM_BLOCK and SUM_BLOCK < p.reg_w1.size
-    trace = forward(x, p, SWEPT, mode="eval")
-    undecayed = dataclasses.replace(SWEPT, weight_decay=0.0)
-    bare_loss, bare = loss_and_grad(trace, x, p, undecayed, "unsupervised")
-    breakdown, decayed = loss_and_grad(trace, x, p, SWEPT, "unsupervised")
-    for name, theta in p.items():
-        g = getattr(bare, name)
-        want = g + 2.0 * SWEPT.weight_decay * theta if name in WEIGHT_FIELDS else g
-        assert getattr(decayed, name).dtype == dtype
-        assert getattr(decayed, name).tobytes() == want.tobytes(), name
-    # one penalty, whichever path reports it: weight_decay times sum_of_squares
-    loss_only = total_loss(trace, p, SWEPT, "unsupervised")
-    assert loss_only.weight_penalty == breakdown.weight_penalty
-    assert loss_only.total == breakdown.total == bare_loss.total + breakdown.weight_penalty
-    want = SWEPT.weight_decay * sum_of_squares((f, getattr(p, f)) for f in WEIGHT_FIELDS)
-    assert breakdown.weight_penalty == want
-
-
-def test_weight_penalty_refuses_a_gradient_it_cannot_write_in_place():
-    # a Fortran-ordered gradient field has no flat view: the decay would land
-    # in a copy, so the sweep refuses it
-    params = init_params(5, SMALL, 0)
-    grads = params.zeros_like()
-    grads.w_att = np.asfortranarray(grads.w_att)
-    with pytest.raises(ValueError, match="'w_att' is not C-contiguous"):
-        weight_penalty(params, 0.1, grads)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_weight_penalty_names_a_non_finite_weight_with_or_without_the_decay(bad):
-    # the penalty is sum_of_squares of the weights, whose refusal names the
-    # field, whether total_loss sums it alone or the sweep also decays
-    hyper = dataclasses.replace(SMALL, weight_decay=0.1)
-    x, params, _ = _instance(17, hyper=hyper)
-    trace = forward(x, params, hyper, mode="eval")
+def test_loss_and_grad_refuses_a_non_finite_weight(bad):
+    # a NaN or inf weight reaches every score, so the loss is not finite and
+    # no gradient is taken
+    x, params, labels = _instance(17)
     params.reg_w1[0, 0] = bad
-    with pytest.raises(ValueError, match="non-finite values in parameter 'reg_w1'"):
-        total_loss(trace, params, hyper, "unsupervised")
-    with pytest.raises(ValueError, match="non-finite values in parameter 'reg_w1'"):
-        weight_penalty(params, hyper.weight_decay, params.zeros_like())
-
-
-def test_loss_and_grad_decays_with_no_field_sized_temporary(traced_peak):
-    # at D = 512 a D x D float32 field is 1 MB; the decay's sweep adds its
-    # two scratch blocks (64 + 32 KB) to the step's traced peak, where a
-    # whole-field g += 2 * weight_decay * theta adds a field's 1 MB
-    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=1e-3)
-    x, params, _ = _instance(16, n=16, d=512, hyper=hyper)
-    p, x = params.astype(np.float32), x.astype(np.float32)
-    trace = forward(x, p, hyper, mode="eval")
-    peaks = []
-    for decay in (0.0, hyper.weight_decay):
-        h = dataclasses.replace(hyper, weight_decay=decay)
-        peaks.append(traced_peak(lambda: loss_and_grad(trace, x, p, h, "unsupervised"))[0])
-    assert peaks[1] - peaks[0] < p.w_ctx.nbytes // 4
+    with np.errstate(invalid="ignore"):
+        trace = forward(x, params, SMALL, mode="eval")
+        for mode, lab in (("supervised", labels), ("unsupervised", None)):
+            with pytest.raises(NumericalError, match="non-finite loss"):
+                loss_and_grad(trace, x, params, SMALL, mode, labels=lab)
 
 
 def test_backward_and_loss_given_params_as_the_benchmark_calls_them():
@@ -828,17 +748,17 @@ def test_backward_and_loss_given_params_as_the_benchmark_calls_them():
 def _floored_cases():
     """Supervised instances whose similarities reach below ``SIM_FLOOR``.
 
-    With emb_w scaled tenfold, beta ||phi_i - phi_j||^2 runs from about 85
-    to 1418 in eval mode: two pairs stay below 200 ln 2 (similarity above
-    the floor), 16 fall between 200 ln 2 and 708 (normal floats below the
-    floor), and the other 10 underflow to 0.  Yields (hyper, x,
-    params, labels, trace, masks) for an eval trace and for a trace with
-    recorded dropout masks.
+    At the gradient check's point with emb_w scaled thirtyfold,
+    beta ||phi_i - phi_j||^2 runs from about 51 to 1532 in eval mode: three
+    pairs stay below 200 ln 2 (similarity above the floor), 16 fall between
+    200 ln 2 and 708 (normal floats below the floor), and the other 9
+    underflow to 0.  Yields (hyper, x, params, labels, trace, masks) for an
+    eval trace and for a trace with recorded dropout masks.
     """
     dropout = HyperParams(hidden=8, embed=4, dropout_rate=0.4)
     for hyper, fw_mode in ((SMALL, "eval"), (dropout, "train")):
-        x, params, labels = _instance(1, n=8, hyper=hyper)
-        params.emb_w *= 10.0
+        x, params, labels = _instance(1, n=8, hyper=hyper, off_init=True)
+        params.emb_w *= 30.0
         trace = forward(x, params, hyper, mode=fw_mode, rng=np.random.default_rng(2))
         masks = None if fw_mode == "eval" else (trace.ff_mask, trace.head_mask)
         _assert_reaches_floored_band(trace.phi, hyper.beta)
@@ -975,11 +895,14 @@ def test_float32_network_matches_float64_at_the_paper_width(mode):
     t64 = forward(x, params, hyper, mode="train", rng=np.random.default_rng(1))
     b32, g32 = loss_and_grad(t32, x, p32, hyper, mode, labels=labels)
     b64, g64 = loss_and_grad(t64, x, params, hyper, mode, labels=labels)
-    # the penalty sums the float32 weights in float64: rounding them moves it by <= eps
-    assert abs(b32.weight_penalty - b64.weight_penalty) <= np.finfo(np.float32).eps * b64.weight_penalty
+    # each loss term, relative to the terms' magnitudes, as the total
+    terms = [f.name for f in dataclasses.fields(b64) if f.name != "total"]
+    magnitude = sum(abs(getattr(b64, name)) for name in terms)
+    for name in terms:
+        assert abs(getattr(b32, name) - getattr(b64, name)) <= FLOAT32_TOL * magnitude, name
     assert abs(b32.total - b64.total) <= FLOAT32_TOL * abs(b64.total)
     scale = max(np.abs(b).max() for b in g64.arrays())
     for (name, a), b in zip(g32.items(), g64.arrays()):
-        # the gradient the optimizer sees, with the decay term
+        # the gradient the optimizer sees
         assert a.dtype == np.float32, name
         assert np.abs(a - b).max() <= FLOAT32_TOL * scale, name

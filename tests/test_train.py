@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+import gdasum.train as train_module
 from gdasum.cli import main
 from gdasum.data import (
     Annotations,
@@ -159,7 +160,7 @@ def test_adam_step_allocates_less_than_one_parameter_set(traced_peak):
     assert peak < param_bytes
 
 
-def unblocked_adam_step(params, grads, state, lr, c=1.0):
+def unblocked_adam_step(params, grads, state, lr, c=1.0, weight_decay=0.0):
     # adam_step's folded formula in whole-field passes, the clip factor c
     # and the bias corrections folded into per-step scalars the same way
     state.t += 1
@@ -174,12 +175,16 @@ def unblocked_adam_step(params, grads, state, lr, c=1.0):
         m += g * k1
         v *= ADAM_BETA2
         v += np.square(g * k2)
-        theta -= (m / (np.sqrt(v) + eps_hat)) * rate
+        step = (m / (np.sqrt(v) + eps_hat)) * rate
+        if name in WEIGHT_FIELDS and weight_decay:
+            step += theta * (2.0 * lr * weight_decay)
+        theta -= step
 
 
-def textbook_adam_step(params, grads, state, lr, max_norm):
+def textbook_adam_step(params, grads, state, lr, max_norm, weight_decay=0.0):
     # Kingma and Ba's Algorithm 1 after clip_gradients: bias-corrected
-    # moments, eps added to the square root of the corrected v
+    # moments, eps added to the square root of the corrected v; the weight
+    # fields then take Loshchilov and Hutter's decoupled decay, lr * 2λθ
     grads = clip_gradients(grads.copy(), max_norm)[0]
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
@@ -192,7 +197,8 @@ def textbook_adam_step(params, grads, state, lr, max_norm):
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        decay = 2.0 * weight_decay * theta if name in WEIGHT_FIELDS else 0.0
+        theta -= lr * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + decay)
 
 
 # D = 200: each D x D field is one full block plus a 7232-element tail,
@@ -201,30 +207,34 @@ BLOCKED_D = 200
 
 
 def test_adam_step_in_blocks_matches_the_whole_field_update():
-    params = init_params(BLOCKED_D, SMALL_HYPER, 0)
-    assert params.w_att.size == ADAM_BLOCK + 7232 and params.ff_b.size < ADAM_BLOCK
-    reference = params.copy()
-    state, ref_state = AdamState.zeros(params), AdamState.zeros(reference)
-    rng = np.random.default_rng(3)
-    for lr in (1e-3, 5e-4, 2e-3, 1e-4):
-        grads = params.zeros_like()
-        for arr in grads.arrays():
-            arr[...] = rng.standard_normal(arr.shape) * rng.choice([1e-6, 1.0, 1e3])
-        adam_step(params, grads, state, lr)
-        unblocked_adam_step(reference, grads, ref_state, lr)
-    assert state.t == ref_state.t == 4
-    for got, want in ((params, reference), (state.m, ref_state.m), (state.v, ref_state.v)):
-        for (name, a), b in zip(got.items(), want.arrays()):
-            assert np.array_equal(a, b), name
+    # without the decay, and with one large enough to move every weight's bits
+    for weight_decay in (0.0, 5.0):
+        params = init_params(BLOCKED_D, SMALL_HYPER, 0)
+        assert params.w_att.size == ADAM_BLOCK + 7232 and params.ff_b.size < ADAM_BLOCK
+        reference = params.copy()
+        state, ref_state = AdamState.zeros(params), AdamState.zeros(reference)
+        rng = np.random.default_rng(3)
+        for lr in (1e-3, 5e-4, 2e-3, 1e-4):
+            grads = params.zeros_like()
+            for arr in grads.arrays():
+                arr[...] = rng.standard_normal(arr.shape) * rng.choice([1e-6, 1.0, 1e3])
+            adam_step(params, grads, state, lr, weight_decay=weight_decay)
+            unblocked_adam_step(reference, grads, ref_state, lr, weight_decay=weight_decay)
+        assert state.t == ref_state.t == 4
+        for got, want in ((params, reference), (state.m, ref_state.m), (state.v, ref_state.v)):
+            for (name, a), b in zip(got.items(), want.arrays()):
+                assert np.array_equal(a, b), (weight_decay, name)
 
 
 def test_adam_step_allocates_one_block(traced_peak):
-    # a float64 gradient is summed with no copy, so the scratch block is all
+    # a float64 gradient is summed with no copy, so the scratch block is all;
+    # a nonzero weight decay takes one more block
     params = init_params(BLOCKED_D, SMALL_HYPER, 0)
     grads = params.copy()
     state = AdamState.zeros(params)
-    peak, _ = traced_peak(lambda: adam_step(params, grads, state, lr=1e-3))
-    assert peak <= ADAM_BLOCK * 8 + 16384
+    for weight_decay, blocks in ((0.0, 1), (1e-5, 2)):
+        peak, _ = traced_peak(lambda: adam_step(params, grads, state, 1e-3, math.inf, weight_decay))
+        assert peak <= blocks * ADAM_BLOCK * 8 + 16384, weight_decay
 
 
 def test_adam_step_refuses_non_contiguous_parameters():
@@ -333,6 +343,34 @@ def test_adam_step_matches_textbook_adam_after_clipping(dtype):
         assert np.all(np.abs(a - b) <= TEXTBOOK_RTOL[dtype] * (np.abs(b) + sum(lrs))), name
 
 
+def test_adam_step_decays_only_the_weight_fields_and_clips_the_data_gradient_alone():
+    # float64, four clipped steps then four unclipped, against textbook Adam
+    # with the decoupled decay: the weight fields move by lr 2λθ more than
+    # without the decay, the other fields and both moments not at all, and
+    # the clip reads the norm of the gradient it is given, without 2λθ
+    weight_decay = 5.0  # 2 lr λ up to 0.02 of θ a step
+    params = init_params(BLOCKED_D, SMALL_HYPER, 0)
+    decayed, bare, reference = params.copy(), params.copy(), params.copy()
+    states = [AdamState.zeros(params) for _ in range(3)]
+    rng = np.random.default_rng(5)
+    lrs = (1e-3, 5e-4, 2e-3, 1e-4) * 2
+    for step, lr in enumerate(lrs):
+        grads = float32_gradient(params, rng, 1.0 if step < 4 else 1e-3).astype(np.float64)
+        adam_step(decayed, grads, states[0], lr, 30.0, weight_decay)
+        adam_step(bare, grads, states[1], lr, 30.0)
+        textbook_adam_step(reference, grads, states[2], lr, 30.0, weight_decay)
+        assert states[0].grad_norm == states[1].grad_norm
+        assert (states[0].grad_norm > 30.0) == (step < 4)
+    for name, a in decayed.items():
+        b = getattr(reference, name)
+        assert np.all(np.abs(a - b) <= TEXTBOOK_RTOL[np.float64] * (np.abs(b) + sum(lrs))), name
+        for moments in ("m", "v"):
+            got, want = getattr(states[0], moments), getattr(states[1], moments)
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (moments, name)
+        moved = a != getattr(bare, name)
+        assert moved.all() if name in WEIGHT_FIELDS else not moved.any(), name
+
+
 def test_adam_step_clips_a_float32_gradient_whose_float32_sum_of_squares_overflows():
     # four entries of 5e19 have norm 1e20; their squares sum past float32's
     # 3.4e38, so the norm must be summed in float64 to be clipped, not refused
@@ -390,31 +428,27 @@ def test_adam_step_on_a_float32_gradient_allocates_one_block(traced_peak):
     params = init_params(BLOCKED_D, SMALL_HYPER, 0).astype(np.float32)
     state = AdamState.zeros(params)
     g32 = float32_gradient(params, np.random.default_rng(0), 1.0)
-    peak, _ = traced_peak(lambda: adam_step(params, g32, state, 1e-3, 1e-3))  # clips
-    assert state.grad_norm > 1e-3
-    assert peak <= ADAM_BLOCK * 4 + 16384
+    for weight_decay, blocks in ((0.0, 1), (1e-5, 2)):  # the decay takes one more block
+        peak, _ = traced_peak(lambda: adam_step(params, g32, state, 1e-3, 1e-3, weight_decay))
+        assert state.grad_norm > 1e-3  # clips
+        assert peak <= blocks * ADAM_BLOCK * 4 + 16384, weight_decay
 
 
 def test_train_step_sums_are_within_1e_13_of_exact_sums_at_paper_width():
-    # the float64 block sums of the step train runs, float32 at D = 1024 with
-    # the default widths: the penalty of loss_and_grad's sweep and the
-    # gradient norm of adam_step.  A float32 square is exact in float64, so
-    # fsum over the squares gives the exact sums to within a few roundings.
+    # the float64 block sum of the step train runs, float32 at D = 1024 with
+    # the default widths: the gradient norm of adam_step.  A float32 square
+    # is exact in float64, so fsum over the squares gives the exact sum to
+    # within a few roundings.
     hyper = HyperParams()
     params = init_params(1024, hyper, 0).astype(np.float32)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((32, 1024)).astype(np.float32)
     fields = vars(forward(x, params, hyper, mode="train", rng=rng))
-    breakdown, grads = loss_and_grad(fields, x, params, hyper, "unsupervised")
-
-    def exact(arrays):
-        return math.fsum(math.fsum(np.square(a, dtype=np.float64).ravel().tolist()) for a in arrays)
-
-    penalty = hyper.weight_decay * exact(getattr(params, name) for name in WEIGHT_FIELDS)
-    norm = math.sqrt(exact(grads.arrays()))
+    _, grads = loss_and_grad(fields, x, params, hyper, "unsupervised")
+    squares = (np.square(a, dtype=np.float64).ravel().tolist() for a in grads.arrays())
+    norm = math.sqrt(math.fsum(math.fsum(sq) for sq in squares))
     state = AdamState.zeros(params)
-    adam_step(params, grads, state, 1e-3)
-    assert abs(breakdown.weight_penalty - penalty) <= 1e-13 * penalty
+    adam_step(params, grads, state, 1e-3, math.inf, hyper.weight_decay)
     assert abs(state.grad_norm - norm) <= 1e-13 * norm
 
 
@@ -503,17 +537,17 @@ def test_train_same_seed_bit_identical(tmp_path):
 
 def test_train_keeps_parameters_moments_and_gradients_in_float32(monkeypatch):
     # one parameter set: the network, the gradient and the Adam moments are
-    # float32 at every step, and train hands back its exact float64 upcast
-    train_module = importlib.import_module("gdasum.train")
+    # float32 at every step, and train hands back its exact float64 upcast;
+    # the update takes the hyperparameters' weight decay
     steps = []
 
-    def checked_adam_step(params, grads, state, lr, max_norm):
-        assert max_norm == 5.0
+    def checked_adam_step(params, grads, state, lr, max_norm, weight_decay):
+        assert max_norm == 5.0 and weight_decay == SMALL_HYPER.weight_decay == 1e-5
         for name, theta in params.items():
             arrays = (theta, getattr(grads, name), getattr(state.m, name), getattr(state.v, name))
             assert all(a.dtype == np.float32 for a in arrays), name
         steps.append(state.t + 1)
-        return adam_step(params, grads, state, lr, max_norm)
+        return adam_step(params, grads, state, lr, max_norm, weight_decay)
 
     monkeypatch.setattr(train_module, "adam_step", checked_adam_step)
     records, split = small_corpus()
@@ -685,7 +719,6 @@ def test_train_step_sums_its_gradient_once(monkeypatch):
     records, split = small_corpus()
     losses_module = importlib.import_module("gdasum.losses")
     model_module = importlib.import_module("gdasum.model")
-    train_module = importlib.import_module("gdasum.train")
     network_grad, original = losses_module.network_grad, model_module.sum_of_squares
     gradients, sums = [], []
 
@@ -721,7 +754,6 @@ def test_train_step_frees_each_cached_array_in_the_reverse_pass(monkeypatch, mod
     # array outlives network_grad: the gradients are built as they die
     records, split = small_corpus()
     losses_module = importlib.import_module("gdasum.losses")
-    train_module = importlib.import_module("gdasum.train")
     real_forward, real_network_grad = train_module.forward, losses_module.network_grad
     refs, alive = [], []
 
@@ -750,7 +782,7 @@ def test_train_reports_gradient_norm_before_clipping():
     params = init_params(x.shape[1], hyper, 0).astype(np.float32)
     trace = forward(x, params, hyper, mode="train", rng=np.random.default_rng(0))
     _, grads = loss_and_grad(trace, x, params, hyper, "supervised", labels=labels)
-    # the norm of the float32 gradient with its weight decay, summed in float64
+    # the norm of the float32 gradient, summed in float64
     # (in another order than adam_step's blocks, so equal to rounding)
     norm = float(np.sqrt(sum(float(np.vdot(d, d)) for d in grads.astype(np.float64).arrays())))
 
@@ -801,7 +833,7 @@ def test_epoch_record_counts_minor_faults(monkeypatch):
         faults = epoch["minor_faults"]
         assert type(faults) is int and faults >= 0
     # without the resource module (Windows) the count is null
-    monkeypatch.setattr(importlib.import_module("gdasum.train"), "resource", None)
+    monkeypatch.setattr(train_module, "resource", None)
     _, epochs = train(records, split, config, SMALL_HYPER)
     assert [epoch["minor_faults"] for epoch in epochs] == [None, None]
 
