@@ -28,6 +28,7 @@ from gdasum.losses import (
 from gdasum.losses import _supervised as supervised
 from gdasum.losses import _unsupervised as unsupervised
 from gdasum.model import (
+    ADAM_BLOCK,
     WEIGHT_FIELDS,
     HyperParams,
     ModelParams,
@@ -35,6 +36,7 @@ from gdasum.model import (
     init_params,
     network_grad,
 )
+from gdasum.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, adam_step
 
 SMALL = HyperParams(hidden=8, embed=4, dropout_rate=0.0)
 
@@ -702,6 +704,109 @@ def test_loss_and_grad_keeps_its_gradient_for_fortran_ordered_parameters():
         for (name, a), b in zip(results[0].items(), results[1].arrays()):
             assert a.tobytes() == b.tobytes(), (dtype, name)
             assert a.dtype == b.dtype == dtype and b.flags.c_contiguous, (dtype, name)
+
+
+def test_loss_and_grad_adds_the_penalty_gradient_to_weight_fields_only():
+    # the penalty's gradient 2 * weight_decay * theta is no longer in
+    # loss_and_grad's gradient, which is the same bits at any weight_decay;
+    # adam_step adds lr times it to the weight fields' step, and to no other
+    x, params, labels = _instance(14, n=9)
+    lr = 1e-3
+    for dtype in (np.float64, np.float32):
+        p = params.astype(dtype)
+        trace = forward(x, p, SMALL, mode="eval")
+        grads, stepped = {}, {}
+        for decay in (0.0, 0.25):
+            hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=decay)
+            grads[decay] = loss_and_grad(trace, x, p, hyper, "supervised", labels=labels)[1]
+            stepped[decay] = p.copy()
+            adam_step(stepped[decay], grads[decay], AdamState.zeros(p), lr, math.inf, decay)
+        eps = np.finfo(dtype).eps
+        for name, theta in p.items():
+            bare, decayed = getattr(grads[0.0], name), getattr(grads[0.25], name)
+            assert decayed.dtype == dtype and decayed.tobytes() == bare.tobytes(), (dtype, name)
+            shift = getattr(stepped[0.0], name) - getattr(stepped[0.25], name)
+            if name in WEIGHT_FIELDS:
+                assert (shift != 0).all(), (dtype, name)
+                error = np.abs(shift - 2.0 * lr * 0.25 * theta)
+                assert np.all(error <= 4 * eps * (np.abs(theta) + lr)), (dtype, name)
+            else:
+                assert not shift.any(), (dtype, name)
+
+
+def test_weight_penalty_ignores_biases_and_norms():
+    # the decay shrinks the weight fields alone: from a zero gradient and
+    # zero moments, adam_step takes 2 lr λ θ off each weight and leaves the
+    # biases and layer-norm parameters, however large, where they are
+    params = init_params(3, SMALL, seed=0)
+    params.ff_b += 100.0
+    params.ln1_scale += 100.0
+    params.reg_b2 += 100.0
+    lr = 1e-3
+    for decay in (1e-3, 0.0):
+        stepped = params.copy()
+        adam_step(stepped, params.zeros_like(), AdamState.zeros(params), lr, math.inf, decay)
+        for name, theta in params.items():
+            want = theta - theta * (2.0 * lr * decay) if name in WEIGHT_FIELDS else theta
+            assert getattr(stepped, name).tobytes() == want.tobytes(), (decay, name)
+
+
+# weight fields of one full ADAM_BLOCK block and a partial one (w_att and
+# w_ctx: 200 x 200)
+SWEPT = HyperParams(hidden=96, embed=4, dropout_rate=0.0, weight_decay=0.25)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weight_penalty_sweep_decays_each_block_as_the_whole_field_formula(dtype):
+    # the decay is adam_step's: the loss and its gradient do not read
+    # weight_decay, and the update adds 2 lr λ θ to each weight block's step
+    # through a scratch block, the float operations, so the bits, of the
+    # whole-field formula
+    x, params, _ = _instance(15, n=12, d=200, hyper=SWEPT)
+    p = params.astype(dtype)
+    assert ADAM_BLOCK < p.w_att.size < 2 * ADAM_BLOCK
+    trace = forward(x, p, SWEPT, mode="eval")
+    undecayed = dataclasses.replace(SWEPT, weight_decay=0.0)
+    bare_loss, bare = loss_and_grad(trace, x, p, undecayed, "unsupervised")
+    breakdown, grads = loss_and_grad(trace, x, p, SWEPT, "unsupervised")
+    assert breakdown == bare_loss == total_loss(trace, p, SWEPT, "unsupervised")
+    for name, g in grads.items():
+        assert g.tobytes() == getattr(bare, name).tobytes(), name
+    lr = 1e-3
+    stepped = p.copy()
+    adam_step(stepped, grads, AdamState.zeros(p), lr, math.inf, SWEPT.weight_decay)
+    # the first step from zero moments, unclipped, in whole-field passes
+    root_bc2 = math.sqrt(1.0 - ADAM_BETA2)
+    rate, eps_hat = lr * root_bc2 / (1.0 - ADAM_BETA1), ADAM_EPS * root_bc2
+    for name, theta in p.items():
+        g = getattr(grads, name)
+        m = np.zeros_like(theta) * ADAM_BETA1 + g * (1.0 - ADAM_BETA1)
+        v = np.zeros_like(theta) * ADAM_BETA2 + np.square(g * math.sqrt(1.0 - ADAM_BETA2))
+        step = (m / (np.sqrt(v) + eps_hat)) * rate
+        if name in WEIGHT_FIELDS:
+            step += theta * (2.0 * lr * SWEPT.weight_decay)
+        assert getattr(stepped, name).dtype == dtype
+        assert getattr(stepped, name).tobytes() == (theta - step).tobytes(), name
+
+
+def test_loss_and_grad_decays_with_no_field_sized_temporary(traced_peak):
+    # at D = 512 a D x D float32 field is 1 MB; the decay adds nothing to
+    # loss_and_grad's traced peak and one scratch block (128 KB) to
+    # adam_step's, where a whole-field theta * 2 lr λ adds a field's 1 MB
+    hyper = HyperParams(hidden=8, embed=4, dropout_rate=0.0, weight_decay=1e-3)
+    x, params, _ = _instance(16, n=16, d=512, hyper=hyper)
+    p, x = params.astype(np.float32), x.astype(np.float32)
+    trace = forward(x, p, hyper, mode="eval")
+    loss_peaks, step_peaks = [], []
+    for decay in (0.0, hyper.weight_decay):
+        h = dataclasses.replace(hyper, weight_decay=decay)
+        peak, (_, grads) = traced_peak(lambda: loss_and_grad(trace, x, p, h, "unsupervised"))
+        loss_peaks.append(peak)
+        stepped, state = p.copy(), AdamState.zeros(p)
+        peak, _ = traced_peak(lambda: adam_step(stepped, grads, state, 1e-3, 1.0, decay))
+        step_peaks.append(peak)
+    assert loss_peaks[1] - loss_peaks[0] < p.w_ctx.nbytes // 4
+    assert step_peaks[1] - step_peaks[0] < p.w_ctx.nbytes // 4
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
