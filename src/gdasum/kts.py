@@ -7,6 +7,49 @@ kernel: the linear kernel (scatter around the segment mean, the
 default) or an RBF kernel.  Both are answered from prefix sums of one
 Gram matrix, from which the DP reads each block of end frames' segment
 costs as it reaches it.
+
+The DP prunes the starts that can no longer win, level by level, and
+keeps every entry of its tables.  One level, best[k][T] = min_s F(s) +
+cost(s, T) with F = best[k - 1], carries no penalty, so the inequality
+pruning of Maidstone, Hocking, Rigaill and Fearnhead ("On optimal
+multiple changepoint algorithms for large data", Statistics and
+Computing 2017) is exact for it.  For a PSD Gram matrix the cost is
+superadditive: cost(s, T) >= cost(s, t) + cost(t, T) for s < t < T,
+since merging two segments A and B adds |A||B| / (|A| + |B|) times
+||mu_A - mu_B||^2 in the kernel's feature space.  So if F(s) + cost(s, t)
+> F(t), start t beats start s at every later end T, and s is never again
+the first minimum.  A level drops s once F(s) + cost(s, t) > F(t) +
+delta.  The test is strict, so a tied start is never dropped, and
+``best`` and ``back`` keep every bit of the unpruned DP's.
+
+The margin delta covers the gap between that argument and the computed
+numbers.  With eps = 2^-52, M = N * sum_i K_ii and s_i = ||x_i||^2:
+
+(a) Rounding.  Since |K_ij| <= (K_ii + K_jj) / 2, M bounds every
+    prefix-sum table entry, and each entry comes from two running sums
+    of at most N terms each: it errs by at most N eps M.  A cost reads
+    four entries and divides by t - s >= 2 (one-frame costs are
+    exactly 0), so it errs by at most (2N + 5) eps M.  The pruning test and the later ends'
+    comparison read three costs, and their additions round relative to
+    sum_i K_ii, well below M.
+(b) A computed Gram matrix that is not PSD.  Write it K* + E with K*
+    the exact (PSD) Gram matrix.  The trace terms of the three costs
+    cancel, and if |E_ij| <= c (s_i + s_j) + e0, the block terms can
+    break superadditivity by at most 4 c sum_i s_i + 2 N e0.  The
+    linear Gram matrix errs by at most D eps ||x_i|| ||x_j||, so c =
+    D eps / 2, e0 = 0, and (b) is 2 D eps sum_i s_i.  For RBF,
+    ``losses.pairwise_sq_dists`` errs by at most 4 D eps (s_i + s_j)
+    and gamma = 1/D; with the scaling's rounding the exponent errs by
+    at most 8 eps (s_i + s_j), and exp's own rounding adds e0 = eps:
+    (b) is 32 eps sum_i s_i + 2 N eps.  K_ii = 1 cannot see that term,
+    which is large on rows far from the origin.
+
+delta = 2^-30 M + 2^-44 D sum_i s_i (linear) or 2^-30 M + 2^-40 sum_i s_i
+(RBF).  For N <= MAX_FRAMES its first term is over 100 times (a)
+taken three times plus RBF's 2 N eps, and its second is 128 times the
+rest of (b).  A larger delta only prunes less; it never changes a result.
+The bounds assume that 4M does not overflow (features far below 1e150);
+where M itself overflows, delta is +inf and nothing is pruned.
 """
 
 from __future__ import annotations
@@ -23,9 +66,9 @@ from .losses import pairwise_sq_dists
 # it and summed in place.  The RBF distances are an N^2 array of their own,
 # so RBF peaks at 16 * N^2 bytes while the table is built (tracemalloc):
 # 0.58 GB at the cap.  The DP then holds the table plus its best and back
-# tables, about 1.6 * N^2 bytes at the default max_segments of N/10, and
-# DP_BLOCK rows of costs: linear KTS peaks near 9.6 * N^2 bytes for large
-# N, about 0.35 GB at the cap.
+# tables, about 1.6 * N^2 bytes at the default max_segments of N/10,
+# DP_BLOCK rows of costs and one list of max_segments + 1 ints: linear KTS
+# peaks near 9.6 * N^2 bytes for large N, about 0.35 GB at the cap.
 MAX_FRAMES = 6000
 
 KERNELS = ("linear", "rbf")
@@ -66,14 +109,15 @@ class SegmentCostTable:
     For the linear kernel this is the scatter
     sum_{i in [s,t)} ||x_i - mean(x_{s:t})||^2.  The table takes
     O(N^2) memory, so N is capped at MAX_FRAMES; costs are computed
-    only for the block of end frames asked for.
+    only for the block of end frames asked for.  ``margin`` is the
+    pruning margin delta of the module docstring.
     """
 
     def __init__(self, x: np.ndarray, kernel: str):
         x = _feature_matrix(x)
         if kernel not in KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}")
-        self.n = x.shape[0]
+        self.n, dim = x.shape
         if kernel == "rbf":
             # before the table: pairwise_sq_dists holds two N^2 arrays
             dists = pairwise_sq_dists(x)
@@ -92,6 +136,10 @@ class SegmentCostTable:
             np.add(block[t, 1:], gram[t], out=gram[t])
         np.cumsum(gram, axis=1, out=gram)
         self._block = block
+        # delta: M = N sum_i K_ii bounds every table entry (module docstring)
+        off_psd = math.ldexp(dim, -44) if kernel == "linear" else math.ldexp(1.0, -40)
+        sq_norms = float(np.einsum("ij,ij->", x, x))
+        self.margin = math.ldexp(self.n * float(self._diag[-1]), -30) + off_psd * sq_norms
 
     def costs_by_end(self, t0: int, t1: int) -> np.ndarray:
         """The costs of the segments ending at t0 <= t < t1, by start.
@@ -149,6 +197,49 @@ def check_kts_settings(penalty_coeff, max_segments, names=("penalty_coeff", "max
         raise ValueError(f"{names[1]} must be at least 1, got {max_segments}")
 
 
+def _segment_dp(table: SegmentCostTable, kmax: int):
+    """The DP tables for 1..kmax segments, and the number of cells formed.
+
+    best[k, t] is the least cost splitting frames [0, t) into exactly k
+    segments, and back[k, t] the start of the last one, the first
+    minimum (the smallest start) on ties.  Ends t run in blocks
+    [t0, t1), every level for one block before the next: row t reads
+    best[k - 1, s] for s < t only, which earlier blocks and this block's
+    level k - 1 have already set.  Starts s >= t1 - 1 cost +inf in every
+    row of the block, so they are skipped without moving the first
+    minimum.  Level k reads starts from live[k] on: after each block its
+    last end t = t1 - 1, finite at every start, drops the leading starts
+    s with best[k - 1, s] + cost(s, t) > best[k - 1, t] + table.margin
+    (see the module docstring).
+    """
+    n = table.n
+    best = np.full((kmax + 1, n + 1), np.inf)
+    back = np.zeros((kmax + 1, n + 1), dtype=np.intp)
+    best[0, 0] = 0.0
+    live = list(range(-1, kmax))  # live[k]: level k's leftmost start still alive
+    buf = np.empty(DP_BLOCK * (n + 1))
+    block_rows = np.arange(DP_BLOCK)
+    cells = 0
+    for t0 in range(1, n + 1, DP_BLOCK):
+        t1 = min(t0 + DP_BLOCK, n + 1)
+        costs = table.costs_by_end(t0, t1)  # costs[t - t0, s] = cost(s, t)
+        for k in range(1, min(kmax, t1 - 1) + 1):
+            # ends t in [lo, t1), starts s in [a, t1 - 1): cand[t - lo, s - a]
+            lo, a = max(t0, k), live[k]
+            rows, cols = t1 - lo, t1 - 1 - a
+            cand = buf[: rows * cols].reshape(rows, cols)
+            np.add(costs[lo - t0 :, a : t1 - 1], best[k - 1, a : t1 - 1], out=cand)
+            first = cand.argmin(axis=1)  # the first minimum: the smallest start
+            back[k, lo:t1] = first + a
+            best[k, lo:t1] = cand[block_rows[:rows], first]
+            cells += rows * cols
+            # no start dies while best[k - 1, t1 - 1] is inf (level 1), nor at a NaN
+            dead = cand[-1] > best[k - 1, t1 - 1] + table.margin
+            survivor = int(dead.argmin())  # the first start not dropped
+            live[k] += cols if dead[survivor] else survivor
+    return best, back, cells
+
+
 def kts_changepoints(
     x: np.ndarray,
     max_segments: int | None = None,
@@ -163,38 +254,20 @@ def kts_changepoints(
     fewer segments.  An empty list means the video is a single shot.
     The DP walks the end frames in blocks of DP_BLOCK, running every
     level over that block's segment costs and reading only the starts
-    that precede the block's last end: O(N^2) memory, and about
-    max_segments * N^2 / 2 cell additions in all.
+    that precede the block's last end: O(N^2) memory, and at most about
+    max_segments * N^2 / 2 cell additions in all.  Each level drops the
+    starts that can no longer win, by the exact inequality pruning of
+    Maidstone et al. (2017) with the margin delta derived in the module
+    docstring, and keeps its leftmost live start in one list of
+    max_segments + 1 ints.  No tied start is dropped, so the tables,
+    and so the change points, are those of the unpruned DP; on planted
+    N=1200 videos it forms about 30% of the unpruned cells.
     """
     x = _feature_matrix(x)  # before N sets the default cap
     n = x.shape[0]
     check_kts_settings(penalty_coeff, max_segments)
     kmax = min(math.ceil(n / 10) if max_segments is None else max_segments, n)
-    table = SegmentCostTable(x, kernel=kernel)
-
-    # best[k][t]: minimal cost splitting frames [0, t) into exactly k segments
-    best = np.full((kmax + 1, n + 1), np.inf)
-    back = np.zeros((kmax + 1, n + 1), dtype=np.intp)
-    best[0, 0] = 0.0
-    buf = np.empty(DP_BLOCK * (n + 1))
-    block_rows = np.arange(DP_BLOCK)
-    # Ends t in blocks [t0, t1), every level for one block before the next:
-    # row t reads best[k - 1, s] for s < t only, which earlier blocks and
-    # this block's level k - 1 have already set.  Starts s >= t1 - 1 cost
-    # +inf in every row of the block, so they are skipped without moving
-    # the first minimum.
-    for t0 in range(1, n + 1, DP_BLOCK):
-        t1 = min(t0 + DP_BLOCK, n + 1)
-        costs = table.costs_by_end(t0, t1)  # costs[t - t0, s] = cost(s, t)
-        for k in range(1, min(kmax, t1 - 1) + 1):
-            # ends t in [lo, t1), starts s in [k - 1, t1 - 1): cand[t - lo, s - k + 1]
-            lo = max(t0, k)
-            rows, cols = t1 - lo, t1 - k
-            cand = buf[: rows * cols].reshape(rows, cols)
-            np.add(costs[lo - t0 :, k - 1 : t1 - 1], best[k - 1, k - 1 : t1 - 1], out=cand)
-            first = cand.argmin(axis=1)  # the first minimum: the smallest start
-            back[k, lo:t1] = first + (k - 1)
-            best[k, lo:t1] = cand[block_rows[:rows], first]
+    best, back, _ = _segment_dp(SegmentCostTable(x, kernel=kernel), kmax)
 
     objective = [
         best[m, n] + segment_penalty(n, m, penalty_coeff)

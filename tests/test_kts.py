@@ -9,6 +9,7 @@ from gdasum.kts import (
     MAX_FRAMES,
     SegmentCostTable,
     Shot,
+    _segment_dp,
     kts_changepoints,
     segment_penalty,
     shots_from_changepoints,
@@ -254,6 +255,26 @@ def test_changepoints_deterministic():
     assert kts_changepoints(x) == kts_changepoints(x)
 
 
+def default_kmax(n, max_segments=None):
+    """The DP's level count: N/10 rounded up unless capped, at most N."""
+    return min(math.ceil(n / 10) if max_segments is None else max_segments, n)
+
+
+def changepoints_from_tables(best, back, penalty_coeff):
+    """The penalized choice of segment count and its boundaries, from DP tables."""
+    kmax, n = best.shape[0] - 1, best.shape[1] - 1
+    objective = [
+        best[m][n] + segment_penalty(n, m, penalty_coeff) for m in range(1, kmax + 1)
+    ]
+    m_opt = 1 + int(np.argmin(objective))
+    boundaries, t = [], n
+    for k in range(m_opt, 0, -1):
+        t = int(back[k][t])
+        if t > 0:
+            boundaries.append(t)
+    return sorted(boundaries)
+
+
 def reference_changepoints(x, kernel, max_segments=None, penalty_coeff=1.0):
     """The segmentation DP one cell at a time, over the cost matrix.
 
@@ -261,7 +282,7 @@ def reference_changepoints(x, kernel, max_segments=None, penalty_coeff=1.0):
     its ties resolve like the vectorized DP's.
     """
     n = x.shape[0]
-    kmax = min(math.ceil(n / 10) if max_segments is None else max_segments, n)
+    kmax = default_kmax(n, max_segments)
     cost = costs(x, kernel).tolist()
     best = [[math.inf] * (n + 1) for _ in range(kmax + 1)]
     back = [[0] * (n + 1) for _ in range(kmax + 1)]
@@ -272,16 +293,49 @@ def reference_changepoints(x, kernel, max_segments=None, penalty_coeff=1.0):
                 cand = best[k - 1][s] + cost[s][t]
                 if cand < best[k][t]:
                     best[k][t], back[k][t] = cand, s
-    objective = [
-        best[m][n] + segment_penalty(n, m, penalty_coeff) for m in range(1, kmax + 1)
-    ]
-    m_opt = 1 + int(np.argmin(objective))
-    boundaries, t = [], n
-    for k in range(m_opt, 0, -1):
-        t = back[k][t]
-        if t > 0:
-            boundaries.append(t)
-    return sorted(boundaries)
+    return changepoints_from_tables(np.array(best), np.array(back), penalty_coeff)
+
+
+def reference_segment_dp(table, kmax):
+    """The blocked DP without pruning: every level reads every start.
+
+    ``_segment_dp`` must give its ``best`` and ``back`` bit for bit.
+    """
+    n = table.n
+    best = np.full((kmax + 1, n + 1), np.inf)
+    back = np.zeros((kmax + 1, n + 1), dtype=np.intp)
+    best[0, 0] = 0.0
+    buf = np.empty(DP_BLOCK * (n + 1))
+    block_rows = np.arange(DP_BLOCK)
+    for t0 in range(1, n + 1, DP_BLOCK):
+        t1 = min(t0 + DP_BLOCK, n + 1)
+        by_end = table.costs_by_end(t0, t1)  # by_end[t - t0, s] = cost(s, t)
+        for k in range(1, min(kmax, t1 - 1) + 1):
+            # ends t in [lo, t1), starts s in [k - 1, t1 - 1): cand[t - lo, s - k + 1]
+            lo = max(t0, k)
+            rows, cols = t1 - lo, t1 - k
+            cand = buf[: rows * cols].reshape(rows, cols)
+            np.add(by_end[lo - t0 :, k - 1 : t1 - 1], best[k - 1, k - 1 : t1 - 1], out=cand)
+            first = cand.argmin(axis=1)
+            back[k, lo:t1] = first + (k - 1)
+            best[k, lo:t1] = cand[block_rows[:rows], first]
+    return best, back
+
+
+def checked_segment_dp(x, kernel, kmax):
+    """``_segment_dp``'s tables and cell count, its tables checked bit for bit
+    against ``reference_segment_dp``."""
+    table = SegmentCostTable(x, kernel=kernel)
+    best, back, cells = _segment_dp(table, kmax)
+    want_best, want_back = reference_segment_dp(table, kmax)
+    assert best.tobytes() == want_best.tobytes()
+    assert back.tobytes() == want_back.tobytes()
+    return best, back, cells
+
+
+def unpruned_cells(n, kmax):
+    """Sum over k of (N - k + 1)(N - k + 2) / 2: every (start, end) pair of every level."""
+    return sum((n - k + 1) * (n - k + 2) // 2 for k in range(1, kmax + 1))
 
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
@@ -335,6 +389,64 @@ def test_first_minimum_start_wins_a_tie_across_a_block_edge():
     flags = {"max_segments": 2, "penalty_coeff": 0.0}
     assert kts_changepoints(x, **flags) == [DP_BLOCK]
     assert reference_changepoints(x, "linear", **flags) == [DP_BLOCK]
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+@pytest.mark.parametrize("n", [600, 1200])
+@pytest.mark.parametrize("quarter_cap", [False, True], ids=["defaults", "quarter-cap-no-penalty"])
+def test_pruned_dp_tables_equal_the_unpruned_dp_on_long_planted_videos(n, kernel, quarter_cap):
+    # long enough for the pruning to drop most starts, unlike the
+    # block-edge videos; the change points follow from the tables
+    x = block_edge_video("planted", n)
+    max_segments, penalty_coeff = (n // 4, 0.0) if quarter_cap else (None, 1.0)
+    best, back, _ = checked_segment_dp(x, kernel, default_kmax(n, max_segments))
+    flags = {"max_segments": max_segments, "penalty_coeff": penalty_coeff}
+    assert kts_changepoints(x, kernel=kernel, **flags) == changepoints_from_tables(
+        best, back, penalty_coeff
+    )
+
+
+ADVERSARIAL_N = 402  # over 6 * DP_BLOCK
+
+
+def adversarial_video(kind):
+    """An (ADVERSARIAL_N, D) video that strains the pruning margin."""
+    n = ADVERSARIAL_N
+    if kind == "far-from-origin":  # RBF distances lose digits to the row norms
+        return 1e4 + np.random.default_rng(12).standard_normal((n, 8))
+    if kind == "two-duplicated-frames":
+        frames = np.random.default_rng(13).standard_normal((2, 16))
+        return frames[np.random.default_rng(14).integers(0, 2, n)]
+    if kind == "runs":  # exact ties under the linear kernel
+        return block_edge_video("runs", n)
+    scale = {"scaled-1e12": 1e12, "scaled-1e-12": 1e-12, "near-overflow": 5e150}[kind]
+    return block_edge_video("planted", n) * scale
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+@pytest.mark.parametrize(
+    "kind",
+    ["far-from-origin", "scaled-1e12", "scaled-1e-12", "two-duplicated-frames", "runs",
+     "near-overflow"],
+)
+def test_pruned_dp_tables_equal_the_unpruned_dp_on_adversarial_videos(kind, kernel):
+    # near-overflow: under the linear kernel 4 N sum K_ii overflows,
+    # beyond the margin's derivation
+    x = adversarial_video(kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kmax in (default_kmax(ADVERSARIAL_N), ADVERSARIAL_N // 4):
+            checked_segment_dp(x, kernel, kmax)
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_pruning_forms_at_most_40_percent_of_the_unpruned_cells(kernel):
+    # planted N=1200, D=16 at the default cap: 27.9% (linear) and 32.2%
+    # (rbf) of every level's (start, end) pairs measured
+    n = 1200
+    x = block_edge_video("planted", n)
+    kmax = default_kmax(n)
+    _, _, cells = checked_segment_dp(x, kernel, kmax)
+    assert cells <= 0.40 * unpruned_cells(n, kmax)
 
 
 @pytest.mark.parametrize("penalty_coeff", [math.nan, math.inf, -math.inf, -0.5])
